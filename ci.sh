@@ -75,13 +75,14 @@ go test ./cmd/irshared -run 'TestKillAndRecover' -count=1
 # Strategic-manipulation scenarios: a dedicated -count=2 race pass over the
 # scenario engines (the odometer enumerator, the coalition fold, and the
 # topology generators are driven concurrently by the job scheduler in the
-# full-suite pass), the scenario crash-recovery smoke (a ksybil job
+# full-suite pass) and the scan kernel they run on (its parallel path and
+# partial-prefix rule), the scenario crash-recovery smoke (a ksybil job
 # SIGKILLed mid-grid must recover from its WAL checkpoint bit-identically),
 # then a small-scan smoke through the CLI. The k=3 Sybil scan on the
 # tournament ring must keep reproducing the pinned exact ratio — its best
 # split carries a zero digit, so it degenerates to the k=2 optimum and the
 # value matches the tournament smoke's bd line.
-go test -race -count=2 ./internal/scenario
+go test -race -count=2 ./internal/scenario ./internal/scan
 go test ./cmd/irshared -run 'TestScenarioKillAndRecover' -count=1
 scen_out="$(go run ./cmd/irshare scenario -kind ksybil -ring 3,1,2,1,5 -v 0 -k 3 -grid 12)"
 printf '%s\n' "$scen_out"

@@ -26,6 +26,8 @@ import (
 
 	"repro/internal/cert/enum"
 	"repro/internal/numeric"
+	"repro/internal/par"
+	"repro/internal/scan"
 )
 
 func main() {
@@ -51,14 +53,9 @@ func main() {
 	}
 
 	start := time.Now()
-	sum, err := enum.Run(ctx, enum.Options{
-		MinN:    *minN,
-		MaxN:    *maxN,
-		Levels:  *levels,
-		Grid:    *grid,
-		Eps:     numeric.FromBig(eps),
-		Workers: *workers,
-	})
+	sum, err := certifyAll(ctx, enum.Options{
+		MinN: *minN, MaxN: *maxN, Levels: *levels, Grid: *grid, Eps: numeric.FromBig(eps),
+	}, *workers)
 	if err != nil {
 		fail("enumeration: %v", err)
 	}
@@ -104,4 +101,22 @@ func encodeTo(f *os.File, v any) {
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "certenum: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// certifyAll certifies the whole enumeration in parallel on workers
+// goroutines (0 = GOMAXPROCS) and summarizes it; a run cut short by the
+// timeout is an error, not a partial summary.
+func certifyAll(ctx context.Context, o enum.Options, workers int) (*enum.Summary, error) {
+	sc, err := enum.NewScan(o)
+	if err != nil {
+		return nil, err
+	}
+	r, err := scan.Run(ctx, sc, scan.Options[enum.Outcome]{Workers: par.Workers(workers)})
+	if err != nil {
+		return nil, err
+	}
+	if r.Partial {
+		return nil, ctx.Err()
+	}
+	return enum.Summarize(r.Points, o.Resolved().Eps)
 }

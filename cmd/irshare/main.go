@@ -40,6 +40,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 )
 
 func main() {
@@ -309,12 +310,16 @@ func run(args []string, w io.Writer) error {
 		if *mechs != "" {
 			names = strings.Split(*mechs, ",")
 		}
-		res, err := mechanism.Tournament(context.Background(),
-			[]mechanism.TournamentInstance{{G: g, V: *agent}},
+		t, err := mechanism.NewTournament([]mechanism.TournamentInstance{{G: g, V: *agent}},
 			mechanism.TournamentOptions{Mechanisms: names, Grid: *grid})
 		if err != nil {
 			return err
 		}
+		cells, err := scan.Run(context.Background(), t.Scan, scan.Options[mechanism.Cell]{})
+		if err != nil {
+			return err
+		}
+		res := t.Result(cells.Points)
 		fmt.Fprintf(w, "tournament: agent %s, grid %d\n", g.Label(*agent), res.Grid)
 		for _, c := range res.Cells[0] {
 			fmt.Fprintf(w, "  %-10s ζ = %-12s (≈ %.6f)  honest U = %-10s best w1 = %-10s efficiency = %-10s fairness = %s\n",

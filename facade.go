@@ -332,12 +332,11 @@ func IncentiveRatio(ctx context.Context, g *Graph, v int, opts ...Option) (Rat, 
 	return opt.Ratio, nil
 }
 
-// SweepOptions tunes the low-level sybil sweep; SweepPoint and SweepResult
-// are its exactly evaluated samples and outcome.
+// SweepPoint and SweepResult are the exactly evaluated samples and the
+// outcome of RingSweep.
 type (
-	SweepOptions = sybil.SweepOptions
-	SweepPoint   = sybil.SweepPoint
-	SweepResult  = sybil.SweepResult
+	SweepPoint  = sybil.SweepPoint
+	SweepResult = sybil.SweepResult
 )
 
 // RingSweep evaluates agent v's two-identity split utility curve on ring g

@@ -48,10 +48,9 @@ func sameDecomposition(t *testing.T, g *repro.Graph, a, b *repro.Decomposition, 
 	}
 }
 
-// TestFacadeEquivalence pins the redesigned options API to the deprecated
-// wrappers: on 50 random ring/path/tree instances, every wrapper and its
-// options form — with and without a recorder installed — return
-// bit-identical results.
+// TestFacadeEquivalence pins the options API against itself: on 50 random
+// ring/path/tree instances, every option form — with and without a
+// recorder installed — returns bit-identical results.
 func TestFacadeEquivalence(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(8))
@@ -64,13 +63,11 @@ func TestFacadeEquivalence(t *testing.T) {
 		}
 		rec := &repro.TraceCapture{}
 		for label, alt := range map[string]func() (*repro.Decomposition, error){
-			"DecomposeWith": func() (*repro.Decomposition, error) { return repro.DecomposeWith(g, repro.EngineAuto) },
 			"WithEngine": func() (*repro.Decomposition, error) {
 				return repro.Decompose(ctx, g, repro.WithEngine(repro.EngineAuto))
 			},
-			"DecomposeParallel": func() (*repro.Decomposition, error) { return repro.DecomposeParallel(g, 3) },
-			"WithWorkers":       func() (*repro.Decomposition, error) { return repro.Decompose(ctx, g, repro.WithWorkers(3)) },
-			"WithRecorder":      func() (*repro.Decomposition, error) { return repro.Decompose(ctx, g, repro.WithRecorder(rec)) },
+			"WithWorkers":  func() (*repro.Decomposition, error) { return repro.Decompose(ctx, g, repro.WithWorkers(3)) },
+			"WithRecorder": func() (*repro.Decomposition, error) { return repro.Decompose(ctx, g, repro.WithRecorder(rec)) },
 		} {
 			d, err := alt()
 			if err != nil {
@@ -82,8 +79,7 @@ func TestFacadeEquivalence(t *testing.T) {
 			t.Fatalf("instance %d: recorder captured no decomposition span tree", i)
 		}
 
-		// Allocation: precomputed decomposition vs internal decompose vs
-		// the deprecated two-argument wrapper.
+		// Allocation: precomputed decomposition vs internal decompose.
 		viaOpt, err := repro.Allocate(ctx, g, repro.WithDecomposition(base))
 		if err != nil {
 			t.Fatal(err)
@@ -92,29 +88,25 @@ func TestFacadeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaOld, err := repro.AllocateDecomposed(g, base)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for v := 0; v < g.N(); v++ {
-			if !viaOpt.Utility(v).Equal(viaOld.Utility(v)) || !viaOpt.Utility(v).Equal(viaSelf.Utility(v)) {
+			if !viaOpt.Utility(v).Equal(viaSelf.Utility(v)) {
 				t.Fatalf("instance %d: allocation utility differs at %d", i, v)
 			}
 		}
 
-		// Incentive ratio (rings only): wrapper, options form, and a
-		// recorded run must agree exactly.
+		// Incentive ratio (rings only): plain and recorded runs must agree
+		// exactly.
 		if i%3 == 0 {
-			old, err := repro.RingRatio(g, i%g.N())
+			plain, err := repro.IncentiveRatio(ctx, g, i%g.N())
 			if err != nil {
 				t.Fatal(err)
 			}
-			now, err := repro.IncentiveRatio(ctx, g, i%g.N(), repro.WithRecorder(&repro.TraceCapture{}))
+			traced, err := repro.IncentiveRatio(ctx, g, i%g.N(), repro.WithRecorder(&repro.TraceCapture{}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !old.Equal(now) {
-				t.Fatalf("instance %d: ratio differs: %v vs %v", i, old, now)
+			if !plain.Equal(traced) {
+				t.Fatalf("instance %d: ratio differs: %v vs %v", i, plain, traced)
 			}
 		}
 	}

@@ -103,7 +103,7 @@ func TestSweepCertRoundTrip(t *testing.T) {
 			t.Logf("ring %d: not analyzable: %v", gi, err)
 			continue
 		}
-		res, err := sybil.SweepInstanceCtx(ctx, in, sybil.SweepOptions{Grid: 8})
+		res, err := sybil.RingSweepCtx(ctx, in.G, in.V, sybil.SweepOptions{Grid: 8})
 		if err != nil {
 			t.Fatalf("ring %d: sweep: %v", gi, err)
 		}
@@ -126,7 +126,7 @@ func TestSweepCertPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sybil.SweepInstanceCtx(ctx, in, sybil.SweepOptions{Grid: 8, Start: 3})
+	res, err := sybil.RingSweepCtx(ctx, in.G, in.V, sybil.SweepOptions{Grid: 8, Start: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

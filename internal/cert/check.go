@@ -427,8 +427,9 @@ func (rc *ringCtx) checkSplit(s *SplitCert, ringWeights []string) (u, w1 *big.Ra
 	}
 	n := rc.in.n
 	p := &s.Path
-	if p.Instance.N != n+1 {
-		return nil, nil, fmt.Errorf("cert: split path has %d vertices, want %d", p.Instance.N, n+1)
+	if p.Instance.N != n+1 || len(p.Instance.Weights) != n+1 {
+		return nil, nil, fmt.Errorf("cert: split path has %d vertices and %d weights, want %d",
+			p.Instance.N, len(p.Instance.Weights), n+1)
 	}
 	if p.Instance.Weights[0] != s.W1 || p.Instance.Weights[n] != s.W2 {
 		return nil, nil, fmt.Errorf("cert: split path leaf weights disagree with (w1, w2)")

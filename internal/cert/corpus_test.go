@@ -50,7 +50,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		}
 		addJSON(rc)
 		addJSON(&rc.Ring)
-		res, err := sybil.SweepInstanceCtx(ctx, in, sybil.SweepOptions{Grid: 4})
+		res, err := sybil.RingSweepCtx(ctx, in.G, in.V, sybil.SweepOptions{Grid: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,9 @@
 // instances whose ratio is within Eps of the paper's bound 2.
 //
 // The enumeration is deterministic and indexable (Enumerate returns the
-// instance list in a fixed order), which is what lets the durable-job layer
-// run it with checkpointed resume: instance i means the same ring in every
-// process that ever computes it.
+// instance list in a fixed order), so NewScan runs it as a resumable kernel
+// scan: instance i means the same ring in every process that ever computes
+// it.
 package enum
 
 import (
@@ -25,9 +25,10 @@ import (
 	"repro/internal/cert"
 	"repro/internal/cert/build"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/numeric"
-	"repro/internal/par"
+	"repro/internal/scan"
 )
 
 // Options bounds the enumeration. Zero values select defaults.
@@ -43,17 +44,13 @@ type Options struct {
 	// Eps is the frontier threshold: instances with ratio ≥ 2 − Eps are
 	// archived (default 1/2).
 	Eps numeric.Rat
-	// Workers bounds parallel certification (≤ 0 = GOMAXPROCS).
-	Workers int
 }
 
-// Resolved returns the options with all defaults applied — what Run and
+// Resolved returns the options with all defaults applied — what NewScan and
 // Enumerate actually use. Callers persisting options (the durable-job
 // layer) resolve them first so a stored spec never depends on defaults
 // changing.
-func (o Options) Resolved() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
+func (o Options) Resolved() Options {
 	if o.MinN <= 0 {
 		o.MinN = 3
 	}
@@ -141,7 +138,7 @@ func gcd(a, b int64) int64 {
 // Enumerate returns every canonical instance in a fixed deterministic
 // order: ring sizes ascending, weight tuples in odometer order.
 func Enumerate(o Options) ([]Spec, error) {
-	o = o.withDefaults()
+	o = o.Resolved()
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
@@ -170,16 +167,6 @@ func Enumerate(o Options) ([]Spec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// Count returns the number of canonical instances without materializing
-// per-instance state beyond the odometer.
-func Count(o Options) (int, error) {
-	specs, err := Enumerate(o)
-	if err != nil {
-		return 0, err
-	}
-	return len(specs), nil
 }
 
 // Outcome is the certified result of one instance. Exactly one of Ratio and
@@ -273,21 +260,25 @@ func parseRatio(str string) (numeric.Rat, error) {
 	return numeric.FromBig(br), nil
 }
 
-// Run certifies the whole enumeration in parallel and summarizes it.
-func Run(ctx context.Context, o Options) (*Summary, error) {
-	o = o.withDefaults()
+// NewScan returns the enumeration as a kernel scan (internal/scan): point
+// i certifies instance i of Enumerate(o). Per-instance certification
+// failures are recorded in the Outcome, not raised — finding them is the
+// point of the run — but a context error interrupts the scan, so a
+// canceled certification never masquerades as a failed instance.
+func NewScan(o Options) (scan.Scan[Outcome], error) {
+	o = o.Resolved()
 	specs, err := Enumerate(o)
 	if err != nil {
-		return nil, err
+		return scan.Scan[Outcome]{}, err
 	}
-	outs := par.MapCtx(ctx, len(specs), o.Workers, func(ctx context.Context, i int) Outcome {
-		if err := ctx.Err(); err != nil {
-			return Outcome{Key: specs[i].Key(), Err: fmt.Sprintf("canceled: %v", err)}
-		}
-		return Certify(ctx, specs[i], o.Grid)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return Summarize(outs, o.Eps)
+	return scan.Scan[Outcome]{
+		Len:  len(specs),
+		Site: fault.SiteSweepPoint,
+		Name: "enum: instance",
+		Span: "enum.certify",
+		Eval: func(ctx context.Context, i int) (Outcome, error) {
+			out := Certify(ctx, specs[i], o.Grid)
+			return out, ctx.Err()
+		},
+	}, nil
 }

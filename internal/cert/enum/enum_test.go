@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cert/enum"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 )
 
 func TestEnumerateCanonical(t *testing.T) {
@@ -62,7 +63,15 @@ func TestEnumerateRejectsExplosiveOptions(t *testing.T) {
 
 func TestRunSmall(t *testing.T) {
 	start := time.Now()
-	sum, err := enum.Run(context.Background(), enum.Options{MinN: 3, MaxN: 5, Levels: 3, Grid: 8})
+	sc, err := enum.NewScan(enum.Options{MinN: 3, MaxN: 5, Levels: 3, Grid: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := scan.Run(context.Background(), sc, scan.Options[enum.Outcome]{Workers: 2})
+	if err != nil || r.Partial {
+		t.Fatalf("run: %v (partial %v)", err, r != nil && r.Partial)
+	}
+	sum, err := enum.Summarize(r.Points, numeric.Zero)
 	if err != nil {
 		t.Fatal(err)
 	}

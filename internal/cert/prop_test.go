@@ -270,7 +270,7 @@ func TestMutatedSweepCertsFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sybil.SweepInstanceCtx(ctx, in, sybil.SweepOptions{Grid: 8})
+	res, err := sybil.RingSweepCtx(ctx, in.G, in.V, sybil.SweepOptions{Grid: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +317,13 @@ func TestMutatedSweepCertsFail(t *testing.T) {
 			m.Ratio = "4/3"
 		}
 		mustFail(t, "ratio_perturbed", m)
+	})
+	t.Run("split_path_weights_dropped", func(t *testing.T) {
+		// The path's vertex count still matches; a checker that trusted it
+		// would index the missing weights (a fuzz-found panic).
+		m := deepCopy(t, sc)
+		m.Points[0].Path.Instance.Weights = nil
+		mustFail(t, "split_path_weights_dropped", m)
 	})
 }
 

@@ -25,27 +25,6 @@ import (
 // re-placement idempotent, and exact arithmetic makes the final result
 // bit-identical to an uninterrupted single-node run.
 
-// jobPlacementKey derives the ring key of a job submission. Sweep jobs use
-// the mechanism-scoped instance key — the same placement as the inline
-// endpoints, so a job lands where its instance cache is warm. Other kinds
-// hash their canonical (re-marshaled) submission body.
-func jobPlacementKey(req *server.JobSubmitRequest) (string, bool) {
-	switch req.Kind {
-	case "", "sweep":
-		key, err := server.PlacementKey(&req.Graph, req.Mechanism)
-		if err != nil {
-			return "", false
-		}
-		return key, true
-	default:
-		canon, err := json.Marshal(req)
-		if err != nil {
-			return "", false
-		}
-		return "jobs|" + req.Kind + "|" + string(canon), true
-	}
-}
-
 // handleJobSubmit places one durable job under a lease.
 func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
@@ -59,7 +38,10 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		r.forward(req.Context(), w, req, "/v1/jobs", body, r.aliveSequence("/v1/jobs"), nil)
 		return
 	}
-	key, keyed := jobPlacementKey(&sub)
+	// Placement comes from the server's job-kind table: graph-bound kinds
+	// land where their instance's cache is warm, and neither the priority
+	// nor a checkpoint seed moves a job to another node.
+	key, keyed := server.JobPlacementKey(&sub)
 	if !keyed {
 		key = "/v1/jobs"
 	}

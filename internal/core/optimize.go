@@ -11,6 +11,7 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/scan"
 )
 
 // OptimizeOptions tunes the split optimizer. Zero values select defaults.
@@ -258,13 +259,8 @@ func (in *Instance) OptimizeCtx(ctx context.Context, opts OptimizeOptions) (*Opt
 	pspan.AddInt("pieces", int64(len(res.Pieces)))
 	pspan.End()
 
-	switch {
-	case in.HonestU.Sign() > 0:
-		res.Ratio = res.BestU.Div(in.HonestU)
-	case res.BestU.Sign() > 0:
-		return nil, fmt.Errorf("core: positive attack utility %v from zero honest utility", res.BestU)
-	default:
-		res.Ratio = numeric.One
+	if res.Ratio, err = scan.Ratio(res.BestU, in.HonestU); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return res, nil
 }

@@ -85,7 +85,8 @@ type Record struct {
 	// Key is the canonical dedupe key — for sweeps, the canonical instance
 	// encoding plus the agent and grid.
 	Key string `json:"key"`
-	// Kind names the job type (currently always "sweep").
+	// Kind names the job type: one of the server's job kinds ("sweep",
+	// "enumerate", "tournament", "ksybil", "coalition", "topology").
 	Kind string `json:"kind"`
 	// Spec is the opaque job specification, owned by the submitter (the
 	// server stores its normalized wire request here and rebuilds the

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bottleneck"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/sybil"
 )
 
 // BD is the paper's Bottleneck-Decomposition Allocation Mechanism
@@ -51,13 +50,6 @@ func (BD) Decompose(ctx context.Context, g *graph.Graph, engine bottleneck.Engin
 // (the facade's WithWorkers path).
 func (BD) DecomposeParallel(ctx context.Context, g *graph.Graph, engine bottleneck.Engine, workers int) (*bottleneck.Decomposition, error) {
 	return bottleneck.DecomposeParallelCtx(ctx, g, engine, workers)
-}
-
-// SweepRing implements RingSweeper with the incremental split engine —
-// shared interior transfers, warm-started Dinkelbach — point for point the
-// same arithmetic as the pre-registry sybil sweep.
-func (BD) SweepRing(ctx context.Context, g *graph.Graph, v int, opts sybil.SweepOptions) (*sybil.SweepResult, error) {
-	return sybil.RingSweepCtx(ctx, g, v, opts)
 }
 
 // OptimizeRing implements RingOptimizer with the certified piecewise

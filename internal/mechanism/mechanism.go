@@ -4,7 +4,7 @@
 // Mechanism is the first registered backend ("bd"), and alternatives from
 // the related literature register alongside it so identical instances —
 // and identical Sybil attacks — can be evaluated under competing
-// mechanisms (see Tournament).
+// mechanisms (see NewTournament).
 //
 // The registry is deliberately deterministic: Names and Infos iterate in
 // sorted name order regardless of registration order, so API listings and
@@ -21,7 +21,6 @@ import (
 	"repro/internal/bottleneck"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/sybil"
 )
 
 // Mechanism is one allocation mechanism backend: a deterministic map from a
@@ -47,13 +46,6 @@ type Mechanism interface {
 // defined in terms of this capability.
 type Decomposer interface {
 	Decompose(ctx context.Context, g *graph.Graph, engine bottleneck.Engine) (*bottleneck.Decomposition, error)
-}
-
-// RingSweeper natively evaluates the two-identity Sybil split curve on a
-// ring. BD implements it with the incremental split engine; mechanisms
-// without it are swept generically (RingSweep), one split graph per point.
-type RingSweeper interface {
-	SweepRing(ctx context.Context, g *graph.Graph, v int, opts sybil.SweepOptions) (*sybil.SweepResult, error)
 }
 
 // RingOptimizer computes the exact incentive ratio on a ring via a

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bottleneck"
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 	"repro/internal/sybil"
 )
 
@@ -266,7 +267,8 @@ func TestLatticeFloor(t *testing.T) {
 func TestGenericSweepDelegatesForBD(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Ring(numeric.Ints(4, 1, 5, 2, 3))
-	want, err := sybil.RingSweepCtx(ctx, g, 0, sybil.SweepOptions{Grid: 16})
+	// The reference runs cold: no evaluation cache, no incremental engine.
+	want, err := sybil.RingSweepCtx(ctx, g, 0, sybil.SweepOptions{Grid: 16, Cold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +336,22 @@ func TestGenericSweepSemantics(t *testing.T) {
 	}
 }
 
+// runTournament runs a whole tournament scan.
+func runTournament(ctx context.Context, instances []TournamentInstance, opts TournamentOptions) (*TournamentResult, error) {
+	ts, err := NewTournament(instances, opts)
+	if err != nil {
+		return nil, err
+	}
+	r, err := scan.Run(ctx, ts.Scan, scan.Options[Cell]{})
+	if err != nil {
+		return nil, err
+	}
+	if r.Partial {
+		return nil, ctx.Err()
+	}
+	return ts.Result(r.Points), nil
+}
+
 func TestTournamentDeterministicAndSummarized(t *testing.T) {
 	ctx := context.Background()
 	instances := []TournamentInstance{
@@ -341,7 +359,7 @@ func TestTournamentDeterministicAndSummarized(t *testing.T) {
 		{G: graph.Ring(numeric.Ints(2, 2, 9, 1)), V: 2},
 	}
 	opts := TournamentOptions{Grid: 8}
-	res, err := Tournament(ctx, instances, opts)
+	res, err := runTournament(ctx, instances, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +372,7 @@ func TestTournamentDeterministicAndSummarized(t *testing.T) {
 	// Reversed, deduplicated selection yields the same sorted columns.
 	opts2 := opts
 	opts2.Mechanisms = []string{"pr", "bd", "eqsplit", "bd", ""}
-	res2, err := Tournament(ctx, instances, opts2)
+	res2, err := runTournament(ctx, instances, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,26 +387,34 @@ func TestTournamentDeterministicAndSummarized(t *testing.T) {
 	}
 	// Summaries must be reconstructible from the cells alone (the durable
 	// job path) and exact.
-	resum := Summarize(res.Mechanisms, res.Grid, res.Cells)
+	ts, err := NewTournament(instances, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []Cell
+	for _, row := range res.Cells {
+		cells = append(cells, row...)
+	}
+	resum := ts.Result(cells)
 	if !reflect.DeepEqual(res, resum) {
-		t.Fatal("Summarize(cells) diverges from Tournament result")
+		t.Fatal("summaries rebuilt from the cells diverge from the tournament result")
 	}
 	s := res.Summary[0]
 	if s.Instances != 2 || s.MeanRatio.Less(numeric.One) {
 		t.Fatalf("bd summary %+v", s)
 	}
 	// Error paths.
-	if _, err := Tournament(ctx, nil, opts); err == nil {
+	if _, err := runTournament(ctx, nil, opts); err == nil {
 		t.Fatal("empty tournament succeeded")
 	}
 	bad := opts
 	bad.Mechanisms = []string{"nope"}
-	if _, err := Tournament(ctx, instances, bad); err == nil {
+	if _, err := runTournament(ctx, instances, bad); err == nil {
 		t.Fatal("unknown mechanism accepted")
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := Tournament(cctx, instances, opts); err == nil {
+	if _, err := runTournament(cctx, instances, opts); err == nil {
 		t.Fatal("canceled tournament succeeded")
 	}
 }

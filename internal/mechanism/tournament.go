@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 	"repro/internal/sybil"
 )
 
@@ -17,7 +18,7 @@ type TournamentInstance struct {
 	V int
 }
 
-// TournamentOptions tunes Tournament. Zero values select defaults.
+// TournamentOptions tunes NewTournament. Zero values select defaults.
 type TournamentOptions struct {
 	// Mechanisms selects the competitors by name (empty = every registered
 	// mechanism). The set is sorted and deduplicated, so output order never
@@ -94,8 +95,7 @@ func ResolveSet(names []string) ([]string, error) {
 
 // EvaluateCell runs one (instance, mechanism) cell: the honest allocation's
 // efficiency and fairness, then the full Sybil sweep for the empirical
-// incentive ratio. It is the unit of work the durable tournament job
-// checkpoints on, so it must stay deterministic and self-contained.
+// incentive ratio.
 func EvaluateCell(ctx context.Context, m Mechanism, g *graph.Graph, v int, grid, workers int) (Cell, error) {
 	a, err := m.Allocate(ctx, g)
 	if err != nil {
@@ -133,10 +133,19 @@ func fairness(utils []numeric.Rat) numeric.Rat {
 	return numeric.MinOf(utils).Div(max)
 }
 
-// Tournament evaluates every selected mechanism on every instance under the
-// identical attack grid and returns the deterministic cell matrix with
-// summaries. Instances keep their input order; mechanisms are sorted.
-func Tournament(ctx context.Context, instances []TournamentInstance, opts TournamentOptions) (*TournamentResult, error) {
+// TournamentScan is a tournament as a kernel scan (internal/scan): cell k
+// is instance k/len(Mechanisms) under Mechanisms[k%len(Mechanisms)], in
+// row-major order, so every selected mechanism meets every instance under
+// the identical attack grid. Instances keep their input order; mechanisms
+// are sorted.
+type TournamentScan struct {
+	scan.Scan[Cell]
+	Mechanisms []string
+	Grid       int
+}
+
+// NewTournament binds the tournament of instances under opts.
+func NewTournament(instances []TournamentInstance, opts TournamentOptions) (*TournamentScan, error) {
 	if opts.Grid <= 0 {
 		opts.Grid = 64
 	}
@@ -147,38 +156,36 @@ func Tournament(ctx context.Context, instances []TournamentInstance, opts Tourna
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("mechanism: tournament needs at least one instance")
 	}
-	cells := make([][]Cell, len(instances))
-	for i, inst := range instances {
-		cells[i] = make([]Cell, len(names))
-		for j, name := range names {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			m, err := Get(name)
-			if err != nil {
-				return nil, err
-			}
-			cell, err := EvaluateCell(ctx, m, inst.G, inst.V, opts.Grid, opts.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("instance %d: %w", i, err)
-			}
-			cells[i][j] = cell
+	ms := make([]Mechanism, len(names))
+	for j, name := range names {
+		if ms[j], err = Get(name); err != nil {
+			return nil, err
 		}
 	}
-	return Summarize(names, opts.Grid, cells), nil
+	return &TournamentScan{Mechanisms: names, Grid: opts.Grid, Scan: scan.Scan[Cell]{
+		Len:  len(instances) * len(names),
+		Name: "mechanism: tournament cell",
+		Span: "mechanism.tournament",
+		Eval: func(ctx context.Context, k int) (Cell, error) {
+			inst := instances[k/len(names)]
+			return EvaluateCell(ctx, ms[k%len(names)], inst.G, inst.V, opts.Grid, opts.Workers)
+		},
+	}}, nil
 }
 
-// Summarize assembles the TournamentResult from an already-evaluated cell
-// matrix (Cells[i][j] = instance i, mechanism names[j]). The durable
-// tournament job calls it after replaying checkpointed cells, so summaries
-// from a resumed job are bit-identical to an uninterrupted run.
-func Summarize(names []string, grid int, cells [][]Cell) *TournamentResult {
-	res := &TournamentResult{Mechanisms: names, Grid: grid, Cells: cells}
-	for j, name := range names {
+// Result assembles the TournamentResult of a complete row-major cell list,
+// with per-mechanism summaries computed from the cells alone.
+func (t *TournamentScan) Result(cells []Cell) *TournamentResult {
+	nm := len(t.Mechanisms)
+	res := &TournamentResult{Mechanisms: t.Mechanisms, Grid: t.Grid, Cells: make([][]Cell, len(cells)/nm)}
+	for i := range res.Cells {
+		res.Cells[i] = cells[i*nm : (i+1)*nm]
+	}
+	for j, name := range t.Mechanisms {
 		s := MechanismSummary{Mechanism: name}
 		sum := numeric.Zero
-		for i := range cells {
-			c := cells[i][j]
+		for i := range res.Cells {
+			c := res.Cells[i][j]
 			s.Instances++
 			sum = sum.Add(c.Ratio)
 			if s.Instances == 1 {

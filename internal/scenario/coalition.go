@@ -3,13 +3,12 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
-	"repro/internal/obs"
+	"repro/internal/scan"
 )
 
 // CoalitionOptions tunes Coalition. Zero values select defaults.
@@ -27,15 +26,6 @@ type CoalitionOptions struct {
 	Grid int
 	// Mechanism selects the allocation backend (nil = registry default, BD).
 	Mechanism mechanism.Mechanism
-	// Start is the first point index to evaluate, in [0, Grid^m].
-	Start int
-	// Progress, when set, is invoked after each point with its index;
-	// points are sequential so indices arrive strictly ascending.
-	Progress func(i int)
-	// OnPoint, when set, streams each completed point before Progress.
-	// Returning an error aborts the scan as a real failure (the durable job
-	// runner's checkpoint hook).
-	OnPoint func(i int, p CoalitionPoint) error
 }
 
 // CoalitionPoint is one exactly evaluated joint misreport.
@@ -51,8 +41,8 @@ type CoalitionPoint struct {
 	Joint   numeric.Rat
 }
 
-// CoalitionResult is the outcome of Coalition, following the shared sweep
-// contract (partial prefix on cancellation, earliest-maximum best).
+// CoalitionResult is the outcome of Coalition, following the scan contract
+// (partial prefix on cancellation, earliest-maximum best).
 type CoalitionResult struct {
 	Points []CoalitionPoint
 	// BestIndex indexes Points at the earliest maximum of Joint;
@@ -106,16 +96,24 @@ func coalitionDigits(i, grid, members int) []int {
 	return d
 }
 
-// Coalition scans joint misreports by a set of colluding agents on any
-// connected graph: each member j simultaneously reports w_j·c_j/Grid in
-// place of its true endowment w_j, over the full product grid of digit
+// CoalitionScan is a bound coalition scan: the kernel scan of its points
+// (internal/scan) and the truthful per-member utilities its result folds
+// against.
+type CoalitionScan struct {
+	scan.Scan[CoalitionPoint]
+	Honest []numeric.Rat
+}
+
+// NewCoalition binds the joint misreports of a set of colluding agents on
+// any connected graph: each member j simultaneously reports w_j·c_j/Grid
+// in place of its true endowment w_j, over the full product grid of digit
 // vectors in odometer order (first member most significant, so point
 // Total−1 is the all-truthful profile). The objective is the coalition's
 // joint utility; per-member gain attribution at the best point shows who
 // profits and who sacrifices. Theorem 8 does not govern these deviations —
 // the scan is the engine form of experiment E16, which shows coalitions
 // escaping the ×2 bound.
-func Coalition(ctx context.Context, g *graph.Graph, opts CoalitionOptions) (*CoalitionResult, error) {
+func NewCoalition(ctx context.Context, g *graph.Graph, opts CoalitionOptions) (*CoalitionScan, error) {
 	if len(opts.Members) < 2 {
 		return nil, fmt.Errorf("scenario: coalition needs ≥ 2 members, got %d", len(opts.Members))
 	}
@@ -136,128 +134,81 @@ func Coalition(ctx context.Context, g *graph.Graph, opts CoalitionOptions) (*Coa
 	if err != nil {
 		return nil, err
 	}
-	if opts.Start < 0 || opts.Start > total {
-		return nil, fmt.Errorf("scenario: start index %d outside [0, %d]", opts.Start, total)
+	m, err := mechanismOrDefault(opts.Mechanism)
+	if err != nil {
+		return nil, err
 	}
-	m := opts.Mechanism
-	if m == nil {
-		var err error
-		if m, err = mechanism.Get(""); err != nil {
-			return nil, err
-		}
-	}
-	ctx, span := obs.Start(ctx, "scenario.coalition")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("mechanism", m.Name())
-		span.SetAttr("members", strconv.Itoa(len(opts.Members)))
-		span.SetAttr("grid", strconv.Itoa(opts.Grid))
-		span.SetAttr("points", strconv.Itoa(total))
-	}
-
 	honestAlloc, err := m.Allocate(ctx, g)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: honest allocation: %w", err)
 	}
-	res := &CoalitionResult{Start: opts.Start, NextIndex: opts.Start, Total: total}
-	res.Honest = make([]numeric.Rat, len(opts.Members))
+	honest := make([]numeric.Rat, len(opts.Members))
 	for j, v := range opts.Members {
-		res.Honest[j] = honestAlloc.Utility(v)
-		res.HonestJoint = res.HonestJoint.Add(res.Honest[j])
+		honest[j] = honestAlloc.Utility(v)
 	}
+	return &CoalitionScan{Honest: honest, Scan: scan.Scan[CoalitionPoint]{
+		Len:  total,
+		Site: fault.SiteScenarioPoint,
+		Span: "scenario.coalition",
+		Name: "scenario: coalition point",
+		Eval: func(ctx context.Context, i int) (CoalitionPoint, error) {
+			p := CoalitionPoint{Digits: coalitionDigits(i, opts.Grid, len(opts.Members))}
+			gp := g.Clone()
+			for j, v := range opts.Members {
+				gp.MustSetWeight(v, g.Weight(v).MulInt(int64(p.Digits[j])).DivInt(int64(opts.Grid)))
+			}
+			a, err := m.Allocate(ctx, gp)
+			if err != nil {
+				return p, err
+			}
+			p.Members = make([]numeric.Rat, len(opts.Members))
+			for j, v := range opts.Members {
+				p.Members[j] = a.Utility(v)
+				p.Joint = p.Joint.Add(p.Members[j])
+			}
+			return p, nil
+		},
+	}}, nil
+}
 
-	digits := coalitionDigits(opts.Start, opts.Grid, len(opts.Members))
-	memberAt := make([]numeric.Rat, len(opts.Members))
-	for i := opts.Start; i < total; i++ {
-		if err := pointErr(ctx); err != nil {
-			if isCancel(err) {
-				res.Partial = true
-				break
-			}
-			return nil, fmt.Errorf("scenario: coalition point %d: %w", i, err)
-		}
-		gp := g.Clone()
-		for j, v := range opts.Members {
-			gp.MustSetWeight(v, g.Weight(v).MulInt(int64(digits[j])).DivInt(int64(opts.Grid)))
-		}
-		a, err := m.Allocate(ctx, gp)
-		if err != nil {
-			if isCancel(err) {
-				res.Partial = true
-				break
-			}
-			return nil, fmt.Errorf("scenario: coalition point %s: %w", digitKey(digits), err)
-		}
-		joint := numeric.Zero
-		for j, v := range opts.Members {
-			memberAt[j] = a.Utility(v)
-			joint = joint.Add(memberAt[j])
-		}
-		res.Points = append(res.Points, CoalitionPoint{
-			Digits:  append([]int(nil), digits...),
-			Members: append([]numeric.Rat(nil), memberAt...),
-			Joint:   joint,
-		})
-		p := res.Points[len(res.Points)-1]
-		if len(res.Points) == 1 || res.BestJoint.Less(joint) {
-			res.BestIndex = len(res.Points) - 1
-			res.BestDigits = p.Digits
-			res.BestJoint = joint
-			res.BestMember = p.Members
-		}
-		res.NextIndex = i + 1
-		if opts.OnPoint != nil {
-			if err := opts.OnPoint(i, p); err != nil {
-				return nil, fmt.Errorf("scenario: coalition point %d: %w", i, err)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress(i)
-		}
-		// Increment the odometer: last member is the least significant digit.
-		for j := len(digits) - 1; j >= 0; j-- {
-			digits[j]++
-			if digits[j] <= opts.Grid {
-				break
-			}
-			digits[j] = 1
-		}
-	}
-	if span != nil && res.Partial {
-		span.AddEvent("scan_partial", "next_index", strconv.Itoa(res.NextIndex))
-	}
-	if len(res.Points) > 0 {
-		res.Gains = make([]numeric.Rat, len(opts.Members))
-		res.MemberRatios = make([]numeric.Rat, len(opts.Members))
-		for j := range opts.Members {
-			res.Gains[j] = res.BestMember[j].Sub(res.Honest[j])
-			if res.Honest[j].Sign() > 0 {
-				res.MemberRatios[j] = res.BestMember[j].Div(res.Honest[j])
+// Result folds evaluated points into a CoalitionResult: the
+// earliest-maximum joint utility, its per-member attribution, and the
+// shared ratio rule.
+func (s *CoalitionScan) Result(r *scan.Result[CoalitionPoint]) (*CoalitionResult, error) {
+	res := &CoalitionResult{Points: r.Points, Honest: s.Honest, Partial: r.Partial, Start: r.Start, NextIndex: r.Next, Total: s.Len}
+	res.HonestJoint = numeric.Sum(s.Honest)
+	if len(r.Points) > 0 {
+		res.BestIndex = scan.Best(r.Points, func(p CoalitionPoint) numeric.Rat { return p.Joint })
+		best := r.Points[res.BestIndex]
+		res.BestDigits, res.BestJoint, res.BestMember = best.Digits, best.Joint, best.Members
+		res.Gains = make([]numeric.Rat, len(s.Honest))
+		res.MemberRatios = make([]numeric.Rat, len(s.Honest))
+		for j, h := range s.Honest {
+			res.Gains[j] = best.Members[j].Sub(h)
+			if h.Sign() > 0 {
+				res.MemberRatios[j] = best.Members[j].Div(h)
 			} else {
 				res.MemberRatios[j] = numeric.One
 			}
 		}
 	}
-	switch {
-	case res.HonestJoint.Sign() > 0:
-		res.JointRatio = res.BestJoint.Div(res.HonestJoint)
-	case res.BestJoint.Sign() > 0:
-		// A coalition of honestly worthless members (zero honest utility) with
-		// a positive best is an unbounded ratio; surface it rather than
-		// dividing by zero.
-		return nil, fmt.Errorf("scenario: positive coalition utility %v from zero honest utility", res.BestJoint)
-	default:
-		res.JointRatio = numeric.One
+	ratio, err := scan.Ratio(res.BestJoint, res.HonestJoint)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: coalition: %w", err)
 	}
+	res.JointRatio = ratio
 	return res, nil
 }
 
-// digitKey renders a digit vector as the comma-joined form used in error
-// messages and checkpoint encodings ("3,0,7").
-func digitKey(digits []int) string {
-	parts := make([]string, len(digits))
-	for i, d := range digits {
-		parts[i] = strconv.Itoa(d)
+// Coalition runs the whole scan of NewCoalition.
+func Coalition(ctx context.Context, g *graph.Graph, opts CoalitionOptions) (*CoalitionResult, error) {
+	s, err := NewCoalition(ctx, g, opts)
+	if err != nil {
+		return nil, err
 	}
-	return strings.Join(parts, ",")
+	r, err := scan.Run(ctx, s.Scan, scan.Options[CoalitionPoint]{})
+	if err != nil {
+		return nil, err
+	}
+	return s.Result(r)
 }

@@ -2,48 +2,33 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
-	"repro/internal/obs"
+	"repro/internal/scan"
 )
 
 // KSybilOptions tunes KSybil. Zero values select defaults.
 type KSybilOptions struct {
 	// K is the number of identities the agent splits into (required, ≥ 2).
 	// k = 2 is exactly the paper's two-identity split; the enumeration then
-	// reproduces sybil.RingSweep index for index, point for point.
+	// reproduces the two-identity sweep index for index, point for point.
 	K int
 	// Grid is the composition resolution: identity j receives
 	// w_v·c_j/Grid with Σ c_j = Grid (default 64).
 	Grid int
 	// Mechanism selects the allocation backend (nil = the registry default,
-	// BD). Mechanisms with a native ring sweep engine (RingSweeper) are
-	// evaluated through the shared core.Instance incremental path; others
-	// pay one Allocate per point on the explicit two-leaf split path.
+	// BD). Points are evaluated by the one split evaluator of
+	// mechanism.Splitter.
 	Mechanism mechanism.Mechanism
 	// Instance, when non-nil, supplies a pre-built BD instance for g/v so a
 	// caller's solver cache (memoized pair evaluations, warm Dinkelbach
-	// state) is reused. Only consulted on the native BD path.
+	// state) is reused. Only consulted on the BD path.
 	Instance *core.Instance
-	// Start is the first point index to evaluate, in [0, Total]. A resumed
-	// scan passes the NextIndex of an earlier partial result.
-	Start int
-	// Progress, when set, is invoked after each point completes with the
-	// point's index. Points are evaluated sequentially, so indices arrive
-	// strictly ascending — the property the durable job checkpoints rely on.
-	Progress func(i int)
-	// OnPoint, when set, streams each completed point (index and payload)
-	// before Progress fires. Returning an error aborts the scan as a real
-	// failure — the durable job runner checkpoints through this hook, and a
-	// WAL append error must fail the attempt, not truncate it.
-	OnPoint func(i int, p KSybilPoint) error
 }
 
 // KSybilPoint is one exactly evaluated k-way split.
@@ -55,11 +40,10 @@ type KSybilPoint struct {
 	U numeric.Rat
 }
 
-// KSybilResult is the outcome of KSybil, with the sweep contract of
-// sybil.SweepResult: on cancellation Points holds the contiguous completed
-// prefix starting at Start, Partial is set, and rerunning with
-// Start = NextIndex and concatenating Points reconstructs the full scan
-// bit for bit.
+// KSybilResult is the outcome of KSybil, with the scan contract of
+// internal/scan: on cancellation Points holds the contiguous completed
+// prefix starting at Start, Partial is set, and rerunning from NextIndex
+// and concatenating Points reconstructs the full scan bit for bit.
 type KSybilResult struct {
 	Points []KSybilPoint
 	// BestIndex is the index into Points of the best split — the earliest
@@ -73,7 +57,7 @@ type KSybilResult struct {
 	// the ratio covers only the returned points.
 	Honest, Ratio numeric.Rat
 	// Partial/Start/NextIndex delimit the covered index range
-	// [Start, NextIndex) exactly as in sybil.SweepResult.
+	// [Start, NextIndex).
 	Partial   bool
 	Start     int
 	NextIndex int
@@ -93,189 +77,97 @@ func KSybilTotal(grid, k, limit int) (int, error) {
 	return o.Count(limit), nil
 }
 
-// KSybil scans the k-identity Sybil attack of agent v on ring g: v splits
-// into identities v¹..v^k, v¹ keeping the edge to v's successor on the
-// ring, v^k the edge to the predecessor, and v²..v^{k-1} isolated. Weights
-// range over the composition grid Σ c_j = Grid in odometer order (see
-// NewOdometer; interior permutations are reduced for k ≥ 3, since isolated
-// identities are interchangeable under any anonymous mechanism).
+// KSybilScan is a bound k-identity scan: the kernel scan of its points
+// (internal/scan) and the honest baseline its result folds against.
+type KSybilScan struct {
+	scan.Scan[KSybilPoint]
+	Honest numeric.Rat
+}
+
+// NewKSybil binds the k-identity Sybil attack of agent v on ring g: v
+// splits into identities v¹..v^k, v¹ keeping the edge to v's successor on
+// the ring, v^k the edge to the predecessor, and v²..v^{k-1} isolated.
+// Weights range over the composition grid Σ c_j = Grid in odometer order
+// (see NewOdometer; interior permutations are reduced for k ≥ 3, since
+// isolated identities are interchangeable under any anonymous mechanism).
 //
 // Isolated identities earn nothing — they have no neighbors to trade with —
-// so each point is evaluated on the two-leaf split path carrying only w¹
-// and w^k, i.e. the paper's P_v(w¹, w^k) with total reported weight
-// w¹ + w^k ≤ w_v. For k = 2 this is exactly the two-identity sweep: the
-// result matches sybil.RingSweep (BD) and mechanism.RingSweep (generic)
-// bit for bit, point for point.
-func KSybil(ctx context.Context, g *graph.Graph, v int, opts KSybilOptions) (*KSybilResult, error) {
+// so each point is the split P_v(w¹, w^k) of mechanism.Splitter, with total
+// reported weight w¹ + w^k ≤ w_v. For k = 2 this is exactly the
+// two-identity sweep, point for point.
+func NewKSybil(ctx context.Context, g *graph.Graph, v int, opts KSybilOptions) (*KSybilScan, error) {
 	if opts.K < 2 {
 		return nil, fmt.Errorf("scenario: k-identity scan needs k ≥ 2, got %d", opts.K)
 	}
-	if opts.Grid <= 0 {
-		opts.Grid = 64
-	}
-	if !g.IsRing() {
-		return nil, fmt.Errorf("scenario: graph is not a ring")
-	}
-	if v < 0 || v >= g.N() {
-		return nil, fmt.Errorf("scenario: vertex %d outside [0, %d)", v, g.N())
-	}
-	od, err := NewOdometer(opts.Grid, opts.K, true)
+	m, err := mechanismOrDefault(opts.Mechanism)
 	if err != nil {
 		return nil, err
 	}
-	total := od.Count(0)
-	if opts.Start < 0 || opts.Start > total {
-		return nil, fmt.Errorf("scenario: start index %d outside [0, %d]", opts.Start, total)
+	var instance mechanism.InstanceFunc
+	if opts.Instance != nil {
+		instance = func(context.Context) (*core.Instance, error) { return opts.Instance, nil }
 	}
-	m := opts.Mechanism
-	if m == nil {
-		var err error
-		if m, err = mechanism.Get(""); err != nil {
-			return nil, err
-		}
+	sp, err := mechanism.NewSplitter(ctx, m, g, v, opts.K, instance)
+	if err != nil {
+		return nil, err
 	}
-	ctx, span := obs.Start(ctx, "scenario.ksybil")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("mechanism", m.Name())
-		span.SetAttr("k", strconv.Itoa(opts.K))
-		span.SetAttr("grid", strconv.Itoa(opts.Grid))
-		span.SetAttr("points", strconv.Itoa(total))
-	}
+	return KSybilOf(sp, opts.Grid)
+}
 
-	W := g.Weight(v)
-	eval, honest, err := ksybilKernel(ctx, m, g, v, opts.K, opts.Instance)
+// KSybilOf binds the scan over the sp.K-identity splits of sp on grid
+// (≤ 0 = 64).
+func KSybilOf(sp *mechanism.Splitter, grid int) (*KSybilScan, error) {
+	k := sp.K
+	if grid <= 0 {
+		grid = 64
+	}
+	od, err := NewOdometer(grid, k, true)
 	if err != nil {
 		return nil, err
 	}
-	res := &KSybilResult{Honest: honest, Start: opts.Start, NextIndex: opts.Start, Total: total}
-	for i := 0; ; i++ {
-		comp, ok := od.Next()
-		if !ok {
-			break
-		}
-		if i < opts.Start {
-			continue
-		}
-		if err := pointErr(ctx); err != nil {
-			if isCancel(err) {
-				res.Partial = true
-				break
-			}
-			return nil, fmt.Errorf("scenario: ksybil point %d: %w", i, err)
-		}
-		w1 := W.MulInt(int64(comp[0])).DivInt(int64(opts.Grid))
-		wk := W.MulInt(int64(comp[opts.K-1])).DivInt(int64(opts.Grid))
-		u, err := eval(ctx, w1, wk)
-		if err != nil {
-			if isCancel(err) {
-				res.Partial = true
-				break
-			}
-			return nil, fmt.Errorf("scenario: ksybil point %d: %w", i, err)
-		}
-		res.Points = append(res.Points, KSybilPoint{Comp: append([]int(nil), comp...), U: u})
-		res.NextIndex = i + 1
-		if opts.OnPoint != nil {
-			if err := opts.OnPoint(i, res.Points[len(res.Points)-1]); err != nil {
-				return nil, fmt.Errorf("scenario: ksybil point %d: %w", i, err)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress(i)
-		}
+	var comps [][]int
+	for c, ok := od.Next(); ok; c, ok = od.Next() {
+		comps = append(comps, append([]int(nil), c...))
 	}
-	if span != nil && res.Partial {
-		span.AddEvent("scan_partial", "next_index", strconv.Itoa(res.NextIndex))
+	share := func(c int) numeric.Rat { return sp.W.MulInt(int64(c)).DivInt(int64(grid)) }
+	return &KSybilScan{Honest: sp.Honest, Scan: scan.Scan[KSybilPoint]{
+		Len:  len(comps),
+		Site: fault.SiteScenarioPoint,
+		Span: "scenario.ksybil",
+		Name: "scenario: ksybil point",
+		Eval: func(ctx context.Context, i int) (KSybilPoint, error) {
+			c := comps[i]
+			u, err := sp.Eval(ctx, share(c[0]), share(c[k-1]))
+			return KSybilPoint{Comp: c, U: u}, err
+		},
+	}}, nil
+}
+
+// Result folds evaluated points into a KSybilResult: the earliest-maximum
+// best split and the shared ratio rule.
+func (s *KSybilScan) Result(r *scan.Result[KSybilPoint]) (*KSybilResult, error) {
+	res := &KSybilResult{Points: r.Points, Honest: s.Honest, Partial: r.Partial, Start: r.Start, NextIndex: r.Next, Total: s.Len}
+	if len(r.Points) > 0 {
+		res.BestIndex = scan.Best(r.Points, func(p KSybilPoint) numeric.Rat { return p.U })
+		res.BestComp, res.BestU = r.Points[res.BestIndex].Comp, r.Points[res.BestIndex].U
 	}
-	if len(res.Points) > 0 {
-		res.BestComp, res.BestU = res.Points[0].Comp, res.Points[0].U
-		for i, p := range res.Points[1:] {
-			if res.BestU.Less(p.U) {
-				res.BestComp, res.BestU, res.BestIndex = p.Comp, p.U, i+1
-			}
-		}
+	ratio, err := scan.Ratio(res.BestU, res.Honest)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	if res.Ratio, err = ratioOf(res.BestU, res.Honest); err != nil {
-		return nil, err
-	}
+	res.Ratio = ratio
 	return res, nil
 }
 
-// ksybilKernel binds the per-point evaluator and honest utility for the
-// chosen mechanism: the incremental core.Instance pair engine for BD (any
-// RingSweeper), one Allocate over the explicit two-leaf path for the rest.
-func ksybilKernel(ctx context.Context, m mechanism.Mechanism, g *graph.Graph, v, k int, in *core.Instance) (func(context.Context, numeric.Rat, numeric.Rat) (numeric.Rat, error), numeric.Rat, error) {
-	if _, native := m.(mechanism.RingSweeper); native {
-		if in == nil {
-			var err error
-			if in, err = core.NewInstanceCtx(ctx, g, v); err != nil {
-				return nil, numeric.Rat{}, err
-			}
-		}
-		eval := func(ctx context.Context, w1, wk numeric.Rat) (numeric.Rat, error) {
-			ev, err := in.EvalWithheldCtx(ctx, w1, wk)
-			if err != nil {
-				return numeric.Rat{}, err
-			}
-			return ev.U, nil
-		}
-		return eval, in.HonestU, nil
-	}
-	honestAlloc, err := m.Allocate(ctx, g)
+// KSybil runs the whole scan of NewKSybil.
+func KSybil(ctx context.Context, g *graph.Graph, v int, opts KSybilOptions) (*KSybilResult, error) {
+	s, err := NewKSybil(ctx, g, v, opts)
 	if err != nil {
-		return nil, numeric.Rat{}, fmt.Errorf("scenario: honest allocation: %w", err)
+		return nil, err
 	}
-	if k == 2 {
-		// Delegate to the generic sweep's exact kernel: w1 + w2 = w_v, and
-		// iterative mechanisms (pr) are sensitive to the split graph's vertex
-		// numbering, so bit-identity with mechanism.RingSweep requires the
-		// identical graph.TwoSplitOnRing construction, not merely an
-		// isomorphic path.
-		eval := func(ctx context.Context, w1, _ numeric.Rat) (numeric.Rat, error) {
-			return mechanism.SplitUtility(ctx, m, g, v, w1)
-		}
-		return eval, honestAlloc.Utility(v), nil
-	}
-	ring, err := g.RingOrder(v)
+	r, err := scan.Run(ctx, s.Scan, scan.Options[KSybilPoint]{})
 	if err != nil {
-		return nil, numeric.Rat{}, err
+		return nil, err
 	}
-	// The split path runs v¹, then the rest of the ring in ring order, then
-	// v^k — the same vertex sequence as graph.TwoSplitOnRing, so the k = 2
-	// case sees an isomorphic (identically ordered) graph to the generic
-	// sweep's kernel.
-	interior := make([]numeric.Rat, len(ring)-1)
-	for i, u := range ring[1:] {
-		interior[i] = g.Weight(u)
-	}
-	eval := func(ctx context.Context, w1, wk numeric.Rat) (numeric.Rat, error) {
-		ws := make([]numeric.Rat, 0, len(interior)+2)
-		ws = append(ws, w1)
-		ws = append(ws, interior...)
-		ws = append(ws, wk)
-		p := graph.Path(ws)
-		a, err := m.Allocate(ctx, p)
-		if err != nil {
-			return numeric.Rat{}, err
-		}
-		return a.Utility(0).Add(a.Utility(p.N() - 1)), nil
-	}
-	return eval, honestAlloc.Utility(v), nil
-}
-
-// pointErr is the shared per-point gate: context liveness first, then the
-// scenario fault-injection site.
-func pointErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fault.Hit(ctx, fault.SiteScenarioPoint)
-}
-
-// isCancel classifies the errors that truncate a scan to its completed
-// prefix instead of failing it (the sweep contract: context errors are
-// checkpoints, everything else — including injected faults — is a failure).
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return s.Result(r)
 }

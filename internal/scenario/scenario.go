@@ -4,9 +4,8 @@
 // each runnable against any registered mechanism (internal/mechanism):
 //
 //   - k-identity Sybil (KSybil): one ring agent splits into k identities
-//     over a (k−1)-dimensional weight-composition grid, generalizing
-//     sybil.RingSweep — whose output the k = 2 special case reproduces bit
-//     for bit;
+//     over a (k−1)-dimensional weight-composition grid, generalizing the
+//     two-identity sweep — which the k = 2 special case is, bit for bit;
 //   - coalition manipulation (Coalition): m colluding agents jointly
 //     misreport their endowments over an m-dimensional report grid, with
 //     joint-utility objective and per-member gain attribution (the engine
@@ -15,24 +14,24 @@
 //     generated graph families (rings, trees, barbells, small-world,
 //     Erdős–Rényi), recording the worst instance and deviation per family.
 //
-// Every engine shares the sweep contract of sybil.SweepInstanceCtx: a
-// pinned enumeration order, Start/Progress checkpoint hooks, partial
-// results on cancellation (never on real errors), exact rational
-// arithmetic throughout, and the earliest-maximum best rule — which is what
-// makes the durable job kinds built on top (internal/server) recover bit
-// identically from a WAL checkpoint.
+// Every engine is a kernel scan (internal/scan) plus a fold of its points
+// into a result: a pinned enumeration order, Start resume and OnPoint
+// checkpoints, partial results on cancellation (never on real errors),
+// exact rational arithmetic throughout, and the earliest-maximum best rule
+// — which is what makes the durable job kinds built on top
+// (internal/server) recover bit identically from a WAL checkpoint.
 package scenario
 
 import (
 	"fmt"
 
-	"repro/internal/numeric"
+	"repro/internal/mechanism"
 )
 
 // Odometer enumerates the compositions of Total into K non-negative parts
 // (the lattice Σ c_j = Total) in lexicographic order of the digit vector
 // (c_1 most significant), optionally reduced by the isolated-identity
-// symmetry (see Reduced). The enumeration is streaming — Next mutates the
+// symmetry (see NewOdometer). The enumeration is streaming — Next mutates the
 // current digit vector in place — so a (k−1)-dimensional grid is walked
 // without materializing it, and an index is a stable address: point i means
 // the same composition in every process that ever resumes a scan.
@@ -57,9 +56,6 @@ func NewOdometer(total, k int, reduced bool) (*Odometer, error) {
 	}
 	return &Odometer{total: total, k: k, reduced: reduced && k >= 3}, nil
 }
-
-// Reduced reports whether the interior-symmetry reduction is active.
-func (o *Odometer) Reduced() bool { return o.reduced }
 
 // Next advances to the next composition, returning it (a slice owned by the
 // odometer — copy before retaining) and false when the enumeration is
@@ -86,7 +82,7 @@ func (o *Odometer) Next() ([]int, bool) {
 // jumps past the whole condemned block at once: a violation c_{i-1} < c_i
 // at the leftmost interior index i rules out every composition sharing the
 // digits up to position i (all lexicographic successors inside that block
-// keep c_i'' ≥ c_i > c_{i-1}), so the successor increments position i−1
+// keep their digit i ≥ c_i > c_{i-1}), so the successor increments position i−1
 // directly. Without the jump, reduced enumerations crawl one raw
 // composition at a time through blocks that hold a single admissible point
 // — Count(limit) on a wide grid (say total 512 into 8 parts) would walk
@@ -153,36 +149,11 @@ func (o *Odometer) Count(limit int) int {
 	}
 }
 
-// At returns a copy of the composition at index i (0-based in enumeration
-// order), or an error when i is out of range. It walks from the start —
-// O(i) — which is fine at the point counts the job layer admits.
-func (o *Odometer) At(i int) ([]int, error) {
-	if i < 0 {
-		return nil, fmt.Errorf("scenario: odometer index %d negative", i)
+// mechanismOrDefault resolves an engine's mechanism option (nil = the
+// registry default, BD).
+func mechanismOrDefault(m mechanism.Mechanism) (mechanism.Mechanism, error) {
+	if m != nil {
+		return m, nil
 	}
-	probe := &Odometer{total: o.total, k: o.k, reduced: o.reduced}
-	for n := 0; ; n++ {
-		c, ok := probe.Next()
-		if !ok {
-			return nil, fmt.Errorf("scenario: odometer index %d out of range", i)
-		}
-		if n == i {
-			return append([]int(nil), c...), nil
-		}
-	}
-}
-
-// ratioOf applies the shared ratio convention of every engine: best/honest
-// when honest > 0, exactly 1 when both are zero, and an error — never a
-// silent ∞ — when a positive attack utility arises from zero honest
-// utility.
-func ratioOf(best, honest numeric.Rat) (numeric.Rat, error) {
-	switch {
-	case honest.Sign() > 0:
-		return best.Div(honest), nil
-	case best.Sign() > 0:
-		return numeric.Rat{}, fmt.Errorf("scenario: positive attack utility %v from zero honest utility", best)
-	default:
-		return numeric.One, nil
-	}
+	return mechanism.Get("")
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 	"repro/internal/sybil"
 )
 
@@ -73,22 +74,15 @@ func TestOdometerMatchesCompositions(t *testing.T) {
 		if n := probe.Count(0); n != len(want) {
 			t.Fatalf("(%d,%d): Count %d != %d", tc.total, tc.k, n, len(want))
 		}
-		for i, w := range want {
-			at, err := probe.At(i)
-			if err != nil || !reflect.DeepEqual(at, w) {
-				t.Fatalf("(%d,%d): At(%d) = %v, %v; want %v", tc.total, tc.k, i, at, err, w)
-			}
-		}
-		if _, err := probe.At(len(want)); err == nil {
-			t.Fatalf("(%d,%d): At past end should fail", tc.total, tc.k)
-		}
 	}
 }
 
 // TestKSybilK2MatchesRingSweep is the bit-identity contract: over a
-// 50-instance random-ring corpus, the k = 2 scenario scan reproduces
-// sybil.RingSweep point for point — same utilities, same best index, same
-// honest value and ratio, and composition c ↔ w1 = W·c/Grid.
+// 50-instance random-ring corpus, the k = 2 scenario scan reproduces the
+// two-identity sweep point for point — same utilities, same best index,
+// same honest value and ratio, and composition c ↔ w1 = W·c/Grid. The
+// reference sweep runs cold (no evaluation cache, no incremental engine),
+// so it shares no solver state with the scan's split evaluator.
 func TestKSybilK2MatchesRingSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 50; trial++ {
@@ -97,7 +91,7 @@ func TestKSybilK2MatchesRingSweep(t *testing.T) {
 		v := rng.Intn(n)
 		grid := []int{4, 8, 16}[rng.Intn(3)]
 
-		sweep, err := sybil.RingSweep(g, v, sybil.SweepOptions{Grid: grid, Workers: 1})
+		sweep, err := sybil.RingSweep(g, v, sybil.SweepOptions{Grid: grid, Workers: 1, Cold: true})
 		if err != nil {
 			t.Fatalf("trial %d: sweep: %v", trial, err)
 		}
@@ -134,29 +128,43 @@ func TestKSybilK2MatchesRingSweep(t *testing.T) {
 
 // TestKSybilGenericMatchesMechanismSweep extends the k = 2 identity to the
 // generic mechanism path: the scenario scan under a non-BD mechanism
-// reproduces mechanism.RingSweep.
+// reproduces, point for point, a reference built here from
+// graph.TwoSplitOnRing and Allocate alone, and agrees with
+// mechanism.RingSweep on best point and ratio.
 func TestKSybilGenericMatchesMechanismSweep(t *testing.T) {
+	ctx := context.Background()
 	g := graph.Ring(numeric.Ints(3, 1, 4, 1, 5, 9))
+	const v, grid = 2, 8
+	W := g.Weight(v)
 	for _, name := range []string{"eqsplit", "pr"} {
 		m, err := mechanism.Get(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sweep, err := mechanism.RingSweep(context.Background(), m, g, 2, sybil.SweepOptions{Grid: 8, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: sweep: %v", name, err)
-		}
-		scan, err := KSybil(context.Background(), g, 2, KSybilOptions{K: 2, Grid: 8, Mechanism: m})
+		scan, err := KSybil(ctx, g, v, KSybilOptions{K: 2, Grid: grid, Mechanism: m})
 		if err != nil {
 			t.Fatalf("%s: ksybil: %v", name, err)
 		}
-		if len(scan.Points) != len(sweep.Points) {
-			t.Fatalf("%s: %d points, want %d", name, len(scan.Points), len(sweep.Points))
+		if len(scan.Points) != grid+1 {
+			t.Fatalf("%s: %d points, want %d", name, len(scan.Points), grid+1)
 		}
-		for i := range scan.Points {
-			if !scan.Points[i].U.Equal(sweep.Points[i].U) {
-				t.Fatalf("%s point %d: U %v != %v", name, i, scan.Points[i].U, sweep.Points[i].U)
+		for i, p := range scan.Points {
+			w1 := W.MulInt(int64(i)).DivInt(grid)
+			path, _, v1, v2, err := graph.TwoSplitOnRing(g, v, w1, W.Sub(w1))
+			if err != nil {
+				t.Fatal(err)
 			}
+			a, err := m.Allocate(ctx, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := a.Utility(v1).Add(a.Utility(v2)); !p.U.Equal(want) {
+				t.Fatalf("%s point %d: U %v != reference %v", name, i, p.U, want)
+			}
+		}
+		sweep, err := mechanism.RingSweep(ctx, m, g, v, sybil.SweepOptions{Grid: grid, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: sweep: %v", name, err)
 		}
 		if scan.BestIndex != sweep.BestIndex || !scan.Ratio.Equal(sweep.Ratio) || !scan.Honest.Equal(sweep.Honest) {
 			t.Fatalf("%s: best/ratio mismatch", name)
@@ -217,10 +225,16 @@ func TestKSybilResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ks, err := NewKSybil(context.Background(), g, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for split := 0; split <= full.Total; split++ {
-		tailOpts := opts
-		tailOpts.Start = split
-		tail, err := KSybil(context.Background(), g, 0, tailOpts)
+		r, err := scan.Run(context.Background(), ks.Scan, scan.Options[KSybilPoint]{Start: split})
+		if err != nil {
+			t.Fatalf("split %d: %v", split, err)
+		}
+		tail, err := ks.Result(r)
 		if err != nil {
 			t.Fatalf("split %d: %v", split, err)
 		}
@@ -239,18 +253,27 @@ func TestKSybilResume(t *testing.T) {
 	}
 }
 
-// TestKSybilCancelPartial cancels mid-scan via the Progress hook and
+// TestKSybilCancelPartial cancels mid-scan from the checkpoint hook and
 // expects a clean partial prefix, not an error.
 func TestKSybilCancelPartial(t *testing.T) {
 	g := graph.Ring(numeric.Ints(5, 3, 11, 2, 7, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stopAfter := 4
-	res, err := KSybil(ctx, g, 0, KSybilOptions{K: 3, Grid: 5, Progress: func(i int) {
+	ks, err := NewKSybil(ctx, g, 0, KSybilOptions{K: 3, Grid: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := scan.Run(ctx, ks.Scan, scan.Options[KSybilPoint]{OnPoint: func(i int, _ KSybilPoint) error {
 		if i == stopAfter-1 {
 			cancel()
 		}
+		return nil
 	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ks.Result(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +368,16 @@ func TestCoalitionResume(t *testing.T) {
 	if full.Total != 8 {
 		t.Fatalf("total %d, want 8", full.Total)
 	}
+	cs, err := NewCoalition(context.Background(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, split := range []int{0, 1, 4, 7, 8} {
-		tailOpts := opts
-		tailOpts.Start = split
-		tail, err := Coalition(context.Background(), g, tailOpts)
+		r, err := scan.Run(context.Background(), cs.Scan, scan.Options[CoalitionPoint]{Start: split})
+		if err != nil {
+			t.Fatalf("split %d: %v", split, err)
+		}
+		tail, err := cs.Result(r)
 		if err != nil {
 			t.Fatalf("split %d: %v", split, err)
 		}
@@ -389,13 +418,15 @@ func TestTopologyDeterminismResumeAndRegen(t *testing.T) {
 	if fmt.Sprint(full) != fmt.Sprint(again) {
 		t.Fatal("scan is not deterministic")
 	}
-	mid := opts
-	mid.Start = 4
-	tail, err := Topology(context.Background(), mid)
+	ts, err := NewTopology(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, out := range tail.Outcomes {
+	tail, err := scan.Run(context.Background(), ts.Scan, scan.Options[TopologyOutcome]{Start: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range tail.Points {
 		if fmt.Sprint(out) != fmt.Sprint(full.Outcomes[4+i]) {
 			t.Fatalf("resumed outcome %d differs", i)
 		}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
-	"repro/internal/obs"
+	"repro/internal/scan"
 )
 
 // Topology families. A family names a deterministic generator: instance i
@@ -62,15 +62,6 @@ type TopologyOptions struct {
 	Dist graph.WeightDist
 	// Mechanism selects the allocation backend (nil = registry default, BD).
 	Mechanism mechanism.Mechanism
-	// Start is the first instance index to evaluate, in [0, Total].
-	Start int
-	// Progress, when set, is invoked after each instance with its global
-	// index; instances are sequential so indices arrive strictly ascending.
-	Progress func(i int)
-	// OnOutcome, when set, streams each completed instance outcome before
-	// Progress. Returning an error aborts the scan as a real failure (the
-	// durable job runner's checkpoint hook).
-	OnOutcome func(i int, out TopologyOutcome) error
 }
 
 // TopologyOutcome is the scan result for one generated instance: the worst
@@ -110,8 +101,8 @@ type FamilySummary struct {
 	Unbounded  bool
 }
 
-// TopologyResult is the outcome of Topology, following the shared sweep
-// contract (partial prefix on cancellation).
+// TopologyResult is the outcome of Topology, following the scan contract
+// (partial prefix on cancellation).
 type TopologyResult struct {
 	// Outcomes covers instances [Start, NextIndex), one per instance in
 	// global scan order (family-major: all of Families[0] first).
@@ -194,76 +185,85 @@ func topologyValidate(opts TopologyOptions) error {
 	return nil
 }
 
-// Topology scans generated graph families for single-agent misreport
-// deviations: for every instance, every vertex v tries reporting
+// TopologyScan is a bound topology scan: the kernel scan of its instances
+// (internal/scan) and the families its result summarizes.
+type TopologyScan struct {
+	scan.Scan[TopologyOutcome]
+	Families []string
+}
+
+// NewTopology binds a scan of generated graph families for single-agent
+// misreport deviations: for every instance, every vertex v tries reporting
 // w_v·c/Grid for each c < Grid (the Cheng et al. deviation space
 // restricted to the grid), and the instance's outcome records the vertex
 // with the worst empirical incentive ratio. Unlike the ring machinery this
 // is a lower-bound probe — no exactness claim beyond the evaluated points —
 // but it runs under any mechanism and any registered family, which is what
 // the general-network conjecture needs surveyed.
-func Topology(ctx context.Context, opts TopologyOptions) (*TopologyResult, error) {
+func NewTopology(opts TopologyOptions) (*TopologyScan, error) {
 	opts = topologyDefaults(opts)
 	if err := topologyValidate(opts); err != nil {
 		return nil, err
 	}
-	total := TopologyTotal(len(opts.Families), opts.Count)
-	if opts.Start < 0 || opts.Start > total {
-		return nil, fmt.Errorf("scenario: start index %d outside [0, %d]", opts.Start, total)
+	m, err := mechanismOrDefault(opts.Mechanism)
+	if err != nil {
+		return nil, err
 	}
-	m := opts.Mechanism
-	if m == nil {
-		var err error
-		if m, err = mechanism.Get(""); err != nil {
-			return nil, err
-		}
-	}
-	ctx, span := obs.Start(ctx, "scenario.topology")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("mechanism", m.Name())
-		span.SetAttr("families", strconv.Itoa(len(opts.Families)))
-		span.SetAttr("instances", strconv.Itoa(total))
-	}
+	return &TopologyScan{Families: opts.Families, Scan: scan.Scan[TopologyOutcome]{
+		Len:  TopologyTotal(len(opts.Families), opts.Count),
+		Site: fault.SiteScenarioPoint,
+		Span: "scenario.topology",
+		Name: "scenario: topology instance",
+		Eval: func(ctx context.Context, i int) (TopologyOutcome, error) {
+			g, family, err := TopologyInstance(opts, i)
+			if err != nil {
+				return TopologyOutcome{}, err
+			}
+			out, err := scanInstance(ctx, m, g, opts.Grid)
+			if err != nil {
+				return TopologyOutcome{}, fmt.Errorf("%s: %w", family, err)
+			}
+			out.Family, out.Index = family, i
+			return *out, nil
+		},
+	}}, nil
+}
 
-	res := &TopologyResult{Start: opts.Start, NextIndex: opts.Start, Total: total}
-	for i := opts.Start; i < total; i++ {
-		if err := pointErr(ctx); err != nil {
-			if isCancel(err) {
-				res.Partial = true
-				break
-			}
-			return nil, fmt.Errorf("scenario: topology instance %d: %w", i, err)
-		}
-		g, family, err := TopologyInstance(opts, i)
-		if err != nil {
-			return nil, err
-		}
-		out, err := scanInstance(ctx, m, g, opts.Grid)
-		if err != nil {
-			if isCancel(err) {
-				res.Partial = true
-				break
-			}
-			return nil, fmt.Errorf("scenario: topology instance %d (%s): %w", i, family, err)
-		}
-		out.Family, out.Index = family, i
-		res.Outcomes = append(res.Outcomes, *out)
-		res.NextIndex = i + 1
-		if opts.OnOutcome != nil {
-			if err := opts.OnOutcome(i, *out); err != nil {
-				return nil, fmt.Errorf("scenario: topology instance %d: %w", i, err)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress(i)
-		}
+// Result folds evaluated outcomes into a TopologyResult with per-family
+// summaries of the covered instances; it never fails.
+func (s *TopologyScan) Result(r *scan.Result[TopologyOutcome]) (*TopologyResult, error) {
+	return &TopologyResult{
+		Outcomes: r.Points, Summaries: SummarizeFamilies(s.Families, r.Points),
+		Partial: r.Partial, Start: r.Start, NextIndex: r.Next, Total: s.Len,
+	}, nil
+}
+
+// Topology runs the whole scan of NewTopology.
+func Topology(ctx context.Context, opts TopologyOptions) (*TopologyResult, error) {
+	s, err := NewTopology(opts)
+	if err != nil {
+		return nil, err
 	}
-	if span != nil && res.Partial {
-		span.AddEvent("scan_partial", "next_index", strconv.Itoa(res.NextIndex))
+	r, err := scan.Run(ctx, s.Scan, scan.Options[TopologyOutcome]{})
+	if err != nil {
+		return nil, err
 	}
-	res.Summaries = SummarizeFamilies(opts.Families, res.Outcomes)
-	return res, nil
+	return s.Result(r)
+}
+
+// worse reports whether the deviation (ratio, best, unbounded) is strictly
+// worse than (ratio0, best0, unbounded0): an unbounded deviation dominates
+// every finite ratio, finite ones compare by ratio, unbounded ones by raw
+// deviation utility.
+func worse(ratio, best numeric.Rat, unbounded bool, ratio0, best0 numeric.Rat, unbounded0 bool) bool {
+	switch {
+	case unbounded != unbounded0:
+		return unbounded
+	case unbounded:
+		return best0.Less(best)
+	default:
+		return ratio0.Less(ratio)
+	}
 }
 
 // scanInstance evaluates every (vertex, report) deviation of one instance.
@@ -279,8 +279,11 @@ func scanInstance(ctx context.Context, m mechanism.Mechanism, g *graph.Graph, gr
 		Ratio: numeric.One,
 	}
 	for v := 0; v < g.N(); v++ {
-		honest := honestAlloc.Utility(v)
-		best, bestDigit := honest, grid
+		// us[c] is v's utility reporting w_v·c/Grid, with the truthful report
+		// (c = Grid) in slot 0: a deviation must strictly beat honesty, and
+		// the earliest strict maximum wins (vertex order, then digit).
+		us := make([]numeric.Rat, grid)
+		us[0] = honestAlloc.Utility(v)
 		for c := 1; c < grid; c++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -291,29 +294,17 @@ func scanInstance(ctx context.Context, m mechanism.Mechanism, g *graph.Graph, gr
 			if err != nil {
 				return nil, fmt.Errorf("vertex %d report %d/%d: %w", v, c, grid, err)
 			}
-			if u := a.Utility(v); best.Less(u) {
-				best, bestDigit = u, c
-			}
+			us[c] = a.Utility(v)
 		}
-		unbounded := honest.Sign() == 0 && best.Sign() > 0
-		var ratio numeric.Rat
-		if honest.Sign() > 0 {
-			ratio = best.Div(honest)
-		} else if !unbounded {
-			ratio = numeric.One
+		bestDigit := scan.Best(us, func(u numeric.Rat) numeric.Rat { return u })
+		honest, best := us[0], us[bestDigit]
+		if bestDigit == 0 {
+			bestDigit = grid
 		}
-		// An unbounded vertex dominates every finite ratio; among finite
-		// ones the earliest strict maximum wins (vertex order, then digit).
-		better := false
-		switch {
-		case unbounded && !out.Unbounded:
-			better = true
-		case unbounded == out.Unbounded && !unbounded:
-			better = out.Ratio.Less(ratio)
-		case unbounded && out.Unbounded:
-			better = out.Best.Less(best)
-		}
-		if better {
+		// The ratio rule's zero-honest error is exactly the unbounded case.
+		ratio, err := scan.Ratio(best, honest)
+		unbounded := err != nil
+		if worse(ratio, best, unbounded, out.Ratio, out.Best, out.Unbounded) {
 			out.WorstV, out.WorstDigit = v, bestDigit
 			out.Honest, out.Best, out.Ratio, out.Unbounded = honest, best, ratio, unbounded
 		}
@@ -322,9 +313,8 @@ func scanInstance(ctx context.Context, m mechanism.Mechanism, g *graph.Graph, gr
 }
 
 // SummarizeFamilies folds outcomes into per-family worst-instance
-// summaries, in the given family order. The server's topology job calls it
-// over the full checkpointed outcome set at completion; Topology calls it
-// over whatever prefix a (possibly partial) scan covered.
+// summaries, in the given family order, over whatever prefix a (possibly
+// partial or resumed) scan covered.
 func SummarizeFamilies(families []string, outcomes []TopologyOutcome) []FamilySummary {
 	sums := make([]FamilySummary, len(families))
 	for i, f := range families {
@@ -341,18 +331,7 @@ func SummarizeFamilies(families []string, outcomes []TopologyOutcome) []FamilySu
 		}
 		s := &sums[j]
 		s.Count++
-		better := false
-		switch {
-		case s.WorstIndex < 0:
-			better = true
-		case out.Unbounded && !s.Unbounded:
-			better = true
-		case out.Unbounded == s.Unbounded && !out.Unbounded:
-			better = s.WorstRatio.Less(out.Ratio)
-		case out.Unbounded && s.Unbounded:
-			better = s.WorstRatio.Less(out.Best)
-		}
-		if better {
+		if s.WorstIndex < 0 || worse(out.Ratio, out.Best, out.Unbounded, s.WorstRatio, s.WorstRatio, s.Unbounded) {
 			s.WorstIndex = out.Index
 			s.Unbounded = out.Unbounded
 			if out.Unbounded {

@@ -121,50 +121,29 @@ func (e *cacheEntry) decomposition(ctx context.Context, engine bottleneck.Engine
 	return d, nil
 }
 
-// allocation returns the entry's BD allocation, computing decomposition
-// and allocation on first use (always under the auto engine: the
-// allocation depends only on the decomposition, which is engine-invariant).
-func (e *cacheEntry) allocation(ctx context.Context, engine bottleneck.Engine) (*allocation.Allocation, error) {
-	e.mu.Lock()
-	a := e.alloc
-	e.mu.Unlock()
-	if a != nil {
-		return a, nil
-	}
-	d, err := e.decomposition(ctx, engine)
-	if err != nil {
-		return nil, err
-	}
-	a, err = allocation.Compute(e.g, d)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.alloc == nil {
-		e.alloc = a
-	}
-	return e.alloc, nil
-}
-
-// mechAllocation returns the entry's allocation under mechanism m. For
-// decomposition-based backends (bd) it is the classic decompose-then-compute
-// path — engine selection honored, decompositions shared with /v1/decompose
-// — bit-identical to the pre-mechanism handler. Any other backend allocates
+// mechAllocation returns the entry's allocation under mechanism m,
+// computing it on first use. For decomposition-based backends (bd) it is
+// the classic decompose-then-compute path — engine selection honored,
+// decompositions shared with /v1/decompose; any other backend allocates
 // directly. The one alloc slot per entry stays unambiguous because entry
 // keys are mechanism-scoped (mechKey): a non-bd mechanism never resolves to
 // a bd entry or vice versa.
 func (e *cacheEntry) mechAllocation(ctx context.Context, m mechanism.Mechanism, engine bottleneck.Engine) (*allocation.Allocation, error) {
-	if _, ok := m.(mechanism.Decomposer); ok {
-		return e.allocation(ctx, engine)
-	}
 	e.mu.Lock()
 	a := e.alloc
 	e.mu.Unlock()
 	if a != nil {
 		return a, nil
 	}
-	a, err := m.Allocate(ctx, e.g)
+	var err error
+	if _, ok := m.(mechanism.Decomposer); ok {
+		var d *bottleneck.Decomposition
+		if d, err = e.decomposition(ctx, engine); err == nil {
+			a, err = allocation.Compute(e.g, d)
+		}
+	} else {
+		a, err = m.Allocate(ctx, e.g)
+	}
 	if err != nil {
 		return nil, err
 	}

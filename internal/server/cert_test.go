@@ -190,10 +190,11 @@ func TestEnumerateJob(t *testing.T) {
 	if sub.Job.Kind != "enumerate" {
 		t.Fatalf("kind %q", sub.Job.Kind)
 	}
-	wantTotal, err := enum.Count(enum.Options{MinN: 3, MaxN: 4, Levels: 2})
+	specs, err := enum.Enumerate(enum.Options{MinN: 3, MaxN: 4, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantTotal := len(specs)
 	if sub.Job.TotalPoints != wantTotal {
 		t.Fatalf("TotalPoints %d, want %d", sub.Job.TotalPoints, wantTotal)
 	}

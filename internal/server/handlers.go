@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/jobs"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -49,6 +50,46 @@ func (s *Server) certify(c cert.Checkable) error {
 	return cert.Check(c)
 }
 
+// certAllowed answers 400 cert_limit unless mechanism m can certify
+// answers on a ring of n vertices.
+func certAllowed(w http.ResponseWriter, m mechanism.Mechanism, n int) bool {
+	if !mechCertifiable(m) {
+		writeError(w, http.StatusBadRequest, CodeCertLimit,
+			fmt.Sprintf("certificates are only available for certifiable mechanisms (bd), not %q", m.Name()))
+		return false
+	}
+	if n > maxCertRingSize {
+		writeError(w, http.StatusBadRequest, CodeCertLimit,
+			fmt.Sprintf("certificates are limited to rings of at most %d vertices, got %d", maxCertRingSize, n))
+		return false
+	}
+	return true
+}
+
+// checked self-checks a freshly built certificate (c, err being the
+// builder's result). A context error wins — the deadline, not the
+// certificate, failed — and any other failure is a *certError, answered
+// cert_invalid rather than shipping an unchecked certificate.
+func (s *Server) checked(ctx context.Context, c cert.Checkable, err error) error {
+	if err == nil {
+		err = s.certify(c)
+	}
+	switch {
+	case err == nil:
+		return nil
+	case ctx.Err() != nil:
+		return ctx.Err()
+	default:
+		return &certError{err}
+	}
+}
+
+// certError marks a certificate construction or self-check failure.
+type certError struct{ err error }
+
+func (e *certError) Error() string { return "certificate self-check: " + e.err.Error() }
+func (e *certError) Unwrap() error { return e.err }
+
 // statusClientClosed is nginx's convention for "client closed request";
 // it never reaches the client (the connection is gone) but it keeps the
 // logs and metrics honest about why the request ended.
@@ -78,10 +119,12 @@ func writeErrorDetail(w http.ResponseWriter, status int, code, msg, detail strin
 // become timeouts/client-gone; injected faults are transient by definition
 // and map to a retryable 503 + Retry-After so chaos replays converge under
 // client retries; contained panics surface as 500 internal_panic (also
-// retryable — the panic poisoned one computation, not the process);
-// everything else is a plain 500.
+// retryable — the panic poisoned one computation, not the process); a
+// failed certificate self-check is a 500 cert_invalid; everything else is a
+// plain 500.
 func writeComputeError(w http.ResponseWriter, r *http.Request, err error) {
 	var pe *par.PanicError
+	var ce *certError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, CodeTimeout, "computation exceeded the request timeout")
@@ -94,6 +137,9 @@ func writeComputeError(w http.ResponseWriter, r *http.Request, err error) {
 		writeErrorDetail(w, http.StatusInternalServerError, CodeInternalPanic,
 			"computation panicked; the panic was contained and the request may be retried",
 			fmt.Sprint(pe.Value))
+	case errors.As(err, &ce):
+		writeErrorDetail(w, http.StatusInternalServerError, CodeCertInvalid,
+			"certificate failed the server's solver-free self-check", ce.err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
@@ -312,31 +358,12 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [0, 4096]")
 		return
 	}
-	m, ok := resolveWireMechanism(w, req.Mechanism)
+	entry, m, ok := s.validateAgent(w, r, &req.Graph, req.V, req.Mechanism, "ratio")
 	if !ok {
-		return
-	}
-	entry, ok := s.entryForMech(w, r, &req.Graph, m)
-	if !ok {
-		return
-	}
-	if !entry.g.IsRing() {
-		writeError(w, http.StatusBadRequest, CodeNotRing, "ratio requires a ring graph")
-		return
-	}
-	if req.V < 0 || req.V >= entry.g.N() {
-		writeError(w, http.StatusBadRequest, CodeBadAgent, fmt.Sprintf("agent %d out of range [0, %d)", req.V, entry.g.N()))
 		return
 	}
 	withCert := wantCert(r, req.Cert)
-	if withCert && !mechCertifiable(m) {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
-			fmt.Sprintf("certificates are only available for certifiable mechanisms (bd), not %q", m.Name()))
-		return
-	}
-	if withCert && entry.g.N() > maxCertRingSize {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
-			fmt.Sprintf("certificates are limited to rings of at most %d vertices, got %d", maxCertRingSize, entry.g.N()))
+	if withCert && !certAllowed(w, m, entry.g.N()) {
 		return
 	}
 	ctx, release, ok := s.admit(w, r)
@@ -344,26 +371,40 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if _, exact := m.(mechanism.RingOptimizer); !exact {
-		s.ratioGeneric(ctx, w, r, entry, m, &req)
-		return
-	}
 	// Micro-batch: concurrent ratio requests for the same (instance, agent,
-	// grid) share one optimizer run over the entry's shared solver state.
-	// The computation runs detached from any single request (computeBase),
-	// so its solver spans cannot hang off a request's trace; instead the
+	// grid) share one run over the entry's shared solver state. The
+	// computation runs detached from any single request (computeBase), so
+	// its solver spans cannot hang off a request's trace; instead an exact
 	// batch opens its own collector trace and every participant's compute
 	// span records that trace's id plus whether it joined or opened the run.
+	_, exact := m.(mechanism.RingOptimizer)
 	cctx, csp := obs.Start(ctx, "server.compute")
 	key := fmt.Sprintf("%s|v=%d|grid=%d", entry.key, req.V, req.Grid)
 	val, joined, err := s.batch.do(cctx, key, s.computeBase, func(runCtx context.Context) (any, error) {
 		if err := fault.Hit(runCtx, fault.SiteServerBatch); err != nil {
 			return nil, err
 		}
-		var batchTrace uint64
+		if !exact {
+			// No exact optimizer: the empirical best over the sweep grid
+			// (default 64), computed by the same run as /v1/sweep.
+			res, err := s.runSweep(runCtx, entry, m, req.V, req.Grid, 0, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			if res.Partial {
+				// The batch deadline cut the sweep short; a grid ratio has no
+				// resume protocol (that's /v1/sweep), so report the timeout.
+				return nil, context.DeadlineExceeded
+			}
+			return ratioBatchResult{resp: RatioResponse{
+				Honest: EncodeRat(res.Honest), BestW1: EncodeRat(res.BestW1), BestU: EncodeRat(res.BestU),
+				Ratio: EncodeRat(res.Ratio), LeqTwo: res.Ratio.LessEq(numeric.Two), Evals: len(res.Points),
+			}}, nil
+		}
+		var rb ratioBatchResult
 		if s.collector != nil {
 			tr := s.collector.NewTrace("/v1/ratio#compute")
-			batchTrace = tr.ID()
+			rb.trace = tr.ID()
 			runCtx = tr.Context(runCtx)
 			defer tr.Finish()
 		}
@@ -371,11 +412,15 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := in.OptimizeCtx(runCtx, core.OptimizeOptions{Grid: req.Grid})
-		if err != nil {
+		if rb.opt, err = in.OptimizeCtx(runCtx, core.OptimizeOptions{Grid: req.Grid}); err != nil {
 			return nil, err
 		}
-		return ratioBatchResult{opt: opt, trace: batchTrace}, nil
+		rb.resp = RatioResponse{
+			Honest: EncodeRat(in.HonestU), BestW1: EncodeRat(rb.opt.BestW1), BestU: EncodeRat(rb.opt.BestU),
+			Ratio: EncodeRat(rb.opt.Ratio), LeqTwo: rb.opt.Ratio.LessEq(numeric.Two),
+			Evals: rb.opt.Evals, Pieces: len(rb.opt.Pieces),
+		}
+		return rb, nil
 	})
 	if csp != nil {
 		if joined {
@@ -394,95 +439,33 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		writeComputeError(w, r, err)
 		return
 	}
-	opt := val.(ratioBatchResult).opt
-	in, err := entry.instance(ctx, req.V) // cached by the batch computation
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	resp := RatioResponse{
-		Honest: EncodeRat(in.HonestU),
-		BestW1: EncodeRat(opt.BestW1),
-		BestU:  EncodeRat(opt.BestU),
-		Ratio:  EncodeRat(opt.Ratio),
-		LeqTwo: opt.Ratio.LessEq(numeric.Two),
-		Evals:  opt.Evals,
-		Pieces: len(opt.Pieces),
-	}
+	rb := val.(ratioBatchResult)
+	resp := rb.resp
 	if withCert {
 		// Certification happens outside the batch: the optimizer answer is
 		// shared, the certificate is per-request. The builder re-derives every
 		// quantity exactly and the solver-free checker gates the response.
-		rc, err := build.Ratio(ctx, in, opt)
+		in, err := entry.instance(ctx, req.V) // cached by the batch computation
 		if err == nil {
-			err = s.certify(rc)
+			resp.Certificate, err = build.Ratio(ctx, in, rb.opt)
+			err = s.checked(ctx, resp.Certificate, err)
 		}
 		if err != nil {
-			if ctx.Err() != nil {
-				writeComputeError(w, r, ctx.Err())
-				return
-			}
-			writeErrorDetail(w, http.StatusInternalServerError, CodeCertInvalid,
-				"certificate failed the server's solver-free self-check", err.Error())
+			writeComputeError(w, r, err)
 			return
 		}
-		resp.Certificate = rc
 	}
 	writeResult(w, r, resp)
 }
 
 // ratioBatchResult is the shared answer of one batched ratio computation:
-// the optimizer result plus the id of the collector trace that recorded the
-// run (0 when tracing is disabled).
+// the response body, the optimizer result of an exact run (for its
+// certificate), and the id of the collector trace that recorded the run (0
+// when tracing is disabled or the run was a grid sweep).
 type ratioBatchResult struct {
+	resp  RatioResponse
 	opt   *core.OptResult
 	trace uint64
-}
-
-// ratioGeneric answers /v1/ratio for a mechanism without an exact ring
-// optimizer: the empirical best over the sweep grid (req.Grid, default 64),
-// computed by the generic mechanism sweep. Requests micro-batch on the
-// mechanism-scoped entry key exactly like the bd path, so concurrent
-// identical requests still share one run.
-func (s *Server) ratioGeneric(ctx context.Context, w http.ResponseWriter, r *http.Request, entry *cacheEntry, m mechanism.Mechanism, req *RatioRequest) {
-	cctx, csp := obs.Start(ctx, "server.compute")
-	key := fmt.Sprintf("%s|v=%d|grid=%d", entry.key, req.V, req.Grid)
-	val, joined, err := s.batch.do(cctx, key, s.computeBase, func(runCtx context.Context) (any, error) {
-		if err := fault.Hit(runCtx, fault.SiteServerBatch); err != nil {
-			return nil, err
-		}
-		res, err := mechanism.RingSweep(runCtx, m, entry.g, req.V, sybil.SweepOptions{Grid: req.Grid})
-		if err != nil {
-			return nil, err
-		}
-		if res.Partial {
-			// The batch deadline cut the sweep short; a grid ratio has no
-			// resume protocol (that's /v1/sweep), so report the timeout.
-			return nil, context.DeadlineExceeded
-		}
-		return res, nil
-	})
-	if csp != nil {
-		if joined {
-			csp.AddInt("batch_joined", 1)
-		} else {
-			csp.AddInt("batch_opened", 1)
-		}
-	}
-	csp.End()
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	res := val.(*sybil.SweepResult)
-	writeResult(w, r, RatioResponse{
-		Honest: EncodeRat(res.Honest),
-		BestW1: EncodeRat(res.BestW1),
-		BestU:  EncodeRat(res.BestU),
-		Ratio:  EncodeRat(res.Ratio),
-		LeqTwo: res.Ratio.LessEq(numeric.Two),
-		Evals:  len(res.Points),
-	})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -490,47 +473,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	grid := req.Grid
-	if grid == 0 {
-		grid = 64
-	}
-	if grid < 0 || grid > 4096 {
-		writeError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [1, 4096]")
-		return
-	}
-	m, ok := resolveWireMechanism(w, req.Mechanism)
+	entry, m, grid, ok := s.validateSweep(w, r, &req.Graph, req.V, req.Grid, req.Mechanism)
 	if !ok {
-		return
-	}
-	entry, ok := s.entryForMech(w, r, &req.Graph, m)
-	if !ok {
-		return
-	}
-	if !entry.g.IsRing() {
-		writeError(w, http.StatusBadRequest, CodeNotRing, "sweep requires a ring graph")
-		return
-	}
-	if req.V < 0 || req.V >= entry.g.N() {
-		writeError(w, http.StatusBadRequest, CodeBadAgent, fmt.Sprintf("agent %d out of range [0, %d)", req.V, entry.g.N()))
 		return
 	}
 	withCert := wantCert(r, req.Cert)
-	if withCert && !mechCertifiable(m) {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
-			fmt.Sprintf("certificates are only available for certifiable mechanisms (bd), not %q", m.Name()))
+	if withCert && !certAllowed(w, m, entry.g.N()) {
 		return
 	}
-	if withCert {
-		if entry.g.N() > maxCertRingSize {
-			writeError(w, http.StatusBadRequest, CodeCertLimit,
-				fmt.Sprintf("certificates are limited to rings of at most %d vertices, got %d", maxCertRingSize, entry.g.N()))
-			return
-		}
-		if grid > maxCertSweepGrid {
-			writeError(w, http.StatusBadRequest, CodeCertLimit,
-				fmt.Sprintf("sweep certificates are limited to grids of at most %d, got %d", maxCertSweepGrid, grid))
-			return
-		}
+	if withCert && grid > maxCertSweepGrid {
+		writeError(w, http.StatusBadRequest, CodeCertLimit,
+			fmt.Sprintf("sweep certificates are limited to grids of at most %d, got %d", maxCertSweepGrid, grid))
+		return
 	}
 	start := 0
 	if req.Resume != "" {
@@ -550,94 +504,99 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		start = tok.Next
 	}
+	s.serveRun(w, r, func(ctx context.Context) (any, error) {
+		res, err := s.runSweep(ctx, entry, m, req.V, grid, start, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		resp := wireSweep(res)
+		if start > 0 || res.Partial {
+			resp.StartIndex, resp.NextIndex = res.Start, res.NextIndex
+		}
+		if res.Partial {
+			resp.Partial = true
+			resp.ResumeToken = encodeResumeToken(resumeToken{Key: entry.key, V: req.V, Grid: grid, Next: res.NextIndex})
+		}
+		// A partial segment skips the certificate — its context is already
+		// at the deadline and the client resumes anyway; the final resumed
+		// segment carries the certificate of its covered indices.
+		if withCert && !res.Partial && len(res.Points) > 0 {
+			in, err := entry.instance(ctx, req.V)
+			if err == nil {
+				resp.Certificate, err = build.Sweep(ctx, in, res, grid)
+				err = s.checked(ctx, resp.Certificate, err)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		return resp, nil
+	})
+}
+
+// serveRun answers an inline request with the run its job kind shares:
+// admission, one "server.compute" span around run, and the error mapping.
+func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, run func(ctx context.Context) (any, error)) {
 	ctx, release, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 	defer release()
 	cctx, csp := obs.Start(ctx, "server.compute")
-	resp, err := s.sweep(cctx, entry, m, req.V, grid, start, withCert)
+	resp, err := run(cctx)
 	csp.End()
 	if err != nil {
-		var ce *certError
-		if errors.As(err, &ce) {
-			writeErrorDetail(w, http.StatusInternalServerError, CodeCertInvalid,
-				"certificate failed the server's solver-free self-check", ce.err.Error())
-			return
-		}
 		writeComputeError(w, r, err)
 		return
 	}
 	writeResult(w, r, resp)
 }
 
-// certError marks a certificate construction or self-check failure so
-// handleSweep can answer cert_invalid instead of a generic 500.
-type certError struct{ err error }
-
-func (e *certError) Error() string { return "certificate self-check: " + e.err.Error() }
-func (e *certError) Unwrap() error { return e.err }
-
-// sweep evaluates the split-utility curve of mechanism m on the entry,
-// starting at grid index start (nonzero when resuming from a partial
-// result). Native sweepers (bd) run sybil.SweepInstanceCtx on the entry's
-// cached core.Instance — the same code path as the library sweep, point for
-// point, so API answers stay bit-identical to in-process results; other
-// mechanisms run the generic sweep (one split allocation per point) with
-// identical grid, best-point and partial-prefix semantics. A sweep cut
-// short by cancellation or the request deadline returns its completed
-// prefix and a resume token (minted against the mechanism-scoped entry
-// key) instead of an error.
-//
-// With withCert set (bd only — the handler rejects other mechanisms with
-// cert_limit), a completed (non-partial, non-empty) segment is additionally
-// certified: the builder re-derives every point with flow witnesses and
-// cert.Check gates the answer. A partial segment skips the certificate —
-// its context is already at the deadline, and the client resumes anyway;
-// the final resumed segment carries the certificate of its covered indices.
-func (s *Server) sweep(ctx context.Context, entry *cacheEntry, m mechanism.Mechanism, v, grid, start int, withCert bool) (*SweepResponse, error) {
-	var res *sybil.SweepResult
-	var in *core.Instance
-	var err error
-	if _, native := m.(mechanism.RingSweeper); native {
-		in, err = entry.instance(ctx, v)
-		if err != nil {
-			return nil, err
-		}
-		res, err = sybil.SweepInstanceCtx(ctx, in, sybil.SweepOptions{Grid: grid, Start: start})
-	} else {
-		res, err = mechanism.RingSweep(ctx, m, entry.g, v, sybil.SweepOptions{Grid: grid, Start: start})
-	}
+// runSweep evaluates the split-utility curve of m on the entry's ring from
+// grid index start (after the checkpointed prefix, for a job): the one run
+// behind /v1/sweep, the empirical /v1/ratio, and sweep jobs. Inline, points
+// run in parallel and a deadline yields the completed prefix (Partial). BD
+// points run on the entry's cached core.Instance.
+func (s *Server) runSweep(ctx context.Context, entry *cacheEntry, m mechanism.Mechanism, v, grid, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (*sybil.SweepResult, error) {
+	sp, err := mechanism.NewSplitter(ctx, m, entry.g, v, 2, func(ctx context.Context) (*core.Instance, error) {
+		return entry.instance(ctx, v)
+	})
 	if err != nil {
 		return nil, err
 	}
+	sw := sp.Sweep(grid)
+	r, err := sweepCodec.run(ctx, sw.Scan, par.Workers(0), start, prefix, ckpt)
+	if err != nil {
+		return nil, err
+	}
+	return sw.Result(r)
+}
+
+// sweepCodec checkpoints a sweep's points as canonical (w1, u) strings.
+var sweepCodec = pointCodec[sybil.SweepPoint]{
+	enc: func(_ int, p sybil.SweepPoint) (jobs.Point, error) {
+		return jobs.Point{W1: EncodeRat(p.W1), U: EncodeRat(p.U)}, nil
+	},
+	dec: func(p jobs.Point) (sybil.SweepPoint, error) {
+		w1, err := DecodeRat(p.W1)
+		if err != nil {
+			return sybil.SweepPoint{}, fmt.Errorf("corrupt w1: %w", err)
+		}
+		u, err := DecodeRat(p.U)
+		if err != nil {
+			return sybil.SweepPoint{}, fmt.Errorf("corrupt u: %w", err)
+		}
+		return sybil.SweepPoint{W1: w1, U: u}, nil
+	},
+}
+
+// wireSweep renders a sweep result's points, best split, and ratio.
+func wireSweep(res *sybil.SweepResult) *SweepResponse {
 	resp := &SweepResponse{Points: make([]WireSweepPoint, len(res.Points))}
 	for i, p := range res.Points {
 		resp.Points[i] = WireSweepPoint{W1: EncodeRat(p.W1), U: EncodeRat(p.U)}
 	}
 	resp.BestW1, resp.BestU = EncodeRat(res.BestW1), EncodeRat(res.BestU)
-	resp.Honest = EncodeRat(res.Honest)
-	resp.Ratio = EncodeRat(res.Ratio)
-	if start > 0 || res.Partial {
-		resp.StartIndex = res.Start
-		resp.NextIndex = res.NextIndex
-	}
-	if res.Partial {
-		resp.Partial = true
-		resp.ResumeToken = encodeResumeToken(resumeToken{Key: entry.key, V: v, Grid: grid, Next: res.NextIndex})
-	}
-	if withCert && !res.Partial && len(res.Points) > 0 {
-		sc, err := build.Sweep(ctx, in, res, grid)
-		if err == nil {
-			err = s.certify(sc)
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, &certError{err}
-		}
-		resp.Certificate = sc
-	}
-	return resp, nil
+	resp.Honest, resp.Ratio = EncodeRat(res.Honest), EncodeRat(res.Ratio)
+	return resp
 }

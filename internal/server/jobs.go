@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,36 +11,180 @@ import (
 	"strconv"
 	"strings"
 
-	"context"
-
-	"repro/internal/bottleneck"
 	"repro/internal/cert/enum"
-	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
 	"repro/internal/obs"
+	"repro/internal/scan"
 )
 
-// jobKey is the content address of one sweep job: the canonical instance
-// key plus the sweep parameters. Two submissions describing the same sweep
-// — whatever spelling their graphs arrived in — dedupe to one job. The
-// instance key is the mechanism-scoped entry key (mechKey), so sweeps of
-// the same graph under different mechanisms are distinct jobs, while bd
-// submissions keep their pre-registry addresses (bd entries use the bare
-// canonical key) and still dedupe against jobs persisted before mechanisms
-// existed.
-func jobKey(instanceKey string, v, grid int) string {
-	return fmt.Sprintf("%s|v=%d|grid=%d|sweep", instanceKey, v, grid)
+// jobKind is one durable job kind. The table of kinds drives job
+// submission, execution, the list filter, TotalPoints, and cluster
+// placement.
+type jobKind struct {
+	name string
+	// submit validates a submission like the kind's inline endpoint
+	// (answering the 4xx itself) into the persisted spec, the job's content
+	// address — equal for equivalent submissions, which dedupe — and its
+	// point count.
+	submit func(s *Server, w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) (spec any, key string, total int, ok bool)
+	// run executes a persisted spec from rec.NextIndex after the
+	// checkpointed prefix rec.Points, returning the inline answer's body.
+	run func(s *Server, ctx context.Context, rec *jobs.Record, ckpt jobs.CheckpointFunc) (any, error)
+	// total reads the point count back from a persisted spec.
+	total func(spec []byte) int
+	// graph, for kinds bound to one instance, returns a submission's graph
+	// and mechanism name (see JobPlacementKey).
+	graph func(req *JobSubmitRequest) (*WireGraph, string)
 }
 
-// enumJobKey is the content address of one enumerate job: the resolved
-// lattice bounds and optimizer grid. Eps only tunes frontier reporting, not
-// the certified work, yet it changes the final Summary — so it is part of
-// the address too.
-func enumJobKey(spec enumJobSpec) string {
-	return fmt.Sprintf("enum|n=%d-%d|levels=%d|grid=%d|eps=%s|enumerate",
-		spec.MinN, spec.MaxN, spec.Levels, spec.Grid, spec.Eps)
+// kindOf adapts a kind's typed spec runner and point count to the table.
+func kindOf[S any](name string,
+	submit func(s *Server, w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) (any, string, int, bool),
+	run func(s *Server, ctx context.Context, spec *S, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (any, error),
+	total func(spec *S) int,
+	graph func(req *JobSubmitRequest) (*WireGraph, string),
+) *jobKind {
+	return &jobKind{
+		name:   name,
+		submit: submit,
+		run: func(s *Server, ctx context.Context, rec *jobs.Record, ckpt jobs.CheckpointFunc) (any, error) {
+			var spec S
+			if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+				return nil, fmt.Errorf("corrupt job spec: %w", err)
+			}
+			return run(s, ctx, &spec, rec.NextIndex, rec.Points, ckpt)
+		},
+		total: func(raw []byte) int {
+			var spec S
+			if json.Unmarshal(raw, &spec) != nil {
+				return 0
+			}
+			return total(&spec)
+		},
+		graph: graph,
+	}
+}
+
+// jobKinds lists every job kind; "sweep" is the default.
+var jobKinds = []*jobKind{
+	kindOf("sweep", (*Server).submitSweep, (*Server).sweepJob,
+		func(spec *sweepJobSpec) int { return spec.Grid + 1 },
+		func(req *JobSubmitRequest) (*WireGraph, string) { return &req.Graph, req.Mechanism }),
+	kindOf("enumerate", (*Server).submitEnum, (*Server).enumJob,
+		func(spec *enumJobSpec) int { return spec.Total }, nil),
+	kindOf("tournament", (*Server).submitTournament, (*Server).runTournament,
+		func(spec *tournamentJobSpec) int { return spec.Total }, nil),
+	kindOf("ksybil", (*Server).submitScenario, (*Server).runScenario, scenarioTotal, scenarioGraph),
+	kindOf("coalition", (*Server).submitScenario, (*Server).runScenario, scenarioTotal, scenarioGraph),
+	kindOf("topology", (*Server).submitScenario, (*Server).runScenario, scenarioTotal, nil),
+}
+
+// scenarioTotal is the point count pinned in a scenario spec.
+func scenarioTotal(spec *scenarioJobSpec) int { return spec.Total }
+
+// jobKindOf resolves a kind name ("" = "sweep"), or nil when unknown.
+func jobKindOf(name string) *jobKind {
+	if name == "" {
+		name = "sweep"
+	}
+	for _, k := range jobKinds {
+		if k.name == name {
+			return k
+		}
+	}
+	return nil
+}
+
+// jobKindList renders the kind names for error messages: "a, b, or c".
+func jobKindList() string {
+	names := make([]string, len(jobKinds))
+	for i, k := range jobKinds {
+		names[i] = k.name
+	}
+	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
+}
+
+// JobPlacementKey derives the cluster ring key of a job submission. Kinds
+// bound to one instance hash like the inline endpoints (PlacementKey), so
+// the job lands where that instance's cache is warm; other kinds hash their
+// canonical submission. The priority and checkpoint, which do not change
+// the job, are ignored. ok is false for an unknown kind or invalid graph.
+func JobPlacementKey(req *JobSubmitRequest) (string, bool) {
+	kind := jobKindOf(req.Kind)
+	if kind == nil {
+		return "", false
+	}
+	if kind.graph != nil {
+		wg, mech := kind.graph(req)
+		if wg == nil {
+			return "", false
+		}
+		key, err := PlacementKey(wg, mech)
+		return key, err == nil
+	}
+	canon := *req
+	canon.Priority, canon.Checkpoint = 0, nil
+	raw, err := json.Marshal(&canon)
+	if err != nil {
+		return "", false
+	}
+	return "jobs|" + kind.name + "|" + string(raw), true
+}
+
+// pointCodec is a kind's checkpoint encoding: one evaluated point of its
+// scan as one jobs.Point.
+type pointCodec[P any] struct {
+	enc func(i int, p P) (jobs.Point, error)
+	dec func(p jobs.Point) (P, error)
+}
+
+// run evaluates sc from start after the decoded checkpoint prefix (points
+// [0, start) of an interrupted job). Inline (ckpt nil) points run on
+// workers; a job checkpoints each new point, one after another. The result
+// spans the prefix and the new points.
+func (c pointCodec[P]) run(ctx context.Context, sc scan.Scan[P], workers, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (*scan.Result[P], error) {
+	pts := make([]P, 0, sc.Len)
+	for i, p := range prefix {
+		v, err := c.dec(p)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint %d: %w", i, err)
+		}
+		pts = append(pts, v)
+	}
+	opts := scan.Options[P]{Start: start, Workers: workers}
+	if ckpt != nil {
+		opts.Workers = 1
+		opts.OnPoint = func(i int, p P) error {
+			pt, err := c.enc(i, p)
+			if err != nil {
+				return err
+			}
+			return ckpt(i, []jobs.Point{pt})
+		}
+	}
+	r, err := scan.Run(ctx, sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.Points = append(pts, r.Points...)
+	r.Start -= len(prefix)
+	return r, nil
+}
+
+// runFold runs a kind's scan sequentially after its checkpointed prefix and
+// folds the complete point set; a run the context cut short is an error.
+func runFold[P, R any](ctx context.Context, sc scan.Scan[P], c pointCodec[P], start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc, fold func(*scan.Result[P]) (R, error)) (R, error) {
+	var zero R
+	r, err := c.run(ctx, sc, 1, start, prefix, ckpt)
+	if err != nil {
+		return zero, err
+	}
+	if r.Partial {
+		return zero, ctx.Err()
+	}
+	return fold(r)
 }
 
 // seedPoints validates a submission checkpoint against the job's point
@@ -69,143 +214,38 @@ func seedPoints(w http.ResponseWriter, ck *JobCheckpoint, total int) ([]jobs.Poi
 	return pts, true
 }
 
+// jobsEnabled answers 501 jobs_disabled for the /v1/jobs API of a server
+// started without a data directory.
+func (s *Server) jobsEnabled(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.jobSched == nil {
+			writeError(w, http.StatusNotImplemented, CodeJobsDisabled, "durable jobs are disabled: start the server with -data-dir")
+			return
+		}
+		h(w, r)
+	}
+}
+
 // handleJobSubmit is POST /v1/jobs: validate exactly like the corresponding
 // inline endpoint, then hand the work to the durable scheduler instead of
 // computing inline. The submission is fsync'd before the response: an
 // acknowledged job survives any crash and is recovered — checkpointed
 // prefix intact — on the next boot.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.jobSched == nil {
-		writeError(w, http.StatusNotImplemented, CodeJobsDisabled, "durable jobs are disabled: start the server with -data-dir")
-		return
-	}
 	var req JobSubmitRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	switch req.Kind {
-	case "", "sweep":
-	case "enumerate":
-		s.submitEnumJob(w, r, &req)
-		return
-	case "tournament":
-		s.submitTournamentJob(w, r, &req)
-		return
-	case "ksybil", "coalition", "topology":
-		s.submitScenarioJob(w, r, &req)
-		return
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown job kind %q (want sweep, enumerate, tournament, ksybil, coalition, or topology)", req.Kind))
+	kind := jobKindOf(req.Kind)
+	if kind == nil {
+		writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown job kind %q (want %s)", req.Kind, jobKindList()))
 		return
 	}
-	grid := req.Grid
-	if grid == 0 {
-		grid = 64
-	}
-	if grid < 0 || grid > 4096 {
-		writeError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [1, 4096]")
-		return
-	}
-	m, ok := resolveWireMechanism(w, req.Mechanism)
+	spec, key, total, ok := kind.submit(s, w, r, &req)
 	if !ok {
 		return
 	}
-	entry, ok := s.entryForMech(w, r, &req.Graph, m)
-	if !ok {
-		return
-	}
-	if !entry.g.IsRing() {
-		writeError(w, http.StatusBadRequest, CodeNotRing, "sweep jobs require a ring graph")
-		return
-	}
-	if req.V < 0 || req.V >= entry.g.N() {
-		writeError(w, http.StatusBadRequest, CodeBadAgent, fmt.Sprintf("agent %d out of range [0, %d)", req.V, entry.g.N()))
-		return
-	}
-	// The persisted mechanism is left empty for the default so specs (and
-	// replay behavior) of pre-registry submissions and bare bd submissions
-	// stay byte-identical.
-	mechName := ""
-	if m.Name() != mechanism.Default {
-		mechName = m.Name()
-	}
-	seed, ok := seedPoints(w, req.Checkpoint, grid+1)
-	if !ok {
-		return
-	}
-	spec, err := json.Marshal(sweepJobSpec{Graph: req.Graph, V: req.V, Grid: grid, Mechanism: mechName})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
-	rec, enqueued, err := s.jobSched.Submit(r.Context(), jobs.Submission{
-		Key:      jobKey(entry.key, req.V, grid),
-		Kind:     "sweep",
-		Spec:     spec,
-		Priority: req.Priority,
-		Seed:     seed,
-	})
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	status := http.StatusAccepted
-	if !enqueued {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, JobSubmitResponse{Job: wireJob(rec, false), Deduped: !enqueued})
-}
-
-// Submission caps of enumerate jobs, tighter than the enum package's own
-// sanity bounds: a durable job is still served by the shared worker pool,
-// so one submission must not demand days of certification work.
-const (
-	maxEnumN      = 8
-	maxEnumLevels = 4
-)
-
-// submitEnumJob validates and enqueues a kind "enumerate" job. The lattice
-// is walked once here — cheap at the allowed bounds — to resolve defaults,
-// reject explosive requests, and pin the total instance count into the
-// persisted spec.
-func (s *Server) submitEnumJob(w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) {
-	var er EnumJobRequest
-	if req.Enum != nil {
-		er = *req.Enum
-	}
-	eps := numeric.New(1, 2)
-	if er.Eps != "" {
-		var err error
-		if eps, err = DecodeRat(er.Eps); err != nil || eps.Sign() <= 0 {
-			writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("enum.eps %q is not a positive rational", er.Eps))
-			return
-		}
-	}
-	if er.Grid < 0 || er.Grid > 4096 {
-		writeError(w, http.StatusBadRequest, CodeBadGrid, "enum.grid outside [0, 4096]")
-		return
-	}
-	opts := enum.Options{MinN: er.MinN, MaxN: er.MaxN, Levels: er.Levels, Grid: er.Grid, Eps: eps}
-	specs, err := enum.Enumerate(opts)
-	if err != nil {
-		writeErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid enumeration bounds", err.Error())
-		return
-	}
-	opts = opts.Resolved()
-	if opts.MaxN > maxEnumN || opts.Levels > maxEnumLevels {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
-			fmt.Sprintf("enumeration jobs are limited to max_n ≤ %d and levels ≤ %d", maxEnumN, maxEnumLevels))
-		return
-	}
-	spec := enumJobSpec{
-		MinN:   opts.MinN,
-		MaxN:   opts.MaxN,
-		Levels: opts.Levels,
-		Grid:   opts.Grid,
-		Eps:    EncodeRat(eps),
-		Total:  len(specs),
-	}
-	seed, ok := seedPoints(w, req.Checkpoint, spec.Total)
+	seed, ok := seedPoints(w, req.Checkpoint, total)
 	if !ok {
 		return
 	}
@@ -215,8 +255,8 @@ func (s *Server) submitEnumJob(w http.ResponseWriter, r *http.Request, req *JobS
 		return
 	}
 	rec, enqueued, err := s.jobSched.Submit(r.Context(), jobs.Submission{
-		Key:      enumJobKey(spec),
-		Kind:     "enumerate",
+		Key:      key,
+		Kind:     kind.name,
 		Spec:     raw,
 		Priority: req.Priority,
 		Seed:     seed,
@@ -232,13 +272,184 @@ func (s *Server) submitEnumJob(w http.ResponseWriter, r *http.Request, req *JobS
 	writeJSON(w, status, JobSubmitResponse{Job: wireJob(rec, false), Deduped: !enqueued})
 }
 
-// handleJobGet is GET /v1/jobs/{id}: full job state including the
-// checkpointed partial points and, once done, the final sweep result.
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	if s.jobSched == nil {
-		writeError(w, http.StatusNotImplemented, CodeJobsDisabled, "durable jobs are disabled: start the server with -data-dir")
-		return
+// persistedMechanism is the mechanism name a spec records: empty for the
+// default, so specs and job addresses of default-backend submissions stay
+// byte-identical to those persisted before mechanisms existed.
+func persistedMechanism(m mechanism.Mechanism) string {
+	if m.Name() == mechanism.Default {
+		return ""
 	}
+	return m.Name()
+}
+
+// validateSweep resolves and validates a sweep request shared by /v1/sweep
+// and sweep jobs: the grid (0 = 64) and the ring agent (validateAgent).
+func (s *Server) validateSweep(w http.ResponseWriter, r *http.Request, wg *WireGraph, v, grid int, mech string) (*cacheEntry, mechanism.Mechanism, int, bool) {
+	if grid == 0 {
+		grid = 64
+	}
+	if grid < 0 || grid > 4096 {
+		writeError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [1, 4096]")
+		return nil, nil, 0, false
+	}
+	entry, m, ok := s.validateAgent(w, r, wg, v, mech, "sweep")
+	return entry, m, grid, ok
+}
+
+// validateAgent resolves the mechanism and cache entry of a request about
+// agent v of a ring — /v1/ratio, /v1/sweep and sweep jobs — answering the
+// 4xx itself; endpoint names the request in the not-ring message.
+func (s *Server) validateAgent(w http.ResponseWriter, r *http.Request, wg *WireGraph, v int, mech, endpoint string) (*cacheEntry, mechanism.Mechanism, bool) {
+	m, ok := resolveWireMechanism(w, mech)
+	if !ok {
+		return nil, nil, false
+	}
+	entry, ok := s.entryForMech(w, r, wg, m)
+	if !ok {
+		return nil, nil, false
+	}
+	if !entry.g.IsRing() {
+		writeError(w, http.StatusBadRequest, CodeNotRing, endpoint+" requires a ring graph")
+		return nil, nil, false
+	}
+	if v < 0 || v >= entry.g.N() {
+		writeError(w, http.StatusBadRequest, CodeBadAgent, fmt.Sprintf("agent %d out of range [0, %d)", v, entry.g.N()))
+		return nil, nil, false
+	}
+	return entry, m, true
+}
+
+// submitSweep resolves a kind "sweep" submission. Its content address is
+// the mechanism-scoped instance key (mechKey) plus the sweep parameters, so
+// sweeps of one graph under different mechanisms are distinct jobs while bd
+// submissions keep their pre-registry addresses.
+func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) (any, string, int, bool) {
+	entry, m, grid, ok := s.validateSweep(w, r, &req.Graph, req.V, req.Grid, req.Mechanism)
+	if !ok {
+		return nil, "", 0, false
+	}
+	spec := sweepJobSpec{Graph: req.Graph, V: req.V, Grid: grid, Mechanism: persistedMechanism(m)}
+	return spec, fmt.Sprintf("%s|v=%d|grid=%d|sweep", entry.key, req.V, grid), grid + 1, true
+}
+
+// sweepJob runs a persisted sweep spec on the instance's cache entry.
+func (s *Server) sweepJob(ctx context.Context, spec *sweepJobSpec, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (any, error) {
+	m, err := mechanism.Get(spec.Mechanism)
+	if err != nil {
+		return nil, fmt.Errorf("job spec mechanism: %w", err)
+	}
+	g, err := spec.Graph.Build()
+	if err != nil {
+		return nil, fmt.Errorf("job spec graph: %w", err)
+	}
+	entry, hit := s.cache.entryFor(mechKey(g, m), g)
+	s.metrics.cacheLookup("/v1/jobs#run", hit)
+	res, err := s.runSweep(ctx, entry, m, spec.V, spec.Grid, start, prefix, ckpt)
+	if err != nil {
+		return nil, err
+	}
+	if res.Partial {
+		return nil, ctx.Err()
+	}
+	return wireSweep(res), nil
+}
+
+// Submission caps of enumerate jobs, tighter than the enum package's own
+// sanity bounds: a durable job is still served by the shared worker pool,
+// so one submission must not demand days of certification work.
+const (
+	maxEnumN      = 8
+	maxEnumLevels = 4
+)
+
+// submitEnum resolves a kind "enumerate" submission. The lattice is walked
+// once here — cheap at the allowed bounds — to resolve defaults, reject
+// explosive requests, and pin the total instance count into the persisted
+// spec. Eps only tunes frontier reporting, not the certified work, yet it
+// changes the final Summary — so it is part of the address too.
+func (s *Server) submitEnum(w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) (any, string, int, bool) {
+	var er EnumJobRequest
+	if req.Enum != nil {
+		er = *req.Enum
+	}
+	eps := numeric.New(1, 2)
+	if er.Eps != "" {
+		var err error
+		if eps, err = DecodeRat(er.Eps); err != nil || eps.Sign() <= 0 {
+			writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("enum.eps %q is not a positive rational", er.Eps))
+			return nil, "", 0, false
+		}
+	}
+	if er.Grid < 0 || er.Grid > 4096 {
+		writeError(w, http.StatusBadRequest, CodeBadGrid, "enum.grid outside [0, 4096]")
+		return nil, "", 0, false
+	}
+	opts := enum.Options{MinN: er.MinN, MaxN: er.MaxN, Levels: er.Levels, Grid: er.Grid, Eps: eps}
+	specs, err := enum.Enumerate(opts)
+	if err != nil {
+		writeErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid enumeration bounds", err.Error())
+		return nil, "", 0, false
+	}
+	opts = opts.Resolved()
+	if opts.MaxN > maxEnumN || opts.Levels > maxEnumLevels {
+		writeError(w, http.StatusBadRequest, CodeCertLimit,
+			fmt.Sprintf("enumeration jobs are limited to max_n ≤ %d and levels ≤ %d", maxEnumN, maxEnumLevels))
+		return nil, "", 0, false
+	}
+	spec := enumJobSpec{MinN: opts.MinN, MaxN: opts.MaxN, Levels: opts.Levels, Grid: opts.Grid, Eps: EncodeRat(eps), Total: len(specs)}
+	key := fmt.Sprintf("enum|n=%d-%d|levels=%d|grid=%d|eps=%s|enumerate", spec.MinN, spec.MaxN, spec.Levels, spec.Grid, spec.Eps)
+	return spec, key, spec.Total, true
+}
+
+// enumCodec checkpoints an enumerate job's outcomes in the sweep Point
+// shape: W1 carries the instance key ("r5:3,1,2,1,5"), U the certified
+// ratio — or, when the instance failed certification, its error prefixed
+// with "!" (keys and canonical ratios never start with '!', so the
+// encoding is unambiguous).
+var enumCodec = pointCodec[enum.Outcome]{
+	enc: func(_ int, out enum.Outcome) (jobs.Point, error) {
+		u := out.Ratio
+		if out.Err != "" {
+			u = "!" + out.Err
+		}
+		return jobs.Point{W1: out.Key, U: u}, nil
+	},
+	dec: func(p jobs.Point) (enum.Outcome, error) {
+		out := enum.Outcome{Key: p.W1}
+		if strings.HasPrefix(p.U, "!") {
+			out.Err = p.U[1:]
+		} else {
+			out.Ratio = p.U
+		}
+		return out, nil
+	},
+}
+
+// enumJob certifies the pinned instance list of an enumerate spec (solve →
+// build certificate → solver-free cert.Check per instance) and returns the
+// enum.Summary over all outcomes. Per-instance certification failures are
+// recorded in the summary, not turned into job failures — the whole point
+// of the job is to find them.
+func (s *Server) enumJob(ctx context.Context, spec *enumJobSpec, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (any, error) {
+	eps, err := DecodeRat(spec.Eps)
+	if err != nil {
+		return nil, fmt.Errorf("corrupt job spec eps: %w", err)
+	}
+	sc, err := enum.NewScan(enum.Options{MinN: spec.MinN, MaxN: spec.MaxN, Levels: spec.Levels, Grid: spec.Grid, Eps: eps})
+	if err != nil {
+		return nil, fmt.Errorf("job spec bounds: %w", err)
+	}
+	if sc.Len != spec.Total {
+		return nil, fmt.Errorf("enumeration drifted: spec pinned %d instances, lattice walk produced %d", spec.Total, sc.Len)
+	}
+	return runFold(ctx, sc, enumCodec, start, prefix, ckpt, func(r *scan.Result[enum.Outcome]) (*enum.Summary, error) {
+		return enum.Summarize(r.Points, eps)
+	})
+}
+
+// handleJobGet is GET /v1/jobs/{id}: full job state including the
+// checkpointed partial points and, once done, the final result.
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.jobStore.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, CodeNotFound, "no such job")
@@ -249,12 +460,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 // handleJobList is GET /v1/jobs: jobs in submission order, paginated by an
 // opaque cursor (the last job's sequence number) and optionally filtered by
-// state.
+// state and kind.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	if s.jobSched == nil {
-		writeError(w, http.StatusNotImplemented, CodeJobsDisabled, "durable jobs are disabled: start the server with -data-dir")
-		return
-	}
 	q := r.URL.Query()
 	var opts jobs.ListOptions
 	if c := q.Get("cursor"); c != "" {
@@ -284,13 +491,11 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if k := q.Get("kind"); k != "" {
-		switch k {
-		case "sweep", "enumerate", "tournament", "ksybil", "coalition", "topology":
-			opts.Kind = k
-		default:
+		if jobKindOf(k) == nil {
 			writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown kind %q", k))
 			return
 		}
+		opts.Kind = k
 	}
 	recs, next := s.jobStore.List(opts)
 	resp := JobListResponse{Jobs: make([]WireJob, len(recs)), NextCursor: next}
@@ -304,10 +509,6 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // immediately; a running one has its context canceled and transitions once
 // the worker unwinds (poll GET until state settles).
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	if s.jobSched == nil {
-		writeError(w, http.StatusNotImplemented, CodeJobsDisabled, "durable jobs are disabled: start the server with -data-dir")
-		return
-	}
 	rec, err := s.jobSched.Cancel(r.Context(), r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
@@ -339,27 +540,8 @@ func wireJob(rec *jobs.Record, detail bool) WireJob {
 		StartedAt:  rec.StartedUnixNano,
 		FinishedAt: rec.FinishedUnixNano,
 	}
-	switch rec.Kind {
-	case "enumerate":
-		var spec enumJobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err == nil {
-			j.TotalPoints = spec.Total
-		}
-	case "tournament":
-		var spec tournamentJobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err == nil {
-			j.TotalPoints = spec.Total
-		}
-	case "ksybil", "coalition", "topology":
-		var spec scenarioJobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err == nil {
-			j.TotalPoints = spec.Total
-		}
-	default:
-		var spec sweepJobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err == nil && spec.Grid > 0 {
-			j.TotalPoints = spec.Grid + 1
-		}
+	if kind := jobKindOf(rec.Kind); kind != nil {
+		j.TotalPoints = kind.total(rec.Spec)
 	}
 	if detail {
 		j.Points = make([]WireSweepPoint, len(rec.Points))
@@ -370,246 +552,31 @@ func wireJob(rec *jobs.Record, detail bool) WireJob {
 	return j
 }
 
-// runJob dispatches one durable job to its kind's runner.
+// runJob executes one durable job through its kind's runner, traced as a
+// "jobs.run" collector trace holding one "jobs.<kind>" span.
 func (s *Server) runJob(ctx context.Context, rec *jobs.Record, ckpt jobs.CheckpointFunc) ([]byte, error) {
-	switch rec.Kind {
-	case "enumerate":
-		return s.runEnumJob(ctx, rec, ckpt)
-	case "tournament":
-		return s.runTournamentJob(ctx, rec, ckpt)
-	case "ksybil", "coalition", "topology":
-		return s.runScenarioJob(ctx, rec, ckpt)
-	default:
-		return s.runSweepJob(ctx, rec, ckpt)
-	}
-}
-
-// runSweepJob executes one sweep job. It walks the grid point by point —
-// for the native bd mechanism the same per-point arithmetic as
-// sybil.SweepInstanceCtx, sharing the cached core.Instance with the inline
-// endpoints; for other mechanisms one mechanism.SplitUtility evaluation per
-// point, matching the generic inline sweep — checkpointing each completed
-// index through ckpt, and resuming from rec.NextIndex using the
-// checkpointed prefix verbatim. Because every quantity is exact and
-// serialized canonically, the final Result is bit-identical to the
-// /v1/sweep response of an uninterrupted run.
-func (s *Server) runSweepJob(ctx context.Context, rec *jobs.Record, ckpt jobs.CheckpointFunc) ([]byte, error) {
-	var spec sweepJobSpec
-	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-		return nil, fmt.Errorf("corrupt job spec: %w", err)
-	}
-	m, err := mechanism.Get(spec.Mechanism)
-	if err != nil {
-		return nil, fmt.Errorf("job spec mechanism: %w", err)
+	kind := jobKindOf(rec.Kind)
+	if kind == nil {
+		return nil, fmt.Errorf("unknown job kind %q", rec.Kind)
 	}
 	if s.collector != nil {
 		tr := s.collector.NewTrace("jobs.run")
 		ctx = tr.Context(ctx)
 		defer tr.Finish()
 	}
-	ctx, span := obs.Start(ctx, "jobs.sweep")
+	ctx, span := obs.Start(ctx, "jobs."+kind.name)
 	defer span.End()
 	if span != nil {
 		span.SetAttr("job", rec.ID)
-		span.SetAttr("grid", strconv.Itoa(spec.Grid))
-		span.SetAttr("mechanism", m.Name())
 		if rec.NextIndex > 0 {
 			span.SetAttr("resume_from", strconv.Itoa(rec.NextIndex))
 		}
 	}
-	g, err := spec.Graph.Build()
-	if err != nil {
-		return nil, fmt.Errorf("job spec graph: %w", err)
-	}
-	entry, hit := s.cache.entryFor(mechKey(g, m), g)
-	s.metrics.cacheLookup("/v1/jobs#run", hit)
-
-	// Resolve the per-point evaluator and the honest baseline. Native
-	// sweepers (bd) go through the cached core.Instance — byte-identical to
-	// the pre-mechanism job runner; everything else allocates the honest
-	// graph once (cached on the entry) and evaluates splits generically.
-	var honest, W numeric.Rat
-	var eval func(context.Context, numeric.Rat) (numeric.Rat, error)
-	if _, native := m.(mechanism.RingSweeper); native {
-		in, err := entry.instance(ctx, spec.V)
-		if err != nil {
-			return nil, err
-		}
-		honest, W = in.HonestU, in.W()
-		eval = func(ctx context.Context, w1 numeric.Rat) (numeric.Rat, error) {
-			ev, err := in.EvalSplitCtx(ctx, w1)
-			if err != nil {
-				return numeric.Zero, err
-			}
-			return ev.U, nil
-		}
-	} else {
-		if spec.V < 0 || spec.V >= g.N() {
-			return nil, fmt.Errorf("agent %d out of range [0, %d)", spec.V, g.N())
-		}
-		a, err := entry.mechAllocation(ctx, m, bottleneck.EngineAuto)
-		if err != nil {
-			return nil, err
-		}
-		honest, W = a.Utility(spec.V), g.Weight(spec.V)
-		eval = func(ctx context.Context, w1 numeric.Rat) (numeric.Rat, error) {
-			return mechanism.SplitUtility(ctx, m, g, spec.V, w1)
-		}
-	}
-
-	// The checkpointed prefix re-enters the final answer verbatim: parse it
-	// back to exact rationals (canonical strings round-trip losslessly).
-	type evaled struct{ w1, u numeric.Rat }
-	pts := make([]evaled, 0, spec.Grid+1)
-	for i, p := range rec.Points {
-		w1, err := DecodeRat(p.W1)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint %d: corrupt w1: %w", i, err)
-		}
-		u, err := DecodeRat(p.U)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint %d: corrupt u: %w", i, err)
-		}
-		pts = append(pts, evaled{w1, u})
-	}
-
-	for i := rec.NextIndex; i <= spec.Grid; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := fault.Hit(ctx, fault.SiteSweepPoint); err != nil {
-			return nil, err
-		}
-		w1 := W.MulInt(int64(i)).DivInt(int64(spec.Grid))
-		u, err := eval(ctx, w1)
-		if err != nil {
-			return nil, err
-		}
-		if err := ckpt(i, []jobs.Point{{W1: EncodeRat(w1), U: EncodeRat(u)}}); err != nil {
-			return nil, err
-		}
-		pts = append(pts, evaled{w1, u})
-	}
-
-	// Best-point selection and the ratio rule mirror sybil.SweepInstanceCtx
-	// exactly, so job results agree with inline sweeps bit for bit.
-	resp := &SweepResponse{Points: make([]WireSweepPoint, len(pts))}
-	for i, p := range pts {
-		resp.Points[i] = WireSweepPoint{W1: EncodeRat(p.w1), U: EncodeRat(p.u)}
-	}
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if best.u.Less(p.u) {
-			best = p
-		}
-	}
-	var ratio numeric.Rat
-	switch {
-	case honest.Sign() > 0:
-		ratio = best.u.Div(honest)
-	case best.u.Sign() > 0:
-		return nil, fmt.Errorf("sweep job: positive attack utility %v from zero honest utility", best.u)
-	default:
-		ratio = numeric.One
-	}
-	resp.BestW1, resp.BestU = EncodeRat(best.w1), EncodeRat(best.u)
-	resp.Honest = EncodeRat(honest)
-	resp.Ratio = EncodeRat(ratio)
-	return json.Marshal(resp)
-}
-
-// Enumerate-job checkpoints reuse the sweep Point shape: W1 carries the
-// instance key ("r5:3,1,2,1,5"), U the certified ratio — or, when the
-// instance failed certification, its error prefixed with "!" (keys and
-// canonical ratios never start with '!', so the encoding is unambiguous).
-func encodeEnumOutcome(out enum.Outcome) jobs.Point {
-	u := out.Ratio
-	if out.Err != "" {
-		u = "!" + out.Err
-	}
-	return jobs.Point{W1: out.Key, U: u}
-}
-
-func decodeEnumOutcome(p jobs.Point) enum.Outcome {
-	out := enum.Outcome{Key: p.W1}
-	if strings.HasPrefix(p.U, "!") {
-		out.Err = p.U[1:]
-	} else {
-		out.Ratio = p.U
-	}
-	return out
-}
-
-// runEnumJob executes one enumerate job: walk the deterministic instance
-// list of the persisted spec, certify each instance (solve → build
-// certificate → solver-free cert.Check), and checkpoint every completed
-// index. The enumeration order is fixed (enum.Enumerate), so instance i
-// means the same ring in every process that ever resumes this job; the
-// final Result is the enum.Summary over all outcomes, bit-identical for an
-// interrupted and an uninterrupted run. Per-instance certification
-// failures are recorded in the summary, not turned into job failures — the
-// whole point of the job is to find them.
-func (s *Server) runEnumJob(ctx context.Context, rec *jobs.Record, ckpt jobs.CheckpointFunc) ([]byte, error) {
-	var spec enumJobSpec
-	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-		return nil, fmt.Errorf("corrupt job spec: %w", err)
-	}
-	if s.collector != nil {
-		tr := s.collector.NewTrace("jobs.run")
-		ctx = tr.Context(ctx)
-		defer tr.Finish()
-	}
-	ctx, span := obs.Start(ctx, "jobs.enumerate")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("job", rec.ID)
-		span.SetAttr("total", strconv.Itoa(spec.Total))
-		if rec.NextIndex > 0 {
-			span.SetAttr("resume_from", strconv.Itoa(rec.NextIndex))
-		}
-	}
-	eps, err := DecodeRat(spec.Eps)
-	if err != nil {
-		return nil, fmt.Errorf("corrupt job spec eps: %w", err)
-	}
-	specs, err := enum.Enumerate(enum.Options{
-		MinN: spec.MinN, MaxN: spec.MaxN, Levels: spec.Levels, Grid: spec.Grid, Eps: eps,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("job spec bounds: %w", err)
-	}
-	if len(specs) != spec.Total {
-		return nil, fmt.Errorf("enumeration drifted: spec pinned %d instances, lattice walk produced %d", spec.Total, len(specs))
-	}
-
-	outs := make([]enum.Outcome, 0, len(specs))
-	for _, p := range rec.Points {
-		outs = append(outs, decodeEnumOutcome(p))
-	}
-	for i := rec.NextIndex; i < len(specs); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := fault.Hit(ctx, fault.SiteSweepPoint); err != nil {
-			return nil, err
-		}
-		out := enum.Certify(ctx, specs[i], spec.Grid)
-		if err := ctx.Err(); err != nil {
-			// Cancellation mid-certify surfaces as an instance error; requeue
-			// instead of persisting a spurious failure.
-			return nil, err
-		}
-		if err := ckpt(i, []jobs.Point{encodeEnumOutcome(out)}); err != nil {
-			return nil, err
-		}
-		outs = append(outs, out)
-	}
-
-	sum, err := enum.Summarize(outs, eps)
+	res, err := kind.run(s, ctx, rec, ckpt)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(sum)
+	return json.Marshal(res)
 }
 
 // writeJobsMetrics renders the jobs subsystem series on /metrics. No-op

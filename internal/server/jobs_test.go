@@ -66,39 +66,6 @@ func waitJobState(t *testing.T, base, id, want string) WireJob {
 	return j
 }
 
-// TestJobMatchesInlineSweep is the core equivalence property: a job's final
-// Result must be bit-identical to the /v1/sweep response for the same
-// request.
-func TestJobMatchesInlineSweep(t *testing.T) {
-	_, ts := jobsTestServer(t)
-	ring := WireGraph{Ring: []string{"1", "3/2", "2", "1/2", "5"}}
-
-	resp, body := jobsPost(t, ts.URL+"/v1/sweep", SweepRequest{Graph: ring, V: 1, Grid: 16})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("inline sweep: %d %s", resp.StatusCode, body)
-	}
-
-	resp, jb := jobsPost(t, ts.URL+"/v1/jobs", JobSubmitRequest{Graph: ring, V: 1, Grid: 16})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, jb)
-	}
-	var sub JobSubmitResponse
-	if err := json.Unmarshal(jb, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if sub.Deduped || sub.Job.State == "" || sub.Job.TotalPoints != 17 {
-		t.Fatalf("submit response: %+v", sub)
-	}
-
-	done := waitJobState(t, ts.URL, sub.Job.ID, "done")
-	if got, want := strings.TrimSpace(string(done.Result)), strings.TrimSpace(string(body)); got != want {
-		t.Fatalf("job result diverges from inline sweep:\n job: %s\nhttp: %s", got, want)
-	}
-	if done.NextIndex != 17 || len(done.Points) != 17 {
-		t.Fatalf("checkpoints: next=%d points=%d", done.NextIndex, len(done.Points))
-	}
-}
-
 func TestJobSubmitDedupes(t *testing.T) {
 	_, ts := jobsTestServer(t)
 	// Same instance spelled two ways ("2/6" ≡ "1/3") must dedupe.

@@ -3,14 +3,16 @@ package server
 import "encoding/json"
 
 // Wire types of the /v1/jobs API: durable, resumable background jobs
-// executed by the scheduler in internal/jobs. Three kinds exist: "sweep"
-// (the default) walks one agent's split-utility curve under a chosen
-// mechanism; "enumerate" exhaustively certifies every small ring over a
-// rational lattice (internal/cert/enum); "tournament" evaluates every
-// selected mechanism on an instance set (internal/mechanism). Submission is
-// content-addressed — the job ID derives from the canonical parameters,
-// mechanism included — so resubmitting equivalent work returns the existing
-// job instead of duplicating it.
+// executed by the scheduler in internal/jobs. Six kinds exist (the table in
+// jobs.go): "sweep" (the default) walks one agent's split-utility curve
+// under a chosen mechanism; "enumerate" exhaustively certifies every small
+// ring over a rational lattice (internal/cert/enum); "tournament" evaluates
+// every selected mechanism on an instance set (internal/mechanism); and
+// "ksybil", "coalition" and "topology" run the scenario scans of
+// /v1/scenario (internal/scenario). Submission is content-addressed — the
+// job ID derives from the canonical parameters, mechanism included — so
+// resubmitting equivalent work returns the existing job instead of
+// duplicating it.
 
 // JobSubmitRequest is the body of POST /v1/jobs. Kind selects the job type:
 // "" or "sweep" runs the agent-V sweep of Graph at Grid+1 points (0 =
@@ -90,13 +92,11 @@ type enumJobSpec struct {
 }
 
 // WireJob is the API view of one job. Points carries the checkpointed
-// prefix (indices [0, NextIndex)) and is populated only on the detail view;
-// for sweep jobs a point is (w1, u), for enumerate jobs it is (instance key,
-// certified ratio — or "!"-prefixed error), for tournament jobs it is
-// (row-major cell index, cell JSON). Result is the final body once the job
-// is done: a SweepResponse for sweeps (bit-identical to an uninterrupted
-// /v1/sweep of the same request), an enum.Summary for enumerations, or a
-// TournamentResponse for tournaments.
+// prefix (indices [0, NextIndex)) in the kind's point encoding (DESIGN.md
+// §5c) and is populated only on the detail view. Result is the final body
+// once the job is done, byte-identical to the inline answer of the same
+// request: a SweepResponse, an enum.Summary, a TournamentResponse, or a
+// ScenarioResponse.
 type WireJob struct {
 	ID          string           `json:"id"`
 	Kind        string           `json:"kind"`

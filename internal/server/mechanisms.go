@@ -11,8 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/mechanism"
-	"repro/internal/numeric"
-	"repro/internal/obs"
+	"repro/internal/scan"
 )
 
 // Mechanism-aware plumbing: every compute endpoint that accepts a
@@ -182,48 +181,59 @@ func wireTournament(res *mechanism.TournamentResult) *TournamentResponse {
 }
 
 // validateTournament resolves and validates a tournament request shared by
-// the inline endpoint and job submission: mechanism set (sorted, deduped),
-// grid bounds, and per-instance ring/agent checks. The returned instance
-// keys are the bare canonical keys in request order.
-func (s *Server) validateTournament(w http.ResponseWriter, req *TournamentRequest) (insts []mechanism.TournamentInstance, keys, names []string, grid int, ok bool) {
+// the inline endpoint and job submission — mechanism set (sorted, deduped),
+// grid bounds, and per-instance ring/agent checks — into the persisted
+// spec and its content address: the canonical instance keys with their
+// attacker vertices, the grid, and the resolved mechanism set, the
+// complete determinants of the result.
+func (s *Server) validateTournament(w http.ResponseWriter, req *TournamentRequest) (tournamentJobSpec, string, bool) {
 	names, err := mechanism.ResolveSet(req.Mechanisms)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeUnknownMechanism, err.Error())
-		return nil, nil, nil, 0, false
+		return tournamentJobSpec{}, "", false
 	}
-	grid = req.Grid
+	grid := req.Grid
 	if grid == 0 {
 		grid = 64
 	}
 	if grid < 0 || grid > maxTournamentGrid {
 		writeError(w, http.StatusBadRequest, CodeBadGrid, fmt.Sprintf("grid outside [1, %d]", maxTournamentGrid))
-		return nil, nil, nil, 0, false
+		return tournamentJobSpec{}, "", false
 	}
 	if len(req.Instances) == 0 || len(req.Instances) > maxTournamentInstances {
 		writeError(w, http.StatusBadRequest, CodeBadGraph,
 			fmt.Sprintf("tournament needs between 1 and %d instances, got %d", maxTournamentInstances, len(req.Instances)))
-		return nil, nil, nil, 0, false
+		return tournamentJobSpec{}, "", false
 	}
-	for i := range req.Instances {
-		g, err := req.Instances[i].Graph.Build()
+	var key strings.Builder
+	fmt.Fprintf(&key, "tournament|grid=%d|m=%s|i=", grid, strings.Join(names, ","))
+	for i, inst := range req.Instances {
+		g, err := inst.Graph.Build()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadGraph, fmt.Sprintf("instances[%d]: %v", i, err))
-			return nil, nil, nil, 0, false
+			return tournamentJobSpec{}, "", false
 		}
 		if !g.IsRing() {
 			writeError(w, http.StatusBadRequest, CodeNotRing, fmt.Sprintf("instances[%d]: tournament requires ring graphs", i))
-			return nil, nil, nil, 0, false
+			return tournamentJobSpec{}, "", false
 		}
-		v := req.Instances[i].V
-		if v < 0 || v >= g.N() {
+		if inst.V < 0 || inst.V >= g.N() {
 			writeError(w, http.StatusBadRequest, CodeBadAgent,
-				fmt.Sprintf("instances[%d]: agent %d out of range [0, %d)", i, v, g.N()))
-			return nil, nil, nil, 0, false
+				fmt.Sprintf("instances[%d]: agent %d out of range [0, %d)", i, inst.V, g.N()))
+			return tournamentJobSpec{}, "", false
 		}
-		insts = append(insts, mechanism.TournamentInstance{G: g, V: v})
-		keys = append(keys, CanonicalKey(g))
+		if i > 0 {
+			key.WriteByte(';')
+		}
+		fmt.Fprintf(&key, "%s@%d", CanonicalKey(g), inst.V)
 	}
-	return insts, keys, names, grid, true
+	spec := tournamentJobSpec{
+		Instances:  append([]TournamentWireInstance(nil), req.Instances...),
+		Mechanisms: names,
+		Grid:       grid,
+		Total:      len(req.Instances) * len(names),
+	}
+	return spec, key.String(), true
 }
 
 // handleTournament is POST /v1/tournament: the inline head-to-head run.
@@ -234,38 +244,11 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	insts, _, names, grid, ok := s.validateTournament(w, &req)
+	spec, _, ok := s.validateTournament(w, &req)
 	if !ok {
 		return
 	}
-	ctx, release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	cctx, csp := obs.Start(ctx, "server.compute")
-	res, err := mechanism.Tournament(cctx, insts, mechanism.TournamentOptions{Mechanisms: names, Grid: grid})
-	csp.End()
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	writeResult(w, r, wireTournament(res))
-}
-
-// tournamentJobKey is the content address of one tournament job: the
-// canonical instance keys with their attacker vertices, the grid, and the
-// resolved mechanism set — the complete determinants of the result.
-func tournamentJobKey(keys []string, vs []int, grid int, names []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tournament|grid=%d|m=%s|i=", grid, strings.Join(names, ","))
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%s@%d", k, vs[i])
-	}
-	return b.String()
+	s.serveRun(w, r, func(ctx context.Context) (any, error) { return s.runTournament(ctx, &spec, 0, nil, nil) })
 }
 
 // tournamentJobSpec is the persisted specification of a tournament job: the
@@ -280,161 +263,59 @@ type tournamentJobSpec struct {
 	Total      int                      `json:"total"`
 }
 
-// submitTournamentJob validates and enqueues a kind "tournament" job.
-func (s *Server) submitTournamentJob(w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) {
+// submitTournament resolves a kind "tournament" submission.
+func (s *Server) submitTournament(w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) (any, string, int, bool) {
 	var tr TournamentRequest
 	if req.Tournament != nil {
 		tr = *req.Tournament
 	}
-	insts, keys, names, grid, ok := s.validateTournament(w, &tr)
-	if !ok {
-		return
-	}
-	spec := tournamentJobSpec{
-		Instances:  make([]TournamentWireInstance, len(tr.Instances)),
-		Mechanisms: names,
-		Grid:       grid,
-		Total:      len(insts) * len(names),
-	}
-	vs := make([]int, len(insts))
-	for i, inst := range tr.Instances {
-		spec.Instances[i] = inst
-		vs[i] = inst.V
-	}
-	seed, ok := seedPoints(w, req.Checkpoint, spec.Total)
-	if !ok {
-		return
-	}
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
-	rec, enqueued, err := s.jobSched.Submit(r.Context(), jobs.Submission{
-		Key:      tournamentJobKey(keys, vs, grid, names),
-		Kind:     "tournament",
-		Spec:     raw,
-		Priority: req.Priority,
-		Seed:     seed,
-	})
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	status := http.StatusAccepted
-	if !enqueued {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, JobSubmitResponse{Job: wireJob(rec, false), Deduped: !enqueued})
+	spec, key, ok := s.validateTournament(w, &tr)
+	return spec, key, spec.Total, ok
 }
 
-// Tournament-job checkpoints reuse the sweep Point shape: W1 carries the
-// row-major cell index in decimal, U the WireTournamentCell JSON. Exact
-// rationals serialize canonically inside the cell, so a replayed checkpoint
-// re-enters the final answer bit for bit.
-func encodeTournamentCell(idx int, c mechanism.Cell) (jobs.Point, error) {
-	raw, err := json.Marshal(wireCell(c))
-	if err != nil {
-		return jobs.Point{}, err
-	}
-	return jobs.Point{W1: strconv.Itoa(idx), U: string(raw)}, nil
-}
-
-func decodeTournamentCell(p jobs.Point) (mechanism.Cell, error) {
-	var wc WireTournamentCell
-	if err := json.Unmarshal([]byte(p.U), &wc); err != nil {
-		return mechanism.Cell{}, fmt.Errorf("checkpoint cell %s: %w", p.W1, err)
-	}
-	c := mechanism.Cell{Mechanism: wc.Mechanism}
-	var err error
-	for _, f := range []struct {
-		s   string
-		dst *numeric.Rat
-	}{
-		{wc.Efficiency, &c.Efficiency}, {wc.Fairness, &c.Fairness},
-		{wc.Honest, &c.Honest}, {wc.BestW1, &c.BestW1},
-		{wc.BestU, &c.BestU}, {wc.Ratio, &c.Ratio},
-	} {
-		if *f.dst, err = DecodeRat(f.s); err != nil {
-			return mechanism.Cell{}, fmt.Errorf("checkpoint cell %s: %w", p.W1, err)
+// cellCodec checkpoints a tournament's cells in the sweep Point shape: W1
+// carries the row-major cell index in decimal, U the WireTournamentCell
+// JSON. Exact rationals serialize canonically inside the cell, so a
+// replayed checkpoint re-enters the final answer bit for bit.
+var cellCodec = pointCodec[mechanism.Cell]{
+	enc: func(idx int, c mechanism.Cell) (jobs.Point, error) {
+		raw, err := json.Marshal(wireCell(c))
+		return jobs.Point{W1: strconv.Itoa(idx), U: string(raw)}, err
+	},
+	dec: func(p jobs.Point) (mechanism.Cell, error) {
+		var wc WireTournamentCell
+		if err := json.Unmarshal([]byte(p.U), &wc); err != nil {
+			return mechanism.Cell{}, fmt.Errorf("cell %s: %w", p.W1, err)
 		}
-	}
-	return c, nil
+		rs, err := decodeRats("cell "+p.W1, []string{wc.Efficiency, wc.Fairness, wc.Honest, wc.BestW1, wc.BestU, wc.Ratio})
+		if err != nil {
+			return mechanism.Cell{}, err
+		}
+		c := mechanism.Cell{Mechanism: wc.Mechanism, Efficiency: rs[0], Fairness: rs[1], Honest: rs[2], BestW1: rs[3], BestU: rs[4], Ratio: rs[5]}
+		return c, nil
+	},
 }
 
-// runTournamentJob executes one tournament job cell by cell, checkpointing
-// each completed (instance, mechanism) evaluation so a restart resumes at
-// the first unevaluated cell. The cell order is pinned (row-major over the
-// persisted spec), the evaluations are exact, and the summaries are
-// recomputed from the full cell matrix at the end — so the final Result is
-// bit-identical whether or not the job was ever interrupted.
-func (s *Server) runTournamentJob(ctx context.Context, rec *jobs.Record, ckpt jobs.CheckpointFunc) ([]byte, error) {
-	var spec tournamentJobSpec
-	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-		return nil, fmt.Errorf("corrupt job spec: %w", err)
-	}
-	if len(spec.Mechanisms) == 0 || len(spec.Instances) == 0 {
-		return nil, fmt.Errorf("corrupt job spec: empty instance or mechanism set")
-	}
-	if s.collector != nil {
-		tr := s.collector.NewTrace("jobs.run")
-		ctx = tr.Context(ctx)
-		defer tr.Finish()
-	}
-	ctx, span := obs.Start(ctx, "jobs.tournament")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("job", rec.ID)
-		span.SetAttr("total", strconv.Itoa(spec.Total))
-		if rec.NextIndex > 0 {
-			span.SetAttr("resume_from", strconv.Itoa(rec.NextIndex))
-		}
-	}
-	gs := make([]*graph.Graph, len(spec.Instances))
-	for i := range spec.Instances {
-		g, err := spec.Instances[i].Graph.Build()
+// runTournament is the one run of a tournament, shared by the inline
+// endpoint and the durable job runner: cells run one after another in the
+// pinned row-major order (each cell's sweep in parallel), a job resuming at
+// the first unevaluated cell, and the summaries are computed from the full
+// cell matrix — so the result is bit-identical whether or not the job was
+// ever interrupted.
+func (s *Server) runTournament(ctx context.Context, spec *tournamentJobSpec, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (any, error) {
+	insts := make([]mechanism.TournamentInstance, len(spec.Instances))
+	for i, inst := range spec.Instances {
+		g, err := inst.Graph.Build()
 		if err != nil {
 			return nil, fmt.Errorf("job spec instance %d: %w", i, err)
 		}
-		gs[i] = g
+		insts[i] = mechanism.TournamentInstance{G: g, V: inst.V}
 	}
-	nm := len(spec.Mechanisms)
-	cells := make([]mechanism.Cell, 0, spec.Total)
-	for _, p := range rec.Points {
-		c, err := decodeTournamentCell(p)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, c)
+	t, err := mechanism.NewTournament(insts, mechanism.TournamentOptions{Mechanisms: spec.Mechanisms, Grid: spec.Grid})
+	if err != nil {
+		return nil, err
 	}
-	for k := rec.NextIndex; k < spec.Total; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		i, j := k/nm, k%nm
-		m, err := mechanism.Get(spec.Mechanisms[j])
-		if err != nil {
-			return nil, fmt.Errorf("job spec mechanism: %w", err)
-		}
-		cell, err := mechanism.EvaluateCell(ctx, m, gs[i], spec.Instances[i].V, spec.Grid, 0)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("cell %d (instance %d, %s): %w", k, i, spec.Mechanisms[j], err)
-		}
-		pt, err := encodeTournamentCell(k, cell)
-		if err != nil {
-			return nil, err
-		}
-		if err := ckpt(k, []jobs.Point{pt}); err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
-	matrix := make([][]mechanism.Cell, len(spec.Instances))
-	for i := range matrix {
-		matrix[i] = cells[i*nm : (i+1)*nm]
-	}
-	return json.Marshal(wireTournament(mechanism.Summarize(spec.Mechanisms, spec.Grid, matrix)))
+	return runFold(ctx, t.Scan, cellCodec, start, prefix, ckpt, func(r *scan.Result[mechanism.Cell]) (*TournamentResponse, error) {
+		return wireTournament(t.Result(r.Points)), nil
+	})
 }

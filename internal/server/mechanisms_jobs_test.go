@@ -82,54 +82,6 @@ func tournamentFixture() TournamentRequest {
 	}
 }
 
-// TestTournamentJobMatchesInline submits a kind "tournament" job and checks
-// the durable Result against the inline /v1/tournament body — byte for
-// byte — plus dedupe and progress accounting.
-func TestTournamentJobMatchesInline(t *testing.T) {
-	_, ts := jobsTestServer(t)
-	req := tournamentFixture()
-
-	resp, inline := jobsPost(t, ts.URL+"/v1/tournament", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("inline tournament: %d %s", resp.StatusCode, inline)
-	}
-
-	resp, body := jobsPost(t, ts.URL+"/v1/jobs", JobSubmitRequest{Kind: "tournament", Tournament: &req})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, body)
-	}
-	var sub JobSubmitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if sub.Job.Kind != "tournament" {
-		t.Fatalf("job kind %q", sub.Job.Kind)
-	}
-	done := waitJobState(t, ts.URL, sub.Job.ID, "done")
-	if done.TotalPoints != 4 {
-		t.Fatalf("total points %d, want 4 (2 instances × 2 mechanisms)", done.TotalPoints)
-	}
-	if got, want := strings.TrimSpace(string(done.Result)), strings.TrimSpace(string(inline)); got != want {
-		t.Fatalf("job result diverges from inline tournament:\n got: %s\nwant: %s", got, want)
-	}
-
-	// Equivalent submission — mechanisms spelled in a different order —
-	// resolves to the same sorted set and dedupes.
-	alt := req
-	alt.Mechanisms = []string{"eqsplit", "bd"}
-	resp, body = jobsPost(t, ts.URL+"/v1/jobs", JobSubmitRequest{Kind: "tournament", Tournament: &alt})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resubmit: %d %s", resp.StatusCode, body)
-	}
-	var again JobSubmitResponse
-	if err := json.Unmarshal(body, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !again.Deduped || again.Job.ID != sub.Job.ID {
-		t.Fatalf("reordered tournament did not dedupe: %+v", again)
-	}
-}
-
 // TestTournamentJobRecoveryAcrossServers is the restart drill of the
 // acceptance criteria: a tournament job accepted by one server survives
 // that server's death and completes on a successor over the same data dir

@@ -14,8 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/mechanism"
-	"repro/internal/numeric"
-	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -253,101 +251,74 @@ func (spec *scenarioJobSpec) topologyOptions(m mechanism.Mechanism) (scenario.To
 // Total pinned; g is the built instance graph (nil for topology scans,
 // which generate their own).
 func (s *Server) validateScenario(w http.ResponseWriter, req *ScenarioRequest) (scenarioJobSpec, *graph.Graph, mechanism.Mechanism, bool) {
-	fail := func() (scenarioJobSpec, *graph.Graph, mechanism.Mechanism, bool) {
+	reject := func(code, msg string) (scenarioJobSpec, *graph.Graph, mechanism.Mechanism, bool) {
+		writeError(w, http.StatusBadRequest, code, msg)
 		return scenarioJobSpec{}, nil, nil, false
 	}
 	m, ok := resolveWireMechanism(w, req.Mechanism)
 	if !ok {
-		return fail()
+		return scenarioJobSpec{}, nil, nil, false
 	}
-	// The persisted mechanism is left empty for the default, keeping specs
-	// and job addresses of default-backend submissions byte-stable.
-	mechName := ""
-	if m.Name() != mechanism.Default {
-		mechName = m.Name()
-	}
-	spec := scenarioJobSpec{Kind: req.Kind, Mechanism: mechName}
+	spec := scenarioJobSpec{Kind: req.Kind, Mechanism: persistedMechanism(m)}
 	if req.Cert {
 		if req.Kind != "topology" {
-			writeError(w, http.StatusBadRequest, CodeCertLimit,
-				"scenario certificates are only available for topology scans (the best ring point)")
-			return fail()
+			return reject(CodeCertLimit, "scenario certificates are only available for topology scans (the best ring point)")
 		}
 		if !mechCertifiable(m) {
-			writeError(w, http.StatusBadRequest, CodeCertLimit,
-				fmt.Sprintf("mechanism %q cannot build certificates", m.Name()))
-			return fail()
+			return reject(CodeCertLimit, fmt.Sprintf("mechanism %q cannot build certificates", m.Name()))
 		}
 		spec.Cert = true
 	}
+	var g *graph.Graph
+	if req.Kind == "ksybil" || req.Kind == "coalition" {
+		var err error
+		if g, err = req.Graph.Build(); err != nil {
+			return reject(CodeBadGraph, err.Error())
+		}
+	}
 	switch req.Kind {
 	case "ksybil":
-		g, err := req.Graph.Build()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadGraph, err.Error())
-			return fail()
-		}
 		if !g.IsRing() {
-			writeError(w, http.StatusBadRequest, CodeNotRing, "ksybil scenarios require a ring graph")
-			return fail()
+			return reject(CodeNotRing, "ksybil scenarios require a ring graph")
 		}
 		if req.V < 0 || req.V >= g.N() {
-			writeError(w, http.StatusBadRequest, CodeBadAgent,
-				fmt.Sprintf("agent %d out of range [0, %d)", req.V, g.N()))
-			return fail()
+			return reject(CodeBadAgent, fmt.Sprintf("agent %d out of range [0, %d)", req.V, g.N()))
 		}
 		k := req.K
 		if k == 0 {
 			k = 2
 		}
 		if k < minScenarioK || k > maxScenarioK {
-			writeError(w, http.StatusBadRequest, CodeScenarioLimit,
-				fmt.Sprintf("k outside [%d, %d]", minScenarioK, maxScenarioK))
-			return fail()
+			return reject(CodeScenarioLimit, fmt.Sprintf("k outside [%d, %d]", minScenarioK, maxScenarioK))
 		}
 		grid := req.Grid
 		if grid == 0 {
 			grid = 64
 		}
 		if grid < 1 || grid > 4096 {
-			writeError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [1, 4096]")
-			return fail()
+			return reject(CodeBadGrid, "grid outside [1, 4096]")
 		}
 		total, err := scenario.KSybilTotal(grid, k, maxScenarioPoints)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadGrid, err.Error())
-			return fail()
+			return reject(CodeBadGrid, err.Error())
 		}
 		if total > maxScenarioPoints {
-			writeError(w, http.StatusBadRequest, CodeScenarioLimit,
-				fmt.Sprintf("k-identity grid exceeds %d points", maxScenarioPoints))
-			return fail()
+			return reject(CodeScenarioLimit, fmt.Sprintf("k-identity grid exceeds %d points", maxScenarioPoints))
 		}
 		gCopy := req.Graph
 		spec.Graph, spec.V, spec.K, spec.Grid, spec.Total = &gCopy, req.V, k, grid, total
 		return spec, g, m, true
 	case "coalition":
-		g, err := req.Graph.Build()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadGraph, err.Error())
-			return fail()
-		}
 		if len(req.Members) < 2 || len(req.Members) > maxCoalitionMembers {
-			writeError(w, http.StatusBadRequest, CodeScenarioLimit,
-				fmt.Sprintf("coalition needs between 2 and %d members, got %d", maxCoalitionMembers, len(req.Members)))
-			return fail()
+			return reject(CodeScenarioLimit, fmt.Sprintf("coalition needs between 2 and %d members, got %d", maxCoalitionMembers, len(req.Members)))
 		}
 		seen := make(map[int]bool, len(req.Members))
 		for _, v := range req.Members {
 			if v < 0 || v >= g.N() {
-				writeError(w, http.StatusBadRequest, CodeBadAgent,
-					fmt.Sprintf("member %d out of range [0, %d)", v, g.N()))
-				return fail()
+				return reject(CodeBadAgent, fmt.Sprintf("member %d out of range [0, %d)", v, g.N()))
 			}
 			if seen[v] {
-				writeError(w, http.StatusBadRequest, CodeBadAgent,
-					fmt.Sprintf("member %d listed twice", v))
-				return fail()
+				return reject(CodeBadAgent, fmt.Sprintf("member %d listed twice", v))
 			}
 			seen[v] = true
 		}
@@ -356,13 +327,11 @@ func (s *Server) validateScenario(w http.ResponseWriter, req *ScenarioRequest) (
 			grid = 8
 		}
 		if grid < 1 {
-			writeError(w, http.StatusBadRequest, CodeBadGrid, "grid must be positive")
-			return fail()
+			return reject(CodeBadGrid, "grid must be positive")
 		}
 		total, err := scenario.CoalitionTotal(grid, len(req.Members), maxScenarioPoints)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeScenarioLimit, err.Error())
-			return fail()
+			return reject(CodeScenarioLimit, err.Error())
 		}
 		gCopy := req.Graph
 		spec.Graph, spec.Members, spec.Grid, spec.Total = &gCopy, req.Members, grid, total
@@ -375,73 +344,55 @@ func (s *Server) validateScenario(w http.ResponseWriter, req *ScenarioRequest) (
 		seen := make(map[string]bool, len(fams))
 		for _, f := range fams {
 			if !scenario.ValidFamily(f) {
-				writeError(w, http.StatusBadRequest, CodeUnknownTopology,
-					fmt.Sprintf("unknown topology family %q (want one of %s)", f, strings.Join(scenario.Families(), ", ")))
-				return fail()
+				return reject(CodeUnknownTopology, fmt.Sprintf("unknown topology family %q (want one of %s)", f, strings.Join(scenario.Families(), ", ")))
 			}
 			if seen[f] {
-				writeError(w, http.StatusBadRequest, CodeBadBody,
-					fmt.Sprintf("topology family %q listed twice", f))
-				return fail()
+				return reject(CodeBadBody, fmt.Sprintf("topology family %q listed twice", f))
 			}
 			seen[f] = true
 		}
 		if spec.Cert && !seen[scenario.FamilyRing] {
-			writeError(w, http.StatusBadRequest, CodeCertLimit,
-				"scenario certificates need the ring family in the scan")
-			return fail()
+			return reject(CodeCertLimit, "scenario certificates need the ring family in the scan")
 		}
 		count := req.Count
 		if count == 0 {
 			count = 4
 		}
 		if count < 1 || count > maxTopologyCount {
-			writeError(w, http.StatusBadRequest, CodeScenarioLimit,
-				fmt.Sprintf("topology count outside [1, %d]", maxTopologyCount))
-			return fail()
+			return reject(CodeScenarioLimit, fmt.Sprintf("topology count outside [1, %d]", maxTopologyCount))
 		}
 		n := req.N
 		if n == 0 {
 			n = 8
 		}
 		if n < 5 || n > maxTopologyN {
-			writeError(w, http.StatusBadRequest, CodeScenarioLimit,
-				fmt.Sprintf("topology n outside [5, %d]", maxTopologyN))
-			return fail()
+			return reject(CodeScenarioLimit, fmt.Sprintf("topology n outside [5, %d]", maxTopologyN))
 		}
 		grid := req.Grid
 		if grid == 0 {
 			grid = 8
 		}
 		if grid < 2 || grid > maxTopologyGrid {
-			writeError(w, http.StatusBadRequest, CodeBadGrid,
-				fmt.Sprintf("topology grid outside [2, %d]", maxTopologyGrid))
-			return fail()
+			return reject(CodeBadGrid, fmt.Sprintf("topology grid outside [2, %d]", maxTopologyGrid))
 		}
 		dist := req.Dist
 		if dist == "" {
 			dist = "uniform"
 		}
 		if _, err := parseDist(dist); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadBody, err.Error())
-			return fail()
+			return reject(CodeBadBody, err.Error())
 		}
 		total := scenario.TopologyTotal(len(fams), count)
 		if total > maxScenarioPoints {
-			writeError(w, http.StatusBadRequest, CodeScenarioLimit,
-				fmt.Sprintf("topology scan exceeds %d instances", maxScenarioPoints))
-			return fail()
+			return reject(CodeScenarioLimit, fmt.Sprintf("topology scan exceeds %d instances", maxScenarioPoints))
 		}
 		spec.Families, spec.Count, spec.N, spec.Grid = fams, count, n, grid
 		spec.Seed, spec.Dist, spec.Total = req.Seed, dist, total
 		return spec, nil, m, true
 	case "":
-		writeError(w, http.StatusBadRequest, CodeBadBody, "missing scenario kind (want ksybil, coalition, or topology)")
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadBody,
-			fmt.Sprintf("unknown scenario kind %q (want ksybil, coalition, or topology)", req.Kind))
+		return reject(CodeBadBody, "missing scenario kind (want ksybil, coalition, or topology)")
 	}
-	return fail()
+	return reject(CodeBadBody, fmt.Sprintf("unknown scenario kind %q (want ksybil, coalition, or topology)", req.Kind))
 }
 
 // scenarioJobKey is the content address of one scenario job: the
@@ -493,20 +444,21 @@ func splitInts(s string) ([]int, error) {
 // attribution without re-evaluation); for topology, W1 the decimal global
 // instance index and U the WireTopologyOutcome JSON.
 
-func encodeKSybilPoint(p scenario.KSybilPoint) jobs.Point {
-	return jobs.Point{W1: joinInts(p.Comp), U: EncodeRat(p.U)}
-}
-
-func decodeKSybilPoint(p jobs.Point) (scenario.KSybilPoint, error) {
-	comp, err := splitInts(p.W1)
-	if err != nil {
-		return scenario.KSybilPoint{}, err
-	}
-	u, err := DecodeRat(p.U)
-	if err != nil {
-		return scenario.KSybilPoint{}, fmt.Errorf("corrupt utility: %w", err)
-	}
-	return scenario.KSybilPoint{Comp: comp, U: u}, nil
+var ksybilCodec = pointCodec[scenario.KSybilPoint]{
+	enc: func(_ int, p scenario.KSybilPoint) (jobs.Point, error) {
+		return jobs.Point{W1: joinInts(p.Comp), U: EncodeRat(p.U)}, nil
+	},
+	dec: func(p jobs.Point) (scenario.KSybilPoint, error) {
+		comp, err := splitInts(p.W1)
+		if err != nil {
+			return scenario.KSybilPoint{}, err
+		}
+		u, err := DecodeRat(p.U)
+		if err != nil {
+			return scenario.KSybilPoint{}, fmt.Errorf("corrupt utility: %w", err)
+		}
+		return scenario.KSybilPoint{Comp: comp, U: u}, nil
+	},
 }
 
 // wireCoalitionCkpt is the U payload of a coalition checkpoint point.
@@ -515,32 +467,52 @@ type wireCoalitionCkpt struct {
 	Members []string `json:"members"`
 }
 
-func encodeCoalitionPoint(p scenario.CoalitionPoint) (jobs.Point, error) {
-	raw, err := json.Marshal(wireCoalitionCkpt{Joint: EncodeRat(p.Joint), Members: encodeRats(p.Members)})
-	if err != nil {
-		return jobs.Point{}, err
-	}
-	return jobs.Point{W1: joinInts(p.Digits), U: string(raw)}, nil
+var coalitionCodec = pointCodec[scenario.CoalitionPoint]{
+	enc: func(_ int, p scenario.CoalitionPoint) (jobs.Point, error) {
+		raw, err := json.Marshal(wireCoalitionCkpt{Joint: EncodeRat(p.Joint), Members: encodeRats(p.Members)})
+		return jobs.Point{W1: joinInts(p.Digits), U: string(raw)}, err
+	},
+	dec: func(p jobs.Point) (scenario.CoalitionPoint, error) {
+		digits, err := splitInts(p.W1)
+		if err != nil {
+			return scenario.CoalitionPoint{}, err
+		}
+		var ck wireCoalitionCkpt
+		if err := json.Unmarshal([]byte(p.U), &ck); err != nil {
+			return scenario.CoalitionPoint{}, fmt.Errorf("corrupt coalition point: %w", err)
+		}
+		joint, err := DecodeRat(ck.Joint)
+		if err != nil {
+			return scenario.CoalitionPoint{}, fmt.Errorf("corrupt joint utility: %w", err)
+		}
+		members, err := decodeRats("members", ck.Members)
+		if err != nil {
+			return scenario.CoalitionPoint{}, err
+		}
+		return scenario.CoalitionPoint{Digits: digits, Members: members, Joint: joint}, nil
+	},
 }
 
-func decodeCoalitionPoint(p jobs.Point) (scenario.CoalitionPoint, error) {
-	digits, err := splitInts(p.W1)
-	if err != nil {
-		return scenario.CoalitionPoint{}, err
-	}
-	var ck wireCoalitionCkpt
-	if err := json.Unmarshal([]byte(p.U), &ck); err != nil {
-		return scenario.CoalitionPoint{}, fmt.Errorf("corrupt coalition point: %w", err)
-	}
-	joint, err := DecodeRat(ck.Joint)
-	if err != nil {
-		return scenario.CoalitionPoint{}, fmt.Errorf("corrupt joint utility: %w", err)
-	}
-	members, err := decodeRats("members", ck.Members)
-	if err != nil {
-		return scenario.CoalitionPoint{}, err
-	}
-	return scenario.CoalitionPoint{Digits: digits, Members: members, Joint: joint}, nil
+var topologyCodec = pointCodec[scenario.TopologyOutcome]{
+	enc: func(i int, out scenario.TopologyOutcome) (jobs.Point, error) {
+		raw, err := json.Marshal(wireTopologyOutcome(out))
+		return jobs.Point{W1: strconv.Itoa(i), U: string(raw)}, err
+	},
+	dec: func(p jobs.Point) (scenario.TopologyOutcome, error) {
+		var wo WireTopologyOutcome
+		if err := json.Unmarshal([]byte(p.U), &wo); err != nil {
+			return scenario.TopologyOutcome{}, fmt.Errorf("corrupt topology outcome %s: %w", p.W1, err)
+		}
+		rs, err := decodeRats("topology outcome "+p.W1, []string{wo.Honest, wo.Best, wo.Ratio})
+		if err != nil {
+			return scenario.TopologyOutcome{}, err
+		}
+		out := scenario.TopologyOutcome{
+			Family: wo.Family, Index: wo.Index, N: wo.N, M: wo.M, WorstV: wo.WorstV, WorstDigit: wo.WorstDigit,
+			Honest: rs[0], Best: rs[1], Ratio: rs[2], Unbounded: wo.Unbounded,
+		}
+		return out, nil
+	},
 }
 
 func wireTopologyOutcome(out scenario.TopologyOutcome) WireTopologyOutcome {
@@ -556,135 +528,6 @@ func wireTopologyOutcome(out scenario.TopologyOutcome) WireTopologyOutcome {
 		Ratio:      EncodeRat(out.Ratio),
 		Unbounded:  out.Unbounded,
 	}
-}
-
-func encodeTopologyPoint(i int, out scenario.TopologyOutcome) (jobs.Point, error) {
-	raw, err := json.Marshal(wireTopologyOutcome(out))
-	if err != nil {
-		return jobs.Point{}, err
-	}
-	return jobs.Point{W1: strconv.Itoa(i), U: string(raw)}, nil
-}
-
-func decodeTopologyPoint(p jobs.Point) (scenario.TopologyOutcome, error) {
-	var wo WireTopologyOutcome
-	if err := json.Unmarshal([]byte(p.U), &wo); err != nil {
-		return scenario.TopologyOutcome{}, fmt.Errorf("corrupt topology outcome %s: %w", p.W1, err)
-	}
-	out := scenario.TopologyOutcome{
-		Family: wo.Family, Index: wo.Index, N: wo.N, M: wo.M,
-		WorstV: wo.WorstV, WorstDigit: wo.WorstDigit, Unbounded: wo.Unbounded,
-	}
-	var err error
-	for _, f := range []struct {
-		s   string
-		dst *numeric.Rat
-	}{{wo.Honest, &out.Honest}, {wo.Best, &out.Best}, {wo.Ratio, &out.Ratio}} {
-		if *f.dst, err = DecodeRat(f.s); err != nil {
-			return scenario.TopologyOutcome{}, fmt.Errorf("corrupt topology outcome %s: %w", p.W1, err)
-		}
-	}
-	return out, nil
-}
-
-// wireKSybilResult folds a full point set into the kind "ksybil" payload:
-// earliest-maximum best and the shared ratio conventions, identical to the
-// engine's own fold — which is what makes a resumed job's combined
-// prefix+tail byte-identical to an uninterrupted run.
-func wireKSybilResult(spec *scenarioJobSpec, points []scenario.KSybilPoint, honest numeric.Rat) (*ScenarioKSybilResult, error) {
-	out := &ScenarioKSybilResult{
-		K: spec.K, Grid: spec.Grid, Total: spec.Total,
-		Honest: EncodeRat(honest),
-		Points: make([]WireScenarioKSybilPoint, len(points)),
-	}
-	var best numeric.Rat
-	var bestComp []int
-	for i, p := range points {
-		out.Points[i] = WireScenarioKSybilPoint{Comp: p.Comp, U: EncodeRat(p.U)}
-		if i == 0 || best.Less(p.U) {
-			best, bestComp, out.BestIndex = p.U, p.Comp, i
-		}
-	}
-	out.BestComp, out.BestU = bestComp, EncodeRat(best)
-	var ratio numeric.Rat
-	switch {
-	case honest.Sign() > 0:
-		ratio = best.Div(honest)
-	case best.Sign() > 0:
-		return nil, fmt.Errorf("scenario: positive attack utility %v from zero honest utility", best)
-	default:
-		ratio = numeric.One
-	}
-	out.Ratio = EncodeRat(ratio)
-	return out, nil
-}
-
-// wireCoalitionResult folds a full point set into the kind "coalition"
-// payload, recomputing the best-point attribution from the checkpointed
-// per-member utilities.
-func wireCoalitionResult(spec *scenarioJobSpec, points []scenario.CoalitionPoint, honest []numeric.Rat) (*ScenarioCoalitionResult, error) {
-	honestJoint := numeric.Sum(honest)
-	out := &ScenarioCoalitionResult{
-		Grid: spec.Grid, Members: spec.Members, Total: spec.Total,
-		HonestJoint: EncodeRat(honestJoint),
-		Honest:      encodeRats(honest),
-		Points:      make([]WireScenarioCoalitionPoint, len(points)),
-	}
-	var bestJoint numeric.Rat
-	var bestPoint scenario.CoalitionPoint
-	for i, p := range points {
-		out.Points[i] = WireScenarioCoalitionPoint{Digits: p.Digits, Members: encodeRats(p.Members), Joint: EncodeRat(p.Joint)}
-		if i == 0 || bestJoint.Less(p.Joint) {
-			bestJoint, bestPoint, out.BestIndex = p.Joint, p, i
-		}
-	}
-	out.BestDigits, out.BestJoint = bestPoint.Digits, EncodeRat(bestJoint)
-	if len(points) > 0 {
-		gains := make([]numeric.Rat, len(honest))
-		ratios := make([]numeric.Rat, len(honest))
-		for j := range honest {
-			gains[j] = bestPoint.Members[j].Sub(honest[j])
-			if honest[j].Sign() > 0 {
-				ratios[j] = bestPoint.Members[j].Div(honest[j])
-			} else {
-				ratios[j] = numeric.One
-			}
-		}
-		out.BestMember = encodeRats(bestPoint.Members)
-		out.Gains = encodeRats(gains)
-		out.MemberRatios = encodeRats(ratios)
-	}
-	var jr numeric.Rat
-	switch {
-	case honestJoint.Sign() > 0:
-		jr = bestJoint.Div(honestJoint)
-	case bestJoint.Sign() > 0:
-		return nil, fmt.Errorf("scenario: positive coalition utility %v from zero honest utility", bestJoint)
-	default:
-		jr = numeric.One
-	}
-	out.JointRatio = EncodeRat(jr)
-	return out, nil
-}
-
-// wireTopologyResult folds a full outcome set into the kind "topology"
-// payload, recomputing the per-family summaries from scratch.
-func wireTopologyResult(spec *scenarioJobSpec, outcomes []scenario.TopologyOutcome) *ScenarioTopologyResult {
-	out := &ScenarioTopologyResult{
-		Families: spec.Families, Count: spec.Count, N: spec.N,
-		Grid: spec.Grid, Seed: spec.Seed, Dist: spec.Dist, Total: spec.Total,
-		Outcomes: make([]WireTopologyOutcome, len(outcomes)),
-	}
-	for i, o := range outcomes {
-		out.Outcomes[i] = wireTopologyOutcome(o)
-	}
-	for _, s := range scenario.SummarizeFamilies(spec.Families, outcomes) {
-		out.Summaries = append(out.Summaries, WireFamilySummary{
-			Family: s.Family, Count: s.Count, WorstIndex: s.WorstIndex,
-			WorstRatio: EncodeRat(s.WorstRatio), Unbounded: s.Unbounded,
-		})
-	}
-	return out
 }
 
 // certifyTopologyBest builds the BD ratio certificate of a topology scan's
@@ -735,122 +578,113 @@ func (s *Server) certifyTopologyBest(ctx context.Context, spec *scenarioJobSpec,
 	return rc, nil
 }
 
-// runScenario is the shared execution core of the inline endpoint (start 0,
-// no prefix, no checkpoints) and the durable job runner (resume from start
-// with the checkpointed prefix, checkpointing every completed point through
-// ckpt). Every quantity is exact and serialized canonically, and the final
-// fold always runs over the combined prefix+tail set, so both paths produce
-// byte-identical bodies.
-func (s *Server) runScenario(ctx context.Context, spec *scenarioJobSpec, g *graph.Graph, m mechanism.Mechanism, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (*ScenarioResponse, error) {
+// scenarioGraph returns the graph of a graph-bound scenario submission.
+func scenarioGraph(req *JobSubmitRequest) (*WireGraph, string) {
+	if req.Scenario == nil {
+		return nil, ""
+	}
+	return &req.Scenario.Graph, req.Scenario.Mechanism
+}
+
+// runScenario is the one run of every scenario kind, shared by the inline
+// endpoint and the job runner: points run one after another, and the
+// engine's own fold runs over the combined prefix+tail, so both paths
+// produce byte-identical bodies.
+func (s *Server) runScenario(ctx context.Context, spec *scenarioJobSpec, start int, prefix []jobs.Point, ckpt jobs.CheckpointFunc) (any, error) {
+	m, err := mechanism.Get(spec.Mechanism)
+	if err != nil {
+		return nil, fmt.Errorf("job spec mechanism: %w", err)
+	}
+	var g *graph.Graph
+	if spec.Graph != nil {
+		if g, err = spec.Graph.Build(); err != nil {
+			return nil, fmt.Errorf("job spec graph: %w", err)
+		}
+	}
 	resp := &ScenarioResponse{Kind: spec.Kind, Mechanism: m.Name()}
 	switch spec.Kind {
 	case "ksybil":
-		pts := make([]scenario.KSybilPoint, 0, spec.Total)
-		for i, p := range prefix {
-			kp, err := decodeKSybilPoint(p)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", i, err)
-			}
-			pts = append(pts, kp)
-		}
-		kopts := scenario.KSybilOptions{K: spec.K, Grid: spec.Grid, Mechanism: m, Start: start}
-		if _, native := m.(mechanism.RingSweeper); native {
-			// Native sweepers share the cached core.Instance with the inline
-			// sweep/ratio endpoints (memoized pair evaluations).
+		// BD splits run on the cached core.Instance shared with the inline
+		// sweep/ratio endpoints (memoized pair evaluations).
+		sp, err := mechanism.NewSplitter(ctx, m, g, spec.V, spec.K, func(ctx context.Context) (*core.Instance, error) {
 			entry, hit := s.cache.entryFor(mechKey(g, m), g)
 			s.metrics.cacheLookup("/v1/scenario#run", hit)
-			in, err := entry.instance(ctx, spec.V)
-			if err != nil {
-				return nil, err
-			}
-			kopts.Instance = in
-		}
-		if ckpt != nil {
-			kopts.OnPoint = func(i int, p scenario.KSybilPoint) error {
-				return ckpt(i, []jobs.Point{encodeKSybilPoint(p)})
-			}
-		}
-		res, err := scenario.KSybil(ctx, g, spec.V, kopts)
+			return entry.instance(ctx, spec.V)
+		})
 		if err != nil {
 			return nil, err
 		}
-		if res.Partial {
-			return nil, ctx.Err()
-		}
-		pts = append(pts, res.Points...)
-		if resp.KSybil, err = wireKSybilResult(spec, pts, res.Honest); err != nil {
+		ks, err := scenario.KSybilOf(sp, spec.Grid)
+		if err != nil {
 			return nil, err
+		}
+		res, err := runFold(ctx, ks.Scan, ksybilCodec, start, prefix, ckpt, ks.Result)
+		if err != nil {
+			return nil, err
+		}
+		resp.KSybil = &ScenarioKSybilResult{
+			K: spec.K, Grid: spec.Grid, Total: spec.Total,
+			Points:    make([]WireScenarioKSybilPoint, len(res.Points)),
+			BestIndex: res.BestIndex, BestComp: res.BestComp, BestU: EncodeRat(res.BestU),
+			Honest: EncodeRat(res.Honest), Ratio: EncodeRat(res.Ratio),
+		}
+		for i, p := range res.Points {
+			resp.KSybil.Points[i] = WireScenarioKSybilPoint{Comp: p.Comp, U: EncodeRat(p.U)}
 		}
 	case "coalition":
-		pts := make([]scenario.CoalitionPoint, 0, spec.Total)
-		for i, p := range prefix {
-			cp, err := decodeCoalitionPoint(p)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", i, err)
-			}
-			pts = append(pts, cp)
-		}
-		copts := scenario.CoalitionOptions{Members: spec.Members, Grid: spec.Grid, Mechanism: m, Start: start}
-		if ckpt != nil {
-			copts.OnPoint = func(i int, p scenario.CoalitionPoint) error {
-				pt, err := encodeCoalitionPoint(p)
-				if err != nil {
-					return err
-				}
-				return ckpt(i, []jobs.Point{pt})
-			}
-		}
-		res, err := scenario.Coalition(ctx, g, copts)
+		cs, err := scenario.NewCoalition(ctx, g, scenario.CoalitionOptions{Members: spec.Members, Grid: spec.Grid, Mechanism: m})
 		if err != nil {
 			return nil, err
 		}
-		if res.Partial {
-			return nil, ctx.Err()
-		}
-		pts = append(pts, res.Points...)
-		if resp.Coalition, err = wireCoalitionResult(spec, pts, res.Honest); err != nil {
+		res, err := runFold(ctx, cs.Scan, coalitionCodec, start, prefix, ckpt, cs.Result)
+		if err != nil {
 			return nil, err
 		}
-	case "topology":
-		outs := make([]scenario.TopologyOutcome, 0, spec.Total)
-		for i, p := range prefix {
-			out, err := decodeTopologyPoint(p)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint %d: %w", i, err)
-			}
-			outs = append(outs, out)
+		out := &ScenarioCoalitionResult{
+			Grid: spec.Grid, Members: spec.Members, Total: spec.Total,
+			Points:    make([]WireScenarioCoalitionPoint, len(res.Points)),
+			BestIndex: res.BestIndex, BestDigits: res.BestDigits, BestJoint: EncodeRat(res.BestJoint),
+			HonestJoint: EncodeRat(res.HonestJoint), JointRatio: EncodeRat(res.JointRatio),
+			Honest: encodeRats(res.Honest),
 		}
+		for i, p := range res.Points {
+			out.Points[i] = WireScenarioCoalitionPoint{Digits: p.Digits, Members: encodeRats(p.Members), Joint: EncodeRat(p.Joint)}
+		}
+		out.BestMember, out.Gains, out.MemberRatios = encodeRats(res.BestMember), encodeRats(res.Gains), encodeRats(res.MemberRatios)
+		resp.Coalition = out
+	case "topology":
 		topts, err := spec.topologyOptions(m)
 		if err != nil {
 			return nil, fmt.Errorf("job spec dist: %w", err)
 		}
-		topts.Start = start
-		if ckpt != nil {
-			topts.OnOutcome = func(i int, out scenario.TopologyOutcome) error {
-				pt, err := encodeTopologyPoint(i, out)
-				if err != nil {
-					return err
-				}
-				return ckpt(i, []jobs.Point{pt})
-			}
-		}
-		res, err := scenario.Topology(ctx, topts)
+		ts, err := scenario.NewTopology(topts)
 		if err != nil {
 			return nil, err
 		}
-		if res.Partial {
-			return nil, ctx.Err()
+		res, err := runFold(ctx, ts.Scan, topologyCodec, start, prefix, ckpt, ts.Result)
+		if err != nil {
+			return nil, err
 		}
-		outs = append(outs, res.Outcomes...)
-		tr := wireTopologyResult(spec, outs)
+		out := &ScenarioTopologyResult{
+			Families: spec.Families, Count: spec.Count, N: spec.N,
+			Grid: spec.Grid, Seed: spec.Seed, Dist: spec.Dist, Total: spec.Total,
+			Outcomes: make([]WireTopologyOutcome, len(res.Outcomes)),
+		}
+		for i, o := range res.Outcomes {
+			out.Outcomes[i] = wireTopologyOutcome(o)
+		}
+		for _, f := range res.Summaries {
+			out.Summaries = append(out.Summaries, WireFamilySummary{
+				Family: f.Family, Count: f.Count, WorstIndex: f.WorstIndex,
+				WorstRatio: EncodeRat(f.WorstRatio), Unbounded: f.Unbounded,
+			})
+		}
 		if spec.Cert {
-			rc, err := s.certifyTopologyBest(ctx, spec, outs)
-			if err != nil {
+			if out.Certificate, err = s.certifyTopologyBest(ctx, spec, res.Outcomes); err != nil {
 				return nil, fmt.Errorf("scenario certificate: %w", err)
 			}
-			tr.Certificate = rc
 		}
-		resp.Topology = tr
+		resp.Topology = out
 	default:
 		return nil, fmt.Errorf("corrupt scenario spec: unknown kind %q", spec.Kind)
 	}
@@ -865,29 +699,17 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	spec, g, m, ok := s.validateScenario(w, &req)
+	spec, _, _, ok := s.validateScenario(w, &req)
 	if !ok {
 		return
 	}
-	ctx, release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	cctx, csp := obs.Start(ctx, "server.compute")
-	resp, err := s.runScenario(cctx, &spec, g, m, 0, nil, nil)
-	csp.End()
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	writeResult(w, r, resp)
+	s.serveRun(w, r, func(ctx context.Context) (any, error) { return s.runScenario(ctx, &spec, 0, nil, nil) })
 }
 
-// submitScenarioJob validates and enqueues a kind ksybil/coalition/topology
-// job. The scenario parameters ride in the Scenario field of the job
-// submission; its kind, when set, must agree with the job kind.
-func (s *Server) submitScenarioJob(w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) {
+// submitScenario resolves a kind ksybil/coalition/topology submission. The
+// scenario parameters ride in the Scenario field of the job submission;
+// its kind, when set, must agree with the job kind.
+func (s *Server) submitScenario(w http.ResponseWriter, r *http.Request, req *JobSubmitRequest) (any, string, int, bool) {
 	var sr ScenarioRequest
 	if req.Scenario != nil {
 		sr = *req.Scenario
@@ -898,76 +720,11 @@ func (s *Server) submitScenarioJob(w http.ResponseWriter, r *http.Request, req *
 	if sr.Kind != req.Kind {
 		writeError(w, http.StatusBadRequest, CodeBadBody,
 			fmt.Sprintf("job kind %q conflicts with scenario kind %q", req.Kind, sr.Kind))
-		return
+		return nil, "", 0, false
 	}
 	spec, g, m, ok := s.validateScenario(w, &sr)
 	if !ok {
-		return
+		return nil, "", 0, false
 	}
-	seed, ok := seedPoints(w, req.Checkpoint, spec.Total)
-	if !ok {
-		return
-	}
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
-	rec, enqueued, err := s.jobSched.Submit(r.Context(), jobs.Submission{
-		Key:      scenarioJobKey(&spec, g, m),
-		Kind:     spec.Kind,
-		Spec:     raw,
-		Priority: req.Priority,
-		Seed:     seed,
-	})
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	status := http.StatusAccepted
-	if !enqueued {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, JobSubmitResponse{Job: wireJob(rec, false), Deduped: !enqueued})
-}
-
-// runScenarioJob executes one scenario job of any kind, resuming from
-// rec.NextIndex with the checkpointed prefix and checkpointing every
-// completed point. The final Result is the ScenarioResponse JSON,
-// bit-identical to the inline /v1/scenario answer of the same request.
-func (s *Server) runScenarioJob(ctx context.Context, rec *jobs.Record, ckpt jobs.CheckpointFunc) ([]byte, error) {
-	var spec scenarioJobSpec
-	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-		return nil, fmt.Errorf("corrupt job spec: %w", err)
-	}
-	m, err := mechanism.Get(spec.Mechanism)
-	if err != nil {
-		return nil, fmt.Errorf("job spec mechanism: %w", err)
-	}
-	if s.collector != nil {
-		tr := s.collector.NewTrace("jobs.run")
-		ctx = tr.Context(ctx)
-		defer tr.Finish()
-	}
-	ctx, span := obs.Start(ctx, "jobs.scenario")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("job", rec.ID)
-		span.SetAttr("kind", spec.Kind)
-		span.SetAttr("total", strconv.Itoa(spec.Total))
-		if rec.NextIndex > 0 {
-			span.SetAttr("resume_from", strconv.Itoa(rec.NextIndex))
-		}
-	}
-	var g *graph.Graph
-	if spec.Graph != nil {
-		if g, err = spec.Graph.Build(); err != nil {
-			return nil, fmt.Errorf("job spec graph: %w", err)
-		}
-	}
-	resp, err := s.runScenario(ctx, &spec, g, m, rec.NextIndex, rec.Points, ckpt)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(resp)
+	return spec, scenarioJobKey(&spec, g, m), spec.Total, true
 }

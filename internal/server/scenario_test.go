@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -9,150 +8,33 @@ import (
 	"repro/internal/cert"
 )
 
-// TestScenarioKSybilK2MatchesSweep pins the k = 2 equivalence on the wire:
-// the ksybil scenario at k = 2 answers the same utilities, honest baseline,
-// best point and ratio as /v1/sweep for the same (graph, agent, grid) —
-// canonical string for canonical string.
-func TestScenarioKSybilK2MatchesSweep(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	ring := WireGraph{Ring: []string{"1", "3/2", "2", "1/2", "5"}}
-
-	status, raw := postJSON(t, ts.URL, "/v1/sweep", SweepRequest{Graph: ring, V: 1, Grid: 12})
-	if status != http.StatusOK {
-		t.Fatalf("sweep: %d %s", status, raw)
-	}
-	var sw SweepResponse
-	if err := json.Unmarshal(raw, &sw); err != nil {
-		t.Fatal(err)
-	}
-
-	status, raw = postJSON(t, ts.URL, "/v1/scenario",
-		ScenarioRequest{Kind: "ksybil", Graph: ring, V: 1, K: 2, Grid: 12})
-	if status != http.StatusOK {
-		t.Fatalf("scenario: %d %s", status, raw)
-	}
-	var sc ScenarioResponse
-	if err := json.Unmarshal(raw, &sc); err != nil {
-		t.Fatal(err)
-	}
-	ks := sc.KSybil
-	if sc.Kind != "ksybil" || ks == nil {
-		t.Fatalf("wrong payload: %s", raw)
-	}
-	if ks.Total != 13 || len(ks.Points) != 13 || len(sw.Points) != 13 {
-		t.Fatalf("total %d scenario points %d sweep points %d", ks.Total, len(ks.Points), len(sw.Points))
-	}
-	for i, p := range ks.Points {
-		if len(p.Comp) != 2 || p.Comp[0] != i || p.Comp[1] != 12-i {
-			t.Fatalf("point %d composition %v", i, p.Comp)
-		}
-		if p.U != sw.Points[i].U {
-			t.Fatalf("point %d: scenario %s sweep %s", i, p.U, sw.Points[i].U)
-		}
-	}
-	if ks.Honest != sw.Honest || ks.BestU != sw.BestU || ks.Ratio != sw.Ratio {
-		t.Fatalf("summary drift: scenario (%s, %s, %s) sweep (%s, %s, %s)",
-			ks.Honest, ks.BestU, ks.Ratio, sw.Honest, sw.BestU, sw.Ratio)
-	}
-}
-
-// TestScenarioJobsMatchInline is the core equivalence property of the three
-// scenario job kinds: each job's final Result must be bit-identical to the
-// /v1/scenario response of the same request, and resubmission dedupes.
+// TestScenarioJobsMatchInline runs the equivalence oracle over the three
+// scenario job kinds on a seven-node ring with large weight spreads and an
+// Erdős–Rényi topology family, a wider corpus than the oracle's shared one:
+// job result == inline /v1/scenario body, kind, point count, dedupe, and a
+// mid-run checkpoint seeded on a fresh server.
 func TestScenarioJobsMatchInline(t *testing.T) {
-	_, ts := jobsTestServer(t)
+	_, tsA := jobsTestServer(t)
+	_, tsB := jobsTestServer(t)
 	ring := WireGraph{Ring: []string{"128", "2", "128", "128", "512", "4", "32"}}
-	cases := []struct {
-		name  string
-		total int
-		req   ScenarioRequest
-	}{
-		{"ksybil", 28, ScenarioRequest{Kind: "ksybil", Graph: ring, V: 4, K: 3, Grid: 6}},
-		{"coalition", 9, ScenarioRequest{Kind: "coalition", Graph: ring, Members: []int{5, 4}, Grid: 3}},
-		{"topology", 3, ScenarioRequest{Kind: "topology", Families: []string{"ring", "tree", "er"}, Count: 1, N: 5, Grid: 3, Seed: 11}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			status, inline := postJSON(t, ts.URL, "/v1/scenario", tc.req)
-			if status != http.StatusOK {
-				t.Fatalf("inline: %d %s", status, inline)
-			}
-			resp, body := jobsPost(t, ts.URL+"/v1/jobs", JobSubmitRequest{Kind: tc.req.Kind, Scenario: &tc.req})
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("submit: %d %s", resp.StatusCode, body)
-			}
-			var sub JobSubmitResponse
-			if err := json.Unmarshal(body, &sub); err != nil {
-				t.Fatal(err)
-			}
-			if sub.Job.Kind != tc.req.Kind || sub.Job.TotalPoints != tc.total {
-				t.Fatalf("job %+v, want kind %s total %d", sub.Job, tc.req.Kind, tc.total)
-			}
-			done := waitJobState(t, ts.URL, sub.Job.ID, "done")
-			if !bytes.Equal(bytes.TrimSpace(done.Result), bytes.TrimSpace(inline)) {
-				t.Fatalf("job result differs from inline:\njob:    %s\ninline: %s", done.Result, inline)
-			}
-			// Resubmitting the identical scan dedupes to the finished job.
-			resp, body = jobsPost(t, ts.URL+"/v1/jobs", JobSubmitRequest{Kind: tc.req.Kind, Scenario: &tc.req})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("resubmit: %d %s", resp.StatusCode, body)
-			}
-			var dup JobSubmitResponse
-			if err := json.Unmarshal(body, &dup); err != nil {
-				t.Fatal(err)
-			}
-			if !dup.Deduped || dup.Job.ID != sub.Job.ID {
-				t.Fatalf("resubmission did not dedupe: %+v", dup)
-			}
-		})
+	for _, tc := range []oracleCase{
+		scenarioCase("ksybil", 28, ScenarioRequest{Kind: "ksybil", Graph: ring, V: 4, K: 3, Grid: 6}),
+		scenarioCase("coalition", 9, ScenarioRequest{Kind: "coalition", Graph: ring, Members: []int{5, 4}, Grid: 3}),
+		scenarioCase("topology", 3, ScenarioRequest{Kind: "topology", Families: []string{"ring", "tree", "er"}, Count: 1, N: 5, Grid: 3, Seed: 11}),
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkEquivalence(t, tsA.URL, tsB.URL, tc) })
 	}
 }
 
 // TestScenarioJobCheckpointSeed replays a completed ksybil job's checkpoint
 // prefix into a fresh server (the cluster router's failover path) and
-// requires the re-placed job to resume — not restart — and still produce
-// the bit-identical final Result.
+// requires the re-placed job to resume — not restart — under the same ID
+// and still produce the bit-identical final Result.
 func TestScenarioJobCheckpointSeed(t *testing.T) {
 	_, tsA := jobsTestServer(t)
-	req := ScenarioRequest{Kind: "ksybil", Graph: WireGraph{Ring: []string{"3", "1", "4", "1", "5"}}, V: 2, K: 3, Grid: 5}
-	resp, body := jobsPost(t, tsA.URL+"/v1/jobs", JobSubmitRequest{Kind: "ksybil", Scenario: &req})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, body)
-	}
-	var sub JobSubmitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	doneA := waitJobState(t, tsA.URL, sub.Job.ID, "done")
-	var detail WireJob
-	jobsGet(t, tsA.URL+"/v1/jobs/"+sub.Job.ID, &detail)
-	if len(detail.Points) != detail.TotalPoints || detail.TotalPoints == 0 {
-		t.Fatalf("detail carries %d/%d points", len(detail.Points), detail.TotalPoints)
-	}
-
 	_, tsB := jobsTestServer(t)
-	seedLen := 5
-	resp, body = jobsPost(t, tsB.URL+"/v1/jobs", JobSubmitRequest{
-		Kind:     "ksybil",
-		Scenario: &req,
-		Checkpoint: &JobCheckpoint{
-			NextIndex: seedLen,
-			Points:    detail.Points[:seedLen],
-		},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("seeded submit: %d %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if sub.Job.NextIndex != seedLen {
-		t.Fatalf("seeded job starts at %d, want %d", sub.Job.NextIndex, seedLen)
-	}
-	doneB := waitJobState(t, tsB.URL, sub.Job.ID, "done")
-	if !bytes.Equal(doneA.Result, doneB.Result) {
-		t.Fatalf("seeded result differs:\nA: %s\nB: %s", doneA.Result, doneB.Result)
-	}
+	req := ScenarioRequest{Kind: "ksybil", Graph: WireGraph{Ring: []string{"3", "1", "4", "1", "5"}}, V: 2, K: 3, Grid: 5}
+	checkEquivalence(t, tsA.URL, tsB.URL, scenarioCase("ksybil", 21, req))
 }
 
 // TestScenarioTopologyCertificate requires a cert-opted topology scan to

@@ -241,10 +241,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/mechanisms", s.instrument("/v1/mechanisms", s.handleMechanisms))
 	mux.HandleFunc("POST /v1/tournament", s.instrument("/v1/tournament", s.handleTournament))
 	mux.HandleFunc("POST /v1/scenario", s.instrument("/v1/scenario", s.handleScenario))
-	mux.HandleFunc("POST /v1/jobs", s.instrument("/v1/jobs", s.handleJobSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleJobList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobGet))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobCancel))
+	mux.HandleFunc("POST /v1/jobs", s.instrument("/v1/jobs", s.jobsEnabled(s.handleJobSubmit)))
+	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.jobsEnabled(s.handleJobList)))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.jobsEnabled(s.handleJobGet)))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.jobsEnabled(s.handleJobCancel)))
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("/readyz", s.handleReadyz))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

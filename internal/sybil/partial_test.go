@@ -38,16 +38,24 @@ func TestRingSweepCancelEveryIndex(t *testing.T) {
 	}
 	for cut := 0; cut <= grid; cut++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		opts := SweepOptions{
-			Grid:    grid,
-			Workers: 1, // deterministic ascending completion order
-			Progress: func(i int) {
-				if i == cut {
-					cancel()
-				}
-			},
+		in, err := NewInstance(ctx, g, 1, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		res, err := RingSweepCtx(ctx, g, 1, opts)
+		cutW1 := in.W().MulInt(int64(cut)).DivInt(grid)
+		// The evaluator cancels once it has computed grid index cut.
+		sw := NewSweep(in.W(), in.HonestU, grid, func(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, error) {
+			ev, err := in.EvalPairCtx(ctx, w1, w2)
+			if w1.Equal(cutW1) {
+				cancel()
+			}
+			if err != nil {
+				return numeric.Rat{}, err
+			}
+			return ev.U, nil
+		})
+		// Workers=1: deterministic ascending completion order.
+		res, err := sw.Run(ctx, SweepOptions{Grid: grid, Workers: 1})
 		cancel()
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)

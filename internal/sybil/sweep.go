@@ -2,19 +2,17 @@ package sybil
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/numeric"
-	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/scan"
 )
 
-// SweepOptions tunes RingSweep. Zero values select defaults.
+// SweepOptions tunes a two-identity sweep. Zero values select defaults.
 type SweepOptions struct {
 	// Grid is the number of uniform w1 intervals over [0, w_v] (default 64;
 	// the sweep evaluates Grid+1 points including both endpoints).
@@ -30,11 +28,6 @@ type SweepOptions struct {
 	// sweep passes the NextIndex of an earlier partial result; the returned
 	// Points then cover [Start, NextIndex).
 	Start int
-	// Progress, when set, is invoked after each grid point completes, with
-	// the point's grid index. With Workers > 1 the order is the completion
-	// order, not the grid order; tests that need a deterministic checkpoint
-	// set Workers to 1 so indices arrive ascending.
-	Progress func(i int)
 }
 
 // SweepPoint is one exactly evaluated split of the sweep.
@@ -44,7 +37,7 @@ type SweepPoint struct {
 	U numeric.Rat
 }
 
-// SweepResult is the outcome of RingSweep. When the context was canceled
+// SweepResult is the outcome of a sweep. When the context was canceled
 // mid-sweep, Partial is true and Points holds only the contiguous completed
 // prefix starting at Start — every point in it is bit-identical to the same
 // point of an uncanceled run, because points are independent and exact.
@@ -70,125 +63,111 @@ type SweepResult struct {
 	Start     int
 	NextIndex int
 	// Stats exposes the evaluation-cache and incremental-solver counters
-	// accumulated by the sweep.
+	// accumulated by the sweep (zero for mechanisms without the incremental
+	// split engine).
 	Stats core.EvalStats
 }
 
-// RingSweep evaluates the two-identity split utility curve of agent v on
-// ring g at Grid+1 evenly spaced w1 values, sharing one core.Instance so
-// the incremental split engine — cached interior transfers, warm-started
-// Dinkelbach, memoized residual tails — is reused across the whole sweep
-// instead of paying a fresh decomposition per point.
-func RingSweep(g *graph.Graph, v int, opts SweepOptions) (*SweepResult, error) {
-	return RingSweepCtx(context.Background(), g, v, opts)
+// SplitFunc evaluates the attacker's combined utility at the two-identity
+// split (w1, w2).
+type SplitFunc func(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, error)
+
+// Sweep is the two-identity sweep as a kernel scan (internal/scan): point i
+// is the split w1 = W·i/Grid, w2 = W − w1, for i in [0, Grid].
+type Sweep struct {
+	scan.Scan[SweepPoint]
+	Grid   int
+	Honest numeric.Rat
 }
 
-// RingSweepCtx is RingSweep with cancellation, tracing and checkpointed
-// progress: the context is threaded into every split evaluation, and when
-// it carries an obs span the sweep is recorded as one "sybil.ring_sweep"
-// span. A context canceled mid-sweep does not discard completed work — the
-// call returns the contiguous completed prefix with Partial set (see
-// SweepResult) instead of an error, so a deadline converts the sweep into
-// a resumable checkpoint rather than wasted cycles.
-func RingSweepCtx(ctx context.Context, g *graph.Graph, v int, opts SweepOptions) (*SweepResult, error) {
+// NewSweep binds the sweep of an attacker of weight W and honest utility
+// honest over grid (≤ 0 = 64), evaluating every split with eval.
+func NewSweep(W, honest numeric.Rat, grid int, eval SplitFunc) *Sweep {
+	if grid <= 0 {
+		grid = 64
+	}
+	return &Sweep{Grid: grid, Honest: honest, Scan: scan.Scan[SweepPoint]{
+		Len:  grid + 1,
+		Site: fault.SiteSweepPoint,
+		Name: "sybil: sweep point",
+		Span: "sybil.ring_sweep",
+		Eval: func(ctx context.Context, i int) (SweepPoint, error) {
+			w1 := W.MulInt(int64(i)).DivInt(int64(grid))
+			u, err := eval(ctx, w1, W.Sub(w1))
+			return SweepPoint{W1: w1, U: u}, err
+		},
+	}}
+}
+
+// Run evaluates the sweep from opts.Start on opts.Workers workers. A
+// context canceled mid-sweep yields the completed prefix with Partial set,
+// so a deadline converts the sweep into a resumable checkpoint.
+func (s *Sweep) Run(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
+	if opts.Start < 0 || opts.Start > s.Grid {
+		return nil, fmt.Errorf("sybil: start index %d outside [0, %d]", opts.Start, s.Grid)
+	}
+	r, err := scan.Run(ctx, s.Scan, scan.Options[SweepPoint]{Start: opts.Start, Workers: par.Workers(opts.Workers)})
+	if err != nil {
+		return nil, err
+	}
+	return s.Result(r)
+}
+
+// Result folds evaluated points into a SweepResult: the earliest-maximum
+// best point and the shared ratio rule.
+func (s *Sweep) Result(r *scan.Result[SweepPoint]) (*SweepResult, error) {
+	res := &SweepResult{Points: r.Points, Honest: s.Honest, Partial: r.Partial, Start: r.Start, NextIndex: r.Next}
+	if len(r.Points) > 0 {
+		res.BestIndex = scan.Best(r.Points, func(p SweepPoint) numeric.Rat { return p.U })
+		res.BestW1, res.BestU = r.Points[res.BestIndex].W1, r.Points[res.BestIndex].U
+	}
+	ratio, err := scan.Ratio(res.BestU, s.Honest)
+	if err != nil {
+		return nil, fmt.Errorf("sybil: %w", err)
+	}
+	res.Ratio = ratio
+	return res, nil
+}
+
+// NewInstance builds the BD split engine of agent v on ring g; cold
+// disables its evaluation cache and incremental solver (see
+// SweepOptions.Cold).
+func NewInstance(ctx context.Context, g *graph.Graph, v int, cold bool) (*core.Instance, error) {
 	in, err := core.NewInstanceCtx(ctx, g, v)
 	if err != nil {
 		return nil, err
 	}
-	in.SetEvalCache(!opts.Cold)
-	in.SetIncremental(!opts.Cold)
-	return SweepInstanceCtx(ctx, in, opts)
+	in.SetEvalCache(!cold)
+	in.SetIncremental(!cold)
+	return in, nil
 }
 
-// SweepInstanceCtx runs the sweep over an already-built instance, reusing
-// whatever solver state it has accumulated (the server calls this with its
-// cached per-graph instances). Same partial-result semantics as
-// RingSweepCtx.
-func SweepInstanceCtx(ctx context.Context, in *core.Instance, opts SweepOptions) (*SweepResult, error) {
-	if opts.Grid <= 0 {
-		opts.Grid = 64
+// RingSweep evaluates the two-identity split utility curve of agent v on
+// ring g under the BD mechanism at Grid+1 evenly spaced w1 values, sharing
+// one core.Instance so the incremental split engine — cached interior
+// transfers, warm-started Dinkelbach, memoized residual tails — is reused
+// across the whole sweep instead of paying a fresh decomposition per point.
+// For other mechanisms, see mechanism.RingSweep.
+func RingSweep(g *graph.Graph, v int, opts SweepOptions) (*SweepResult, error) {
+	return RingSweepCtx(context.Background(), g, v, opts)
+}
+
+// RingSweepCtx is RingSweep with cancellation, tracing and partial results
+// (see Sweep.Run).
+func RingSweepCtx(ctx context.Context, g *graph.Graph, v int, opts SweepOptions) (*SweepResult, error) {
+	in, err := NewInstance(ctx, g, v, opts.Cold)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Start < 0 || opts.Start > opts.Grid {
-		return nil, fmt.Errorf("sybil: start index %d outside [0, %d]", opts.Start, opts.Grid)
-	}
-	ctx, span := obs.Start(ctx, "sybil.ring_sweep")
-	defer span.End()
-	if span != nil {
-		span.SetAttr("grid", strconv.Itoa(opts.Grid))
-		if opts.Start > 0 {
-			span.SetAttr("start", strconv.Itoa(opts.Start))
-		}
-	}
-	W := in.W()
-	total := opts.Grid + 1 - opts.Start
-	pts := make([]SweepPoint, total)
-	done := make([]bool, total)
-	errs := par.MapCtx(ctx, total, opts.Workers, func(ctx context.Context, k int) error {
-		i := opts.Start + k
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fault.Hit(ctx, fault.SiteSweepPoint); err != nil {
-			return err
-		}
-		w1 := W.MulInt(int64(i)).DivInt(int64(opts.Grid))
-		ev, err := in.EvalSplitCtx(ctx, w1)
+	res, err := NewSweep(in.W(), in.HonestU, opts.Grid, func(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, error) {
+		ev, err := in.EvalPairCtx(ctx, w1, w2)
 		if err != nil {
-			return err
+			return numeric.Rat{}, err
 		}
-		pts[k] = SweepPoint{W1: w1, U: ev.U}
-		done[k] = true
-		if opts.Progress != nil {
-			opts.Progress(i)
-		}
-		return nil
-	})
-	// Classify failures: context errors truncate the sweep to its completed
-	// prefix; anything else (including injected faults) fails the whole call
-	// so callers never mistake a broken sweep for a merely interrupted one.
-	canceled := false
-	for k, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			canceled = true
-			continue
-		}
-		return nil, fmt.Errorf("sybil: sweep point %d: %w", opts.Start+k, err)
-	}
-	completed := total
-	if canceled {
-		completed = 0
-		for completed < total && done[completed] {
-			completed++
-		}
-	}
-	res := &SweepResult{
-		Points:    pts[:completed],
-		Honest:    in.HonestU,
-		Partial:   completed < total,
-		Start:     opts.Start,
-		NextIndex: opts.Start + completed,
-	}
-	if span != nil && res.Partial {
-		span.AddEvent("sweep_partial", "next_index", strconv.Itoa(res.NextIndex))
-	}
-	if completed > 0 {
-		res.BestW1, res.BestU = res.Points[0].W1, res.Points[0].U
-		for i, p := range res.Points[1:] {
-			if res.BestU.Less(p.U) {
-				res.BestW1, res.BestU, res.BestIndex = p.W1, p.U, i+1
-			}
-		}
-	}
-	switch {
-	case res.Honest.Sign() > 0:
-		res.Ratio = res.BestU.Div(res.Honest)
-	case res.BestU.Sign() > 0:
-		return nil, fmt.Errorf("sybil: positive attack utility %v from zero honest utility", res.BestU)
-	default:
-		res.Ratio = numeric.One
+		return ev.U, nil
+	}).Run(ctx, opts)
+	if err != nil {
+		return nil, err
 	}
 	res.Stats = in.EvalStats()
 	return res, nil

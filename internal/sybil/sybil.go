@@ -21,6 +21,7 @@ import (
 	"repro/internal/bottleneck"
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/scan"
 )
 
 // HonestUtility returns U_v(G; w) under the BD Allocation Mechanism.
@@ -184,10 +185,10 @@ func Search(g *graph.Graph, v int, opts SearchOptions) (*SearchResult, error) {
 			}
 		}
 	}
-	if honest.Sign() > 0 {
-		res.Ratio = res.Best.Div(honest)
-	} else if res.Best.Sign() > 0 {
-		return nil, fmt.Errorf("sybil: attacker gains %v from zero honest utility (unbounded ratio)", res.Best)
+	ratio, err := scan.Ratio(res.Best, honest)
+	if err != nil {
+		return nil, fmt.Errorf("sybil: %w (unbounded ratio)", err)
 	}
+	res.Ratio = ratio
 	return res, nil
 }

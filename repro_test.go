@@ -73,7 +73,7 @@ func TestFacadeWideSurface(t *testing.T) {
 	g := Ring(Ints(8, 1, 1, 1, 1))
 
 	// Parallel decomposition delegates for connected graphs.
-	dp, err := DecomposeParallel(g, 4)
+	dp, err := Decompose(context.Background(), g, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,11 @@ go run ./cmd/benchjson -bench 'KSybil' -pkg ./internal/scenario -out BENCH_scena
 go run ./cmd/benchjson -bench 'Obs' -pkg ./internal/obs -out BENCH_obs.json \
 	-note "disabled-vs-enabled recorder overhead: primitives (Start/AddInt/End) and end-to-end DecomposeCtx on a 64-ring"
 
+# Refresh the split-optimizer micro-benchmarks at the default benchtime
+# (the seed_baseline section of the file survives regeneration).
+go run ./cmd/benchjson -out BENCH_optimize.json \
+	-note "OptimizeSplit = incremental engine; OptimizeSplitCold / EvalSplitStock = same binary with DisableEvalCache+DisableIncremental; both run the fixed-width 128-bit path DP with the big.Int plan as its overflow path — compare seed_baseline for the seed's numbers"
+
 # Refresh the disabled-injection overhead numbers (fault.Hit in the hot
 # loops with no injector installed must stay within noise of the baseline).
 go run ./cmd/benchjson -bench 'OptimizeSplit$/n=129' -out BENCH_fault.json \
@@ -115,12 +120,16 @@ go run ./cmd/benchjson -bench 'WAL|Recover' -pkg ./internal/jobs -out BENCH_jobs
 # allocation) surface here long before a full fuzzing campaign. The
 # FuzzParseGraph corpus includes the near-tight frontier rings surfaced by
 # the certificate enumerator; FuzzCertRoundTrip probes the solver-free
-# certificate checker's parsing hardening and canonical round-trip.
+# certificate checker's parsing hardening and canonical round-trip;
+# FuzzFixedWidthDP referees the fixed-width path DP and its big.Int
+# overflow path against the exact rational passes at adversarial
+# magnitudes on both sides of the 2^126 admission bound.
 go test ./internal/graph -run '^$' -fuzz '^FuzzParseGraph$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzRatDecode$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzMechanismField$' -fuzztime 10s
 go test ./internal/cert -run '^$' -fuzz '^FuzzCertRoundTrip$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzScenarioRequest$' -fuzztime 10s
+go test ./internal/bottleneck -run '^$' -fuzz '^FuzzFixedWidthDP$' -fuzztime 10s
 
 # Cross-mechanism tournament smoke: every registered mechanism evaluated
 # on a fixed ring through the same path the /v1/tournament endpoint uses.

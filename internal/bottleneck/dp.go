@@ -23,23 +23,38 @@ import (
 // minimum (minimizers of a submodular function are closed under union).
 // dpOracle memoizes the prepared per-component plans for the most recent λ:
 // Dinkelbach calls value(λ) and then maximal(λ) at the same λ, and preparing
-// a plan costs an O(n) sweep of big.Int multiplies. The memo makes a single
-// oracle unsafe for concurrent use; every construction site builds one
-// oracle per decomposition stage, used by one goroutine.
+// a plan costs an O(n) sweep of multiplies. The memo makes a single oracle
+// unsafe for concurrent use; every construction site builds one oracle per
+// decomposition stage, used by one goroutine.
 type dpOracle struct {
 	comps []dpComponent
 
 	memoOK     bool
 	memoLambda numeric.Rat
 	memoPlans  []dpPlan
+	tally      arithTally // plans built, by arithmetic
 }
 
-// dpPlan is a prepared λ-instance for one component: the machine-integer
-// fast path when magnitudes fit, the gcd-free big.Int plan otherwise.
+// dpPlan is a prepared λ-instance for one component: the fixed-width plan
+// when the admission bound holds, the big.Int plan otherwise.
 type dpPlan struct {
-	isInt bool
-	ip    intPlan
+	fixed bool
+	fp    fixedPlan
 	bp    bigPlan
+}
+
+// arithTally counts which arithmetic a stretch of DP work ran on. Callers
+// fold it into SplitSolverStats under a lock they take anyway.
+type arithTally struct {
+	fixedPlans, bigPlans, ratCombines int
+}
+
+func (t *arithTally) plan(fixed bool) {
+	if fixed {
+		t.fixedPlans++
+	} else {
+		t.bigPlans++
+	}
 }
 
 func (o *dpOracle) plansFor(lambda numeric.Rat) []dpPlan {
@@ -48,11 +63,12 @@ func (o *dpOracle) plansFor(lambda numeric.Rat) []dpPlan {
 	}
 	plans := make([]dpPlan, len(o.comps))
 	for i, c := range o.comps {
-		if ip, ok := c.intPlanFor(lambda); ok {
-			plans[i] = dpPlan{isInt: true, ip: ip}
+		if fp, ok := c.fixedPlanFor(lambda); ok {
+			plans[i] = dpPlan{fixed: true, fp: fp}
 		} else {
 			plans[i] = dpPlan{bp: c.bigPlanFor(lambda)}
 		}
+		o.tally.plan(plans[i].fixed)
 	}
 	o.memoOK, o.memoLambda, o.memoPlans = true, lambda, plans
 	return plans
@@ -106,11 +122,11 @@ func (o *dpOracle) value(lambda numeric.Rat) (numeric.Rat, numeric.Rat) {
 	total, wS := numeric.Zero, numeric.Zero
 	for i, c := range o.comps {
 		var cw costW
-		switch pl := plans[i]; {
-		case pl.isInt && c.cycle:
-			cw = c.cycleValueInt(pl.ip)
-		case pl.isInt:
-			cw = c.pathValueInt(pl.ip)
+		switch pl := &plans[i]; {
+		case pl.fixed && c.cycle:
+			cw = c.cycleValueFixed(&pl.fp)
+		case pl.fixed:
+			cw = c.pathValueFixed(&pl.fp)
 		case c.cycle:
 			cw = c.cycleValueBig(pl.bp)
 		default:
@@ -127,11 +143,11 @@ func (o *dpOracle) maximal(lambda numeric.Rat) []int {
 	var maximal []int
 	for ci, c := range o.comps {
 		var members []bool
-		switch pl := plans[ci]; {
-		case pl.isInt && c.cycle:
-			_, members = c.cycleMembershipInt(pl.ip)
-		case pl.isInt:
-			_, members = c.pathMembershipInt(pl.ip)
+		switch pl := &plans[ci]; {
+		case pl.fixed && c.cycle:
+			_, members = c.cycleMembershipFixed(&pl.fp)
+		case pl.fixed:
+			_, members = c.pathMembershipFixed(&pl.fp)
 		case c.cycle:
 			_, members = c.cycleMembershipBig(pl.bp)
 		default:
@@ -172,17 +188,17 @@ func (a costW) add(cost, w numeric.Rat) costW {
 	return costW{cost: a.cost.Add(cost), wS: a.wS.Add(w), ok: true}
 }
 
-// valuePass runs the forward-only (cost, weight) DP over the component,
-// preferring the machine-integer fast path (dpint.go) whenever the
-// magnitudes fit and the gcd-free big.Int plan (dpbig.go) otherwise. The
-// fully normalized rational passes below remain as the reference
-// implementation the fast paths are tested against.
+// valuePass runs the forward-only (cost, weight) DP over the component on
+// the fixed-width plan (dpfixed.go) whenever the admission bound holds and
+// on the big.Int plan (dpbig.go) otherwise. The fully normalized rational
+// passes below remain as the reference implementation both are tested
+// against.
 func (c dpComponent) valuePass(lambda numeric.Rat) costW {
-	if pl, ok := c.intPlanFor(lambda); ok {
+	if pl, ok := c.fixedPlanFor(lambda); ok {
 		if c.cycle {
-			return c.cycleValueInt(pl)
+			return c.cycleValueFixed(&pl)
 		}
-		return c.pathValueInt(pl)
+		return c.pathValueFixed(&pl)
 	}
 	pl := c.bigPlanFor(lambda)
 	if c.cycle {

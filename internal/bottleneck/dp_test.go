@@ -70,7 +70,7 @@ func TestCycleMembershipMatchesProbes(t *testing.T) {
 }
 
 func TestIntValuePassMatchesRationalPass(t *testing.T) {
-	// The int64 fast path and the exact rational pass must agree bit-for-bit
+	// The fixed-width plan and the exact rational pass must agree bit-for-bit
 	// on both value and minimizer weight, for paths and cycles.
 	rng := rand.New(rand.NewSource(84))
 	for trial := 0; trial < 200; trial++ {
@@ -83,16 +83,16 @@ func TestIntValuePassMatchesRationalPass(t *testing.T) {
 		}
 		c := buildComponent(t, g)
 		lambda := numeric.New(int64(rng.Intn(50)+1), int64(rng.Intn(50)+1))
-		pl, ok := c.intPlanFor(lambda)
+		pl, ok := c.fixedPlanFor(lambda)
 		if !ok {
-			t.Fatalf("trial %d: integer plan should fit for small weights", trial)
+			t.Fatalf("trial %d: fixed-width plan should fit for small weights", trial)
 		}
 		var gotInt, gotRat costW
 		sel := c.selCosts(lambda)
 		if c.cycle {
-			gotInt, gotRat = c.cycleValueInt(pl), c.cycleValue(sel)
+			gotInt, gotRat = c.cycleValueFixed(&pl), c.cycleValue(sel)
 		} else {
-			gotInt, gotRat = c.pathValueInt(pl), c.pathValue(sel)
+			gotInt, gotRat = c.pathValueFixed(&pl), c.pathValue(sel)
 		}
 		if !gotInt.cost.Equal(gotRat.cost) || !gotInt.wS.Equal(gotRat.wS) {
 			t.Fatalf("trial %d: int (%v, %v) != rat (%v, %v) (λ=%v, w=%v, cycle=%v)",
@@ -113,20 +113,21 @@ func TestIntMembershipMatchesRationalMembership(t *testing.T) {
 		}
 		c := buildComponent(t, g)
 		lambda := numeric.New(int64(rng.Intn(50)+1), int64(rng.Intn(50)+1))
-		pl, ok := c.intPlanFor(lambda)
+		pl, ok := c.fixedPlanFor(lambda)
 		if !ok {
-			t.Fatalf("trial %d: integer plan should fit", trial)
+			t.Fatalf("trial %d: fixed-width plan should fit", trial)
 		}
-		var iMin, rMin numeric.Rat
+		var iMin i128
+		var rMin numeric.Rat
 		var iMem, rMem []bool
 		if c.cycle {
-			iMin, iMem = c.cycleMembershipInt(pl)
+			iMin, iMem = c.cycleMembershipFixed(&pl)
 			rMin, rMem = c.cycleMembership(lambda)
 		} else {
-			iMin, iMem = c.pathMembershipInt(pl)
+			iMin, iMem = c.pathMembershipFixed(&pl)
 			rMin, rMem = c.pathMembership(lambda)
 		}
-		if !iMin.Equal(rMin) {
+		if !pl.costRat(iMin).Equal(rMin) {
 			t.Fatalf("trial %d: min %v != %v (λ=%v, w=%v)", trial, iMin, rMin, lambda, g.Weights())
 		}
 		for i := range iMem {
@@ -140,7 +141,7 @@ func TestIntMembershipMatchesRationalMembership(t *testing.T) {
 func TestIntPlanRejectsHugeDenominators(t *testing.T) {
 	g := graph.Path([]numeric.Rat{numeric.New(1, 1<<40), numeric.New(1, (1<<40)+1), numeric.One})
 	c := buildComponent(t, g)
-	if _, ok := c.intPlanFor(numeric.New(1, 3)); ok {
+	if _, ok := c.fixedPlanFor(numeric.New(1, 3)); ok {
 		t.Fatal("expected fallback for huge common denominators")
 	}
 	// The rational path must still serve it.

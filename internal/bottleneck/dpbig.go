@@ -6,15 +6,16 @@ import (
 	"repro/internal/numeric"
 )
 
-// Arbitrary-precision fast path for the DP passes.
+// Arbitrary-precision overflow path for the DP passes.
 //
-// The int64 plan (dpint.go) dies as soon as λ or a weight carries a large
-// denominator — exactly what the optimizer's breakpoint bisection produces
-// (w1 values with 2^-48-scale dust). The stock fallback was the fully
-// normalized rational DP, whose cost is dominated by gcd normalization on
-// every cell update. This plan removes the gcds instead of the precision:
-// with λ = P/Q and weights w_i = n_i/D (common denominator D, everything
-// big.Int), every DP cost is an integer multiple of 1/(Q·D) —
+// The fixed-width plan (dpfixed.go) admits an instance only while its cells
+// provably fit 128 bits; λ or weights with very large numerators or
+// denominators — rare, but reachable through the optimizer's breakpoint
+// bisection — land here. The fully normalized rational DP would serve them
+// too, but its cost is dominated by gcd normalization on every cell update.
+// This plan removes the gcds instead of the precision: with λ = P/Q and
+// weights w_i = n_i/D (common denominator D, everything big.Int), every DP
+// cost is an integer multiple of 1/(Q·D) —
 //
 //	select i: −P·n_i    charge i: Q·n_i    minimizer weight: n_i (unit 1/D)
 //
@@ -42,7 +43,7 @@ func bigParts(r numeric.Rat) (*big.Int, *big.Int) {
 	return r.Num(), r.Denom()
 }
 
-// bigPlanFor prepares the big.Int representation; unlike intPlanFor it
+// bigPlanFor prepares the big.Int representation; unlike fixedPlanFor it
 // always succeeds. The returned plan's ints are read-only.
 func (c dpComponent) bigPlanFor(lambda numeric.Rat) bigPlan {
 	p, q := bigParts(lambda)
@@ -246,8 +247,8 @@ func (c dpComponent) cycleValueBig(pl bigPlan) costW {
 	return pl.toCostW(best)
 }
 
-// pathMembershipBig mirrors pathMembershipInt on big.Int: one forward and
-// one backward sweep plus per-position gluing.
+// pathMembershipBig mirrors pathMembership on big.Int: one forward and one
+// backward sweep plus per-position gluing.
 func (c dpComponent) pathMembershipBig(pl bigPlan) (numeric.Rat, []bool) {
 	m := len(c.order)
 	fwd := make([][2][2]bigCell, m)
@@ -333,7 +334,7 @@ func (c dpComponent) pathMembershipBig(pl bigPlan) (numeric.Rat, []bool) {
 	return pl.costRat(globalMin.cost), members
 }
 
-// cycleMembershipBig mirrors cycleMembershipInt on big.Int.
+// cycleMembershipBig mirrors cycleMembership on big.Int.
 func (c dpComponent) cycleMembershipBig(pl bigPlan) (numeric.Rat, []bool) {
 	m := len(c.order)
 	globalMin := bigCell{}

@@ -9,8 +9,8 @@ import (
 
 // randComponent draws a path or cycle component with weights spanning the
 // regimes the scaled plan must survive: small integers, bisection-dust
-// denominators (the 2^-48-scale rationals that knock the DP off the int64
-// fast path), and magnitudes beyond int64.
+// denominators (the 2^-48-scale rationals of breakpoint bisection), and
+// magnitudes beyond int64.
 func randComponent(rng *rand.Rand, cycle bool) dpComponent {
 	m := rng.Intn(6) + 2
 	if cycle {
@@ -23,7 +23,7 @@ func randComponent(rng *rand.Rand, cycle bool) dpComponent {
 			ws[i] = numeric.New(int64(rng.Intn(50)+1), int64(rng.Intn(9)+1))
 		case 1: // dust denominator
 			ws[i] = numeric.New(int64(rng.Intn(1<<20)+1), 1).Div(numeric.New(1<<31, 1)).Add(numeric.One)
-		default: // off the int64 fast path entirely
+		default: // built from operands past int64
 			ws[i] = numeric.New(1<<62, int64(rng.Intn(7)+1)).Mul(numeric.New(int64(rng.Intn(100)+1), 1<<61))
 		}
 	}
@@ -42,8 +42,9 @@ func randLambda(rng *rand.Rand) numeric.Rat {
 // TestBigPlanMatchesRatReference proves the gcd-free big.Int passes compute
 // exactly the fully-normalized rational reference on both shapes, for both
 // the value pass and the membership sweep. Zero tolerance: the big plan is
-// the live execution path (dp.go routes through it whenever the int64 plan
-// overflows), the Rat passes are the reference it must reproduce.
+// the live execution path (dp.go routes through it whenever the fixed-width
+// plan's bound rejects an instance), the Rat passes are the reference it
+// must reproduce.
 func TestBigPlanMatchesRatReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
@@ -80,17 +81,17 @@ func TestBigPlanMatchesRatReference(t *testing.T) {
 			}
 		}
 
-		// When the magnitudes fit machine integers, the int64 plan must agree
-		// with both.
-		if ip, ok := c.intPlanFor(lambda); ok {
+		// When the fixed-width plan admits the instance, it must agree with
+		// both.
+		if fp, ok := c.fixedPlanFor(lambda); ok {
 			var iv costW
 			if cycle {
-				iv = c.cycleValueInt(ip)
+				iv = c.cycleValueFixed(&fp)
 			} else {
-				iv = c.pathValueInt(ip)
+				iv = c.pathValueFixed(&fp)
 			}
 			if !iv.cost.Equal(wantVal.cost) || !iv.wS.Equal(wantVal.wS) {
-				t.Fatalf("trial %d: int plan value (%v, %v) != ref (%v, %v)",
+				t.Fatalf("trial %d: fixed-width plan value (%v, %v) != ref (%v, %v)",
 					trial, iv.cost, iv.wS, wantVal.cost, wantVal.wS)
 			}
 		}

@@ -79,6 +79,18 @@ type SplitSolverStats struct {
 	// LaterWarm / LaterCold count Dinkelbach runs of endpoint-bearing
 	// stages after the first (induced-subgraph stages).
 	LaterWarm, LaterCold int
+	// FixedPlans / BigPlans count the DP plans the solver built (interior
+	// transfers, later-stage components, full-path memberships) on the
+	// fixed-width path and on the big.Int overflow path; RatCombines counts
+	// valueFull calls served by the Rat combination instead of integers.
+	// Residual tails run on the stock engine and are not counted.
+	FixedPlans, BigPlans, RatCombines int
+}
+
+func (st *SplitSolverStats) fold(t arithTally) {
+	st.FixedPlans += t.fixedPlans
+	st.BigPlans += t.bigPlans
+	st.RatCombines += t.ratCombines
 }
 
 type warmHint struct {
@@ -86,14 +98,24 @@ type warmHint struct {
 	lambda numeric.Rat
 }
 
-// interiorTransfer is the interior prefix DP at one λ: cells[2·s0+s1][a][b]
-// is the best (cost, selected weight) over interior assignments with left
-// boundary (s_0, s_1) and right boundary (s_{n-3}, s_{n-2}) = (a, b),
-// counting selection costs of positions 1..n-2 and Γ-charges of positions
-// 1..n-3. Endpoint terms (positions 0 and n-1, and the charge of n-2,
-// which needs s_{n-1}) are combined per evaluation.
+// interiorTransfer is the interior prefix DP at one λ = p/q:
+// cells[2·s0+s1][a][b] is the best (cost, selected weight) over interior
+// assignments with left boundary (s_0, s_1) and right boundary
+// (s_{n-3}, s_{n-2}) = (a, b), counting selection costs of positions 1..n-2
+// and Γ-charges of positions 1..n-3. Endpoint terms (positions 0 and n-1,
+// and the charge of n-2, which needs s_{n-1}) are combined per evaluation.
+//
+// A transfer holds its cells in exactly one representation, fixed when it
+// is built and never changed after: fixed-width integers in units of
+// 1/(q·d) (cost) and 1/d (weight) when the interior admitted the
+// fixed-width plan, or exact rationals (rat) when it needed the big.Int
+// plan.
 type interiorTransfer struct {
-	cells [4][2][2]costW
+	cells      [4][2][2]fixedCell
+	q, d       int64
+	bound      i128 // the plan's bound: no interior value exceeds it
+	lastCharge i128 // q·n_{n-2}, the charge of the last interior position
+	rat        *[4][2][2]costW
 }
 
 // fullPathKey keys the warm-hint list of the first (full-path) stage.
@@ -230,10 +252,11 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 // Dinkelbach over the cached interior transfers.
 func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, []int, error) {
 	sp := obs.FromContext(ctx)
+	var tally arithTally
 	if warm, ok := s.nearestHint(fullPathKey, w1.Float64()); ok && warm.Sign() > 0 && warm.Less(numeric.One) {
-		alpha, B, err := s.dinkelbachFull(ctx, warm, w1, w2, true)
+		alpha, B, err := s.dinkelbachFull(ctx, warm, w1, w2, true, &tally)
 		if err == nil {
-			s.recordRun(fullPathKey, w1.Float64(), alpha, &s.stats.Stage1Warm)
+			s.recordRun(fullPathKey, w1.Float64(), alpha, &s.stats.Stage1Warm, tally)
 			sp.AddInt("stage1_warm", 1)
 			return alpha, B, nil
 		}
@@ -242,23 +265,26 @@ func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat) (numeric.R
 		}
 		s.mu.Lock()
 		s.stats.WarmRestarts++
+		s.stats.fold(tally)
 		s.mu.Unlock()
+		tally = arithTally{}
 		sp.AddInt("warm_restarts", 1)
 	}
 	// Cold start: α(V) = 1 on a path with ≥ 2 vertices and positive
 	// weights (Γ(V) = V), matching maxBottleneck's initial iterate.
-	alpha, B, err := s.dinkelbachFull(ctx, numeric.One, w1, w2, false)
+	alpha, B, err := s.dinkelbachFull(ctx, numeric.One, w1, w2, false, &tally)
 	if err != nil {
 		return numeric.Rat{}, nil, err
 	}
-	s.recordRun(fullPathKey, w1.Float64(), alpha, &s.stats.Stage1Cold)
+	s.recordRun(fullPathKey, w1.Float64(), alpha, &s.stats.Stage1Cold, tally)
 	sp.AddInt("stage1_cold", 1)
 	return alpha, B, nil
 }
 
 // dinkelbachFull is the Dinkelbach loop over the full path, with values
-// from cached interior transfers and membership extracted only at λ*.
-func (s *SplitSolver) dinkelbachFull(ctx context.Context, lambda, w1, w2 numeric.Rat, warm bool) (numeric.Rat, []int, error) {
+// from cached interior transfers and membership extracted only at λ*. The
+// arithmetic its combinations and membership plan ran on goes to tally.
+func (s *SplitSolver) dinkelbachFull(ctx context.Context, lambda, w1, w2 numeric.Rat, warm bool, tally *arithTally) (numeric.Rat, []int, error) {
 	sp := obs.FromContext(ctx)
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -271,12 +297,15 @@ func (s *SplitSolver) dinkelbachFull(ctx context.Context, lambda, w1, w2 numeric
 			return numeric.Rat{}, nil, fmt.Errorf("bottleneck: incremental Dinkelbach did not converge after %d iterations", iter)
 		}
 		sp.AddInt("iters", 1)
-		val, wS := s.valueFull(s.transferFor(ctx, lambda), lambda, w1, w2)
+		val, wS, viaRat := s.valueFull(s.transferFor(ctx, lambda), lambda, w1, w2)
+		if viaRat {
+			tally.ratCombines++
+		}
 		if val.Sign() > 0 {
 			return numeric.Rat{}, nil, fmt.Errorf("bottleneck: incremental subproblem returned positive minimum %v", val)
 		}
 		if val.Sign() == 0 {
-			B := s.fullMembers(lambda, w1, w2)
+			B := s.fullMembers(lambda, w1, w2, tally)
 			if len(B) == 0 {
 				// All weights are positive here, so an empty maximal
 				// minimizer means λ < λ*: only reachable from a warm start.
@@ -370,7 +399,7 @@ func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 num
 	} else {
 		obs.FromContext(ctx).AddInt("later_cold", 1)
 	}
-	s.recordRun(key, locator, alpha, counter)
+	s.recordRun(key, locator, alpha, counter, oracle.tally)
 	// C = Γ(B) within the residual: a residual position whose path neighbor
 	// is in B (components are index runs, so adjacency is v±1 ∈ residual).
 	inRes := make([]bool, s.n)
@@ -448,7 +477,7 @@ func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat) *inte
 		obs.FromContext(ctx).AddInt("transfer_hits", 1)
 		return t
 	}
-	t = s.buildTransfer(lambda)
+	t, fixed := s.buildTransfer(lambda)
 	s.mu.Lock()
 	if prev, ok := s.transfers[key]; ok {
 		t = prev // another goroutine built the identical transfer first
@@ -456,25 +485,52 @@ func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat) *inte
 		s.transfers[key] = t
 	}
 	s.stats.TransferMisses++
+	if fixed {
+		s.stats.FixedPlans++
+	} else {
+		s.stats.BigPlans++
+	}
 	s.mu.Unlock()
 	obs.FromContext(ctx).AddInt("transfer_misses", 1)
 	return t
 }
 
 // buildTransfer runs the interior prefix DP once per left-boundary
-// assignment, on the machine-integer fast path when the magnitudes allow it
-// and the gcd-free big.Int plan otherwise.
-func (s *SplitSolver) buildTransfer(lambda numeric.Rat) *interiorTransfer {
-	if pl, ok := s.interiorComp.intPlanFor(lambda); ok {
-		return s.buildTransferInt(pl)
+// assignment, on the fixed-width plan when its admission bound holds (fixed
+// reports it) and on the big.Int plan otherwise.
+func (s *SplitSolver) buildTransfer(lambda numeric.Rat) (t *interiorTransfer, fixed bool) {
+	if pl, ok := s.interiorComp.fixedPlanFor(lambda); ok {
+		return s.buildTransferFixed(&pl), true
 	}
-	return s.buildTransferBig(s.interiorComp.bigPlanFor(lambda))
+	return s.buildTransferBig(s.interiorComp.bigPlanFor(lambda)), false
 }
 
-// buildTransferBig is buildTransfer on the big.Int plan.
+// buildTransferFixed is buildTransfer on the fixed-width plan; the cells stay
+// in the plan's integer units.
+func (s *SplitSolver) buildTransferFixed(pl *fixedPlan) *interiorTransfer {
+	k := len(s.interior)
+	t := &interiorTransfer{q: pl.q, d: pl.d, bound: pl.bound, lastCharge: pl.charge[k-1]}
+	for st := 0; st < 4; st++ {
+		s0, s1 := st>>1, st&1
+		var dp [2][2]fixedCell
+		init := fixedCell{ok: true}
+		if s1 == 1 {
+			init = fixedCell{cost: pl.sel[0], wS: pl.wInt[0], ok: true}
+		}
+		dp[s0][s1] = init
+		for j := 0; j+1 < k; j++ {
+			pl.advance(&dp, j)
+		}
+		t.cells[st] = dp
+	}
+	return t
+}
+
+// buildTransferBig is buildTransfer on the big.Int plan; the cells are
+// stored as exact rationals.
 func (s *SplitSolver) buildTransferBig(pl bigPlan) *interiorTransfer {
 	k := len(s.interior)
-	t := &interiorTransfer{}
+	cells := new([4][2][2]costW)
 	for st := 0; st < 4; st++ {
 		s0, s1 := st>>1, st&1
 		var dp [2][2]bigCell
@@ -503,66 +559,142 @@ func (s *SplitSolver) buildTransferBig(pl bigPlan) *interiorTransfer {
 		for a := 0; a < 2; a++ {
 			for b := 0; b < 2; b++ {
 				if dp[a][b].ok {
-					t.cells[st][a][b] = pl.toCostW(dp[a][b])
+					cells[st][a][b] = pl.toCostW(dp[a][b])
 				}
 			}
 		}
 	}
-	return t
+	return &interiorTransfer{rat: cells}
 }
 
-// buildTransferInt is buildTransfer on machine integers.
-func (s *SplitSolver) buildTransferInt(pl intPlan) *interiorTransfer {
-	k := len(s.interior)
-	t := &interiorTransfer{}
-	for st := 0; st < 4; st++ {
-		s0, s1 := st>>1, st&1
-		var dp [2][2]intCell
-		init := intCell{ok: true}
-		if s1 == 1 {
-			init = intCell{cost: pl.sel[0], wS: pl.wInt[0], ok: true}
-		}
-		dp[s0][s1] = init
-		for j := 0; j+1 < k; j++ {
-			var ndp [2][2]intCell
-			for a := 0; a < 2; a++ {
-				for b := 0; b < 2; b++ {
-					if !dp[a][b].ok {
-						continue
-					}
-					for cb := 0; cb < 2; cb++ {
-						cand := dp[a][b]
-						if a == 1 || cb == 1 {
-							cand.cost += pl.charge[j]
-						}
-						if cb == 1 {
-							cand.cost += pl.sel[j+1]
-							cand.wS += pl.wInt[j+1]
-						}
-						if cand.better(ndp[b][cb]) {
-							ndp[b][cb] = cand
-						}
-					}
-				}
-			}
-			dp = ndp
-		}
+// ratCells returns the transfer's cells as exact rationals: the stored
+// ones for a big.Int transfer, a fresh conversion for a fixed-width one.
+func (t *interiorTransfer) ratCells() *[4][2][2]costW {
+	if t.rat != nil {
+		return t.rat
+	}
+	pl := fixedPlan{q: t.q, d: t.d}
+	cells := new([4][2][2]costW)
+	for st := range t.cells {
 		for a := 0; a < 2; a++ {
 			for b := 0; b < 2; b++ {
-				if dp[a][b].ok {
-					t.cells[st][a][b] = pl.toCostW(dp[a][b])
+				if t.cells[st][a][b].ok {
+					cells[st][a][b] = pl.toCostW(t.cells[st][a][b])
 				}
 			}
 		}
 	}
-	return t
+	return cells
 }
 
 // valueFull combines the cached interior transfer with the endpoint terms
 // of one (w1, w2) pair: selection costs and Γ-charges of positions 0 and
 // n-1, plus the charge of position n-2 (which needs s_{n-1}). O(1) in the
-// path length.
-func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat) (numeric.Rat, numeric.Rat) {
+// path length. A fixed-width transfer is combined in integers
+// (combineFixed); the Rat combination (valueFullRat) serves big.Int
+// transfers and sums past the fixed-width bound, and viaRat reports it.
+func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat) (val, wS numeric.Rat, viaRat bool) {
+	if t.rat == nil {
+		if val, wS, ok := t.combineFixed(lambda, w1, w2); ok {
+			return val, wS, false
+		}
+	}
+	val, wS = s.valueFullRat(t.ratCells(), lambda, w1, w2)
+	return val, wS, true
+}
+
+// combineFixed is valueFull in integers over the common denominator q·L,
+// L = lcm(d, den w1, den w2): costs in units of 1/(q·L), weights in units
+// of 1/L. Every candidate is the sum of three parts — the interior (a cell
+// plus the charge of n-2, at most bound in units of 1/(q·d)), the w1 terms
+// and the w2 terms (each at most (|p|+q)·|n_j| in units of 1/(q·den w_j)) —
+// and each part is checked below 2^125 after rescaling, so every sum stays
+// below 2^127 and the adds need no checks. ok=false sends the call to the
+// Rat combination: an operand off int64, L past int64, or a part past the
+// bound.
+//
+// The minimum is taken over s_{n-1} first, per right boundary (a, b), and
+// over the 16 cells second: adding a constant preserves the (cost, −wS)
+// order, and the minimum pair is unique, so the result is the one the Rat
+// combination returns.
+func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat, numeric.Rat, bool) {
+	const partBits = 125
+	p, q, ok := lambda.Int64Parts()
+	n1, d1, ok1 := w1.Int64Parts()
+	n2, d2, ok2 := w2.Int64Parts()
+	if !ok || !ok1 || !ok2 {
+		return numeric.Rat{}, numeric.Rat{}, false
+	}
+	l, ok := lcmInt64(t.d, d1)
+	if ok {
+		l, ok = lcmInt64(l, d2)
+	}
+	if !ok {
+		return numeric.Rat{}, numeric.Rat{}, false
+	}
+	f, f1, f2 := uint64(l/t.d), uint64(l/d1), uint64(l/d2)
+	k := absU64(p) + uint64(q)
+	_, okI := t.bound.mulBelow(f, partBits)
+	_, ok1 = i128Of(n1).abs().mul(k).mulBelow(f1, partBits)
+	_, ok2 = i128Of(n2).abs().mul(k).mulBelow(f2, partBits)
+	if !okI || !ok1 || !ok2 {
+		return numeric.Rat{}, numeric.Rat{}, false
+	}
+	u1, u2 := i128Of(n1).mul(f1), i128Of(n2).mul(f2) // w1, w2 in units of 1/L
+	sel1, charge1 := u1.mulInt(p).neg(), u1.mul(uint64(q))
+	sel2, charge2 := u2.mulInt(p).neg(), u2.mul(uint64(q))
+	chargeLast := t.lastCharge.mul(f)
+
+	// right[a][b]: the best s_{n-1} for right boundary (a, b), with the
+	// charge of n-1 (w2·[s_{n-2}]) included.
+	var right [2][2]fixedCell
+	for a := 0; a < 2; a++ {
+		for b := 0; b < 2; b++ {
+			off := fixedCell{ok: true}
+			if a == 1 {
+				off.cost = chargeLast
+			}
+			if on := (fixedCell{cost: chargeLast.add(sel2), wS: u2, ok: true}); on.better(off) {
+				off = on
+			}
+			if b == 1 {
+				off.cost = off.cost.add(charge2)
+			}
+			right[a][b] = off
+		}
+	}
+	best := fixedCell{}
+	for st := 0; st < 4; st++ {
+		var left fixedCell
+		if st>>1 == 1 {
+			left.cost, left.wS = sel1, u1
+		}
+		if st&1 == 1 {
+			left.cost = left.cost.add(charge1) // charge of position 0: w1·[s_1]
+		}
+		for a := 0; a < 2; a++ {
+			for b := 0; b < 2; b++ {
+				cell := t.cells[st][a][b]
+				if !cell.ok {
+					continue
+				}
+				cand := fixedCell{
+					cost: cell.cost.mul(f).add(left.cost).add(right[a][b].cost),
+					wS:   cell.wS.mul(f).add(left.wS).add(right[a][b].wS),
+					ok:   true,
+				}
+				if cand.better(best) {
+					best = cand
+				}
+			}
+		}
+	}
+	return ratOf(best.cost, i128Of(q).mul(uint64(l))), ratOf(best.wS, i128Of(l)), true
+}
+
+// valueFullRat is valueFull on exact rationals: the reference the integer
+// combination reproduces, and its fallback.
+func (s *SplitSolver) valueFullRat(cells *[4][2][2]costW, lambda, w1, w2 numeric.Rat) (numeric.Rat, numeric.Rat) {
 	selW1 := lambda.Mul(w1).Neg()
 	selW2 := lambda.Mul(w2).Neg()
 	wLast := s.interior[len(s.interior)-1]
@@ -571,7 +703,7 @@ func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat)
 		s0, s1 := st>>1, st&1
 		for a := 0; a < 2; a++ {
 			for b := 0; b < 2; b++ {
-				cell := t.cells[st][a][b]
+				cell := cells[st][a][b]
 				if !cell.ok {
 					continue
 				}
@@ -608,18 +740,20 @@ func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat)
 // fullMembers extracts the maximal minimizer of the full path at λ with the
 // stock membership DP (one O(n) forward/backward sweep), so the extracted
 // set is byte-identical to the one dpOracle.maximal would report.
-func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat) []int {
+func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat, tally *arithTally) []int {
 	ws := make([]numeric.Rat, s.n)
 	ws[0] = w1
 	copy(ws[1:], s.interior)
 	ws[s.n-1] = w2
 	c := dpComponent{order: iota0(s.n), ws: ws}
 	var members []bool
-	if pl, ok := c.intPlanFor(lambda); ok {
-		_, members = c.pathMembershipInt(pl)
+	pl, fixed := c.fixedPlanFor(lambda)
+	if fixed {
+		_, members = c.pathMembershipFixed(&pl)
 	} else {
 		_, members = c.pathMembershipBig(c.bigPlanFor(lambda))
 	}
+	tally.plan(fixed)
 	var out []int
 	for i, m := range members {
 		if m {
@@ -657,12 +791,13 @@ func (s *SplitSolver) nearestHint(key string, locator float64) (numeric.Rat, boo
 	return warm, found
 }
 
-// recordRun stores the λ* attained at locator for future warm starts and
-// bumps the given stats counter.
-func (s *SplitSolver) recordRun(key string, locator float64, lambda numeric.Rat, counter *int) {
+// recordRun stores the λ* attained at locator for future warm starts, bumps
+// the given stats counter and folds in the run's arithmetic tally.
+func (s *SplitSolver) recordRun(key string, locator float64, lambda numeric.Rat, counter *int, tally arithTally) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	*counter++
+	s.stats.fold(tally)
 	hs := s.hints[key]
 	i := sort.Search(len(hs), func(i int) bool { return hs[i].w1 >= locator })
 	if i < len(hs) && hs[i].w1 == locator {

@@ -296,3 +296,35 @@ func TestSplitSolverMinimalInterior(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitSolverCountsArithmeticPaths drives one solver down every
+// arithmetic path — fixed-width plans with integer endpoint sums for a
+// plain split, big.Int plans and the Rat combination for a split whose w1
+// carries a denominator near 2^62 — and referees each answer against the
+// max-flow engine, which shares no DP code.
+func TestSplitSolverCountsArithmeticPaths(t *testing.T) {
+	interior := numeric.Ints(5, 2, 7, 1, 8)
+	s := NewSplitSolver(interior)
+	wv := numeric.FromInt(4)
+	var last SplitSolverStats
+	for _, w1 := range []numeric.Rat{numeric.New(3, 2), numeric.New(1<<62-56, 1<<62-57)} {
+		w2 := wv.Sub(w1)
+		p := splitPath(interior, w1, w2)
+		got, err := s.Eval(p, w1, w2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecomposeWith(p, EngineFlow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDecEqual(t, p, got, want, fmt.Sprintf("w1=%v", w1))
+		st := s.Stats()
+		t.Logf("w1=%v: %d fixed-width plans, %d big.Int plans, %d Rat combinations",
+			w1, st.FixedPlans-last.FixedPlans, st.BigPlans-last.BigPlans, st.RatCombines-last.RatCombines)
+		last = st
+	}
+	if last.FixedPlans == 0 || last.BigPlans == 0 || last.RatCombines == 0 {
+		t.Fatalf("an arithmetic path went unexercised: %+v", last)
+	}
+}

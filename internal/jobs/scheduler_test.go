@@ -58,7 +58,13 @@ func TestSchedulerRunsJob(t *testing.T) {
 	if done.NextIndex != 1 || len(done.Points) != 1 {
 		t.Fatalf("checkpoint not persisted: %+v", done)
 	}
+	// The scheduler counts the terminal transition after the store update
+	// that waitState observes, so poll until the stats catch up.
 	stats := s.Stats()
+	for deadline := time.Now().Add(10 * time.Second); stats.Transitions[StateDone] == 0 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		stats = s.Stats()
+	}
 	if stats.Transitions[StateDone] != 1 || stats.AgeCount != 1 {
 		t.Fatalf("stats: %+v", stats)
 	}

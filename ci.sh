@@ -91,9 +91,14 @@ go run ./cmd/irshare scenario -kind topology -families ring,tree,er -count 1 -n 
 	| grep -q 'topology scan: 3 instances' || { echo "scenario smoke: topology scan failed"; exit 1; }
 
 # Refresh the scenario engine throughput numbers (points/s is the custom
-# metric reported by the grid-scan benchmarks).
-go run ./cmd/benchjson -bench 'KSybil' -pkg ./internal/scenario -out BENCH_scenarios.json \
-	-note "scenario engine throughput: BenchmarkKSybilK3 — k=3 identity Sybil grid scan on an 8-ring (grid 16, 153 admissible points per scan), exact rational BD per point; points/s is grid points evaluated per second"
+# metric reported by the scan benchmarks).
+go run ./cmd/benchjson -bench 'KSybil|Topology' -pkg ./internal/scenario -out BENCH_scenarios.json \
+	-note "scenario engine throughput: BenchmarkKSybilK3 — k=3 identity Sybil grid scan on an 8-ring (grid 16, 153 admissible points per scan), exact rational BD per point, points/s = grid points per second; BenchmarkTopologyScan — one jobs-scan-shaped topology scan (tree, barbell, smallworld, er; n=10; grid 12; 2 instances each), 111 BD allocations on a general graph per instance, points/s = instances per second"
+
+# Refresh the HTTP service numbers: cold (cache disabled) and warm solves
+# per endpoint, and sustained /v1/ratio load through the retrying client.
+go run ./cmd/benchjson -bench 'BenchmarkServer' -pkg ./internal/server -out BENCH_server.json \
+	-note "irshared HTTP service: cold = cache disabled (full solve per request), warm = LRU-resident instance; SustainedRatioRPS = concurrent /v1/ratio through the retrying client (rps metric)"
 
 # Refresh the recorded disabled-vs-enabled tracing overhead numbers.
 go run ./cmd/benchjson -bench 'Obs' -pkg ./internal/obs -out BENCH_obs.json \
@@ -122,14 +127,17 @@ go run ./cmd/benchjson -bench 'WAL|Recover' -pkg ./internal/jobs -out BENCH_jobs
 # the certificate enumerator; FuzzCertRoundTrip probes the solver-free
 # certificate checker's parsing hardening and canonical round-trip;
 # FuzzFixedWidthDP referees the fixed-width path DP and its big.Int
-# overflow path against the exact rational passes at adversarial
-# magnitudes on both sides of the 2^126 admission bound.
+# overflow path against the exact rational passes, and
+# FuzzFixedWidthMaxflow the fixed-width Dinic against the rational Dinic
+# (value, every arc's flow, push count, both min-cut sides), at
+# adversarial magnitudes on both sides of the 2^126 admission bound.
 go test ./internal/graph -run '^$' -fuzz '^FuzzParseGraph$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzRatDecode$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzMechanismField$' -fuzztime 10s
 go test ./internal/cert -run '^$' -fuzz '^FuzzCertRoundTrip$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzScenarioRequest$' -fuzztime 10s
 go test ./internal/bottleneck -run '^$' -fuzz '^FuzzFixedWidthDP$' -fuzztime 10s
+go test ./internal/maxflow -run '^$' -fuzz '^FuzzFixedWidthMaxflow$' -fuzztime 10s
 
 # Cross-mechanism tournament smoke: every registered mechanism evaluated
 # on a fixed ring through the same path the /v1/tournament endpoint uses.

@@ -303,9 +303,9 @@ func oracleFor(ctx context.Context, sub *graph.Graph, engine Engine) (minimizeOr
 		if o, err := newDPOracle(sub); err == nil {
 			return o, nil
 		}
-		return flowOracle{g: sub, ctx: ctx}, nil
+		return &flowOracle{g: sub, ctx: ctx}, nil
 	case EngineFlow:
-		return flowOracle{g: sub, ctx: ctx}, nil
+		return &flowOracle{g: sub, ctx: ctx}, nil
 	case EnginePathDP:
 		return newDPOracle(sub)
 	case EngineBrute:

@@ -117,7 +117,7 @@ func TestIntMembershipMatchesRationalMembership(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: fixed-width plan should fit", trial)
 		}
-		var iMin i128
+		var iMin numeric.Int128
 		var rMin numeric.Rat
 		var iMem, rMem []bool
 		if c.cycle {

@@ -1,12 +1,6 @@
 package bottleneck
 
-import (
-	"math"
-	"math/big"
-	"math/bits"
-
-	"repro/internal/numeric"
-)
+import "repro/internal/numeric"
 
 // Fixed-width exact path for the DP passes.
 //
@@ -19,144 +13,26 @@ import (
 // Every DP value — prefix, suffix and glue sum alike — adds at most one
 // selection term and one charge term per vertex, so its magnitude is at most
 // (|p|+q)·Σ|n_i|, and a weight sum at most Σ|n_i|. fixedPlanFor admits an
-// instance only when that bound is below 2^fixedBits = 2^126: every cell then
-// fits a 128-bit two's-complement integer with a bit to spare, cell adds need
-// no overflow checks, and a pass allocates nothing beyond its plan and its
+// instance only when that bound is below 2^numeric.FixedBits = 2^126: every
+// cell then fits a numeric.Int128 with a bit to spare, cell adds need no
+// overflow checks, and a pass allocates nothing beyond its plan and its
 // sweep arrays. Only the final value is converted back to a canonical Rat.
 // Instances past the bound run on the big.Int plan (dpbig.go); the Rat passes
 // in dp.go are the reference both must reproduce bit for bit.
 
-// fixedBits is the admission bound: (|p|+q)·Σ|n_i| < 2^fixedBits.
-const fixedBits = 126
-
-// i128 is a 128-bit two's-complement integer. add, neg and mul wrap modulo
-// 2^128, which is the exact result whenever that result fits — and the
-// admission bound guarantees it does for every value a pass forms.
-type i128 struct{ hi, lo uint64 }
-
-func i128Of(x int64) i128 { return i128{hi: uint64(x >> 63), lo: uint64(x)} }
-
-func (a i128) add(b i128) i128 {
-	lo, carry := bits.Add64(a.lo, b.lo, 0)
-	hi, _ := bits.Add64(a.hi, b.hi, carry)
-	return i128{hi: hi, lo: lo}
-}
-
-func (a i128) neg() i128 {
-	lo, borrow := bits.Sub64(0, a.lo, 0)
-	hi, _ := bits.Sub64(0, a.hi, borrow)
-	return i128{hi: hi, lo: lo}
-}
-
-func (a i128) isNeg() bool { return int64(a.hi) < 0 }
-
-func (a i128) less(b i128) bool {
-	if a.hi != b.hi {
-		return int64(a.hi) < int64(b.hi)
-	}
-	return a.lo < b.lo
-}
-
-// mul returns a·b modulo 2^128.
-func (a i128) mul(b uint64) i128 {
-	hi, lo := bits.Mul64(a.lo, b)
-	return i128{hi: hi + a.hi*b, lo: lo}
-}
-
-// mulInt returns a·b modulo 2^128 for a signed factor.
-func (a i128) mulInt(b int64) i128 {
-	if b < 0 {
-		return a.mul(absU64(b)).neg()
-	}
-	return a.mul(uint64(b))
-}
-
-// abs returns |a|; a must not be −2^127.
-func (a i128) abs() i128 {
-	if a.isNeg() {
-		return a.neg()
-	}
-	return a
-}
-
-// mulBelow returns a·b for a non-negative a when the product is below
-// 2^limit (64 < limit ≤ 127), and ok=false otherwise. It is the checked
-// multiply of the admission tests.
-func (a i128) mulBelow(b uint64, limit uint) (i128, bool) {
-	h1, lo := bits.Mul64(a.lo, b)
-	h2, mid := bits.Mul64(a.hi, b)
-	hi, carry := bits.Add64(mid, h1, 0)
-	if h2 != 0 || carry != 0 || hi>>(limit-64) != 0 {
-		return i128{}, false
-	}
-	return i128{hi: hi, lo: lo}, true
-}
-
-// int64 returns a as an int64 when it fits.
-func (a i128) int64() (int64, bool) {
-	return int64(a.lo), a.hi == uint64(int64(a.lo)>>63)
-}
-
-func (a i128) bigInt() *big.Int {
-	m := a.abs()
-	z := new(big.Int).SetUint64(m.hi)
-	z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(m.lo))
-	if a.isNeg() {
-		z.Neg(z)
-	}
-	return z
-}
-
-func absU64(x int64) uint64 {
-	if x < 0 {
-		return -uint64(x)
-	}
-	return uint64(x)
-}
-
-// ratOf returns num/den (den > 0) as a canonical Rat: on the int64 fast path
-// when both fit, through one big.Rat normalization otherwise.
-func ratOf(num, den i128) numeric.Rat {
-	if num == (i128{}) {
-		return numeric.Zero
-	}
-	if n, ok := num.int64(); ok {
-		if d, ok := den.int64(); ok {
-			return numeric.New(n, d)
-		}
-	}
-	return numeric.FromBig(new(big.Rat).SetFrac(num.bigInt(), den.bigInt()))
-}
-
-// lcmInt64 returns lcm(a, b) for positive a, b, or ok=false past int64.
-func lcmInt64(a, b int64) (int64, bool) {
-	f := b / gcdInt64(a, b)
-	if a > math.MaxInt64/f {
-		return 0, false
-	}
-	return a * f, true
-}
-
-func gcdInt64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // fixedPlan is the prepared fixed-width instance for one λ = p/q.
 type fixedPlan struct {
-	sel       []i128 // −p·n_i, units 1/(q·D)
-	charge    []i128 // q·n_i
-	chargeSel []i128 // charge_i + sel_{i+1}, the combined transition delta
-	wInt      []i128 // n_i, units 1/D
+	sel       []numeric.Int128 // −p·n_i, units 1/(q·D)
+	charge    []numeric.Int128 // q·n_i
+	chargeSel []numeric.Int128 // charge_i + sel_{i+1}, the combined transition delta
+	wInt      []numeric.Int128 // n_i, units 1/D
 	q, d      int64
-	bound     i128 // (|p|+q)·Σ|n_i|: no value of any pass exceeds it
+	bound     numeric.Int128 // (|p|+q)·Σ|n_i|: no value of any pass exceeds it
 }
 
 // fixedPlanFor prepares the fixed-width representation, or ok=false when
 // λ or a weight is off int64, when D overflows int64, or when the bound
-// (|p|+q)·Σ|n_i| reaches 2^fixedBits.
+// (|p|+q)·Σ|n_i| reaches 2^numeric.FixedBits.
 func (c dpComponent) fixedPlanFor(lambda numeric.Rat) (fixedPlan, bool) {
 	p, q, ok := lambda.Int64Parts()
 	if !ok {
@@ -168,12 +44,12 @@ func (c dpComponent) fixedPlanFor(lambda numeric.Rat) (fixedPlan, bool) {
 		if !fits {
 			return fixedPlan{}, false
 		}
-		if d, fits = lcmInt64(d, wd); !fits {
+		if d, fits = numeric.LcmInt64(d, wd); !fits {
 			return fixedPlan{}, false
 		}
 	}
 	m := len(c.ws)
-	buf := make([]i128, 4*m)
+	buf := make([]numeric.Int128, 4*m)
 	pl := fixedPlan{
 		sel:       buf[:m:m],
 		charge:    buf[m : 2*m : 2*m],
@@ -182,32 +58,32 @@ func (c dpComponent) fixedPlanFor(lambda numeric.Rat) (fixedPlan, bool) {
 		q:         q,
 		d:         d,
 	}
-	var sum i128
+	var sum numeric.Int128
 	for i, w := range c.ws {
 		wn, wd, _ := w.Int64Parts()
 		// |wn|·(D/wd) < 2^126, so the wrapped product is exact.
-		n := i128Of(wn).mul(uint64(d / wd))
+		n := numeric.Int128Of(wn).Mul(uint64(d / wd))
 		pl.wInt[i] = n
-		if sum = sum.add(n.abs()); sum.isNeg() {
+		if sum = sum.Add(n.Abs()); sum.IsNeg() {
 			return fixedPlan{}, false // Σ|n_i| ≥ 2^127
 		}
 	}
-	if pl.bound, ok = sum.mulBelow(absU64(p)+uint64(q), fixedBits); !ok {
+	if pl.bound, ok = sum.MulBelow(numeric.AbsU64(p)+uint64(q), numeric.FixedBits); !ok {
 		return fixedPlan{}, false
 	}
 	for i, n := range pl.wInt {
-		pl.sel[i] = n.mulInt(p).neg()
-		pl.charge[i] = n.mul(uint64(q))
+		pl.sel[i] = n.MulInt(p).Neg()
+		pl.charge[i] = n.Mul(uint64(q))
 	}
 	for i := 0; i+1 < m; i++ {
-		pl.chargeSel[i] = pl.charge[i].add(pl.sel[i+1])
+		pl.chargeSel[i] = pl.charge[i].Add(pl.sel[i+1])
 	}
 	return pl, true
 }
 
 // fixedCell mirrors costW on 128-bit integers.
 type fixedCell struct {
-	cost, wS i128
+	cost, wS numeric.Int128
 	ok       bool
 }
 
@@ -219,9 +95,9 @@ func (a fixedCell) better(b fixedCell) bool {
 		return false
 	}
 	if a.cost != b.cost {
-		return a.cost.less(b.cost)
+		return a.cost.Less(b.cost)
 	}
-	return b.wS.less(a.wS)
+	return b.wS.Less(a.wS)
 }
 
 // advance moves the forward (cost, weight) DP one position along, in
@@ -242,10 +118,10 @@ func (pl *fixedPlan) advance(dp *[2][2]fixedCell, i int) {
 				on = x1
 			}
 			if on.ok {
-				on.cost, on.wS = on.cost.add(chargeSel), on.wS.add(w)
+				on.cost, on.wS = on.cost.Add(chargeSel), on.wS.Add(w)
 			}
 			if x1.ok {
-				x1.cost = x1.cost.add(charge)
+				x1.cost = x1.cost.Add(charge)
 			}
 			if x1.better(x0) {
 				x0 = x1
@@ -258,36 +134,38 @@ func (pl *fixedPlan) advance(dp *[2][2]fixedCell, i int) {
 			oc, ow = x1.cost, x1.wS
 		}
 		fc, fw := x0.cost, x0.wS
-		if c := x1.cost.add(charge); lexLess(c, x1.wS, fc, fw) {
+		if c := x1.cost.Add(charge); lexLess(c, x1.wS, fc, fw) {
 			fc, fw = c, x1.wS
 		}
 		dp[b][0] = fixedCell{cost: fc, wS: fw, ok: true}
-		dp[b][1] = fixedCell{cost: oc.add(chargeSel), wS: ow.add(w), ok: true}
+		dp[b][1] = fixedCell{cost: oc.Add(chargeSel), wS: ow.Add(w), ok: true}
 	}
 }
 
 // lexLess reports whether (c1, w1) precedes (c2, w2): lower cost first, then
 // higher minimizer weight.
-func lexLess(c1, w1, c2, w2 i128) bool {
+func lexLess(c1, w1, c2, w2 numeric.Int128) bool {
 	if c1 != c2 {
-		return c1.less(c2)
+		return c1.Less(c2)
 	}
-	return w2.less(w1)
+	return w2.Less(w1)
 }
 
 // qd returns q·D, the cost denominator.
-func (pl *fixedPlan) qd() i128 { return i128Of(pl.q).mul(uint64(pl.d)) }
+func (pl *fixedPlan) qd() numeric.Int128 { return numeric.Int128Of(pl.q).Mul(uint64(pl.d)) }
 
 // toCostW converts a fixed-width cell back to canonical rationals.
 func (pl *fixedPlan) toCostW(c fixedCell) costW {
 	if !c.ok {
 		panic("bottleneck: infeasible fixed-width DP")
 	}
-	return costW{cost: ratOf(c.cost, pl.qd()), wS: ratOf(c.wS, i128Of(pl.d)), ok: true}
+	return costW{cost: numeric.FromInt128(c.cost, pl.qd()), wS: numeric.FromInt128(c.wS, numeric.Int128Of(pl.d)), ok: true}
 }
 
 // costRat converts a cost in units of 1/(q·D) to a canonical Rat.
-func (pl *fixedPlan) costRat(cost i128) numeric.Rat { return ratOf(cost, pl.qd()) }
+func (pl *fixedPlan) costRat(cost numeric.Int128) numeric.Rat {
+	return numeric.FromInt128(cost, pl.qd())
+}
 
 func (c dpComponent) pathValueFixed(pl *fixedPlan) costW {
 	m := len(c.order)
@@ -305,7 +183,7 @@ func (c dpComponent) pathValueFixed(pl *fixedPlan) costW {
 			}
 			cand := dp[a][b]
 			if a == 1 {
-				cand.cost = cand.cost.add(pl.charge[m-1])
+				cand.cost = cand.cost.Add(pl.charge[m-1])
 			}
 			if cand.better(best) {
 				best = cand
@@ -326,8 +204,8 @@ func (c dpComponent) cycleValueFixed(pl *fixedPlan) costW {
 				init.cost, init.wS = pl.sel[0], pl.wInt[0]
 			}
 			if s1 == 1 {
-				init.cost = init.cost.add(pl.sel[1])
-				init.wS = init.wS.add(pl.wInt[1])
+				init.cost = init.cost.Add(pl.sel[1])
+				init.wS = init.wS.Add(pl.wInt[1])
 			}
 			dp[s0][s1] = init
 			for i := 1; i+1 < m; i++ {
@@ -340,10 +218,10 @@ func (c dpComponent) cycleValueFixed(pl *fixedPlan) costW {
 					}
 					cand := dp[a][b]
 					if a == 1 || s0 == 1 {
-						cand.cost = cand.cost.add(pl.charge[m-1])
+						cand.cost = cand.cost.Add(pl.charge[m-1])
 					}
 					if s1 == 1 || b == 1 {
-						cand.cost = cand.cost.add(pl.charge[0])
+						cand.cost = cand.cost.Add(pl.charge[0])
 					}
 					if cand.better(best) {
 						best = cand
@@ -358,7 +236,7 @@ func (c dpComponent) cycleValueFixed(pl *fixedPlan) costW {
 // fixedVal mirrors dpVal: a cost that may be infeasible. The membership
 // sweeps compare costs alone.
 type fixedVal struct {
-	v  i128
+	v  numeric.Int128
 	ok bool
 }
 
@@ -366,12 +244,12 @@ func (a fixedVal) better(b fixedVal) bool {
 	if !b.ok {
 		return a.ok
 	}
-	return a.ok && a.v.less(b.v)
+	return a.ok && a.v.Less(b.v)
 }
 
-func (a fixedVal) plus(d i128) fixedVal {
+func (a fixedVal) plus(d numeric.Int128) fixedVal {
 	if a.ok {
-		a.v = a.v.add(d)
+		a.v = a.v.Add(d)
 	}
 	return a
 }
@@ -422,9 +300,9 @@ func (pl *fixedPlan) glue(fwd, bwd *[2][2]fixedVal, i, bFixed, cFixed int) fixed
 				if (cFixed >= 0 && cb != cFixed) || !bwd[b][cb].ok {
 					continue
 				}
-				cand := fixedVal{v: fwd[a][b].v.add(bwd[b][cb].v), ok: true}
+				cand := fixedVal{v: fwd[a][b].v.Add(bwd[b][cb].v), ok: true}
 				if a == 1 || cb == 1 {
-					cand.v = cand.v.add(pl.charge[i])
+					cand.v = cand.v.Add(pl.charge[i])
 				}
 				if cand.better(best) {
 					best = cand
@@ -438,7 +316,7 @@ func (pl *fixedPlan) glue(fwd, bwd *[2][2]fixedVal, i, bFixed, cFixed int) fixed
 // pathMembershipFixed mirrors pathMembership on the fixed-width plan; the
 // minimum is returned in units of 1/(q·D) (see costRat). The suffix sweep is
 // stored and the prefix sweep rolls along the gluing positions.
-func (c dpComponent) pathMembershipFixed(pl *fixedPlan) (i128, []bool) {
+func (c dpComponent) pathMembershipFixed(pl *fixedPlan) (numeric.Int128, []bool) {
 	m := len(c.order)
 	bwd := make([][2][2]fixedVal, m)
 	for b := 0; b < 2; b++ {
@@ -465,7 +343,7 @@ func (c dpComponent) pathMembershipFixed(pl *fixedPlan) (i128, []bool) {
 // cycleMembershipFixed mirrors cycleMembership on the fixed-width plan; the
 // minimum is returned in units of 1/(q·D) (see costRat). As in the path
 // pass, the suffix sweep is stored and the prefix sweep rolls.
-func (c dpComponent) cycleMembershipFixed(pl *fixedPlan) (i128, []bool) {
+func (c dpComponent) cycleMembershipFixed(pl *fixedPlan) (numeric.Int128, []bool) {
 	m := len(c.order)
 	globalMin := fixedVal{}
 	memberMin := make([]fixedVal, m)
@@ -484,10 +362,10 @@ func (c dpComponent) cycleMembershipFixed(pl *fixedPlan) (i128, []bool) {
 						cell.v = pl.sel[m-1]
 					}
 					if b == 1 || s0 == 1 {
-						cell.v = cell.v.add(pl.charge[m-1])
+						cell.v = cell.v.Add(pl.charge[m-1])
 					}
 					if s1 == 1 || cb == 1 {
-						cell.v = cell.v.add(pl.charge[0])
+						cell.v = cell.v.Add(pl.charge[0])
 					}
 					bwd[m-2][b][cb] = cell
 				}
@@ -501,7 +379,7 @@ func (c dpComponent) cycleMembershipFixed(pl *fixedPlan) (i128, []bool) {
 				init.v = pl.sel[0]
 			}
 			if s1 == 1 {
-				init.v = init.v.add(pl.sel[1])
+				init.v = init.v.Add(pl.sel[1])
 			}
 			fwd[s0][s1] = init
 			free := pl.glue(&fwd, &bwd[1], 1, -1, -1)

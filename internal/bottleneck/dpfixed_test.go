@@ -157,12 +157,12 @@ func checkPlansAgainstRat(t *testing.T, c dpComponent, lambda numeric.Rat) {
 	switch {
 	case fixed && c.cycle:
 		gotVal = c.cycleValueFixed(&fp)
-		var v i128
+		var v numeric.Int128
 		v, gotMem = c.cycleMembershipFixed(&fp)
 		gotMin = fp.costRat(v)
 	case fixed:
 		gotVal = c.pathValueFixed(&fp)
-		var v i128
+		var v numeric.Int128
 		v, gotMem = c.pathMembershipFixed(&fp)
 		gotMin = fp.costRat(v)
 	case c.cycle:
@@ -241,10 +241,10 @@ func TestFixedPlanAdmissionBound(t *testing.T) {
 				t.Fatalf("above=%v cycle=%v: admitted=%v", above, cycle, ok)
 			}
 			if ok {
-				want := new(big.Int).Lsh(big.NewInt(1), fixedBits)
+				want := new(big.Int).Lsh(big.NewInt(1), numeric.FixedBits)
 				want.Sub(want, new(big.Int).Lsh(big.NewInt(1), 62))
-				if pl.bound.bigInt().Cmp(want) != 0 {
-					t.Fatalf("bound %v, want 2^126 − 2^62", pl.bound.bigInt())
+				if pl.bound.BigInt().Cmp(want) != 0 {
+					t.Fatalf("bound %v, want 2^126 − 2^62", pl.bound.BigInt())
 				}
 			}
 			checkPlansAgainstRat(t, c, lambda)
@@ -295,49 +295,5 @@ func TestValueFullCombinations(t *testing.T) {
 	}
 	if seen[[2]bool{true, false}] == 0 {
 		t.Fatalf("random trials never combined in integers: %v", seen)
-	}
-}
-
-// TestI128Arithmetic checks the 128-bit helpers against math/big at the
-// edges of their ranges.
-func TestI128Arithmetic(t *testing.T) {
-	vals := []int64{0, 1, -1, 2, math.MaxInt64, math.MinInt64, 1 << 62, -(1 << 62), 1<<31 + 1}
-	for _, x := range vals {
-		for _, y := range vals {
-			a := i128Of(x).mul(1 << 40).add(i128Of(y))
-			want := new(big.Int).Mul(big.NewInt(x), big.NewInt(1<<40))
-			want.Add(want, big.NewInt(y))
-			if a.bigInt().Cmp(want) != 0 {
-				t.Fatalf("%d·2^40 + %d = %v, want %v", x, y, a.bigInt(), want)
-			}
-			if got := a.neg().bigInt(); got.Cmp(new(big.Int).Neg(want)) != 0 {
-				t.Fatalf("neg(%v) = %v", want, got)
-			}
-			prod := i128Of(x).mulInt(y)
-			if got, w := prod.bigInt(), new(big.Int).Mul(big.NewInt(x), big.NewInt(y)); got.Cmp(w) != 0 {
-				t.Fatalf("%d·%d = %v, want %v", x, y, got, w)
-			}
-			if got, w := i128Of(x).less(i128Of(y)), x < y; got != w {
-				t.Fatalf("%d < %d = %v", x, y, got)
-			}
-			if n, ok := a.int64(); ok != want.IsInt64() || (ok && n != want.Int64()) {
-				t.Fatalf("int64(%v) = %d, %v", want, n, ok)
-			}
-		}
-	}
-	// mulBelow: 2^63·2^62 = 2^125 is below 2^126 but not below 2^125, and a
-	// product past 2^128 is rejected at any limit.
-	top := i128Of(1).mul(1 << 63)
-	if _, ok := top.mulBelow(1<<62, 126); !ok {
-		t.Fatal("2^125 rejected below 2^126")
-	}
-	if _, ok := top.mulBelow(1<<62, 125); ok {
-		t.Fatal("2^125 admitted below 2^125")
-	}
-	if _, ok := (i128{hi: 1 << 63}).mulBelow(2, 127); ok {
-		t.Fatal("2^128 admitted")
-	}
-	if _, ok := lcmInt64(math.MaxInt64, math.MaxInt64-1); ok {
-		t.Fatal("lcm past int64 admitted")
 	}
 }

@@ -113,8 +113,8 @@ type warmHint struct {
 type interiorTransfer struct {
 	cells      [4][2][2]fixedCell
 	q, d       int64
-	bound      i128 // the plan's bound: no interior value exceeds it
-	lastCharge i128 // q·n_{n-2}, the charge of the last interior position
+	bound      numeric.Int128 // the plan's bound: no interior value exceeds it
+	lastCharge numeric.Int128 // q·n_{n-2}, the charge of the last interior position
 	rat        *[4][2][2]costW
 }
 
@@ -625,25 +625,25 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 	if !ok || !ok1 || !ok2 {
 		return numeric.Rat{}, numeric.Rat{}, false
 	}
-	l, ok := lcmInt64(t.d, d1)
+	l, ok := numeric.LcmInt64(t.d, d1)
 	if ok {
-		l, ok = lcmInt64(l, d2)
+		l, ok = numeric.LcmInt64(l, d2)
 	}
 	if !ok {
 		return numeric.Rat{}, numeric.Rat{}, false
 	}
 	f, f1, f2 := uint64(l/t.d), uint64(l/d1), uint64(l/d2)
-	k := absU64(p) + uint64(q)
-	_, okI := t.bound.mulBelow(f, partBits)
-	_, ok1 = i128Of(n1).abs().mul(k).mulBelow(f1, partBits)
-	_, ok2 = i128Of(n2).abs().mul(k).mulBelow(f2, partBits)
+	k := numeric.AbsU64(p) + uint64(q)
+	_, okI := t.bound.MulBelow(f, partBits)
+	_, ok1 = numeric.Int128Of(n1).Abs().Mul(k).MulBelow(f1, partBits)
+	_, ok2 = numeric.Int128Of(n2).Abs().Mul(k).MulBelow(f2, partBits)
 	if !okI || !ok1 || !ok2 {
 		return numeric.Rat{}, numeric.Rat{}, false
 	}
-	u1, u2 := i128Of(n1).mul(f1), i128Of(n2).mul(f2) // w1, w2 in units of 1/L
-	sel1, charge1 := u1.mulInt(p).neg(), u1.mul(uint64(q))
-	sel2, charge2 := u2.mulInt(p).neg(), u2.mul(uint64(q))
-	chargeLast := t.lastCharge.mul(f)
+	u1, u2 := numeric.Int128Of(n1).Mul(f1), numeric.Int128Of(n2).Mul(f2) // w1, w2 in units of 1/L
+	sel1, charge1 := u1.MulInt(p).Neg(), u1.Mul(uint64(q))
+	sel2, charge2 := u2.MulInt(p).Neg(), u2.Mul(uint64(q))
+	chargeLast := t.lastCharge.Mul(f)
 
 	// right[a][b]: the best s_{n-1} for right boundary (a, b), with the
 	// charge of n-1 (w2·[s_{n-2}]) included.
@@ -654,11 +654,11 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 			if a == 1 {
 				off.cost = chargeLast
 			}
-			if on := (fixedCell{cost: chargeLast.add(sel2), wS: u2, ok: true}); on.better(off) {
+			if on := (fixedCell{cost: chargeLast.Add(sel2), wS: u2, ok: true}); on.better(off) {
 				off = on
 			}
 			if b == 1 {
-				off.cost = off.cost.add(charge2)
+				off.cost = off.cost.Add(charge2)
 			}
 			right[a][b] = off
 		}
@@ -670,7 +670,7 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 			left.cost, left.wS = sel1, u1
 		}
 		if st&1 == 1 {
-			left.cost = left.cost.add(charge1) // charge of position 0: w1·[s_1]
+			left.cost = left.cost.Add(charge1) // charge of position 0: w1·[s_1]
 		}
 		for a := 0; a < 2; a++ {
 			for b := 0; b < 2; b++ {
@@ -679,8 +679,8 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 					continue
 				}
 				cand := fixedCell{
-					cost: cell.cost.mul(f).add(left.cost).add(right[a][b].cost),
-					wS:   cell.wS.mul(f).add(left.wS).add(right[a][b].wS),
+					cost: cell.cost.Mul(f).Add(left.cost).Add(right[a][b].cost),
+					wS:   cell.wS.Mul(f).Add(left.wS).Add(right[a][b].wS),
 					ok:   true,
 				}
 				if cand.better(best) {
@@ -689,7 +689,7 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 			}
 		}
 	}
-	return ratOf(best.cost, i128Of(q).mul(uint64(l))), ratOf(best.wS, i128Of(l)), true
+	return numeric.FromInt128(best.cost, numeric.Int128Of(q).Mul(uint64(l))), numeric.FromInt128(best.wS, numeric.Int128Of(l)), true
 }
 
 // valueFullRat is valueFull on exact rationals: the reference the integer

@@ -151,7 +151,7 @@ func E12SolverAblation(sizes []int, trials int) (*Table, error) {
 		t.Add(n, tDinic, tPR, tEK, tDP, fmt.Sprintf("%.1fx", speedup),
 			tCold, tIncr, fmt.Sprintf("%.1fx", optSpeedup), equal)
 	}
-	t.Note("identical decompositions from every engine; the path/cycle DP wins by a growing factor in n; the incremental optimizer pays for its caches below n ≈ 16 and wins by a growing factor past it")
+	t.Note("identical decompositions from every engine; flow+dinic runs on fixed-width cells, push-relabel and edmonds-karp on exact rationals; the incremental optimizer pays for its caches below n ≈ 16 and wins by a growing factor past it")
 	return t, nil
 }
 

@@ -24,7 +24,7 @@ func (nw *Network) MinCutSourceSide(maximal bool) []bool {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, id := range nw.adj[u] {
-				if v := nw.arcs[id].to; !side[v] && nw.residual(id).Sign() > 0 {
+				if v := nw.arcs[id].to; !side[v] && nw.hasResidual(id) {
 					side[v] = true
 					stack = append(stack, v)
 				}
@@ -45,7 +45,7 @@ func (nw *Network) MinCutSourceSide(maximal bool) []bool {
 		stack = stack[:len(stack)-1]
 		for _, id := range nw.adj[x] {
 			u := nw.arcs[id].to // arc id is x → u, so id^1 is u → x
-			if !reachT[u] && nw.residual(id^1).Sign() > 0 {
+			if !reachT[u] && nw.hasResidual(id^1) {
 				reachT[u] = true
 				stack = append(stack, u)
 			}

@@ -3,11 +3,17 @@
 //
 // The BD Allocation Mechanism (Definition 5 of the paper) and the parametric
 // search for maximal bottlenecks both reduce to max-flow instances whose
-// capacities are exact rationals and whose results feed exact comparisons,
-// so the solvers here work entirely in numeric.Rat arithmetic. Three solvers
-// are provided — Dinic's algorithm, FIFO push–relabel, and the Edmonds–Karp
-// baseline — sharing one network representation; the experiment harness
-// ablates them against each other (experiment E12).
+// capacities are exact rationals and whose results feed exact comparisons.
+// Three solvers are provided — Dinic's algorithm, FIFO push–relabel, and the
+// Edmonds–Karp baseline — sharing one network representation; the
+// experiment harness ablates them against each other (experiment E12).
+//
+// Push–relabel and Edmonds–Karp work in numeric.Rat arithmetic. Dinic runs
+// on fixed-width integer cells whenever the network admits them
+// (dinicfixed.go): the capacities are scaled by the lcm of their
+// denominators, and the integer run takes exactly the levels, augmenting
+// paths and pushes of the numeric.Rat Dinic, which stays as the overflow
+// path and the reference. Flows are read back as canonical rationals.
 //
 // Infinite capacities (used for the "selector → covered" arcs of the
 // bottleneck network and the B_i × C_i arcs of the allocation network) are
@@ -70,14 +76,17 @@ type arc struct {
 }
 
 // Network is a directed flow network with a distinguished source and sink.
-// Build it with AddEdge, then call Solve (or a solver-specific method).
+// Build it with AddEdge, then call Solve (or a solver-specific method);
+// SetCapacity changes an arc between solves.
 type Network struct {
 	n      int
 	s, t   int
 	arcs   []arc
 	adj    [][]int // arc indices leaving each node
-	solved bool
-	pushes int64 // elementary pushes performed by the last solve
+	solved bool    // the flows belong to the current capacities
+	fixed  bool    // the last solve ran on the fixed-width cells
+	pushes int64   // elementary pushes performed by the last solve
+	cells  fixedCells
 	// inj is the fault injector cached from SolveCtx's context so the push
 	// hot loop pays one nil check instead of a context lookup per push. A
 	// Network serves one solve at a time (pushes is not atomic), so a plain
@@ -119,12 +128,40 @@ func (nw *Network) AddEdge(u, v int, c Cap) int {
 	return id
 }
 
+// SetCapacity replaces the capacity of the arc with the given edge id. The
+// next Solve sees exactly the network AddEdge would have built with c; until
+// then the previous solve's flows and cuts are no longer readable.
+func (nw *Network) SetCapacity(id int, c Cap) {
+	nw.checkEdge(id)
+	nw.arcs[id].cap, nw.arcs[id].inf = c.v, c.inf
+	nw.solved = false
+}
+
 // Flow returns the flow on the arc with the given edge id after solving.
 func (nw *Network) Flow(id int) numeric.Rat {
+	nw.checkEdge(id)
+	if !nw.solved {
+		panic("maxflow: Flow before solving")
+	}
+	if nw.fixed {
+		return nw.cells.rat(nw.cells.flow(id))
+	}
+	return nw.arcs[id].flow
+}
+
+// solvedCap returns the capacity the last solve used for arc id, Inf
+// substitute included.
+func (nw *Network) solvedCap(id int) numeric.Rat {
+	if nw.fixed {
+		return nw.cells.rat(nw.cells.cap[id])
+	}
+	return nw.arcs[id].cap
+}
+
+func (nw *Network) checkEdge(id int) {
 	if id < 0 || id >= len(nw.arcs) || id%2 != 0 {
 		panic("maxflow: bad edge id")
 	}
-	return nw.arcs[id].flow
 }
 
 // finiteBound returns a value strictly larger than the sum of all finite
@@ -149,8 +186,6 @@ func (nw *Network) prepare() {
 		nw.arcs[i].flow = numeric.Zero
 		nw.arcs[i+1].flow = numeric.Zero
 	}
-	nw.pushes = 0
-	nw.solved = true
 }
 
 // residual returns the residual capacity of arc id.
@@ -158,22 +193,37 @@ func (nw *Network) residual(id int) numeric.Rat {
 	return nw.arcs[id].cap.Sub(nw.arcs[id].flow)
 }
 
-// push sends f along arc id (and -f along its reverse). The flow kernels
-// cannot return errors mid-augmentation, so the fault site escalates error
-// injections to panics (StrikePanic); the containment barriers up the stack
-// convert them back into structured errors.
-func (nw *Network) push(id int, f numeric.Rat) {
-	if nw.inj != nil {
-		nw.inj.StrikePanic(fault.SiteMaxflowPush)
+// hasResidual reports whether arc id has positive residual capacity in the
+// arithmetic the last solve ran.
+func (nw *Network) hasResidual(id int) bool {
+	if nw.fixed {
+		return nw.cells.res[id].Sign() > 0
 	}
+	return nw.residual(id).Sign() > 0
+}
+
+// push sends f along arc id (and -f along its reverse).
+func (nw *Network) push(id int, f numeric.Rat) {
+	nw.strike()
 	nw.arcs[id].flow = nw.arcs[id].flow.Add(f)
 	nw.arcs[id^1].flow = nw.arcs[id^1].flow.Sub(f)
 	nw.pushes++
 }
 
+// strike arms the maxflow.push fault site, once per push in either
+// arithmetic. The flow kernels cannot return errors mid-augmentation, so the
+// site escalates error injections to panics (StrikePanic); the containment
+// barriers up the stack convert them back into structured errors.
+func (nw *Network) strike() {
+	if nw.inj != nil {
+		nw.inj.StrikePanic(fault.SiteMaxflowPush)
+	}
+}
+
 // Pushes returns the number of elementary flow pushes performed by the most
 // recent solve — a machine-independent work measure for traces and
-// benchmark tables.
+// benchmark tables. Both Dinic arithmetics push along the same paths, so the
+// count does not depend on which one ran.
 func (nw *Network) Pushes() int64 { return nw.pushes }
 
 // Algorithm selects a max-flow solver.
@@ -203,7 +253,16 @@ func (a Algorithm) String() string {
 
 // Solve computes a maximum s-t flow with the chosen algorithm and returns
 // its value. The network may be re-solved; flows are reset each time.
+// Dinic runs on fixed-width integer cells when the network admits them and
+// on exact rationals otherwise; the other algorithms always run on
+// rationals.
 func (nw *Network) Solve(algo Algorithm) numeric.Rat {
+	nw.pushes = 0
+	nw.solved = true
+	nw.fixed = algo == Dinic && nw.cells.admit(nw)
+	if nw.fixed {
+		return nw.cells.rat(nw.dinicFixed())
+	}
 	nw.prepare()
 	switch algo {
 	case Dinic:
@@ -218,11 +277,12 @@ func (nw *Network) Solve(algo Algorithm) numeric.Rat {
 }
 
 // SolveCtx is Solve with the solve recorded as a span on the context's
-// trace: one "maxflow.solve" span per call, annotated with the algorithm
-// and the network size plus the push count as counters. It also latches the
-// context's fault injector (if any) onto the network for the duration of
-// the solve, arming the maxflow.push site. With no span and no injector on
-// the context it is exactly Solve.
+// trace: one "maxflow.solve" span per call, annotated with the algorithm and
+// the arithmetic it ran ("fixed" or "rat"), and the network size plus the
+// push count as counters. It also latches the context's fault injector (if
+// any) onto the network for the duration of the solve, arming the
+// maxflow.push site. With no span and no injector on the context it is
+// exactly Solve.
 func (nw *Network) SolveCtx(ctx context.Context, algo Algorithm) numeric.Rat {
 	nw.inj = fault.FromContext(ctx)
 	defer func() { nw.inj = nil }()
@@ -233,6 +293,11 @@ func (nw *Network) SolveCtx(ctx context.Context, algo Algorithm) numeric.Rat {
 	defer sp.End()
 	sp.SetAttr("algo", algo.String())
 	v := nw.Solve(algo)
+	arith := "rat"
+	if nw.fixed {
+		arith = "fixed"
+	}
+	sp.SetAttr("arith", arith)
 	sp.AddInt("nodes", int64(nw.n))
 	sp.AddInt("arcs", int64(len(nw.arcs)/2))
 	sp.AddInt("pushes", nw.pushes)
@@ -240,28 +305,25 @@ func (nw *Network) SolveCtx(ctx context.Context, algo Algorithm) numeric.Rat {
 }
 
 // CheckConservation verifies flow conservation and capacity constraints
-// after solving; it returns an error describing the first violation. Used
-// by tests and by the allocation mechanism's internal audits.
+// after solving, on the flows of whichever arithmetic the solve ran; it
+// returns an error describing the first violation. The package's tests use
+// it to audit every solver.
 func (nw *Network) CheckConservation() error {
 	if !nw.solved {
 		return fmt.Errorf("maxflow: network not solved")
 	}
 	excess := make([]numeric.Rat, nw.n)
-	for u := 0; u < nw.n; u++ {
-		for _, id := range nw.adj[u] {
-			if id%2 != 0 {
-				continue
-			}
-			a := nw.arcs[id]
-			if a.flow.Sign() < 0 {
-				return fmt.Errorf("maxflow: negative flow on arc %d", id)
-			}
-			if a.flow.Cmp(a.cap) > 0 {
-				return fmt.Errorf("maxflow: arc %d overfull: %v > %v", id, a.flow, a.cap)
-			}
-			excess[u] = excess[u].Sub(a.flow)
-			excess[a.to] = excess[a.to].Add(a.flow)
+	for id := 0; id < len(nw.arcs); id += 2 {
+		f, c := nw.Flow(id), nw.solvedCap(id)
+		if f.Sign() < 0 {
+			return fmt.Errorf("maxflow: negative flow on arc %d", id)
 		}
+		if f.Cmp(c) > 0 {
+			return fmt.Errorf("maxflow: arc %d overfull: %v > %v", id, f, c)
+		}
+		u, v := nw.arcs[id^1].to, nw.arcs[id].to
+		excess[u] = excess[u].Sub(f)
+		excess[v] = excess[v].Add(f)
 	}
 	for v := 0; v < nw.n; v++ {
 		if v == nw.s || v == nw.t {

@@ -493,3 +493,28 @@ func BenchmarkKSybilK3(b *testing.B) {
 	}
 	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
 }
+
+// BenchmarkTopologyScan is the topology-scan throughput benchmark exported to
+// BENCH_scenarios.json: one seeded scan shaped like a jobs-scan topology
+// job (tree, barbell, smallworld and er; n = 10; grid 12; two instances
+// each). Every instance costs 111 BD allocations on a general graph, each a
+// max-flow decomposition plus the allocation max-flow; points/s counts
+// scanned instances per second.
+func BenchmarkTopologyScan(b *testing.B) {
+	opts := TopologyOptions{Families: []string{FamilyTree, FamilyBarbell, FamilySmallWorld, FamilyER}, Count: 2, N: 10, Grid: 12, Seed: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	points := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Topology(context.Background(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		points += len(res.Outcomes)
+	}
+	b.StopTimer()
+	if points != b.N*TopologyTotal(len(opts.Families), opts.Count) {
+		b.Fatalf("scanned %d instances, want %d", points, b.N*TopologyTotal(len(opts.Families), opts.Count))
+	}
+	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+}

@@ -126,8 +126,9 @@ go run ./cmd/benchjson -bench 'WAL|Recover' -pkg ./internal/jobs -out BENCH_jobs
 # FuzzParseGraph corpus includes the near-tight frontier rings surfaced by
 # the certificate enumerator; FuzzCertRoundTrip probes the solver-free
 # certificate checker's parsing hardening and canonical round-trip;
-# FuzzFixedWidthDP referees the fixed-width path DP and its big.Int
-# overflow path against the exact rational passes, and
+# FuzzFixedWidthDP referees the fixed-width path DP, its big.Int overflow
+# path and the split solver's valueFull against the exact rational passes,
+# which are test code only (internal/bottleneck/dpref_test.go), and
 # FuzzFixedWidthMaxflow the fixed-width Dinic against the rational Dinic
 # (value, every arc's flow, push count, both min-cut sides), at
 # adversarial magnitudes on both sides of the 2^126 admission bound.

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -42,11 +43,41 @@ func chaosRules() []fault.Rule {
 	}
 }
 
+// backoffAudit lets the chaos clients skip every backoff wait — the replay
+// would otherwise sleep through the server's whole-second Retry-After hints
+// — while its retry hook checks that each chosen delay still honors the
+// hint. floors counts the delays the hint raised.
+type backoffAudit struct {
+	t      *testing.T
+	floors int
+}
+
+func (a *backoffAudit) hook(attempt int, err error, delay time.Duration) {
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.RetryAfter == 0 {
+		return
+	}
+	if delay < apiErr.RetryAfter {
+		a.t.Errorf("retry %d after %v chose %v, below the Retry-After floor %v", attempt, err, delay, apiErr.RetryAfter)
+	}
+	if delay == apiErr.RetryAfter {
+		a.floors++
+	}
+}
+
+// chaosClient is a retrying client for the chaos replay: every retry is
+// audited by a, and no backoff waits.
+func (a *backoffAudit) chaosClient(base string, seed int64) *Client {
+	c := New(base, WithSeed(seed), WithMaxAttempts(30), WithBackoff(time.Millisecond, 4*time.Millisecond), WithRetryHook(a.hook))
+	c.sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+	return c
+}
+
 // chaosJobsPhase runs the durable-jobs leg of the chaos replay: a sweep job
 // driven to completion against WAL-append faults (bit-identical to the
 // clean inline sweep), then a re-boot over the populated store that must
 // survive injected recovery faults by retrying.
-func chaosJobsPhase(t *testing.T, ctx context.Context, clean *Client, injector *fault.Injector) {
+func chaosJobsPhase(t *testing.T, ctx context.Context, clean *Client, injector *fault.Injector, audit *backoffAudit) {
 	t.Helper()
 	dataDir := t.TempDir()
 	cfg := server.Config{MaxQueueDepth: -1, Chaos: injector, DataDir: dataDir}
@@ -65,7 +96,7 @@ func chaosJobsPhase(t *testing.T, ctx context.Context, clean *Client, injector *
 		}
 	}
 	srv, ts := boot()
-	jc := New(ts.URL, WithSeed(5), WithMaxAttempts(30), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	jc := audit.chaosClient(ts.URL, 5)
 	ring := Graph{Ring: []string{"1", "3/2", "2", "5", "7/3"}}
 
 	// Drive one job to done: submissions retry through injected 503s, and a
@@ -147,7 +178,9 @@ func wireOf(g *graph.Graph) Graph {
 
 // TestChaosReplayConvergesBitIdentical replays the 100-instance differential
 // corpus against a server with seeded fault injection armed at every site,
-// through the retrying client. The assertions are the resilience contract:
+// through the retrying client. The chaos clients skip their backoff waits
+// (see backoffAudit), so the replay spends no time asleep. The assertions
+// are the resilience contract:
 //
 //   - the server process never dies (an escaped panic would kill this test
 //     binary — both servers run in-process),
@@ -168,7 +201,8 @@ func TestChaosReplayConvergesBitIdentical(t *testing.T) {
 
 	ctx := context.Background()
 	cc := New(clean.URL, WithSeed(1))
-	fc := New(chaotic.URL, WithSeed(99), WithMaxAttempts(30), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	audit := &backoffAudit{t: t}
+	fc := audit.chaosClient(chaotic.URL, 99)
 
 	// Same corpus as the server's differential suite: seed, sizes, shapes.
 	rng := rand.New(rand.NewSource(20260805))
@@ -266,7 +300,14 @@ func TestChaosReplayConvergesBitIdentical(t *testing.T) {
 	// job; resubmission restarts it from its checkpoint), and recover faults
 	// abort boots over a populated store — all of which must converge once
 	// the budget drains, with the final result still bit-identical.
-	chaosJobsPhase(t, ctx, cc, injector)
+	chaosJobsPhase(t, ctx, cc, injector, audit)
+
+	// The chaos clients never waited, but the audit saw the Retry-After
+	// floor set the delay of some retries.
+	t.Logf("%d retries floored at Retry-After", audit.floors)
+	if audit.floors == 0 {
+		t.Error("no retry hit the Retry-After floor: the audit checked nothing")
+	}
 
 	// The replay must actually have exercised every site: a silent dead rule
 	// would make the whole suite vacuous. The cluster.* sites live in the

@@ -139,6 +139,7 @@ type Client struct {
 	maxDelay       time.Duration
 	stallThreshold int
 	onRetry        func(attempt int, err error, delay time.Duration)
+	sleep          func(ctx context.Context, d time.Duration) error // waits out every backoff
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -223,6 +224,7 @@ func New(base string, opts ...Option) *Client {
 		baseDelay:   100 * time.Millisecond,
 		maxDelay:    5 * time.Second,
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
+		sleep:       sleep,
 	}
 	for _, o := range opts {
 		o(c)
@@ -352,12 +354,8 @@ func (c *Client) doMethod(ctx context.Context, method, path string, in, out any)
 		if c.onRetry != nil {
 			c.onRetry(attempt, err, delay)
 		}
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return fmt.Errorf("client: %w (last error: %v)", ctx.Err(), err)
-		case <-t.C:
+		if serr := c.sleep(ctx, delay); serr != nil {
+			return fmt.Errorf("client: %w (last error: %v)", serr, err)
 		}
 	}
 }

@@ -42,6 +42,33 @@ func TestRetryOn503ThenSuccess(t *testing.T) {
 	}
 }
 
+// TestRetryAfterWaitsInRealTime is the one test here that waits out a real
+// Retry-After: the chaos replay skips its waits, so this checks that a
+// default client's backoff does sleep through the server's hint.
+func TestRetryAfterWaitsInRealTime(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Code: server.CodeBusy, Message: "busy"})
+			return
+		}
+		writeJSON(w, http.StatusOK, UtilitiesResponse{Utilities: []string{"1"}, Total: "1", TotalWeight: "2"})
+	}))
+	defer ts.Close()
+	start := time.Now()
+	resp, err := New(ts.URL).Utilities(context.Background(), &UtilitiesRequest{Graph: Graph{Path: []string{"2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < time.Second {
+		t.Fatalf("retried after %v, before the 1s Retry-After", elapsed)
+	}
+	if resp.Total != "1" || calls.Load() != 2 {
+		t.Fatalf("total=%q calls=%d", resp.Total, calls.Load())
+	}
+}
+
 func TestRetryOnContainedPanic(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -122,7 +122,7 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*Job, error) {
 		if JobTerminal(job.State) {
 			return job, nil
 		}
-		if err := sleep(ctx, c.jitter(d)); err != nil {
+		if err := c.sleep(ctx, c.jitter(d)); err != nil {
 			return nil, err
 		}
 		if d *= 2; d > c.maxDelay || d <= 0 {

@@ -65,7 +65,7 @@ func (c *Client) SweepAll(ctx context.Context, req *SweepRequest) (*SweepRespons
 			if c.onRetry != nil {
 				c.onRetry(stalls, stallErr, delay)
 			}
-			if err := sleep(ctx, delay); err != nil {
+			if err := c.sleep(ctx, delay); err != nil {
 				return nil, err
 			}
 		} else {

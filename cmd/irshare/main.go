@@ -40,6 +40,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
+	"repro/internal/obs"
 	"repro/internal/scan"
 )
 
@@ -119,13 +120,19 @@ func run(args []string, w io.Writer) error {
 
 	switch cmd {
 	case "decompose":
-		var trace bottleneck.TraceFunc
+		ctx := context.Background()
+		var tr *obs.Trace
 		if *traceF {
-			trace = func(e bottleneck.TraceEvent) { fmt.Fprintln(w, "  trace:", e) }
+			tr = obs.NewTrace("irshare.decompose")
+			ctx = tr.Context(ctx)
 		}
-		d, err := bottleneck.DecomposeTraced(g, eng, trace)
+		d, err := bottleneck.DecomposeCtx(ctx, g, eng)
 		if err != nil {
 			return err
+		}
+		if tr != nil {
+			tr.Finish()
+			printTrace(w, tr.Snapshot())
 		}
 		if *dot {
 			fmt.Fprint(w, graph.DOT(g, func(v int) string {
@@ -329,6 +336,44 @@ func run(args []string, w io.Writer) error {
 
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
+	}
+}
+
+// printTrace prints every decomposition stage of a traced run from its
+// bottleneck.stage span: the residual size, each Dinkelbach iteration's λ
+// and subproblem minimum g(λ), and the extracted α. Iterations or spans
+// past the trace's caps are reported as counts instead of left out.
+func printTrace(w io.Writer, snap *obs.TraceSnapshot) {
+	snap.Root.Walk(func(sp *obs.SpanSnapshot) {
+		if sp.Name != "bottleneck.stage" {
+			return
+		}
+		stage := sp.Attr("stage")
+		fmt.Fprintf(w, "  trace: stage %s: solving residual graph of %d vertices\n", stage, sp.Counter("remaining"))
+		printed := int64(0)
+		for _, ev := range sp.Events {
+			if ev.Name != "dinkelbach_iter" {
+				continue
+			}
+			var lambda, value string
+			for _, a := range ev.Attrs {
+				switch a.Key {
+				case "lambda":
+					lambda = a.Value
+				case "value":
+					value = a.Value
+				}
+			}
+			fmt.Fprintf(w, "  trace: stage %s: λ = %s, g(λ) = %s\n", stage, lambda, value)
+			printed++
+		}
+		if lost := sp.Counter("iters") - printed; lost > 0 {
+			fmt.Fprintf(w, "  trace: stage %s: %d more iterations dropped (at most %d events per span)\n", stage, lost, obs.DefaultMaxEvents)
+		}
+		fmt.Fprintf(w, "  trace: stage %s: extracted α = %s\n", stage, sp.Attr("alpha"))
+	})
+	if snap.DroppedSpans > 0 {
+		fmt.Fprintf(w, "  trace: %d spans dropped (at most %d per trace)\n", snap.DroppedSpans, obs.DefaultMaxSpans)
 	}
 }
 

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func runCapture(t *testing.T, args ...string) (string, error) {
@@ -132,6 +135,46 @@ func TestDecomposeTraceFlag(t *testing.T) {
 	for _, want := range []string{"trace: stage 1: solving", "trace: stage 1: λ =", "trace: stage 1: extracted"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace output missing %q:\n%s", want, out)
+		}
+	}
+	// Stage 1's Dinkelbach iterates, in order: α(V) = 1, then 6/55, then λ*.
+	at := 0
+	for _, want := range []string{"stage 1: λ = 1, g(λ) = -98\n", "stage 1: λ = 6/55, g(λ) = -98/11\n", "stage 1: λ = 1/50, g(λ) = 0\n"} {
+		i := strings.Index(out[at:], want)
+		if i < 0 {
+			t.Fatalf("trace output missing %q after offset %d:\n%s", want, at, out)
+		}
+		at += i + len(want)
+	}
+}
+
+// TestPrintTraceReportsDroppedEvents checks that iterations past the
+// per-span event cap, and spans past the per-trace cap, are reported as
+// counts, not left out silently.
+func TestPrintTraceReportsDroppedEvents(t *testing.T) {
+	tr := obs.NewTrace("test")
+	_, sp := obs.Start(tr.Context(context.Background()), "bottleneck.stage")
+	sp.SetAttr("stage", "1")
+	sp.AddInt("remaining", 9)
+	iters := obs.DefaultMaxEvents + 5
+	for i := 0; i < iters; i++ {
+		sp.AddInt("iters", 1)
+		sp.AddEvent("dinkelbach_iter", "lambda", "1", "value", "-1")
+	}
+	sp.SetAttr("alpha", "1/2")
+	sp.End()
+	tr.Finish()
+	snap := tr.Snapshot()
+	snap.DroppedSpans = 2
+	var sb strings.Builder
+	printTrace(&sb, snap)
+	out := sb.String()
+	if n := strings.Count(out, "stage 1: λ = 1, g(λ) = -1\n"); n != obs.DefaultMaxEvents {
+		t.Errorf("printed %d iterations, want the %d recorded:\n%s", n, obs.DefaultMaxEvents, out)
+	}
+	for _, want := range []string{"stage 1: solving residual graph of 9 vertices", "stage 1: 5 more iterations dropped", "stage 1: extracted α = 1/2", "trace: 2 spans dropped"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -165,9 +165,9 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  best sampled split w1 = %v  U = %.6f  honest = %.6f  ratio = %.6f\n",
 			sw.BestW1, sw.BestU.Float64(), sw.Honest.Float64(), sw.Ratio.Float64())
 		st := sw.Stats.Solver
-		fmt.Fprintf(w, "  solver: %d evals (%d stock fallbacks), Dinkelbach warm/cold %d/%d + %d/%d later, %d warm restarts, DP plans %d fixed-width / %d big.Int, %d Rat endpoint combinations\n",
+		fmt.Fprintf(w, "  solver: %d evals (%d stock fallbacks), Dinkelbach warm/cold %d/%d + %d/%d later, %d warm restarts, DP plans %d fixed-width / %d big.Int, %d whole-path passes\n",
 			st.Evals, st.Fallbacks, st.Stage1Warm, st.Stage1Cold, st.LaterWarm, st.LaterCold, st.WarmRestarts,
-			st.FixedPlans, st.BigPlans, st.RatCombines)
+			st.FixedPlans, st.BigPlans, st.WholePathPasses)
 		fmt.Fprintf(w, "  caches: transfers %d hit / %d miss, tails %d hit / %d miss\n",
 			st.TransferHits, st.TransferMisses, st.TailHits, st.TailMisses)
 		if !*cold {

@@ -47,7 +47,7 @@ func TestSweepMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"incremental engine", "best sampled split", "solver:", "fixed-width", "caches:", "cold baseline (identical results)"} {
+	for _, want := range []string{"incremental engine", "best sampled split", "solver:", "fixed-width", "whole-path passes", "caches:", "cold baseline (identical results)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in output:\n%s", want, out)
 		}

@@ -65,7 +65,7 @@ func Decompose(g *graph.Graph) (*Decomposition, error) {
 // minimizer" could absorb an adjacent zero-zero pair and violate B's
 // independence.)
 func DecomposeWith(g *graph.Graph, engine Engine) (*Decomposition, error) {
-	return decomposeInner(context.Background(), g, engine, nil)
+	return decomposeInner(context.Background(), g, engine)
 }
 
 // DecomposeCtx is DecomposeWith with cancellation: the context is checked at
@@ -73,10 +73,10 @@ func DecomposeWith(g *graph.Graph, engine Engine) (*Decomposition, error) {
 // timed-out decomposition returns ctx.Err() promptly instead of completing.
 // No partial result is ever returned.
 func DecomposeCtx(ctx context.Context, g *graph.Graph, engine Engine) (*Decomposition, error) {
-	return decomposeInner(ctx, g, engine, nil)
+	return decomposeInner(ctx, g, engine)
 }
 
-func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine, trace TraceFunc) (*Decomposition, error) {
+func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomposition, error) {
 	if g.N() == 0 {
 		return nil, fmt.Errorf("bottleneck: empty graph")
 	}
@@ -105,13 +105,9 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine, trace Tr
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			stage := len(d.Pairs) + 1
-			if trace != nil {
-				trace(TraceEvent{Kind: TraceStageStart, Stage: stage, Remaining: len(remaining)})
-			}
 			sctx, sspan := obs.Start(ctx, "bottleneck.stage")
 			if sspan != nil {
-				sspan.SetAttr("stage", strconv.Itoa(stage))
+				sspan.SetAttr("stage", strconv.Itoa(len(d.Pairs)+1))
 				sspan.AddInt("remaining", int64(len(remaining)))
 			}
 			sub, orig := posSub.InducedSubgraph(remaining)
@@ -120,15 +116,10 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine, trace Tr
 				return nil, err
 			}
 			var iterTrace func(lambda, value numeric.Rat)
-			if trace != nil || sspan != nil {
+			if sspan != nil {
 				iterTrace = func(lambda, value numeric.Rat) {
-					if trace != nil {
-						trace(TraceEvent{Kind: TraceDinkelbachIter, Stage: stage, Remaining: len(remaining), Lambda: lambda, Value: value})
-					}
-					if sspan != nil {
-						sspan.AddInt("iters", 1)
-						sspan.AddEvent("dinkelbach_iter", "lambda", lambda.String(), "value", value.String())
-					}
+					sspan.AddInt("iters", 1)
+					sspan.AddEvent("dinkelbach_iter", "lambda", lambda.String(), "value", value.String())
 				}
 			}
 			alpha, bLocal, err := maxBottleneck(sctx, sub, oracle, iterTrace)
@@ -153,9 +144,6 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine, trace Tr
 				sspan.AddInt("pair_size", int64(len(pair.B)+len(pair.C)))
 			}
 			sspan.End()
-			if trace != nil {
-				trace(TraceEvent{Kind: TraceStageExtracted, Stage: stage, Remaining: len(remaining), Pair: &pair})
-			}
 			remove := make(map[int]bool, len(bLocal)+len(cLocal))
 			for _, v := range bLocal {
 				remove[orig[v]] = true

@@ -1,12 +1,16 @@
 package bottleneck
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/obs"
 )
 
 func mustDecompose(t *testing.T, g *graph.Graph, e Engine) *Decomposition {
@@ -479,6 +483,63 @@ func TestIsolatedVertexGetsAlphaZeroPairRejectedByValidate(t *testing.T) {
 		d := mustDecompose(t, g, EngineAuto)
 		if vErr := d.Validate(g); vErr == nil {
 			t.Fatal("isolated positive-weight vertex passed Validate")
+		}
+	}
+}
+
+// TestDecomposeStageSpansRecordIterations reads a traced decomposition back
+// from its span tree: one bottleneck.stage span per pair, in order, each
+// with its residual size, one dinkelbach_iter event per iteration (λ > 0,
+// g(λ) ≤ 0, and g(λ) = 0 exactly at the last) and the pair's α. Tracing
+// must not change the result.
+func TestDecomposeStageSpansRecordIterations(t *testing.T) {
+	g := graph.Ring(numeric.Ints(1, 100, 1, 5, 5))
+	tr := obs.NewTrace("test")
+	d, err := DecomposeCtx(tr.Context(context.Background()), g, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	plain, err := Decompose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !decompositionsEqual(d, plain) {
+		t.Fatal("traced decomposition differs from plain")
+	}
+	var stages []*obs.SpanSnapshot
+	tr.Snapshot().Root.Walk(func(sp *obs.SpanSnapshot) {
+		if sp.Name == "bottleneck.stage" {
+			stages = append(stages, sp)
+		}
+	})
+	if len(stages) != len(d.Pairs) {
+		t.Fatalf("%d stage spans for %d pairs", len(stages), len(d.Pairs))
+	}
+	remaining := int64(g.N())
+	for i, sp := range stages {
+		if sp.Attr("stage") != strconv.Itoa(i+1) || sp.Counter("remaining") != remaining {
+			t.Fatalf("stage span %d: stage=%q remaining=%d, want %d and %d", i, sp.Attr("stage"), sp.Counter("remaining"), i+1, remaining)
+		}
+		remaining -= sp.Counter("pair_size")
+		if len(sp.Events) == 0 || int64(len(sp.Events)) != sp.Counter("iters") {
+			t.Fatalf("stage %d: %d events for %d iterations", i+1, len(sp.Events), sp.Counter("iters"))
+		}
+		for k, ev := range sp.Events {
+			lambda, value := ev.Attrs[0].Value, ev.Attrs[1].Value
+			if ev.Name != "dinkelbach_iter" || ev.Attrs[0].Key != "lambda" || ev.Attrs[1].Key != "value" {
+				t.Fatalf("stage %d: unexpected event %+v", i+1, ev)
+			}
+			if strings.HasPrefix(lambda, "-") || lambda == "0" {
+				t.Fatalf("stage %d: non-positive λ %s", i+1, lambda)
+			}
+			last := k == len(sp.Events)-1
+			if (value == "0") != last || (!last && !strings.HasPrefix(value, "-")) {
+				t.Fatalf("stage %d iteration %d of %d: g(λ) = %s", i+1, k+1, len(sp.Events), value)
+			}
+		}
+		if sp.Attr("alpha") != d.Pairs[i].Alpha.String() {
+			t.Fatalf("stage %d: α %s, pair α %v", i+1, sp.Attr("alpha"), d.Pairs[i].Alpha)
 		}
 	}
 }

@@ -50,34 +50,19 @@ func maxBottleneck(ctx context.Context, g *graph.Graph, o minimizeOracle, iterTr
 		all[i] = i
 	}
 	lambda := g.WeightOf(g.NeighborhoodSet(all)).Div(wV) // α(V) ≤ 1
-	return maxBottleneckFrom(ctx, g, o, lambda, false, iterTrace)
+	return dinkelbachLoop(ctx, g.N(), g.WeightOf, o, lambda, false, iterTrace)
 }
 
-// maxBottleneckWarm runs maxBottleneck but first tries the supplied warm
-// start λ0 (typically the λ* of a structurally nearby instance). Any
-// λ0 ≥ λ* converges to the identical (λ*, maximal bottleneck) fixed point —
-// the optimum is unique, so warm starting can change only the iterate path,
-// never the answer. A λ0 that undershoots λ* is detected (the subproblem
-// minimum is 0 yet no positive-weight set attains it) and the search
-// restarts from the cold λ = α(V).
-func maxBottleneckWarm(ctx context.Context, g *graph.Graph, o minimizeOracle, warm numeric.Rat) (numeric.Rat, []int, bool, error) {
-	if warm.Sign() > 0 && warm.Cmp(numeric.One) <= 0 {
-		alpha, S, err := maxBottleneckFrom(ctx, g, o, warm, true, nil)
-		if err == nil {
-			return alpha, S, true, nil
-		}
-		if !errors.Is(err, errWarmTooLow) {
-			return numeric.Rat{}, nil, false, err
-		}
-	}
-	alpha, S, err := maxBottleneck(ctx, g, o, nil)
-	return alpha, S, false, err
-}
-
-// maxBottleneckWarmAt is maxBottleneckWarm for callers that have no
-// materialized graph: the vertex count, the weight function and the cold
-// starting iterate α(V) are supplied directly. The loop is byte-identical
-// to the graph-backed path.
+// maxBottleneckWarmAt runs the Dinkelbach loop for a caller that supplies
+// the vertex count, the weight function and the cold starting iterate α(V)
+// directly, and first tries the warm start λ0 (typically the λ* of a
+// structurally nearby instance). Any λ0 ≥ λ* converges to the identical
+// (λ*, maximal bottleneck) fixed point — the optimum is unique, so warm
+// starting can change only the iterate path, never the answer. A λ0 that
+// undershoots λ* is detected (the subproblem minimum is 0 yet no
+// positive-weight set attains it) and the search restarts from the cold
+// α(V). A λ0 outside (0, 1] is ignored. The boolean reports whether the
+// warm run produced the answer.
 func maxBottleneckWarmAt(ctx context.Context, n int, weightOf func([]int) numeric.Rat, alphaV numeric.Rat, o minimizeOracle, warm numeric.Rat) (numeric.Rat, []int, bool, error) {
 	if warm.Sign() > 0 && warm.Cmp(numeric.One) <= 0 {
 		alpha, S, err := dinkelbachLoop(ctx, n, weightOf, o, warm, true, nil)
@@ -92,18 +77,14 @@ func maxBottleneckWarmAt(ctx context.Context, n int, weightOf func([]int) numeri
 	return alpha, S, false, err
 }
 
-// maxBottleneckFrom is the Dinkelbach loop body with an explicit starting
-// λ. With warm set, an undershooting start is reported as errWarmTooLow
-// instead of a hard failure.
-func maxBottleneckFrom(ctx context.Context, g *graph.Graph, o minimizeOracle, lambda numeric.Rat, warm bool, iterTrace func(lambda, value numeric.Rat)) (numeric.Rat, []int, error) {
-	return dinkelbachLoop(ctx, g.N(), g.WeightOf, o, lambda, warm, iterTrace)
-}
-
-// dinkelbachLoop is the graph-agnostic Dinkelbach iteration: only the vertex
-// count (for the safety bound) and a weight function (for the degeneracy
-// check at λ*) are needed beyond the oracle. The context is checked before
-// every subproblem solve, so cancellation lands between iterations — never
-// inside one — and the caller observes ctx.Err() with no partial state.
+// dinkelbachLoop is the one Dinkelbach iteration behind every engine — the
+// flow, DP and brute oracles and the split solver's transfer oracle. It is
+// graph-agnostic: only the vertex count (for the safety bound) and a weight
+// function (for the degeneracy check at λ*) are needed beyond the oracle.
+// With warm set, an undershooting start is reported as errWarmTooLow
+// instead of a hard failure. The context is checked before every subproblem
+// solve, so cancellation lands between iterations — never inside one — and
+// the caller observes ctx.Err() with no partial state.
 func dinkelbachLoop(ctx context.Context, n int, weightOf func([]int) numeric.Rat, o minimizeOracle, lambda numeric.Rat, warm bool, iterTrace func(lambda, value numeric.Rat)) (numeric.Rat, []int, error) {
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {

@@ -144,10 +144,16 @@ func TestIntPlanRejectsHugeDenominators(t *testing.T) {
 	if _, ok := c.fixedPlanFor(numeric.New(1, 3)); ok {
 		t.Fatal("expected fallback for huge common denominators")
 	}
-	// The rational path must still serve it.
-	v := c.valuePass(numeric.New(1, 3))
-	if !v.ok {
-		t.Fatal("value pass failed")
+	// The big.Int plan must serve it, and match the rational reference.
+	var tally arithTally
+	lambda := numeric.New(1, 3)
+	v := c.valuePass(lambda, &tally)
+	want := c.pathValue(c.selCosts(lambda))
+	if !v.ok || !v.cost.Equal(want.cost) || !v.wS.Equal(want.wS) {
+		t.Fatalf("value pass (%v, %v), reference (%v, %v)", v.cost, v.wS, want.cost, want.wS)
+	}
+	if tally != (arithTally{bigPlans: 1}) {
+		t.Fatalf("value pass tally %+v, want one big.Int plan", tally)
 	}
 }
 

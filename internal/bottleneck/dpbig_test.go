@@ -43,8 +43,8 @@ func randLambda(rng *rand.Rand) numeric.Rat {
 // exactly the fully-normalized rational reference on both shapes, for both
 // the value pass and the membership sweep. Zero tolerance: the big plan is
 // the live execution path (dp.go routes through it whenever the fixed-width
-// plan's bound rejects an instance), the Rat passes are the reference it
-// must reproduce.
+// plan's bound rejects an instance), the Rat passes of dpref_test.go are
+// the reference it must reproduce.
 func TestBigPlanMatchesRatReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {

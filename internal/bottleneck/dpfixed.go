@@ -17,8 +17,10 @@ import "repro/internal/numeric"
 // cell then fits a numeric.Int128 with a bit to spare, cell adds need no
 // overflow checks, and a pass allocates nothing beyond its plan and its
 // sweep arrays. Only the final value is converted back to a canonical Rat.
-// Instances past the bound run on the big.Int plan (dpbig.go); the Rat passes
-// in dp.go are the reference both must reproduce bit for bit.
+// Instances past the bound run on the big.Int plan (dpbig.go). The
+// normalized-Rat passes that both must reproduce bit for bit — pathValue,
+// pathMembership and their cycle forms, which the comments below name — are
+// test code in dpref_test.go; no production path runs DP cells on Rat.
 
 // fixedPlan is the prepared fixed-width instance for one λ = p/q.
 type fixedPlan struct {

@@ -100,11 +100,12 @@ func admissionEdge(above bool) ([2]int64, [][2]int64) {
 }
 
 // FuzzFixedWidthDP referees the fixed-width plan — and, where its bound
-// rejects an input, the big.Int plan — against the Rat passes of dp.go on
-// paths and cycles of 3–12 vertices. Both the value pass and the membership
-// pass must match bit for bit. A path is also read as a split path
-// [w1, interior…, w2], and valueFull on its interior transfer (integer or
-// Rat combination) must match the Rat value pass of the whole path.
+// rejects an input, the big.Int plan — against the Rat passes of
+// dpref_test.go on paths and cycles of 3–12 vertices. Both the value pass
+// and the membership pass must match bit for bit. A path is also read as a
+// split path [w1, interior…, w2], and valueFull (the integer combination
+// with the interior transfer, or the whole-path pass) must match the Rat
+// value pass of the whole path.
 func FuzzFixedWidthDP(f *testing.F) {
 	for _, above := range []bool{false, true} {
 		lam, ws := admissionEdge(above)
@@ -191,36 +192,34 @@ func checkPlansAgainstRat(t *testing.T, c dpComponent, lambda numeric.Rat) {
 }
 
 // checkValueFullAgainstRat reads the path ws as [w1, interior…, w2] and
-// checks valueFull — and the Rat combination on its own — against the Rat
-// value pass over the whole path. It reports which arithmetic served it;
-// interiors with a zero weight, which the split solver never combines, are
-// skipped.
-func checkValueFullAgainstRat(t *testing.T, ws []numeric.Rat, lambda numeric.Rat) (fixedTransfer, viaRat bool) {
+// checks valueFull against the Rat value pass over the whole path. It
+// reports whether the interior had a transfer at λ and whether valueFull
+// ran the whole-path pass; interiors with a zero weight, which the split
+// solver never combines, are skipped.
+func checkValueFullAgainstRat(t *testing.T, ws []numeric.Rat, lambda numeric.Rat) (fixedTransfer, whole bool) {
 	t.Helper()
 	m := len(ws)
 	s := NewSplitSolver(ws[1 : m-1])
 	if !s.ok {
 		return false, false
 	}
-	tr, fixedTransfer := s.buildTransfer(lambda)
-	if fixedTransfer != (tr.rat == nil) {
-		t.Fatalf("transfer built fixed=%v but holds Rat cells=%v", fixedTransfer, tr.rat != nil)
-	}
+	tr := s.buildTransfer(lambda)
 	full := dpComponent{order: iota0(m), ws: ws}
 	want := full.pathValue(full.selCosts(lambda))
-	val, wS, viaRat := s.valueFull(tr, lambda, ws[0], ws[m-1])
+	var tally arithTally
+	val, wS := s.valueFull(tr, lambda, ws[0], ws[m-1], &tally)
+	fixedTransfer, whole = tr != nil, tally.wholePaths == 1
 	if !val.Equal(want.cost) || !wS.Equal(want.wS) {
-		t.Fatalf("λ=%v w=%v: valueFull (viaRat=%v, fixed transfer=%v) = (%v, %v), Rat pass (%v, %v)",
-			lambda, ws, viaRat, fixedTransfer, val, wS, want.cost, want.wS)
+		t.Fatalf("λ=%v w=%v: valueFull (whole path=%v, fixed transfer=%v) = (%v, %v), Rat pass (%v, %v)",
+			lambda, ws, whole, fixedTransfer, val, wS, want.cost, want.wS)
 	}
-	if !viaRat {
-		ratVal, ratWS := s.valueFullRat(tr.ratCells(), lambda, ws[0], ws[m-1])
-		if !ratVal.Equal(want.cost) || !ratWS.Equal(want.wS) {
-			t.Fatalf("λ=%v w=%v: Rat combination (%v, %v) != Rat pass (%v, %v)",
-				lambda, ws, ratVal, ratWS, want.cost, want.wS)
-		}
+	if !fixedTransfer && !whole {
+		t.Fatalf("λ=%v w=%v: no transfer, yet no whole-path pass", lambda, ws)
 	}
-	return fixedTransfer, viaRat
+	if plans := tally.fixedPlans + tally.bigPlans; plans != tally.wholePaths {
+		t.Fatalf("λ=%v w=%v: tally %+v, want one plan per whole-path pass", lambda, ws, tally)
+	}
+	return fixedTransfer, whole
 }
 
 // TestFixedPlanAdmissionBound pins the admission constant from both sides:
@@ -253,9 +252,10 @@ func TestFixedPlanAdmissionBound(t *testing.T) {
 }
 
 // TestValueFullCombinations drives every branch of valueFull on random
-// split paths and on three pinned shapes — an integer combination, a
-// fixed-width transfer whose endpoint sums overflow the integer combination,
-// and a big.Int transfer — each refereed against the Rat value pass.
+// split paths and on pinned shapes — an integer combination, fixed-width
+// transfers whose endpoint sums the integer combination rejects, and an
+// interior past the fixed-width bound, which has no transfer — each
+// refereed against the Rat value pass.
 func TestValueFullCombinations(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	seen := map[[2]bool]int{}
@@ -270,27 +270,27 @@ func TestValueFullCombinations(t *testing.T) {
 			ws[0], ws[m-1] = ws[0].Add(dust), ws[m-1].Sub(dust.Mul(numeric.New(1, 1<<10)))
 		}
 		lambda := numeric.New(int64(rng.Intn(99)+1), 100)
-		fixed, viaRat := checkValueFullAgainstRat(t, ws, lambda)
-		seen[[2]bool{fixed, viaRat}]++
+		fixed, whole := checkValueFullAgainstRat(t, ws, lambda)
+		seen[[2]bool{fixed, whole}]++
 	}
 	one := numeric.One
 	cases := []struct {
-		name          string
-		ws            []numeric.Rat
-		lambda        numeric.Rat
-		fixed, viaRat bool
+		name         string
+		ws           []numeric.Rat
+		lambda       numeric.Rat
+		fixed, whole bool
 	}{
 		{"integer", []numeric.Rat{one, numeric.FromInt(3), numeric.FromInt(2), numeric.New(5, 2)}, numeric.New(2, 3), true, false},
 		{"endpoint sums past 2^125", []numeric.Rat{numeric.New(1, 1<<62), numeric.FromInt(1 << 40), numeric.FromInt(1 << 40), numeric.New(3, 1<<62)},
 			numeric.New(1<<40, 1<<40+1), true, true},
 		{"common denominator past int64", []numeric.Rat{numeric.New(1, math.MaxInt64), numeric.FromInt(2), numeric.FromInt(5), numeric.New(1, math.MaxInt64-2)},
 			numeric.New(2, 7), true, true},
-		{"big transfer", []numeric.Rat{one, numeric.New(1, 1<<40), numeric.New(1, 1<<40+1), one}, numeric.New(1, 3), false, true},
+		{"no transfer", []numeric.Rat{one, numeric.New(1, 1<<40), numeric.New(1, 1<<40+1), one}, numeric.New(1, 3), false, true},
 	}
 	for _, tc := range cases {
-		fixed, viaRat := checkValueFullAgainstRat(t, tc.ws, tc.lambda)
-		if fixed != tc.fixed || viaRat != tc.viaRat {
-			t.Fatalf("%s: fixed transfer=%v viaRat=%v, want %v/%v", tc.name, fixed, viaRat, tc.fixed, tc.viaRat)
+		fixed, whole := checkValueFullAgainstRat(t, tc.ws, tc.lambda)
+		if fixed != tc.fixed || whole != tc.whole {
+			t.Fatalf("%s: fixed transfer=%v whole path=%v, want %v/%v", tc.name, fixed, whole, tc.fixed, tc.whole)
 		}
 	}
 	if seen[[2]bool{true, false}] == 0 {

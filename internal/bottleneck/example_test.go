@@ -34,19 +34,3 @@ func ExampleMaxBottleneck() {
 	// Output:
 	// [0 2 4] 2/51
 }
-
-// Trace the Dinkelbach iterations of a two-stage ring decomposition.
-func ExampleDecomposeTraced() {
-	g := graph.Ring(numeric.Ints(1, 100, 1, 5, 5))
-	_, err := bottleneck.DecomposeTraced(g, bottleneck.EngineAuto, func(e bottleneck.TraceEvent) {
-		if e.Kind == bottleneck.TraceStageExtracted {
-			fmt.Println(e)
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	// Output:
-	// stage 1: extracted (B{1}, C{0,2}, α=1/50)
-	// stage 2: extracted (B{3,4}, C{3,4}, α=1)
-}

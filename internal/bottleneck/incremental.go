@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -34,12 +33,16 @@ import (
 //     excellent starting iterate: most warm starts converge in one or two
 //     iterations. Warm starting cannot change the answer — any start
 //     λ0 ≥ λ* reaches the same unique fixed point, and undershooting
-//     starts are detected and restarted cold (see maxBottleneckWarm).
+//     starts are detected and restarted cold (see maxBottleneckWarmAt).
 //  3. Tail caching. The stage recursion of Definition 2 is Markovian in
 //     the residual vertex set: once both endpoints have been extracted,
 //     the remaining pair sequence depends only on the (fixed-weight)
 //     residual interior, so it is memoized per residual set and replayed
 //     exactly on every later evaluation that reaches the same residual.
+//
+// Every stage runs on the package's one Dinkelbach loop (dinkelbachLoop),
+// and every DP pass on the one overflow rule: the fixed-width plan when its
+// bound admits the instance, the big.Int plan otherwise.
 //
 // Exactness is preserved throughout: every cached object is an exact
 // rational computation that the stock engine would repeat verbatim, so
@@ -80,17 +83,20 @@ type SplitSolverStats struct {
 	// stages after the first (induced-subgraph stages).
 	LaterWarm, LaterCold int
 	// FixedPlans / BigPlans count the DP plans the solver built (interior
-	// transfers, later-stage components, full-path memberships) on the
-	// fixed-width path and on the big.Int overflow path; RatCombines counts
-	// valueFull calls served by the Rat combination instead of integers.
-	// Residual tails run on the stock engine and are not counted.
-	FixedPlans, BigPlans, RatCombines int
+	// transfers, later-stage components, full-path memberships and
+	// whole-path value passes) on the fixed-width path and on the big.Int
+	// overflow path. WholePathPasses counts first-stage values that could
+	// not combine a cached transfer in integers — the interior is past the
+	// fixed-width bound at λ, or the endpoint sums are — and ran the value
+	// pass over the whole path instead. Residual tails run on the stock
+	// engine and are not counted.
+	FixedPlans, BigPlans, WholePathPasses int
 }
 
 func (st *SplitSolverStats) fold(t arithTally) {
 	st.FixedPlans += t.fixedPlans
 	st.BigPlans += t.bigPlans
-	st.RatCombines += t.ratCombines
+	st.WholePathPasses += t.wholePaths
 }
 
 type warmHint struct {
@@ -105,17 +111,14 @@ type warmHint struct {
 // and Γ-charges of positions 1..n-3. Endpoint terms (positions 0 and n-1,
 // and the charge of n-2, which needs s_{n-1}) are combined per evaluation.
 //
-// A transfer holds its cells in exactly one representation, fixed when it
-// is built and never changed after: fixed-width integers in units of
-// 1/(q·d) (cost) and 1/d (weight) when the interior admitted the
-// fixed-width plan, or exact rationals (rat) when it needed the big.Int
-// plan.
+// The cells are fixed-width integers in units of 1/(q·d) (cost) and 1/d
+// (weight). A transfer exists only for a λ at which the interior admits the
+// fixed-width plan; at any other λ the first stage runs the whole path.
 type interiorTransfer struct {
 	cells      [4][2][2]fixedCell
 	q, d       int64
 	bound      numeric.Int128 // the plan's bound: no interior value exceeds it
 	lastCharge numeric.Int128 // q·n_{n-2}, the charge of the last interior position
-	rat        *[4][2][2]costW
 }
 
 // fullPathKey keys the warm-hint list of the first (full-path) stage.
@@ -248,83 +251,59 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 	return d, nil
 }
 
-// stage1 finds the maximal bottleneck of the full path with warm-started
-// Dinkelbach over the cached interior transfers.
+// stage1 finds the maximal bottleneck of the full path with the shared
+// Dinkelbach loop over the cached interior transfers. The cold start is
+// α(V) = 1 (Γ(V) = V on a path with ≥ 2 vertices and positive weights), so
+// a hint counts as a warm start only strictly inside (0, 1).
 func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, []int, error) {
 	sp := obs.FromContext(ctx)
-	var tally arithTally
-	if warm, ok := s.nearestHint(fullPathKey, w1.Float64()); ok && warm.Sign() > 0 && warm.Less(numeric.One) {
-		alpha, B, err := s.dinkelbachFull(ctx, warm, w1, w2, true, &tally)
-		if err == nil {
-			s.recordRun(fullPathKey, w1.Float64(), alpha, &s.stats.Stage1Warm, tally)
-			sp.AddInt("stage1_warm", 1)
-			return alpha, B, nil
-		}
-		if err != errWarmTooLow {
-			return numeric.Rat{}, nil, err
-		}
-		s.mu.Lock()
-		s.stats.WarmRestarts++
-		s.stats.fold(tally)
-		s.mu.Unlock()
-		tally = arithTally{}
-		sp.AddInt("warm_restarts", 1)
+	warm, ok := s.nearestHint(fullPathKey, w1.Float64())
+	hinted := ok && warm.Sign() > 0 && warm.Less(numeric.One)
+	if !hinted {
+		warm = numeric.Rat{} // maxBottleneckWarmAt ignores a λ0 of 0
 	}
-	// Cold start: α(V) = 1 on a path with ≥ 2 vertices and positive
-	// weights (Γ(V) = V), matching maxBottleneck's initial iterate.
-	alpha, B, err := s.dinkelbachFull(ctx, numeric.One, w1, w2, false, &tally)
+	o := &fullPathOracle{s: s, ctx: ctx, w1: w1, w2: w2}
+	_, weightOf := s.pathWeights(w1, w2)
+	alpha, B, usedWarm, err := maxBottleneckWarmAt(ctx, s.n, weightOf, numeric.One, o, warm)
 	if err != nil {
 		return numeric.Rat{}, nil, err
 	}
-	s.recordRun(fullPathKey, w1.Float64(), alpha, &s.stats.Stage1Cold, tally)
-	sp.AddInt("stage1_cold", 1)
+	counter := &s.stats.Stage1Cold
+	if usedWarm {
+		counter = &s.stats.Stage1Warm
+		sp.AddInt("stage1_warm", 1)
+	} else {
+		if hinted { // the warm run undershot λ* and restarted cold
+			s.mu.Lock()
+			s.stats.WarmRestarts++
+			s.mu.Unlock()
+			sp.AddInt("warm_restarts", 1)
+		}
+		sp.AddInt("stage1_cold", 1)
+	}
+	s.recordRun(fullPathKey, w1.Float64(), alpha, counter, o.tally)
 	return alpha, B, nil
 }
 
-// dinkelbachFull is the Dinkelbach loop over the full path, with values
-// from cached interior transfers and membership extracted only at λ*. The
-// arithmetic its combinations and membership plan ran on goes to tally.
-func (s *SplitSolver) dinkelbachFull(ctx context.Context, lambda, w1, w2 numeric.Rat, warm bool, tally *arithTally) (numeric.Rat, []int, error) {
-	sp := obs.FromContext(ctx)
-	for iter := 0; ; iter++ {
-		if err := ctx.Err(); err != nil {
-			return numeric.Rat{}, nil, err
-		}
-		if err := fault.Hit(ctx, fault.SiteDinkelbach); err != nil {
-			return numeric.Rat{}, nil, err
-		}
-		if iter > s.n*s.n+64 {
-			return numeric.Rat{}, nil, fmt.Errorf("bottleneck: incremental Dinkelbach did not converge after %d iterations", iter)
-		}
-		sp.AddInt("iters", 1)
-		val, wS, viaRat := s.valueFull(s.transferFor(ctx, lambda), lambda, w1, w2)
-		if viaRat {
-			tally.ratCombines++
-		}
-		if val.Sign() > 0 {
-			return numeric.Rat{}, nil, fmt.Errorf("bottleneck: incremental subproblem returned positive minimum %v", val)
-		}
-		if val.Sign() == 0 {
-			B := s.fullMembers(lambda, w1, w2, tally)
-			if len(B) == 0 {
-				// All weights are positive here, so an empty maximal
-				// minimizer means λ < λ*: only reachable from a warm start.
-				if warm {
-					return numeric.Rat{}, nil, errWarmTooLow
-				}
-				return numeric.Rat{}, nil, fmt.Errorf("bottleneck: degenerate incremental minimizer at λ=%v", lambda)
-			}
-			return lambda, B, nil
-		}
-		if wS.Sign() <= 0 {
-			return numeric.Rat{}, nil, fmt.Errorf("bottleneck: negative incremental minimum %v with zero-weight minimizer", val)
-		}
-		next := lambda.Add(val.Div(wS))
-		if !next.Less(lambda) {
-			return numeric.Rat{}, nil, fmt.Errorf("bottleneck: incremental Dinkelbach stalled at λ=%v", lambda)
-		}
-		lambda = next
-	}
+// fullPathOracle is the λ-subproblem of the full path for the shared
+// Dinkelbach loop: value combines the cached interior transfer with the
+// endpoint terms, and maximal runs the membership DP over the whole path,
+// which the loop does only at λ*. Every value call is one iteration,
+// counted on the eval span.
+type fullPathOracle struct {
+	s      *SplitSolver
+	ctx    context.Context
+	w1, w2 numeric.Rat
+	tally  arithTally
+}
+
+func (o *fullPathOracle) value(lambda numeric.Rat) (numeric.Rat, numeric.Rat) {
+	obs.FromContext(o.ctx).AddInt("iters", 1)
+	return o.s.valueFull(o.s.transferFor(o.ctx, lambda), lambda, o.w1, o.w2, &o.tally)
+}
+
+func (o *fullPathOracle) maximal(lambda numeric.Rat) []int {
+	return o.s.fullMembers(lambda, o.w1, o.w2, &o.tally)
 }
 
 // laterStage extracts the maximal bottleneck of an endpoint-bearing
@@ -335,15 +314,7 @@ func (s *SplitSolver) dinkelbachFull(ctx context.Context, lambda, w1, w2 numeric
 // components are sliced straight out of the fixed interior instead of
 // materializing an induced subgraph per stage.
 func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 numeric.Rat, hasLeft, hasRight bool) (numeric.Rat, []int, []int, error) {
-	wAt := func(v int) numeric.Rat {
-		switch v {
-		case 0:
-			return w1
-		case s.n - 1:
-			return w2
-		}
-		return s.interior[v-1]
-	}
+	wAt, weightOf := s.pathWeights(w1, w2)
 	var comps []dpComponent
 	total, gamma := numeric.Zero, numeric.Zero
 	for i := 0; i < len(residual); {
@@ -373,13 +344,6 @@ func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 num
 			gamma = gamma.Add(runW)
 		}
 		i = j
-	}
-	weightOf := func(S []int) numeric.Rat {
-		t := numeric.Zero
-		for _, v := range S {
-			t = t.Add(wAt(v))
-		}
-		return t
 	}
 	key := intsKey(residual)
 	locator := w1.Float64()
@@ -462,9 +426,33 @@ func (s *SplitSolver) tailFor(ctx context.Context, p *graph.Graph, residual []in
 	return out, nil
 }
 
+// pathWeights returns the weight of one position and of a position set on
+// the path [w1, interior..., w2].
+func (s *SplitSolver) pathWeights(w1, w2 numeric.Rat) (wAt func(int) numeric.Rat, weightOf func([]int) numeric.Rat) {
+	wAt = func(v int) numeric.Rat {
+		switch v {
+		case 0:
+			return w1
+		case s.n - 1:
+			return w2
+		}
+		return s.interior[v-1]
+	}
+	weightOf = func(S []int) numeric.Rat {
+		t := numeric.Zero
+		for _, v := range S {
+			t = t.Add(wAt(v))
+		}
+		return t
+	}
+	return wAt, weightOf
+}
+
 // transferFor returns the interior transfer at λ, building and caching it
-// on first use. The context only carries the obs span the hit/miss is
-// charged to — the prefix-DP reuse signal of the trace.
+// on first use, or nil when the interior does not admit the fixed-width
+// plan at λ. The absence is cached too, so later calls at that λ do not
+// plan the interior again. The context only carries the obs span the
+// hit/miss is charged to — the prefix-DP reuse signal of the trace.
 func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat) *interiorTransfer {
 	key := lambda.String()
 	s.mu.Lock()
@@ -477,7 +465,7 @@ func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat) *inte
 		obs.FromContext(ctx).AddInt("transfer_hits", 1)
 		return t
 	}
-	t, fixed := s.buildTransfer(lambda)
+	t = s.buildTransfer(lambda)
 	s.mu.Lock()
 	if prev, ok := s.transfers[key]; ok {
 		t = prev // another goroutine built the identical transfer first
@@ -485,29 +473,22 @@ func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat) *inte
 		s.transfers[key] = t
 	}
 	s.stats.TransferMisses++
-	if fixed {
+	if t != nil {
 		s.stats.FixedPlans++
-	} else {
-		s.stats.BigPlans++
 	}
 	s.mu.Unlock()
 	obs.FromContext(ctx).AddInt("transfer_misses", 1)
 	return t
 }
 
-// buildTransfer runs the interior prefix DP once per left-boundary
-// assignment, on the fixed-width plan when its admission bound holds (fixed
-// reports it) and on the big.Int plan otherwise.
-func (s *SplitSolver) buildTransfer(lambda numeric.Rat) (t *interiorTransfer, fixed bool) {
-	if pl, ok := s.interiorComp.fixedPlanFor(lambda); ok {
-		return s.buildTransferFixed(&pl), true
+// buildTransfer runs the interior prefix DP at λ once per left-boundary
+// assignment on the fixed-width plan, or returns nil when the interior does
+// not admit that plan at λ. The cells stay in the plan's integer units.
+func (s *SplitSolver) buildTransfer(lambda numeric.Rat) *interiorTransfer {
+	pl, ok := s.interiorComp.fixedPlanFor(lambda)
+	if !ok {
+		return nil
 	}
-	return s.buildTransferBig(s.interiorComp.bigPlanFor(lambda)), false
-}
-
-// buildTransferFixed is buildTransfer on the fixed-width plan; the cells stay
-// in the plan's integer units.
-func (s *SplitSolver) buildTransferFixed(pl *fixedPlan) *interiorTransfer {
 	k := len(s.interior)
 	t := &interiorTransfer{q: pl.q, d: pl.d, bound: pl.bound, lastCharge: pl.charge[k-1]}
 	for st := 0; st < 4; st++ {
@@ -526,81 +507,22 @@ func (s *SplitSolver) buildTransferFixed(pl *fixedPlan) *interiorTransfer {
 	return t
 }
 
-// buildTransferBig is buildTransfer on the big.Int plan; the cells are
-// stored as exact rationals.
-func (s *SplitSolver) buildTransferBig(pl bigPlan) *interiorTransfer {
-	k := len(s.interior)
-	cells := new([4][2][2]costW)
-	for st := 0; st < 4; st++ {
-		s0, s1 := st>>1, st&1
-		var dp [2][2]bigCell
-		init := bigCellZero()
-		if s1 == 1 {
-			init = bigCell{cost: pl.sel[0], wS: pl.wInt[0], ok: true}
-		}
-		dp[s0][s1] = init
-		for j := 0; j+1 < k; j++ {
-			var ndp [2][2]bigCell
-			for a := 0; a < 2; a++ {
-				for b := 0; b < 2; b++ {
-					if !dp[a][b].ok {
-						continue
-					}
-					for cb := 0; cb < 2; cb++ {
-						cand := pl.step(dp[a][b], j, a, cb)
-						if cand.better(ndp[b][cb]) {
-							ndp[b][cb] = cand
-						}
-					}
-				}
-			}
-			dp = ndp
-		}
-		for a := 0; a < 2; a++ {
-			for b := 0; b < 2; b++ {
-				if dp[a][b].ok {
-					cells[st][a][b] = pl.toCostW(dp[a][b])
-				}
-			}
-		}
-	}
-	return &interiorTransfer{rat: cells}
-}
-
-// ratCells returns the transfer's cells as exact rationals: the stored
-// ones for a big.Int transfer, a fresh conversion for a fixed-width one.
-func (t *interiorTransfer) ratCells() *[4][2][2]costW {
-	if t.rat != nil {
-		return t.rat
-	}
-	pl := fixedPlan{q: t.q, d: t.d}
-	cells := new([4][2][2]costW)
-	for st := range t.cells {
-		for a := 0; a < 2; a++ {
-			for b := 0; b < 2; b++ {
-				if t.cells[st][a][b].ok {
-					cells[st][a][b] = pl.toCostW(t.cells[st][a][b])
-				}
-			}
-		}
-	}
-	return cells
-}
-
-// valueFull combines the cached interior transfer with the endpoint terms
-// of one (w1, w2) pair: selection costs and Γ-charges of positions 0 and
-// n-1, plus the charge of position n-2 (which needs s_{n-1}). O(1) in the
-// path length. A fixed-width transfer is combined in integers
-// (combineFixed); the Rat combination (valueFullRat) serves big.Int
-// transfers and sums past the fixed-width bound, and viaRat reports it.
-func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat) (val, wS numeric.Rat, viaRat bool) {
-	if t.rat == nil {
+// valueFull is the subproblem minimum of the full path at λ and the weight
+// of its maximal-weight minimizer. With a transfer t it combines the cached
+// interior cells with the endpoint terms of (w1, w2) in integers, O(1) in
+// the path length (combineFixed). Without one, or when combineFixed rejects
+// the endpoint sums, it runs valuePass over the whole path, which takes the
+// fixed-width or big.Int plan like every other DP pass; tally counts that
+// pass and its plan.
+func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat, tally *arithTally) (numeric.Rat, numeric.Rat) {
+	if t != nil {
 		if val, wS, ok := t.combineFixed(lambda, w1, w2); ok {
-			return val, wS, false
+			return val, wS
 		}
 	}
-	val, wS = s.valueFullRat(t.ratCells(), lambda, w1, w2)
-	return val, wS, true
+	tally.wholePaths++
+	cw := s.fullPath(w1, w2).valuePass(lambda, tally)
+	return cw.cost, cw.wS
 }
 
 // combineFixed is valueFull in integers over the common denominator q·L,
@@ -610,13 +532,13 @@ func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat)
 // and the w2 terms (each at most (|p|+q)·|n_j| in units of 1/(q·den w_j)) —
 // and each part is checked below 2^125 after rescaling, so every sum stays
 // below 2^127 and the adds need no checks. ok=false sends the call to the
-// Rat combination: an operand off int64, L past int64, or a part past the
+// whole-path pass: an operand off int64, L past int64, or a part past the
 // bound.
 //
 // The minimum is taken over s_{n-1} first, per right boundary (a, b), and
 // over the 16 cells second: adding a constant preserves the (cost, −wS)
-// order, and the minimum pair is unique, so the result is the one the Rat
-// combination returns.
+// order, and the minimum pair is unique, so the result is the one the
+// whole-path pass returns.
 func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat, numeric.Rat, bool) {
 	const partBits = 125
 	p, q, ok := lambda.Int64Parts()
@@ -692,60 +614,11 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 	return numeric.FromInt128(best.cost, numeric.Int128Of(q).Mul(uint64(l))), numeric.FromInt128(best.wS, numeric.Int128Of(l)), true
 }
 
-// valueFullRat is valueFull on exact rationals: the reference the integer
-// combination reproduces, and its fallback.
-func (s *SplitSolver) valueFullRat(cells *[4][2][2]costW, lambda, w1, w2 numeric.Rat) (numeric.Rat, numeric.Rat) {
-	selW1 := lambda.Mul(w1).Neg()
-	selW2 := lambda.Mul(w2).Neg()
-	wLast := s.interior[len(s.interior)-1]
-	best := costW{}
-	for st := 0; st < 4; st++ {
-		s0, s1 := st>>1, st&1
-		for a := 0; a < 2; a++ {
-			for b := 0; b < 2; b++ {
-				cell := cells[st][a][b]
-				if !cell.ok {
-					continue
-				}
-				for sN := 0; sN < 2; sN++ {
-					cost, wS := cell.cost, cell.wS
-					if s0 == 1 {
-						cost = cost.Add(selW1)
-						wS = wS.Add(w1)
-					}
-					if s1 == 1 {
-						cost = cost.Add(w1) // charge of position 0: w1·[s_1]
-					}
-					if a == 1 || sN == 1 {
-						cost = cost.Add(wLast) // charge of n-2: w_{n-2}·[s_{n-3} ∨ s_{n-1}]
-					}
-					if sN == 1 {
-						cost = cost.Add(selW2)
-						wS = wS.Add(w2)
-					}
-					if b == 1 {
-						cost = cost.Add(w2) // charge of position n-1: w2·[s_{n-2}]
-					}
-					cand := costW{cost: cost, wS: wS, ok: true}
-					if cand.better(best) {
-						best = cand
-					}
-				}
-			}
-		}
-	}
-	return best.cost, best.wS
-}
-
 // fullMembers extracts the maximal minimizer of the full path at λ with the
 // stock membership DP (one O(n) forward/backward sweep), so the extracted
 // set is byte-identical to the one dpOracle.maximal would report.
 func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat, tally *arithTally) []int {
-	ws := make([]numeric.Rat, s.n)
-	ws[0] = w1
-	copy(ws[1:], s.interior)
-	ws[s.n-1] = w2
-	c := dpComponent{order: iota0(s.n), ws: ws}
+	c := s.fullPath(w1, w2)
 	var members []bool
 	pl, fixed := c.fixedPlanFor(lambda)
 	if fixed {
@@ -761,6 +634,15 @@ func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat, tally *arithTally)
 		}
 	}
 	return out
+}
+
+// fullPath is the whole path [w1, interior..., w2] as one DP component.
+func (s *SplitSolver) fullPath(w1, w2 numeric.Rat) dpComponent {
+	ws := make([]numeric.Rat, s.n)
+	ws[0] = w1
+	copy(ws[1:], s.interior)
+	ws[s.n-1] = w2
+	return dpComponent{order: iota0(s.n), ws: ws}
 }
 
 // nearestHint returns a warm λ for the locator: the larger of the λ*

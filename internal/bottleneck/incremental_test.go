@@ -197,8 +197,9 @@ func TestSplitSolverZeroInteriorFallsBack(t *testing.T) {
 	}
 }
 
-// TestSplitSolverBigRatFallsOffIntPath forces non-int64 magnitudes so the
-// Rat transfer builder (not just the integer fast path) is parity-checked.
+// TestSplitSolverBigRatFallsOffIntPath forces non-int64 magnitudes, which
+// no interior transfer admits, so the whole-path pass on the big.Int plan
+// (not just the integer fast path) is parity-checked.
 func TestSplitSolverBigRatFallsOffIntPath(t *testing.T) {
 	huge := numeric.New(1, 1)
 	for i := 0; i < 5; i++ {
@@ -299,7 +300,7 @@ func TestSplitSolverMinimalInterior(t *testing.T) {
 
 // TestSplitSolverCountsArithmeticPaths drives one solver down every
 // arithmetic path — fixed-width plans with integer endpoint sums for a
-// plain split, big.Int plans and the Rat combination for a split whose w1
+// plain split, big.Int plans and whole-path passes for a split whose w1
 // carries a denominator near 2^62 — and referees each answer against the
 // max-flow engine, which shares no DP code.
 func TestSplitSolverCountsArithmeticPaths(t *testing.T) {
@@ -320,11 +321,52 @@ func TestSplitSolverCountsArithmeticPaths(t *testing.T) {
 		}
 		requireDecEqual(t, p, got, want, fmt.Sprintf("w1=%v", w1))
 		st := s.Stats()
-		t.Logf("w1=%v: %d fixed-width plans, %d big.Int plans, %d Rat combinations",
-			w1, st.FixedPlans-last.FixedPlans, st.BigPlans-last.BigPlans, st.RatCombines-last.RatCombines)
+		t.Logf("w1=%v: %d fixed-width plans, %d big.Int plans, %d whole-path passes",
+			w1, st.FixedPlans-last.FixedPlans, st.BigPlans-last.BigPlans, st.WholePathPasses-last.WholePathPasses)
 		last = st
 	}
-	if last.FixedPlans == 0 || last.BigPlans == 0 || last.RatCombines == 0 {
+	if last.FixedPlans == 0 || last.BigPlans == 0 || last.WholePathPasses == 0 {
 		t.Fatalf("an arithmetic path went unexercised: %+v", last)
+	}
+}
+
+// TestSplitSolverInteriorPastBound gives the interior two weights whose
+// denominators near 2^62 are coprime, so their common denominator is off
+// int64 and the interior admits the fixed-width plan at no λ. No transfer
+// is ever cached, every first-stage value runs the whole-path pass, and
+// each answer is refereed against the max-flow engine, which shares no DP
+// code.
+func TestSplitSolverInteriorPastBound(t *testing.T) {
+	interior := []numeric.Rat{
+		numeric.FromInt(5), numeric.New(3, 1<<62-57), numeric.FromInt(7), numeric.New(5, 1<<62-87), numeric.FromInt(2),
+	}
+	s := NewSplitSolver(interior)
+	wv := numeric.FromInt(6)
+	for num := int64(1); num < 8; num++ {
+		w1 := wv.MulInt(num).DivInt(8)
+		w2 := wv.Sub(w1)
+		p := splitPath(interior, w1, w2)
+		got, err := s.Eval(p, w1, w2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecomposeWith(p, EngineFlow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDecEqual(t, p, got, want, fmt.Sprintf("w1=%v", w1))
+	}
+	for key, tr := range s.transfers {
+		if tr != nil {
+			t.Fatalf("transfer cached at λ=%s for an interior past the bound", key)
+		}
+	}
+	st := s.Stats()
+	if st.TransferMisses == 0 || st.TransferHits == 0 {
+		t.Fatalf("the absent transfers were not looked up and reused: %+v", st)
+	}
+	if st.WholePathPasses != st.TransferHits+st.TransferMisses {
+		t.Fatalf("%d whole-path passes for %d first-stage values: %+v",
+			st.WholePathPasses, st.TransferHits+st.TransferMisses, st)
 	}
 }

@@ -41,7 +41,7 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, engine Engine, wo
 	}
 	comps := g.Components()
 	if len(comps) == 1 {
-		return decomposeInner(ctx, g, engine, nil)
+		return decomposeInner(ctx, g, engine)
 	}
 	ctx, span := obs.Start(ctx, "bottleneck.decompose_parallel")
 	defer span.End()
@@ -55,7 +55,7 @@ func DecomposeParallelCtx(ctx context.Context, g *graph.Graph, engine Engine, wo
 	}
 	results := par.MapCtx(ctx, len(comps), workers, func(ctx context.Context, i int) result {
 		sub, orig := g.InducedSubgraph(comps[i])
-		dec, err := decomposeInner(ctx, sub, engine, nil)
+		dec, err := decomposeInner(ctx, sub, engine)
 		return result{dec: dec, orig: orig, err: err}
 	})
 	// Zero-weight convention pairs (w(B) = 0, the trailing self-pairs of

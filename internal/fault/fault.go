@@ -33,9 +33,9 @@ import (
 // scattered across packages) so a chaos spec can be validated up front: a
 // typo in -chaos is a startup error, not a silently dead rule.
 const (
-	// SiteDinkelbach fires once per Dinkelbach iteration, in both the stock
-	// loop (bottleneck.dinkelbachLoop) and the incremental solver's
-	// warm-started loop.
+	// SiteDinkelbach fires once per Dinkelbach iteration, in the one loop
+	// (bottleneck.dinkelbachLoop) that every decomposition stage runs on,
+	// the incremental split solver's stages included.
 	SiteDinkelbach = "decompose.dinkelbach"
 	// SiteMaxflowPush fires once per elementary flow push inside a max-flow
 	// solve. Errors cannot propagate out of the flow kernels, so error

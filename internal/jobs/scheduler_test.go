@@ -316,7 +316,14 @@ func TestSchedulerManyJobs(t *testing.T) {
 	for _, id := range ids {
 		waitState(t, st, id, StateDone)
 	}
-	if got := s.Stats().Transitions[StateDone]; got != 40 {
+	// As in TestSchedulerRunsJob, the stats trail the store update that
+	// waitState observes, so poll until they catch up.
+	got := s.Stats().Transitions[StateDone]
+	for deadline := time.Now().Add(10 * time.Second); got < 40 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		got = s.Stats().Transitions[StateDone]
+	}
+	if got != 40 {
 		t.Fatalf("done transitions %d, want 40", got)
 	}
 }

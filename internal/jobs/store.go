@@ -197,9 +197,6 @@ func (st *Store) Close() error {
 	return st.wal.Close()
 }
 
-// Dir returns the store's data directory.
-func (st *Store) Dir() string { return st.dir }
-
 // appendLocked writes one WAL frame, optionally fsync'ing it (state
 // transitions sync; checkpoint deltas do not — any later sync makes them
 // durable wholesale, since fsync covers the whole file). The append is the

@@ -105,12 +105,6 @@ func NewNetwork(n, s, t int) *Network {
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.n }
 
-// Source returns the source node.
-func (nw *Network) Source() int { return nw.s }
-
-// Sink returns the sink node.
-func (nw *Network) Sink() int { return nw.t }
-
 // AddEdge adds a directed arc u → v with capacity c and returns its edge id,
 // usable with Flow after solving.
 func (nw *Network) AddEdge(u, v int, c Cap) int {

@@ -20,8 +20,8 @@
 //     while sharing one trace.
 //   - A Span is one timed tree node with string attributes, integer
 //     counters (cheap enough for per-iteration hot loops), and point-in-time
-//     events (the generalization of bottleneck.TraceFunc's Dinkelbach
-//     iteration hooks).
+//     events (e.g. one per Dinkelbach iteration of a decomposition stage,
+//     which `irshare decompose -trace` prints).
 //   - A Recorder mints traces. Collector (ring buffer + metrics) and
 //     Capture (keep the last trace, for library use and tests) implement it.
 package obs

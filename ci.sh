@@ -132,6 +132,10 @@ go run ./cmd/benchjson -bench 'WAL|Recover' -pkg ./internal/jobs -out BENCH_jobs
 # FuzzFixedWidthMaxflow the fixed-width Dinic against the rational Dinic
 # (value, every arc's flow, push count, both min-cut sides), at
 # adversarial magnitudes on both sides of the 2^126 admission bound.
+# FuzzBreakpointLocator referees the optimizer's breakpoint locator against
+# the 48-step exact bisection it replaced (test code only,
+# internal/core/optimize_ref_test.go) on rings mixing small integers,
+# powers of two and k/2^48 dust: every cut and every answer field must agree.
 go test ./internal/graph -run '^$' -fuzz '^FuzzParseGraph$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzRatDecode$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzMechanismField$' -fuzztime 10s
@@ -139,6 +143,7 @@ go test ./internal/cert -run '^$' -fuzz '^FuzzCertRoundTrip$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzScenarioRequest$' -fuzztime 10s
 go test ./internal/bottleneck -run '^$' -fuzz '^FuzzFixedWidthDP$' -fuzztime 10s
 go test ./internal/maxflow -run '^$' -fuzz '^FuzzFixedWidthMaxflow$' -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz '^FuzzBreakpointLocator$' -fuzztime 10s
 
 # Cross-mechanism tournament smoke: every registered mechanism evaluated
 # on a fixed ring through the same path the /v1/tournament endpoint uses.

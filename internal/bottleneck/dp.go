@@ -44,7 +44,8 @@ type dpPlan struct {
 }
 
 // arithTally counts which arithmetic a stretch of DP work ran on. Callers
-// fold it into SplitSolverStats under a lock they take anyway.
+// fold it into SplitSolverStats under a lock they take anyway; the split
+// solver also reports each evaluation's plans on its splitsolver.eval span.
 type arithTally struct {
 	fixedPlans, bigPlans, wholePaths int
 }
@@ -55,6 +56,12 @@ func (t *arithTally) plan(fixed bool) {
 	} else {
 		t.bigPlans++
 	}
+}
+
+func (t *arithTally) add(u arithTally) {
+	t.fixedPlans += u.fixedPlans
+	t.bigPlans += u.bigPlans
+	t.wholePaths += u.wholePaths
 }
 
 func (o *dpOracle) plansFor(lambda numeric.Rat) []dpPlan {

@@ -188,6 +188,7 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 
 	residual := iota0(s.n)
 	var pairs []Pair
+	var tally arithTally
 	for len(residual) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -208,13 +209,13 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 			err   error
 		)
 		if len(residual) == s.n {
-			alpha, B, err = s.stage1(ctx, w1, w2)
+			alpha, B, err = s.stage1(ctx, w1, w2, &tally)
 			if err != nil {
 				return nil, err
 			}
 			C = p.NeighborhoodSet(B)
 		} else {
-			alpha, B, C, err = s.laterStage(ctx, residual, w1, w2, hasLeft, hasRight)
+			alpha, B, C, err = s.laterStage(ctx, residual, w1, w2, hasLeft, hasRight, &tally)
 			if err != nil {
 				return nil, err
 			}
@@ -244,6 +245,8 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 		residual = next
 	}
 	span.AddInt("stages", int64(len(pairs)))
+	span.AddInt("fixed_plans", int64(tally.fixedPlans))
+	span.AddInt("big_plans", int64(tally.bigPlans))
 	d := &Decomposition{Pairs: pairs}
 	if err := d.finish(s.n); err != nil {
 		return nil, err
@@ -254,8 +257,9 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 // stage1 finds the maximal bottleneck of the full path with the shared
 // Dinkelbach loop over the cached interior transfers. The cold start is
 // α(V) = 1 (Γ(V) = V on a path with ≥ 2 vertices and positive weights), so
-// a hint counts as a warm start only strictly inside (0, 1).
-func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, []int, error) {
+// a hint counts as a warm start only strictly inside (0, 1). The run's
+// arithmetic is added to tally.
+func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat, tally *arithTally) (numeric.Rat, []int, error) {
 	sp := obs.FromContext(ctx)
 	warm, ok := s.nearestHint(fullPathKey, w1.Float64())
 	hinted := ok && warm.Sign() > 0 && warm.Less(numeric.One)
@@ -282,6 +286,7 @@ func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat) (numeric.R
 		sp.AddInt("stage1_cold", 1)
 	}
 	s.recordRun(fullPathKey, w1.Float64(), alpha, counter, o.tally)
+	tally.add(o.tally)
 	return alpha, B, nil
 }
 
@@ -299,7 +304,7 @@ type fullPathOracle struct {
 
 func (o *fullPathOracle) value(lambda numeric.Rat) (numeric.Rat, numeric.Rat) {
 	obs.FromContext(o.ctx).AddInt("iters", 1)
-	return o.s.valueFull(o.s.transferFor(o.ctx, lambda), lambda, o.w1, o.w2, &o.tally)
+	return o.s.valueFull(o.s.transferFor(o.ctx, lambda, &o.tally), lambda, o.w1, o.w2, &o.tally)
 }
 
 func (o *fullPathOracle) maximal(lambda numeric.Rat) []int {
@@ -312,8 +317,9 @@ func (o *fullPathOracle) maximal(lambda numeric.Rat) []int {
 // endpoint weight. The residual of a path decomposition is a union of
 // subpaths — the maximal runs of consecutive positions — so the DP
 // components are sliced straight out of the fixed interior instead of
-// materializing an induced subgraph per stage.
-func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 numeric.Rat, hasLeft, hasRight bool) (numeric.Rat, []int, []int, error) {
+// materializing an induced subgraph per stage. The run's arithmetic is
+// added to tally.
+func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 numeric.Rat, hasLeft, hasRight bool, tally *arithTally) (numeric.Rat, []int, []int, error) {
 	wAt, weightOf := s.pathWeights(w1, w2)
 	var comps []dpComponent
 	total, gamma := numeric.Zero, numeric.Zero
@@ -364,6 +370,7 @@ func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 num
 		obs.FromContext(ctx).AddInt("later_cold", 1)
 	}
 	s.recordRun(key, locator, alpha, counter, oracle.tally)
+	tally.add(oracle.tally)
 	// C = Γ(B) within the residual: a residual position whose path neighbor
 	// is in B (components are index runs, so adjacency is v±1 ∈ residual).
 	inRes := make([]bool, s.n)
@@ -451,9 +458,10 @@ func (s *SplitSolver) pathWeights(w1, w2 numeric.Rat) (wAt func(int) numeric.Rat
 // transferFor returns the interior transfer at λ, building and caching it
 // on first use, or nil when the interior does not admit the fixed-width
 // plan at λ. The absence is cached too, so later calls at that λ do not
-// plan the interior again. The context only carries the obs span the
-// hit/miss is charged to — the prefix-DP reuse signal of the trace.
-func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat) *interiorTransfer {
+// plan the interior again. A transfer built here is counted in tally. The
+// context only carries the obs span the hit/miss is charged to — the
+// prefix-DP reuse signal of the trace.
+func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat, tally *arithTally) *interiorTransfer {
 	key := lambda.String()
 	s.mu.Lock()
 	t, ok := s.transfers[key]
@@ -473,10 +481,10 @@ func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat) *inte
 		s.transfers[key] = t
 	}
 	s.stats.TransferMisses++
-	if t != nil {
-		s.stats.FixedPlans++
-	}
 	s.mu.Unlock()
+	if t != nil {
+		tally.plan(true)
+	}
 	obs.FromContext(ctx).AddInt("transfer_misses", 1)
 	return t
 }

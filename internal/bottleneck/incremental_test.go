@@ -1,6 +1,7 @@
 package bottleneck
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/numeric"
+	"repro/internal/obs"
 )
 
 // splitPath builds the path [w1, interior..., w2].
@@ -327,6 +329,38 @@ func TestSplitSolverCountsArithmeticPaths(t *testing.T) {
 	}
 	if last.FixedPlans == 0 || last.BigPlans == 0 || last.WholePathPasses == 0 {
 		t.Fatalf("an arithmetic path went unexercised: %+v", last)
+	}
+}
+
+// TestSplitSolverSpansCountPlans checks that the splitsolver.eval spans
+// carry the DP plans each evaluation built, by arithmetic: summed over a
+// traced sweep that takes both the fixed-width and the big.Int plan, they
+// equal the solver's own FixedPlans and BigPlans counters.
+func TestSplitSolverSpansCountPlans(t *testing.T) {
+	interior := numeric.Ints(5, 2, 7, 1, 8)
+	s := NewSplitSolver(interior)
+	wv := numeric.FromInt(4)
+	rec := &obs.Capture{}
+	tr := rec.NewTrace("sweep")
+	ctx := tr.Context(context.Background())
+	for _, w1 := range []numeric.Rat{numeric.New(3, 2), numeric.New(1, 3), numeric.New(1<<62-56, 1<<62-57)} {
+		w2 := wv.Sub(w1)
+		if _, err := s.EvalCtx(ctx, splitPath(interior, w1, w2), w1, w2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Finish()
+	var fixed, big, spans int64
+	rec.Last().Root.Walk(func(sp *obs.SpanSnapshot) {
+		if sp.Name == "splitsolver.eval" {
+			spans++
+			fixed += sp.Counter("fixed_plans")
+			big += sp.Counter("big_plans")
+		}
+	})
+	st := s.Stats()
+	if spans != 3 || fixed != int64(st.FixedPlans) || big != int64(st.BigPlans) || big == 0 {
+		t.Fatalf("%d eval spans count %d fixed-width and %d big.Int plans; solver counted %+v", spans, fixed, big, st)
 	}
 }
 

@@ -19,8 +19,10 @@ type OptimizeOptions struct {
 	// Grid is the number of initial uniform samples of w1 over [0, w_v]
 	// (default 64).
 	Grid int
-	// BisectIters bounds the exact bisection refining each decomposition
-	// breakpoint (default 48, i.e. breakpoints located to w_v/2^48).
+	// BisectIters fixes the resolution of each decomposition breakpoint:
+	// it is bracketed to the level-BisectIters dyadic sub-interval of its
+	// grid cell, the bracket an exact bisection of that many steps ends on
+	// (default 48, i.e. breakpoints located to w_v/2^48).
 	BisectIters int
 	// SampleK is the number of exact interior samples per piece used to
 	// validate the piece's closed-form model (default 3).
@@ -34,7 +36,7 @@ type OptimizeOptions struct {
 	Workers int
 	// DisableEvalCache turns off the Instance's (w1, w2) → PathEval
 	// memoization for this optimization run, forcing every grid point,
-	// bisection probe and piece sample to decompose from scratch. A
+	// breakpoint probe and piece sample to decompose from scratch. A
 	// benchmarking knob; results are identical either way.
 	DisableEvalCache bool
 	// DisableIncremental turns off the incremental split engine for this
@@ -88,7 +90,9 @@ type OptResult struct {
 	// Pieces is the certificate: the decomposition-structure intervals
 	// discovered, in order.
 	Pieces []Piece
-	// Evals counts exact path evaluations performed.
+	// Evals counts the exact split evaluations performed (EvalSplitCtx
+	// calls, cache hits included). It is a work count, not part of the
+	// answer.
 	Evals int
 }
 
@@ -107,11 +111,17 @@ func (in *Instance) Optimize(opts OptimizeOptions) (*OptResult, error) {
 }
 
 // OptimizeCtx is Optimize with cancellation: the context is consulted by
-// every exact evaluation (grid points, bisection probes, piece samples), so
+// every exact evaluation (grid points, breakpoint probes, piece samples), so
 // a canceled optimization aborts between decompositions with ctx.Err() and
 // leaves the Instance's shared caches consistent.
 func (in *Instance) OptimizeCtx(ctx context.Context, opts OptimizeOptions) (*OptResult, error) {
 	opts = opts.withDefaults()
+	loc := breakpointLocator{in: in, iters: opts.BisectIters, predict: modelBracket}
+	return in.optimize(ctx, opts, loc.cut)
+}
+
+// optimize runs the three phases with cut locating each breakpoint.
+func (in *Instance) optimize(ctx context.Context, opts OptimizeOptions, cut cutFunc) (*OptResult, error) {
 	ctx, span := obs.Start(ctx, "core.optimize")
 	defer span.End()
 	if span != nil {
@@ -156,13 +166,15 @@ func (in *Instance) OptimizeCtx(ctx context.Context, opts OptimizeOptions) (*Opt
 	}
 	res.Evals += len(grid)
 
-	// Phase 2: locate breakpoints between samples with different structure
-	// signatures by exact rational bisection, then try to snap the bracket
-	// onto the exact breakpoint (the simplest rational inside it — these
-	// boundaries are ratios of weight sums). A successful snap collapses
-	// one side of the bracket, so the adjoining piece is represented by its
-	// true closed endpoint and later exact evaluations (per-piece bests,
-	// stage analysis) see clean rationals instead of 2^-48 dust.
+	// Phase 2: locate the breakpoint inside every cell whose ends carry
+	// different structure signatures, to the level-BisectIters dyadic
+	// bracket an exact bisection reaches (breakpoint.go), then try to snap
+	// the bracket onto the exact breakpoint (the simplest rational inside
+	// it — these boundaries are ratios of weight sums). A successful snap
+	// collapses one side of the bracket, so the adjoining piece is
+	// represented by its true closed endpoint and later exact evaluations
+	// (per-piece bests, stage analysis) see clean rationals instead of
+	// 2^-48 dust.
 	type boundary struct{ lo, hi numeric.Rat }
 	var cuts []boundary
 	bctx, bspan := obs.Start(ctx, "optimize.breakpoints")
@@ -170,37 +182,11 @@ func (in *Instance) OptimizeCtx(ctx context.Context, opts OptimizeOptions) (*Opt
 		if grid[i].ev.Signature == grid[i+1].ev.Signature {
 			continue
 		}
-		lo, hi := grid[i].w1, grid[i+1].w1
-		sigLo := grid[i].ev.Signature
-		sigHi := grid[i+1].ev.Signature
-		for it := 0; it < opts.BisectIters; it++ {
-			mid := lo.Add(hi).DivInt(2)
-			ev, err := in.EvalSplitCtx(bctx, mid)
-			if err != nil {
-				bspan.End()
-				return nil, err
-			}
-			res.Evals++
-			if ev.Signature == sigLo {
-				lo = mid
-			} else {
-				hi, sigHi = mid, ev.Signature
-			}
-		}
-		if lo.Less(hi) {
-			cand := numeric.SimplestBetween(lo, hi)
-			ev, err := in.EvalSplitCtx(bctx, cand)
-			if err != nil {
-				bspan.End()
-				return nil, err
-			}
-			res.Evals++
-			switch ev.Signature {
-			case sigLo:
-				lo = cand
-			case sigHi:
-				hi = cand
-			}
+		lo, hi, evals, err := cut(bctx, grid[i].w1, grid[i+1].w1, grid[i].ev, grid[i+1].ev)
+		res.Evals += evals
+		if err != nil {
+			bspan.End()
+			return nil, err
 		}
 		cuts = append(cuts, boundary{lo: lo, hi: hi})
 	}

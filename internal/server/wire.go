@@ -290,6 +290,11 @@ type RatioRequest struct {
 // — a self-check failure is a 500 with code cert_invalid, never a silently
 // wrong certificate — and clients can re-run cert.Check themselves without
 // trusting the server.
+//
+// Evals is the number of exact split evaluations the optimizer performed,
+// cache hits included (for a non-BD mechanism, the number of grid points).
+// It is a work count, not part of the answer: a faster optimizer lowers it
+// while every other field stays the same.
 type RatioResponse struct {
 	Honest      string          `json:"honest"`
 	BestW1      string          `json:"best_w1"`

@@ -131,7 +131,12 @@ go run ./cmd/benchjson -bench 'WAL|Recover' -pkg ./internal/jobs -out BENCH_jobs
 # which are test code only (internal/bottleneck/dpref_test.go), and
 # FuzzFixedWidthMaxflow the fixed-width Dinic against the rational Dinic
 # (value, every arc's flow, push count, both min-cut sides), at
-# adversarial magnitudes on both sides of the 2^126 admission bound.
+# adversarial magnitudes — parts and common denominators past int64 among
+# them — on both sides of the 2^126 admission bound. FuzzWitnessNetwork
+# referees internal/cert/build's one-network-per-decomposition Hall
+# witnesses against a fresh per-pair network (test code only,
+# internal/cert/build/witness_ref_test.go), byte for byte and push for
+# push, on paths and rings with k/2^48 dust weights.
 # FuzzBreakpointLocator referees the optimizer's breakpoint locator against
 # the 48-step exact bisection it replaced (test code only,
 # internal/core/optimize_ref_test.go) on rings mixing small integers,
@@ -143,6 +148,7 @@ go test ./internal/cert -run '^$' -fuzz '^FuzzCertRoundTrip$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzScenarioRequest$' -fuzztime 10s
 go test ./internal/bottleneck -run '^$' -fuzz '^FuzzFixedWidthDP$' -fuzztime 10s
 go test ./internal/maxflow -run '^$' -fuzz '^FuzzFixedWidthMaxflow$' -fuzztime 10s
+go test ./internal/cert/build -run '^$' -fuzz '^FuzzWitnessNetwork$' -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz '^FuzzBreakpointLocator$' -fuzztime 10s
 
 # Cross-mechanism tournament smoke: every registered mechanism evaluated

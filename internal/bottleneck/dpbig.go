@@ -34,25 +34,18 @@ type bigPlan struct {
 	d         *big.Int   // D, the weight denominator
 }
 
-// bigParts returns r's numerator and denominator as big.Ints without going
-// through the big.Rat boxing of Num/Denom when r is on the int64 fast path.
-func bigParts(r numeric.Rat) (*big.Int, *big.Int) {
-	if n, d, ok := r.Int64Parts(); ok {
-		return big.NewInt(n), big.NewInt(d)
-	}
-	return r.Num(), r.Denom()
-}
-
 // bigPlanFor prepares the big.Int representation; unlike fixedPlanFor it
 // always succeeds. The returned plan's ints are read-only.
 func (c dpComponent) bigPlanFor(lambda numeric.Rat) bigPlan {
-	p, q := bigParts(lambda)
+	p, q := new(big.Int), new(big.Int)
+	lambda.BigParts(p, q)
 	nums := make([]*big.Int, len(c.ws))
 	dens := make([]*big.Int, len(c.ws))
 	d := big.NewInt(1)
 	var tmp big.Int
 	for i, w := range c.ws {
-		nums[i], dens[i] = bigParts(w)
+		nums[i], dens[i] = new(big.Int), new(big.Int)
+		w.BigParts(nums[i], dens[i])
 		tmp.GCD(nil, nil, d, dens[i])
 		d.Mul(d, new(big.Int).Quo(dens[i], &tmp))
 	}

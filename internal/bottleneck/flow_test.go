@@ -3,6 +3,7 @@ package bottleneck
 import (
 	"context"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -27,8 +28,9 @@ func solvesByArith(sp *obs.SpanSnapshot, into map[string]int) {
 }
 
 // TestFlowOracleReusesNetwork drives one flowOracle through a λ sequence
-// with repeats, rises and falls — including a λ whose network is past the
-// fixed-width bound and runs on rationals — and requires every (value,
+// with repeats, rises and falls — including a λ whose L is past int64 but
+// whose network is below the fixed-width bound, and one whose network is
+// past the bound and runs on rationals — and requires every (value,
 // minimizer weight), maximal set and push count to match a fresh oracle's
 // at that λ. The memo must save exactly the repeated solves: value twice
 // and then maximal at one λ is one max-flow, and maximal hands its set over,
@@ -36,12 +38,13 @@ func solvesByArith(sp *obs.SpanSnapshot, into map[string]int) {
 func TestFlowOracleReusesNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	g := graph.RandomConnected(rng, 10, 0.3, graph.DistUniform)
-	g.MustSetWeight(3, numeric.New(7, 2)) // L = lcm(…, 2·(2^63−1)) is past int64 below
+	g.MustSetWeight(3, numeric.New(7, 2)) // L = 2·(2^63−1) and 2^126 at the two tiny λ below
+	past := numeric.FromBig(new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 125)))
 	tr := obs.NewTrace("test")
 	o := &flowOracle{g: g, ctx: tr.Context(context.Background())}
 	lambdas := []numeric.Rat{
 		numeric.One, numeric.New(1, 2), numeric.New(1, 2), numeric.New(3, 4),
-		numeric.New(1, 3), numeric.New(1, 3), numeric.New(1, math.MaxInt64),
+		numeric.New(1, 3), numeric.New(1, 3), numeric.New(1, math.MaxInt64), past,
 		numeric.New(2, 5), numeric.New(1<<48-3, 1<<48), numeric.One, numeric.New(1, 3),
 	}
 	wantSolves := 0

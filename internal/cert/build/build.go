@@ -47,10 +47,10 @@ func Decomposition(ctx context.Context, g *graph.Graph, dec *bottleneck.Decompos
 	for v := range active {
 		active[v] = true
 	}
-	edges := g.Edges()
+	wn := &witnessNet{g: g, edges: g.Edges()}
 	for i := range dec.Pairs {
 		p := &dec.Pairs[i]
-		w, err := witness(ctx, g, edges, active, p.Alpha)
+		w, err := wn.witness(ctx, active, p.Alpha)
 		if err != nil {
 			return nil, fmt.Errorf("cert/build: pair %d: %w", i, err)
 		}
@@ -75,20 +75,39 @@ func Decomposition(ctx context.Context, g *graph.Graph, dec *bottleneck.Decompos
 	return c, nil
 }
 
-// witness builds the Hall-condition flow witness for one pair: over the
-// residual graph (the still-active vertices) it routes α·w(v) out of every
-// vertex into the supplies w(u) of its neighbors by solving
+// witnessNet is the Hall-witness network of one decomposition. Over the
+// residual graph (the still-active vertices) a pair's witness routes α·w(v)
+// out of every vertex into the supplies w(u) of its neighbors:
 //
 //	s → L(v) with capacity α·w(v),  L(v) → R(u) (∞) per residual edge,
 //	R(u) → t with capacity w(u)
 //
-// exactly. A maximum flow saturating every source arc certifies
-// w(Γ(S) ∩ V_i) ≥ α·w(S) for all subsets S; only the L → R flows are
-// recorded (the checker re-derives the demand and supply sides).
-func witness(ctx context.Context, g *graph.Graph, edges [][2]int, active []bool, alpha numeric.Rat) ([]cert.FlowEdge, error) {
+// The network is built once, on the first pair that needs a flow, with
+// every vertex and edge in the order a per-pair build would add the active
+// ones; each pair then re-sets the source capacities and gives every arc of
+// a removed vertex capacity 0. A zero arc adds nothing to the fixed-width
+// Dinic's common denominator or capacity sum, and no solver ever crosses
+// it, so each pair's solve takes the levels, augmenting paths and pushes —
+// and yields the witness — of a network holding only the active vertices.
+type witnessNet struct {
+	g     *graph.Graph
+	edges [][2]int
+	nw    *maxflow.Network
+	src   []int // edge ids of s → L(v), by vertex
+	snk   []int // edge ids of R(v) → t, by vertex
+	arcs  []int // edge ids of L(u) → R(v) and L(v) → R(u), per edge (u, v)
+}
+
+// witness builds the Hall-condition flow witness for one pair by solving
+// the residual graph's network exactly. A maximum flow saturating every
+// source arc certifies w(Γ(S) ∩ V_i) ≥ α·w(S) for all subsets S; only the
+// L → R flows are recorded (the checker re-derives the demand and supply
+// sides).
+func (wn *witnessNet) witness(ctx context.Context, active []bool, alpha numeric.Rat) ([]cert.FlowEdge, error) {
 	if alpha.IsZero() {
 		return nil, nil // every demand is zero; the empty witness verifies
 	}
+	g := wn.g
 	total := numeric.Zero
 	for v, a := range active {
 		if a {
@@ -100,33 +119,52 @@ func witness(ctx context.Context, g *graph.Graph, edges [][2]int, active []bool,
 		return nil, nil // zero-weight residual cluster
 	}
 	// Node layout: 0 = source, 1 = sink, 2+v = demand side of v,
-	// 2+n+v = supply side of v. Inactive vertices get no arcs.
+	// 2+n+v = supply side of v.
 	n := g.N()
-	nw := maxflow.NewNetwork(2+2*n, 0, 1)
-	for v := 0; v < n; v++ {
-		if !active[v] {
-			continue
+	zero := maxflow.Finite(numeric.Zero)
+	if wn.nw == nil {
+		wn.nw = maxflow.NewNetwork(2+2*n, 0, 1)
+		wn.src, wn.snk = make([]int, n), make([]int, n)
+		for v := 0; v < n; v++ {
+			wn.src[v] = wn.nw.AddEdge(0, 2+v, zero)
+			wn.snk[v] = wn.nw.AddEdge(2+n+v, 1, zero)
 		}
-		nw.AddEdge(0, 2+v, maxflow.Finite(alpha.Mul(g.Weight(v))))
-		nw.AddEdge(2+n+v, 1, maxflow.Finite(g.Weight(v)))
+		wn.arcs = make([]int, 0, 2*len(wn.edges))
+		for _, e := range wn.edges {
+			u, v := e[0], e[1]
+			wn.arcs = append(wn.arcs, wn.nw.AddEdge(2+u, 2+n+v, zero), wn.nw.AddEdge(2+v, 2+n+u, zero))
+		}
 	}
-	type arcRef struct{ from, to, id int }
-	arcs := make([]arcRef, 0, 2*len(edges))
-	for _, e := range edges {
+	for v := 0; v < n; v++ {
+		src, snk := zero, zero
+		if active[v] {
+			src, snk = maxflow.Finite(alpha.Mul(g.Weight(v))), maxflow.Finite(g.Weight(v))
+		}
+		wn.nw.SetCapacity(wn.src[v], src)
+		wn.nw.SetCapacity(wn.snk[v], snk)
+	}
+	for i, e := range wn.edges {
+		c := zero
+		if active[e[0]] && active[e[1]] {
+			c = maxflow.Inf
+		}
+		wn.nw.SetCapacity(wn.arcs[2*i], c)
+		wn.nw.SetCapacity(wn.arcs[2*i+1], c)
+	}
+	if got := wn.nw.SolveCtx(ctx, maxflow.Dinic); !got.Equal(total) {
+		return nil, fmt.Errorf("cert/build: Hall witness infeasible: routed %v of demand %v (α is not a valid lower bound for this pair)", got, total)
+	}
+	var out []cert.FlowEdge
+	for i, e := range wn.edges {
 		u, v := e[0], e[1]
 		if !active[u] || !active[v] {
 			continue
 		}
-		arcs = append(arcs, arcRef{u, v, nw.AddEdge(2+u, 2+n+v, maxflow.Inf)})
-		arcs = append(arcs, arcRef{v, u, nw.AddEdge(2+v, 2+n+u, maxflow.Inf)})
-	}
-	if got := nw.SolveCtx(ctx, maxflow.Dinic); !got.Equal(total) {
-		return nil, fmt.Errorf("cert/build: Hall witness infeasible: routed %v of demand %v (α is not a valid lower bound for this pair)", got, total)
-	}
-	out := make([]cert.FlowEdge, 0, len(arcs))
-	for _, a := range arcs {
-		if f := nw.Flow(a.id); f.Sign() > 0 {
-			out = append(out, cert.FlowEdge{From: a.from, To: a.to, Flow: f.String()})
+		if f := wn.nw.Flow(wn.arcs[2*i]); f.Sign() > 0 {
+			out = append(out, cert.FlowEdge{From: u, To: v, Flow: f.String()})
+		}
+		if f := wn.nw.Flow(wn.arcs[2*i+1]); f.Sign() > 0 {
+			out = append(out, cert.FlowEdge{From: v, To: u, Flow: f.String()})
 		}
 	}
 	return out, nil
@@ -154,6 +192,10 @@ func Split(ctx context.Context, ev *core.PathEval) (*cert.SplitCert, error) {
 // candidate maximum. The certificate's candidate set mirrors the
 // optimizer's exactly, so cert.Check's max-equality test is an identity,
 // not an approximation.
+//
+// The best split is some piece's best, and a piece best on a piece end is
+// a bracket end, so Ratio builds each distinct w1's split once and copies
+// it; the copies share their slices.
 func Ratio(ctx context.Context, in *core.Instance, opt *core.OptResult) (*cert.RatioCert, error) {
 	ringCert, err := Decomposition(ctx, in.G, in.Dec)
 	if err != nil {
@@ -172,14 +214,26 @@ func Ratio(ctx context.Context, in *core.Instance, opt *core.OptResult) (*cert.R
 		return nil, err
 	}
 	rc.Best = *best
-	W := in.W()
-	for i := range opt.Pieces {
-		p := &opt.Pieces[i]
-		ev, err := in.EvalSplitCtx(ctx, p.BestW1)
+	splits := map[string]*cert.SplitCert{best.W1: best}
+	splitAt := func(w1 numeric.Rat) (*cert.SplitCert, error) {
+		if s, ok := splits[w1.String()]; ok {
+			return s, nil
+		}
+		ev, err := in.EvalSplitCtx(ctx, w1)
 		if err != nil {
 			return nil, err
 		}
-		pb, err := Split(ctx, ev)
+		s, err := Split(ctx, ev)
+		if err != nil {
+			return nil, err
+		}
+		splits[s.W1] = s
+		return s, nil
+	}
+	W := in.W()
+	for i := range opt.Pieces {
+		p := &opt.Pieces[i]
+		pb, err := splitAt(p.BestW1)
 		if err != nil {
 			return nil, err
 		}
@@ -214,11 +268,7 @@ func Ratio(ctx context.Context, in *core.Instance, opt *core.OptResult) (*cert.R
 				continue
 			}
 			seen[key] = true
-			ev, err := in.EvalSplitCtx(ctx, w1)
-			if err != nil {
-				return nil, err
-			}
-			bc, err := Split(ctx, ev)
+			bc, err := splitAt(w1)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package cert
 import (
 	"fmt"
 	"math/big"
+	"reflect"
 	"sort"
 )
 
@@ -365,6 +366,14 @@ type ringCtx struct {
 	v     int
 	W     *big.Rat // attacker weight w_v
 	order []int    // cyclic order starting at v, toward the lower-indexed neighbor
+	// checked holds the first verified split at each W1 with its parsed
+	// (U, W1), which later copies share read-only.
+	checked map[string]checkedSplit
+}
+
+type checkedSplit struct {
+	s     *SplitCert
+	u, w1 *big.Rat
 }
 
 // newRingCtx compiles the ring instance (already certified by the caller),
@@ -405,15 +414,31 @@ func newRingCtx(ring *DecompositionCert, v int) (*ringCtx, error) {
 	if cur != v {
 		return nil, fmt.Errorf("cert: graph is not a connected ring")
 	}
-	return &ringCtx{in: in, v: v, W: in.w[v], order: order}, nil
+	return &ringCtx{in: in, v: v, W: in.w[v], order: order, checked: make(map[string]checkedSplit)}, nil
 }
 
-// checkSplit verifies one split certificate against the ring: the embedded
+// checkSplit verifies one split certificate against the ring and returns
+// its parsed (U, W1). A ratio certificate repeats splits — its best split is
+// a piece's best, and a piece best on a piece end is a bracket end — so a
+// split equal in every field (reflect.DeepEqual) to one already verified at
+// the same W1 is accepted as that one; any other split is verified in full.
+// The comparison is linear in the split's size, like its verification.
+func (rc *ringCtx) checkSplit(s *SplitCert, ringWeights []string) (u, w1 *big.Rat, err error) {
+	prev, seen := rc.checked[s.W1]
+	if seen && reflect.DeepEqual(prev.s, s) {
+		return prev.u, prev.w1, nil
+	}
+	if u, w1, err = rc.verifySplit(s, ringWeights); err == nil && !seen {
+		rc.checked[s.W1] = checkedSplit{s: s, u: u, w1: w1}
+	}
+	return u, w1, err
+}
+
+// verifySplit verifies one split certificate against the ring: the embedded
 // path instance must be exactly the ring cut open at v with the identity
 // weights at the ends, the path decomposition certificate must check, and
-// the utilities must be the path cover's values at the two identities. It
-// returns the parsed (U, W1).
-func (rc *ringCtx) checkSplit(s *SplitCert, ringWeights []string) (u, w1 *big.Rat, err error) {
+// the utilities must be the path cover's values at the two identities.
+func (rc *ringCtx) verifySplit(s *SplitCert, ringWeights []string) (u, w1 *big.Rat, err error) {
 	w1, err = parseNonNeg(s.W1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cert: split w1: %w", err)

@@ -3,7 +3,10 @@ package cert_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/big"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -355,5 +358,102 @@ func TestSolverFreeCheck(t *testing.T) {
 	}
 	if err := cert.Check(dc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// leaf is one string or int field of a certificate value, addressed by
+// field and element indices from its root.
+type leaf struct {
+	path []int
+	name string
+}
+
+// leavesOf lists every string and int field reachable from v through
+// struct fields and slice or array elements.
+func leavesOf(v reflect.Value, path []int, name string, out *[]leaf) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			leavesOf(v.Field(i), append(path[:len(path):len(path)], i), name+"."+v.Type().Field(i).Name, out)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			leavesOf(v.Index(i), append(path[:len(path):len(path)], i), fmt.Sprintf("%s[%d]", name, i), out)
+		}
+	default:
+		*out = append(*out, leaf{path: path, name: name})
+	}
+}
+
+// forge changes the leaf at l under v: a rational string becomes its
+// successor (still canonical), any other string gains a suffix, and an int
+// grows by one.
+func forge(t *testing.T, v reflect.Value, l leaf) {
+	t.Helper()
+	for _, i := range l.path {
+		if v.Kind() == reflect.Struct {
+			v = v.Field(i)
+		} else {
+			v = v.Index(i)
+		}
+	}
+	switch v.Kind() {
+	case reflect.String:
+		if r, ok := new(big.Rat).SetString(v.String()); ok {
+			v.SetString(r.Add(r, big.NewRat(1, 1)).RatString())
+		} else {
+			v.SetString(v.String() + "x")
+		}
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	default:
+		t.Fatalf("%s: cannot forge a %s", l.name, v.Kind())
+	}
+}
+
+// TestDuplicateSplitForgeries covers the checker's rule for repeated
+// splits: a split equal to one already verified at the same w1 is accepted
+// as it, so forging any single field of only the later copy — the piece
+// best that repeats the best split, and the boundary evaluation that
+// repeats a piece best on a piece end — must make the certificate fail.
+func TestDuplicateSplitForgeries(t *testing.T) {
+	rc, _ := buildRatioCert(t, []int64{3, 1, 2, 1, 5}, 2)
+	piece, pieceB, bound := -1, -1, -1
+	for i := range rc.Pieces {
+		if piece < 0 && reflect.DeepEqual(rc.Pieces[i].Best, rc.Best) {
+			piece = i
+		}
+		for j := range rc.Boundary {
+			if bound < 0 && reflect.DeepEqual(rc.Pieces[i].Best, rc.Boundary[j]) {
+				pieceB, bound = i, j
+			}
+		}
+	}
+	if piece < 0 || bound < 0 {
+		t.Fatalf("certificate lacks the repeated splits (best = piece %d, piece %d = boundary %d)", piece, pieceB, bound)
+	}
+	cases := []struct {
+		name  string
+		later func(*cert.RatioCert) *cert.SplitCert
+	}{
+		{fmt.Sprintf("piece_%d_repeats_best", piece), func(c *cert.RatioCert) *cert.SplitCert { return &c.Pieces[piece].Best }},
+		{fmt.Sprintf("boundary_%d_repeats_piece_%d", bound, pieceB), func(c *cert.RatioCert) *cert.SplitCert { return &c.Boundary[bound] }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := cert.Check(deepCopy(t, rc)); err != nil {
+				t.Fatalf("decoded certificate rejected: %v", err)
+			}
+			var leaves []leaf
+			leavesOf(reflect.ValueOf(c.later(rc)).Elem(), nil, "split", &leaves)
+			if len(leaves) < 40 {
+				t.Fatalf("only %d leaves in the repeated split", len(leaves))
+			}
+			for _, l := range leaves {
+				m := deepCopy(t, rc)
+				forge(t, reflect.ValueOf(c.later(m)).Elem(), l)
+				mustFail(t, c.name+" "+l.name, m)
+			}
+		})
 	}
 }

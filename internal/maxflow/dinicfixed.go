@@ -1,6 +1,10 @@
 package maxflow
 
-import "repro/internal/numeric"
+import (
+	"math/big"
+
+	"repro/internal/numeric"
+)
 
 // Fixed-width Dinic.
 //
@@ -14,15 +18,17 @@ import "repro/internal/numeric"
 // traversal below therefore mirrors dinic() step for step; an early exit or
 // a reordering would change the flows (not the value).
 //
-// admit accepts a network when every finite capacity's parts fit int64, L
-// fits int64, and (1+k)·L·(1 + Σ c_i) < 2^numeric.FixedBits, where k counts
-// the Inf arcs leaving the source (the networks of this repository have
-// none). Every capacity, flow, residual, DFS limit and the flow value is then
-// at most that bound, so the adds need no checks.
+// admit accepts a network exactly when (1+k)·L·(1 + Σ c_i) < 2^FixedBits,
+// where k counts the Inf arcs leaving the source (the networks of this
+// repository have none). Every capacity, flow, residual, DFS limit and the
+// flow value is then at most that bound, so the adds need no checks. The
+// scaled capacities are formed in int64 parts when every part and L fit
+// int64, and in math/big otherwise; zero capacities add nothing to L or to
+// the sum.
 
 // fixedCells holds the integer state of the last fixed-width solve.
 type fixedCells struct {
-	scale int64            // L, the common denominator
+	scale numeric.Int128   // L, the common denominator
 	cap   []numeric.Int128 // scaled capacity per arc, 0 on reverse arcs
 	res   []numeric.Int128 // residual capacity per arc
 	// Dinic scratch, reused across solves of one network.
@@ -32,60 +38,100 @@ type fixedCells struct {
 // admit fills the cells for nw's current capacities, or returns false when
 // the network is past the bound and must run on rationals.
 func (c *fixedCells) admit(nw *Network) bool {
-	l, k := int64(1), uint64(1)
-	for i := 0; i < len(nw.arcs); i += 2 {
-		a := &nw.arcs[i]
-		if a.inf {
-			if nw.arcs[i+1].to == nw.s {
-				k++
-			}
-			continue
-		}
-		_, d, ok := a.cap.Int64Parts()
-		if !ok {
-			return false
-		}
-		if l, ok = numeric.LcmInt64(l, d); !ok {
-			return false
-		}
-	}
 	m := len(nw.arcs)
 	if cap(c.cap) < m {
 		c.cap, c.res = make([]numeric.Int128, m), make([]numeric.Int128, m)
 	}
 	c.cap, c.res = c.cap[:m], c.res[:m]
-	inf := numeric.Int128Of(l)
+	if !c.scaleInt64(nw) && !c.scaleBig(nw) {
+		return false
+	}
+	// Every scaled capacity is below 2^FixedBits, so the sum wraps to a
+	// negative value exactly when it reaches 2^127.
+	inf, k := c.scale, uint64(1)
 	for i := 0; i < m; i += 2 {
-		var x numeric.Int128
-		if a := &nw.arcs[i]; !a.inf {
-			num, d, _ := a.cap.Int64Parts()
-			// 0 ≤ num < 2^63 and L/d < 2^63: the product is exact.
-			x = numeric.Int128Of(num).Mul(uint64(l / d))
-			if inf = inf.Add(x); inf.IsNeg() {
-				return false // the sum reached 2^127
+		switch {
+		case !nw.arcs[i].inf:
+			if inf = inf.Add(c.cap[i]); inf.IsNeg() {
+				return false
 			}
+		case nw.arcs[i+1].to == nw.s:
+			k++
 		}
-		c.cap[i], c.res[i] = x, x
-		c.cap[i+1], c.res[i+1] = numeric.Int128{}, numeric.Int128{}
 	}
 	if _, ok := inf.MulBelow(k, numeric.FixedBits); !ok {
 		return false
 	}
 	for i := 0; i < m; i += 2 {
 		if nw.arcs[i].inf {
-			c.cap[i], c.res[i] = inf, inf
+			c.cap[i] = inf
 		}
+		c.res[i] = c.cap[i]
+		c.cap[i+1], c.res[i+1] = numeric.Int128{}, numeric.Int128{}
 	}
-	c.scale = l
 	if len(c.level) != nw.n {
 		c.level, c.iter, c.queue = make([]int, nw.n), make([]int, nw.n), make([]int, 0, nw.n)
 	}
 	return true
 }
 
+// scaleInt64 sets the scale L and every finite arc's scaled capacity
+// n_i·(L/d_i) when each capacity's parts and L fit int64, and returns false
+// otherwise.
+func (c *fixedCells) scaleInt64(nw *Network) bool {
+	l := int64(1)
+	for i := 0; i < len(nw.arcs); i += 2 {
+		if a := &nw.arcs[i]; !a.inf {
+			_, d, ok := a.cap.Int64Parts()
+			if !ok {
+				return false
+			}
+			if l, ok = numeric.LcmInt64(l, d); !ok {
+				return false
+			}
+		}
+	}
+	for i := 0; i < len(nw.arcs); i += 2 {
+		if a := &nw.arcs[i]; !a.inf {
+			num, d, _ := a.cap.Int64Parts()
+			// 0 ≤ num < 2^63 and L/d < 2^63: the product is below 2^126.
+			c.cap[i] = numeric.Int128Of(num).Mul(uint64(l / d))
+		}
+	}
+	c.scale = numeric.Int128Of(l)
+	return true
+}
+
+// scaleBig is scaleInt64 in math/big. It returns false as soon as L or a
+// scaled capacity reaches 2^FixedBits, which puts the bound past it too.
+func (c *fixedCells) scaleBig(nw *Network) bool {
+	var num, den, g big.Int
+	l := big.NewInt(1)
+	for i := 0; i < len(nw.arcs); i += 2 {
+		if a := &nw.arcs[i]; !a.inf {
+			a.cap.BigParts(&num, &den)
+			g.GCD(nil, nil, l, &den)
+			if l.Mul(l, den.Quo(&den, &g)); l.BitLen() > numeric.FixedBits {
+				return false
+			}
+		}
+	}
+	for i := 0; i < len(nw.arcs); i += 2 {
+		if a := &nw.arcs[i]; !a.inf {
+			a.cap.BigParts(&num, &den)
+			if num.Mul(&num, den.Quo(l, &den)); num.BitLen() > numeric.FixedBits {
+				return false
+			}
+			c.cap[i], _ = numeric.Int128OfBig(&num)
+		}
+	}
+	c.scale, _ = numeric.Int128OfBig(l)
+	return true
+}
+
 // rat converts a value in units of 1/L to a canonical Rat.
 func (c *fixedCells) rat(x numeric.Int128) numeric.Rat {
-	return numeric.FromInt128(x, numeric.Int128Of(c.scale))
+	return numeric.FromInt128(x, c.scale)
 }
 
 // flow returns the flow on arc id in units of 1/L.

@@ -2,6 +2,7 @@ package maxflow
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -18,17 +19,33 @@ func solveRatDinic(nw *Network) numeric.Rat {
 	return nw.dinic()
 }
 
-// testArc is one arc of a generated network; den == 0 marks Inf.
+// testArc is one arc of a generated network; a nil c marks Inf.
 type testArc struct {
-	u, v     int
-	num, den int64
+	u, v int
+	c    *big.Rat
+}
+
+// finArc is the finite arc u → v of capacity num/den; infArc the Inf one.
+func finArc(u, v int, num, den int64) testArc { return testArc{u, v, big.NewRat(num, den)} }
+func infArc(u, v int) testArc                 { return testArc{u: u, v: v} }
+
+// finBig is the finite arc u → v of capacity num/den past int64.
+func finBig(u, v int, num, den *big.Int) testArc {
+	return testArc{u, v, new(big.Rat).SetFrac(num, den)}
+}
+
+func (a testArc) String() string {
+	if a.c == nil {
+		return fmt.Sprintf("%d→%d:inf", a.u, a.v)
+	}
+	return fmt.Sprintf("%d→%d:%s", a.u, a.v, a.c.RatString())
 }
 
 func (a testArc) cap() Cap {
-	if a.den == 0 {
+	if a.c == nil {
 		return Inf
 	}
-	return Finite(numeric.New(a.num, a.den))
+	return Finite(numeric.FromBig(a.c))
 }
 
 func buildTestNetwork(n int, arcs []testArc) (*Network, []int) {
@@ -40,9 +57,9 @@ func buildTestNetwork(n int, arcs []testArc) (*Network, []int) {
 	return nw, ids
 }
 
-// wantAdmitted decides admission independently in math/big: every finite
-// capacity's parts fit int64, L = lcm of their denominators fits int64, and
-// (1+k)·L·(1 + Σ c_i) < 2^126 with k the Inf arcs leaving the source.
+// wantAdmitted decides admission independently in math/big:
+// (1+k)·L·(1 + Σ c_i) < 2^126, with L the lcm of the finite capacities'
+// denominators and k the Inf arcs leaving the source.
 func wantAdmitted(nw *Network) bool {
 	l := big.NewInt(1)
 	sum := new(big.Rat).SetInt64(1)
@@ -55,16 +72,10 @@ func wantAdmitted(nw *Network) bool {
 			}
 			continue
 		}
-		if _, _, ok := a.cap.Int64Parts(); !ok {
-			return false
-		}
 		d := a.cap.Denom()
 		g := new(big.Int).GCD(nil, nil, l, d)
 		l.Mul(l, new(big.Int).Quo(d, g))
 		sum.Add(sum, new(big.Rat).SetFrac(a.cap.Num(), d))
-	}
-	if !l.IsInt64() {
-		return false
 	}
 	bound := new(big.Rat).Mul(sum, new(big.Rat).SetInt(new(big.Int).Mul(l, big.NewInt(k))))
 	return bound.Cmp(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), numeric.FixedBits))) < 0
@@ -132,6 +143,12 @@ func fuzzCap(sel byte, raw uint64) int64 {
 	return v
 }
 
+// fuzzValue is fuzzCap shifted left by 2·(sel>>3) bits, so numerators and
+// denominators reach 2^125 and their lcm well past 2^126.
+func fuzzValue(sel byte, raw uint64) *big.Int {
+	return new(big.Int).Lsh(big.NewInt(fuzzCap(sel, raw)), 2*uint(sel>>3))
+}
+
 // decodeFuzzNetwork reads a node count (3–16) from the first byte, then
 // arcs of 3 header bytes (tail, head, kind) followed, for a finite kind, by
 // two 9-byte numerator/denominator values; one kind in four is Inf.
@@ -143,18 +160,19 @@ func decodeFuzzNetwork(data []byte) (int, []testArc) {
 	data = data[1:]
 	var arcs []testArc
 	for len(data) >= 3 && len(arcs) < 48 {
-		a := testArc{u: int(data[0]) % n, v: int(data[1]) % n}
+		a := infArc(int(data[0])%n, int(data[1])%n)
 		kind := data[2]
 		data = data[3:]
 		if kind%4 != 0 {
 			if len(data) < 18 {
 				break
 			}
-			a.num = fuzzCap(data[0], binary.LittleEndian.Uint64(data[1:9]))
-			a.den = fuzzCap(data[9], binary.LittleEndian.Uint64(data[10:18]))
-			if a.den == 0 {
-				a.den = 1
+			num := fuzzValue(data[0], binary.LittleEndian.Uint64(data[1:9]))
+			den := fuzzValue(data[9], binary.LittleEndian.Uint64(data[10:18]))
+			if den.Sign() == 0 {
+				den.SetInt64(1)
 			}
+			a = finBig(a.u, a.v, num, den)
 			data = data[18:]
 		}
 		arcs = append(arcs, a)
@@ -162,22 +180,31 @@ func decodeFuzzNetwork(data []byte) (int, []testArc) {
 	return n, arcs
 }
 
-// encodeFuzzNetwork is the inverse of decodeFuzzNetwork for raw values
-// (selector 0 keeps value>>1, so values are stored doubled).
+// encodeFuzzNetwork is the inverse of decodeFuzzNetwork for values of the
+// form v·4^j with v < 2^63 and j < 32 (selector j<<3 keeps raw>>1 = v, so v
+// is stored doubled).
 func encodeFuzzNetwork(n int, arcs []testArc) []byte {
 	out := []byte{byte(n - 3)}
-	put := func(v int64) {
-		out = append(out, 0)
-		out = binary.LittleEndian.AppendUint64(out, uint64(v)<<1)
+	put := func(x *big.Int) {
+		j := 0
+		for x.BitLen() > 63+2*j {
+			j++
+		}
+		v := new(big.Int).Rsh(x, uint(2*j))
+		if j > 31 || new(big.Int).Lsh(v, uint(2*j)).Cmp(x) != 0 {
+			panic(fmt.Sprintf("encodeFuzzNetwork: %v is not v·4^j", x))
+		}
+		out = append(out, byte(j<<3))
+		out = binary.LittleEndian.AppendUint64(out, v.Uint64()<<1)
 	}
 	for _, a := range arcs {
-		if a.den == 0 {
+		if a.c == nil {
 			out = append(out, byte(a.u), byte(a.v), 0)
 			continue
 		}
 		out = append(out, byte(a.u), byte(a.v), 1)
-		put(a.num)
-		put(a.den)
+		put(a.c.Num())
+		put(a.c.Denom())
 	}
 	return out
 }
@@ -191,12 +218,40 @@ func boundEdge(at bool) []testArc {
 		dust = 1<<61 + 1
 	}
 	return []testArc{
-		{0, 1, math.MaxInt64, 1},
-		{0, 2, math.MaxInt64, 1},
-		{1, 2, 0, 0},
-		{1, 3, 1<<61 - 1, 1 << 62},
-		{2, 3, dust, 1 << 62},
+		finArc(0, 1, math.MaxInt64, 1),
+		finArc(0, 2, math.MaxInt64, 1),
+		infArc(1, 2),
+		finArc(1, 3, 1<<61-1, 1<<62),
+		finArc(2, 3, dust, 1<<62),
 	}
+}
+
+// bigBoundEdge is boundEdge with parts past int64: L = 2^124 and
+// L·(1 + Σ c_i) = 2^126 − 1 (below the bound) or 2^126 + 1 (past it), from
+// two unit arcs, (2^63−1)/2^63 and a dust arc (2^61∓1)/2^124.
+func bigBoundEdge(past bool) []testArc {
+	dust := big.NewInt(1<<61 - 1)
+	if past {
+		dust.SetInt64(1<<61 + 1)
+	}
+	return []testArc{
+		finArc(0, 1, 1, 1),
+		finArc(0, 2, 1, 1),
+		infArc(1, 2),
+		finBig(1, 3, big.NewInt(math.MaxInt64), new(big.Int).Lsh(big.NewInt(1), 63)),
+		finBig(2, 3, dust, new(big.Int).Lsh(big.NewInt(1), 124)),
+	}
+}
+
+// lcmEdge is a path whose L = lcm(2^63−1, 2^63−2) is past int64 although
+// every part fits: L·(1 + Σ c_i) = 2^126 − 2^63 − 1 is below the bound, and
+// a unit arc beside it puts it past.
+func lcmEdge(past bool) []testArc {
+	arcs := []testArc{finArc(0, 1, 1, math.MaxInt64), finArc(1, 2, 1, math.MaxInt64-1)}
+	if past {
+		arcs = append(arcs, finArc(0, 2, 1, 1))
+	}
+	return arcs
 }
 
 // FuzzFixedWidthMaxflow referees the fixed-width Dinic against the
@@ -207,11 +262,15 @@ func boundEdge(at bool) []testArc {
 func FuzzFixedWidthMaxflow(f *testing.F) {
 	f.Add(encodeFuzzNetwork(4, boundEdge(false)))
 	f.Add(encodeFuzzNetwork(4, boundEdge(true)))
+	f.Add(encodeFuzzNetwork(4, bigBoundEdge(false)))
+	f.Add(encodeFuzzNetwork(4, bigBoundEdge(true)))
+	f.Add(encodeFuzzNetwork(3, lcmEdge(false)))
+	f.Add(encodeFuzzNetwork(3, lcmEdge(true)))
 	f.Add(encodeFuzzNetwork(5, []testArc{
-		{0, 1, 3, 7}, {0, 2, 1 << 48, 1<<48 + 1}, {1, 3, 0, 0}, {2, 3, 0, 0}, {1, 2, 5, 2}, {3, 4, 9, 4}, {2, 4, 1<<31 + 1, 1},
+		finArc(0, 1, 3, 7), finArc(0, 2, 1<<48, 1<<48+1), infArc(1, 3), infArc(2, 3), finArc(1, 2, 5, 2), finArc(3, 4, 9, 4), finArc(2, 4, 1<<31+1, 1),
 	}))
 	f.Add(encodeFuzzNetwork(6, []testArc{
-		{0, 1, 1, 3}, {0, 2, 2, 3}, {1, 3, 0, 0}, {1, 4, 0, 0}, {2, 4, 0, 0}, {3, 5, 1, 1}, {4, 5, 1, 2}, {0, 5, 0, 1},
+		finArc(0, 1, 1, 3), finArc(0, 2, 2, 3), infArc(1, 3), infArc(1, 4), infArc(2, 4), finArc(3, 5, 1, 1), finArc(4, 5, 1, 2), finArc(0, 5, 0, 1),
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, arcs := decodeFuzzNetwork(data)
@@ -222,9 +281,10 @@ func FuzzFixedWidthMaxflow(f *testing.F) {
 	})
 }
 
-// TestFixedWidthMaxflowAdmission pins the admission rule on both sides of
-// the 2^126 bound, with a capacity whose parts are off int64, with a common
-// denominator past int64, and with an Inf arc leaving the source (which
+// TestFixedWidthMaxflowAdmission pins the one admission rule,
+// (1+k)·L·(1 + Σ c_i) < 2^126, on both sides of the bound: with int64
+// parts, with L past int64, with parts past int64, with L or one capacity
+// reaching 2^126 by itself, and with an Inf arc leaving the source (which
 // doubles the bound on the flow value); each network is also refereed
 // against the numeric.Rat Dinic.
 func TestFixedWidthMaxflowAdmission(t *testing.T) {
@@ -234,39 +294,56 @@ func TestFixedWidthMaxflowAdmission(t *testing.T) {
 	if checkFixedAgainstRat(t, 4, boundEdge(true)) {
 		t.Fatal("2^126 admitted")
 	}
-	// L past int64: lcm(2^63−1, 2^63−2).
-	if checkFixedAgainstRat(t, 3, []testArc{{0, 1, 1, math.MaxInt64}, {1, 2, 1, math.MaxInt64 - 1}}) {
-		t.Fatal("common denominator past int64 admitted")
+	if !checkFixedAgainstRat(t, 3, lcmEdge(false)) {
+		t.Fatal("2^126 − 2^63 − 1 with L past int64 rejected")
+	}
+	if checkFixedAgainstRat(t, 3, lcmEdge(true)) {
+		t.Fatal("L past int64 past the bound admitted")
+	}
+	if !checkFixedAgainstRat(t, 4, bigBoundEdge(false)) {
+		t.Fatal("2^126 − 1 with L = 2^124 rejected")
+	}
+	if checkFixedAgainstRat(t, 4, bigBoundEdge(true)) {
+		t.Fatal("2^126 + 1 with L = 2^124 admitted")
+	}
+	// One capacity on an s → x → t path with an Inf last arc, so L = 1
+	// and the bound is 1 + c: 2^126 − 2 is admitted, 2^126 − 1 reaches the
+	// bound through the sum, and 2^126 or 1/2^126 reach it by itself.
+	one, p126 := big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 126)
+	single := func(num, den *big.Int) []testArc {
+		return []testArc{finBig(0, 1, num, den), infArc(1, 2)}
+	}
+	if !checkFixedAgainstRat(t, 3, single(new(big.Int).Sub(p126, big.NewInt(2)), one)) {
+		t.Fatal("capacity 2^126 − 2 rejected")
+	}
+	for _, c := range [][2]*big.Int{{new(big.Int).Sub(p126, one), one}, {p126, one}, {one, p126}} {
+		if checkFixedAgainstRat(t, 3, single(c[0], c[1])) {
+			t.Fatalf("capacity %v/%v admitted", c[0], c[1])
+		}
+	}
+	// A capacity with parts off int64 (2^70/3) far below the bound.
+	if !checkFixedAgainstRat(t, 3, []testArc{finBig(0, 1, new(big.Int).Lsh(one, 70), big.NewInt(3)), finArc(1, 2, 5, 2)}) {
+		t.Fatal("2^70/3 rejected")
 	}
 	// k = 1: with an Inf arc leaving the source the flow value may reach
 	// 2·L·(1 + Σ c_i) = 2·(2^126 − 2^61 − 1).
-	srcInf := []testArc{{0, 1, math.MaxInt64, 1}, {2, 3, math.MaxInt64, 1}, {1, 3, 1<<61 - 1, 1 << 62}, {0, 2, 0, 0}}
+	srcInf := []testArc{finArc(0, 1, math.MaxInt64, 1), finArc(2, 3, math.MaxInt64, 1), finArc(1, 3, 1<<61-1, 1<<62), infArc(0, 2)}
 	if checkFixedAgainstRat(t, 4, srcInf) {
 		t.Fatal("Inf source arc past the bound admitted")
 	}
 	if !checkFixedAgainstRat(t, 4, srcInf[:3]) {
 		t.Fatal("2^126 − 2^61 − 1 rejected")
 	}
-	if !checkFixedAgainstRat(t, 3, []testArc{{0, 1, 0, 0}, {1, 2, 3, 2}}) {
+	if !checkFixedAgainstRat(t, 3, []testArc{infArc(0, 1), finArc(1, 2, 3, 2)}) {
 		t.Fatal("Inf source arc below the bound rejected")
-	}
-	// A capacity with parts off int64 (2^70/3).
-	nw := NewNetwork(3, 0, 2)
-	huge := numeric.FromBig(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(3)))
-	nw.AddEdge(0, 1, Finite(huge))
-	mid := nw.AddEdge(1, 2, Finite(numeric.New(5, 2)))
-	if v := nw.Solve(Dinic); nw.fixed || !v.Equal(numeric.New(5, 2)) || !nw.Flow(mid).Equal(v) {
-		t.Fatalf("off-int64 capacity: fixed=%v value %v", nw.fixed, v)
-	}
-	if wantAdmitted(nw) != nw.fixed {
-		t.Fatal("reference admission disagrees")
 	}
 }
 
 // TestFixedWidthMatchesRatOnRandomNetworks referees random networks with
 // rational and Inf capacities against the numeric.Rat Dinic; every tenth
-// one carries two dust arcs whose common denominator is past int64, so it
-// must run on rationals.
+// one carries two dust arcs 1/(2^63−1) and 1/(2^63−2), whose L is within
+// 2^64 of 2^126, so any other nonzero capacity puts it past the bound and
+// on rationals.
 func TestFixedWidthMatchesRatOnRandomNetworks(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	fixed := 0
@@ -278,17 +355,17 @@ func TestFixedWidthMatchesRatOnRandomNetworks(t *testing.T) {
 				if u == v || rng.Float64() > 0.4 {
 					continue
 				}
-				a := testArc{u: u, v: v, num: int64(rng.Intn(20)), den: int64(1 + rng.Intn(12))}
+				a := finArc(u, v, int64(rng.Intn(20)), int64(1+rng.Intn(12)))
 				if rng.Intn(5) == 0 {
-					a.den = 0
+					a = infArc(u, v)
 				}
 				arcs = append(arcs, a)
 			}
 		}
 		if trial%10 == 0 {
 			arcs = append(arcs,
-				testArc{rng.Intn(n), rng.Intn(n), 1, math.MaxInt64},
-				testArc{rng.Intn(n), rng.Intn(n), 1, math.MaxInt64 - 1})
+				finArc(rng.Intn(n), rng.Intn(n), 1, math.MaxInt64),
+				finArc(rng.Intn(n), rng.Intn(n), 1, math.MaxInt64-1))
 		}
 		if checkFixedAgainstRat(t, n, arcs) {
 			fixed++
@@ -326,7 +403,7 @@ func TestSetCapacityInvalidatesSolve(t *testing.T) {
 		t.Error("CheckConservation accepted a stale solve")
 	}
 	// 1/3 + 2 through the diamond; a rebuild must agree arc by arc.
-	want, _ := buildTestNetwork(4, []testArc{{0, 1, 1, 3}, {0, 2, 2, 1}, {1, 2, 1, 1}, {1, 3, 2, 1}, {2, 3, 3, 1}})
+	want, _ := buildTestNetwork(4, []testArc{finArc(0, 1, 1, 3), finArc(0, 2, 2, 1), finArc(1, 2, 1, 1), finArc(1, 3, 2, 1), finArc(2, 3, 3, 1)})
 	v, w := nw.Solve(Dinic), want.Solve(Dinic)
 	if !v.Equal(w) || !v.Equal(numeric.New(7, 3)) || nw.Pushes() != want.Pushes() {
 		t.Fatalf("after SetCapacity: value %v (rebuilt %v), pushes %d (rebuilt %d)", v, w, nw.Pushes(), want.Pushes())
@@ -340,7 +417,7 @@ func TestSetCapacityInvalidatesSolve(t *testing.T) {
 	nw.SetCapacity(ids[2], Finite(numeric.New(1, math.MaxInt64)))
 	nw.SetCapacity(ids[3], Finite(numeric.New(2, math.MaxInt64-1)))
 	if nw.Solve(Dinic); nw.fixed {
-		t.Fatal("common denominator past int64 admitted after SetCapacity")
+		t.Fatal("network past the bound admitted after SetCapacity")
 	}
 	if err := nw.CheckConservation(); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,13 @@
 package maxflow
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/numeric"
+	"repro/internal/obs"
 )
 
 func r(n, d int64) numeric.Rat { return numeric.New(n, d) }
@@ -288,5 +291,48 @@ func TestBadNetworkParamsPanic(t *testing.T) {
 			NewNetwork(c.n, c.s, c.t)
 			t.Errorf("NewNetwork(%v) did not panic", c)
 		}()
+	}
+}
+
+// TestSolveCtxCountsArithmetic checks that every maxflow.solve span counts
+// the arithmetic it ran, next to its arith attribute, and that a Collector
+// sums the counters into the /metrics series of fixed-width and rational
+// solves.
+func TestSolveCtxCountsArithmetic(t *testing.T) {
+	c := obs.NewCollector(obs.CollectorConfig{})
+	tr := c.NewTrace("solves")
+	ctx := tr.Context(context.Background())
+	for _, arcs := range [][]testArc{boundEdge(false), bigBoundEdge(false), bigBoundEdge(true)} {
+		nw, _ := buildTestNetwork(4, arcs)
+		nw.SolveCtx(ctx, Dinic)
+	}
+	nw, _ := buildDiamond()
+	nw.SolveCtx(ctx, PushRelabel)
+	tr.Finish()
+	counts := map[string]int64{}
+	tr.Snapshot().Root.Walk(func(sp *obs.SpanSnapshot) {
+		if sp.Name != "maxflow.solve" {
+			return
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "arith" && sp.Counter(a.Value) != 1 {
+				t.Errorf("arith=%s span counters %v", a.Value, sp.Counters)
+			}
+		}
+		counts["fixed"] += sp.Counter("fixed")
+		counts["rat"] += sp.Counter("rat")
+	})
+	if counts["fixed"] != 2 || counts["rat"] != 2 {
+		t.Fatalf("span counters %v, want 2 fixed and 2 rat", counts)
+	}
+	var b strings.Builder
+	c.WritePrometheus(&b, "irshared_")
+	for _, line := range []string{
+		`irshared_span_counter_total{counter="maxflow.solve/fixed"} 2`,
+		`irshared_span_counter_total{counter="maxflow.solve/rat"} 2`,
+	} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Errorf("/metrics lacks %s", line)
+		}
 	}
 }

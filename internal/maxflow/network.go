@@ -10,10 +10,13 @@
 //
 // Push–relabel and Edmonds–Karp work in numeric.Rat arithmetic. Dinic runs
 // on fixed-width integer cells whenever the network admits them
-// (dinicfixed.go): the capacities are scaled by the lcm of their
-// denominators, and the integer run takes exactly the levels, augmenting
-// paths and pushes of the numeric.Rat Dinic, which stays as the overflow
-// path and the reference. Flows are read back as canonical rationals.
+// (dinicfixed.go): the capacities are scaled by L, the lcm of their
+// denominators, and the network is admitted exactly when
+// (1+k)·L·(1 + Σ capacities) < 2^126, k counting the ∞ arcs leaving the
+// source, however large the capacities' numerators and denominators are on
+// their own. The integer run takes exactly the levels, augmenting paths and
+// pushes of the numeric.Rat Dinic, which stays as the overflow path and the
+// reference. Flows are read back as canonical rationals.
 //
 // Infinite capacities (used for the "selector → covered" arcs of the
 // bottleneck network and the B_i × C_i arcs of the allocation network) are
@@ -273,10 +276,11 @@ func (nw *Network) Solve(algo Algorithm) numeric.Rat {
 // SolveCtx is Solve with the solve recorded as a span on the context's
 // trace: one "maxflow.solve" span per call, annotated with the algorithm and
 // the arithmetic it ran ("fixed" or "rat"), and the network size plus the
-// push count as counters. It also latches the context's fault injector (if
-// any) onto the network for the duration of the solve, arming the
-// maxflow.push site. With no span and no injector on the context it is
-// exactly Solve.
+// push count as counters. The arithmetic is also a counter of value 1 named
+// "fixed" or "rat", so /metrics sums the solves of each. It also latches
+// the context's fault injector (if any) onto the network for the duration
+// of the solve, arming the maxflow.push site. With no span and no injector
+// on the context it is exactly Solve.
 func (nw *Network) SolveCtx(ctx context.Context, algo Algorithm) numeric.Rat {
 	nw.inj = fault.FromContext(ctx)
 	defer func() { nw.inj = nil }()
@@ -292,6 +296,7 @@ func (nw *Network) SolveCtx(ctx context.Context, algo Algorithm) numeric.Rat {
 		arith = "fixed"
 	}
 	sp.SetAttr("arith", arith)
+	sp.AddInt(arith, 1)
 	sp.AddInt("nodes", int64(nw.n))
 	sp.AddInt("arcs", int64(len(nw.arcs)/2))
 	sp.AddInt("pushes", nw.pushes)

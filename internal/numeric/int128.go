@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"math/bits"
@@ -101,6 +102,20 @@ func (a Int128) MulBelow(b uint64, limit uint) (Int128, bool) {
 		return Int128{}, false
 	}
 	return Int128{hi: hi, lo: lo}, true
+}
+
+// Int128OfBig returns x as an Int128 when |x| < 2^127.
+func Int128OfBig(x *big.Int) (Int128, bool) {
+	if x.BitLen() > 127 {
+		return Int128{}, false
+	}
+	var b [16]byte
+	x.FillBytes(b[:])
+	a := Int128{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:])}
+	if x.Sign() < 0 {
+		a = a.Neg()
+	}
+	return a, true
 }
 
 // Int64 returns a as an int64 when it fits.

@@ -81,3 +81,37 @@ func TestFromInt128(t *testing.T) {
 		}
 	}
 }
+
+// TestInt128OfBig checks the conversion from math/big at both ends of the
+// signed 128-bit range and its rejection past them.
+func TestInt128OfBig(t *testing.T) {
+	one := big.NewInt(1)
+	top := new(big.Int).Sub(new(big.Int).Lsh(one, 127), one) // 2^127 − 1
+	for _, x := range []*big.Int{
+		big.NewInt(0), big.NewInt(-5), big.NewInt(math.MaxInt64), big.NewInt(math.MinInt64),
+		new(big.Int).Lsh(one, 100), new(big.Int).Neg(new(big.Int).Lsh(one, 100)), top, new(big.Int).Neg(top),
+	} {
+		a, ok := Int128OfBig(x)
+		if !ok || a.BigInt().Cmp(x) != 0 {
+			t.Fatalf("Int128OfBig(%v) = %v, %v", x, a.BigInt(), ok)
+		}
+	}
+	for _, x := range []*big.Int{new(big.Int).Lsh(one, 127), new(big.Int).Neg(new(big.Int).Lsh(one, 127))} {
+		if _, ok := Int128OfBig(x); ok {
+			t.Fatalf("Int128OfBig(%v) admitted", x)
+		}
+	}
+}
+
+// TestBigParts checks that BigParts reads the normalized parts on both
+// representations into reused storage.
+func TestBigParts(t *testing.T) {
+	var num, den big.Int
+	huge := FromBig(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(3)))
+	for _, r := range []Rat{Zero, New(-6, 4), FromInt(math.MaxInt64), huge} {
+		r.BigParts(&num, &den)
+		if got := new(big.Rat).SetFrac(&num, &den); got.Cmp(r.bigVal()) != 0 || num.Cmp(r.Num()) != 0 || den.Cmp(r.Denom()) != 0 {
+			t.Fatalf("BigParts(%v) = %v/%v", r, &num, &den)
+		}
+	}
+}

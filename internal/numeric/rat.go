@@ -153,6 +153,19 @@ func (r Rat) Num() *big.Int { return r.bigVal().Num() }
 // Denom returns the normalized denominator as a big.Int.
 func (r Rat) Denom() *big.Int { return r.bigVal().Denom() }
 
+// BigParts sets num and den to the normalized numerator and denominator,
+// reusing their storage.
+func (r Rat) BigParts(num, den *big.Int) {
+	if r.b != nil {
+		num.Set(r.b.Num())
+		den.Set(r.b.Denom())
+		return
+	}
+	n, d := r.parts()
+	num.SetInt64(n)
+	den.SetInt64(d)
+}
+
 // Int64Parts returns the numerator and denominator when they fit in int64.
 func (r Rat) Int64Parts() (num, den int64, ok bool) {
 	if r.b != nil {

@@ -95,7 +95,9 @@ func TestRunCancelEveryIndex(t *testing.T) {
 
 // TestRunParallelPrefix checks the parallel path: a complete run equals
 // the sequential one, and a run whose context ends mid-way keeps a
-// contiguous, correct prefix.
+// contiguous, correct prefix. Points past n/2 wait for the cancel that
+// point n/2 makes; the workers claim indices in increasing order, so n/2
+// is always claimed before any of them and the run is always partial.
 func TestRunParallelPrefix(t *testing.T) {
 	const n = 64
 	full, err := Run(context.Background(), squares(n), Options[int]{Workers: 4})
@@ -104,9 +106,13 @@ func TestRunParallelPrefix(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	sc := squares(n)
-	sc.Eval = func(_ context.Context, i int) (int, error) {
-		if i == n/2 {
+	sc.Eval = func(ctx context.Context, i int) (int, error) {
+		switch {
+		case i == n/2:
 			cancel()
+		case i > n/2:
+			<-ctx.Done()
+			return 0, ctx.Err()
 		}
 		return i * i, nil
 	}

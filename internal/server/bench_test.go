@@ -87,6 +87,19 @@ func BenchmarkServerRatioCold(b *testing.B) {
 	}
 }
 
+// BenchmarkServerRatioCertCold is BenchmarkServerRatioCold with a
+// certificate on every answer: the ring's V = 3 utility curve has several
+// structure pieces, so the answer carries piece bests and bracket ends, and
+// the time includes building the certificate and the server's self-check.
+func BenchmarkServerRatioCertCold(b *testing.B) {
+	ts := benchServer(b, -1)
+	req := RatioRequest{Graph: benchRing(32), V: 3, Grid: 16, Cert: true}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, ts.URL, "/v1/ratio", req)
+	}
+}
+
 func BenchmarkServerRatioWarm(b *testing.B) {
 	ts := benchServer(b, 0)
 	req := RatioRequest{Graph: benchRing(32), V: 3, Grid: 16}

@@ -66,10 +66,13 @@ go test ./cmd/irshared -run 'TestChaos' -count=1
 
 # Durable jobs: a dedicated -count=2 race pass (the store serializes WAL
 # appends against compaction and the scheduler races submit/cancel/shutdown
-# against its workers), then the crash-recovery smoke — a real child
-# process SIGKILLed mid-grid must recover from its -data-dir and finish
-# bit-identically.
+# against its workers), a -count=10 race pass over the store's memory
+# contract (checkpoints append in place while records read earlier, from
+# several goroutines and across compactions, keep exactly their points),
+# then the crash-recovery smoke — a real child process SIGKILLed mid-grid
+# must recover from its -data-dir and finish bit-identically.
 go test -race -count=2 ./internal/jobs
+go test -race -count=10 -run '^TestStoreCloneIsolation$' ./internal/jobs
 go test ./cmd/irshared -run 'TestKillAndRecover' -count=1
 
 # Strategic-manipulation scenarios: a dedicated -count=2 race pass over the
@@ -115,10 +118,11 @@ go run ./cmd/benchjson -bench 'OptimizeSplit$/n=129' -out BENCH_fault.json \
 	-note "disabled-injection overhead check: BenchmarkOptimizeSplit n=129 with fault sites live but no injector installed; compare seed_baseline"
 
 # Refresh the job-store durability numbers: un-synced WAL append throughput
-# (the per-point checkpoint hot path), fsync'd state transitions, and full
-# recovery (replay + requeue) of a 10k-record store.
-go run ./cmd/benchjson -bench 'WAL|Recover' -pkg ./internal/jobs -out BENCH_jobs.json \
-	-note "durable job store: WAL append (unsynced checkpoint path vs fsync'd state transition) and 10k-record recovery replay"
+# (the per-point checkpoint hot path), fsync'd state transitions, one whole
+# job's checkpoints (561 one-point appends, a ksybil k=3 grid-32 job), and
+# full recovery (replay + requeue) of a 10k-record store.
+go run ./cmd/benchjson -bench 'WAL|Recover|Checkpoint' -pkg ./internal/jobs -out BENCH_jobs.json \
+	-note "durable job store: WAL append (unsynced checkpoint path vs fsync'd state transition), CheckpointJob = 561 one-point checkpoints of one ksybil k=3 grid-32 job, and 10k-record recovery replay"
 
 # Fuzz smoke: run each native fuzz target briefly against its seed corpus
 # plus fresh mutations. Parser/codec regressions (panics, unbounded

@@ -124,7 +124,12 @@ func (a *Allocation) computeCrossPair(g *graph.Graph, p bottleneck.Pair) error {
 	nb, nc := len(p.B), len(p.C)
 	// Node layout: 0..nb-1 = B members, nb..nb+nc-1 = C members, then s, t.
 	s, t := nb+nc, nb+nc+1
-	nw := maxflow.NewNetwork(nb+nc+2, s, t)
+	// nb source arcs, nc sink arcs, and at most deg(u) ∞ arcs per u ∈ B.
+	edges := nb + nc
+	for _, u := range p.B {
+		edges += g.Degree(u)
+	}
+	nw := maxflow.NewNetwork(nb+nc+2, s, t, edges)
 	cIndex := make(map[int]int, nc)
 	for j, v := range p.C {
 		cIndex[v] = nb + j
@@ -174,7 +179,12 @@ func (a *Allocation) computeSelfPair(g *graph.Graph, p bottleneck.Pair) error {
 	m := len(p.B)
 	// Node layout: 0..m-1 left copies, m..2m-1 right copies, then s, t.
 	s, t := 2*m, 2*m+1
-	nw := maxflow.NewNetwork(2*m+2, s, t)
+	// 2m source and sink arcs, and at most deg(u) ∞ arcs per u ∈ B.
+	edges := 2 * m
+	for _, u := range p.B {
+		edges += g.Degree(u)
+	}
+	nw := maxflow.NewNetwork(2*m+2, s, t, edges)
 	index := make(map[int]int, m)
 	for i, v := range p.B {
 		index[v] = i

@@ -60,7 +60,8 @@ func (o *flowOracle) solve(lambda numeric.Rat) (numeric.Rat, []int) {
 	n := o.g.N()
 	if o.nw == nil {
 		s, t := 2*n, 2*n+1
-		o.nw = maxflow.NewNetwork(2*n+2, s, t)
+		// n source arcs, n sink arcs and one ∞ arc per neighbor: Σ deg = 2m.
+		o.nw = maxflow.NewNetwork(2*n+2, s, t, 2*n+2*o.g.M())
 		o.src = make([]int, n)
 		for v := 0; v < n; v++ {
 			o.src[v] = o.nw.AddEdge(s, v, maxflow.Finite(lambda.Mul(o.g.Weight(v))))

@@ -123,7 +123,7 @@ func (wn *witnessNet) witness(ctx context.Context, active []bool, alpha numeric.
 	n := g.N()
 	zero := maxflow.Finite(numeric.Zero)
 	if wn.nw == nil {
-		wn.nw = maxflow.NewNetwork(2+2*n, 0, 1)
+		wn.nw = maxflow.NewNetwork(2+2*n, 0, 1, 2*n+2*len(wn.edges))
 		wn.src, wn.snk = make([]int, n), make([]int, n)
 		for v := 0; v < n; v++ {
 			wn.src[v] = wn.nw.AddEdge(0, 2+v, zero)

@@ -33,7 +33,7 @@ func witnessPerPair(ctx context.Context, g *graph.Graph, edges [][2]int, active 
 		return nil, -1, nil
 	}
 	n := g.N()
-	nw := maxflow.NewNetwork(2+2*n, 0, 1)
+	nw := maxflow.NewNetwork(2+2*n, 0, 1, 2*n+2*len(edges))
 	for v := 0; v < n; v++ {
 		if !active[v] {
 			continue

@@ -645,3 +645,85 @@ func TestClusterScenarioProxy(t *testing.T) {
 		t.Fatalf("scenario_limit must pass through the router, got %v", err)
 	}
 }
+
+// TestJobLookupWithOwnerDown: once a finished job's lease is retired, only
+// its owner knows the job. While the owner is down, a lookup or cancel
+// through the router must answer a retryable 503 job_unreachable — not a
+// 404 the client gives up on — and once the owner is back the job answers
+// 200 again. An ID no member holds, with every member alive, is a 404.
+func TestJobLookupWithOwnerDown(t *testing.T) {
+	urls := make([]string, 3)
+	for i := range urls {
+		urls[i] = startNode(t, fmt.Sprintf("o%d", i+1), server.Config{DataDir: t.TempDir()}).url
+	}
+	// The router is not started: its probe loop would revive the owner, so
+	// the test drives membership and lease supervision by hand.
+	r, err := New(Config{Nodes: urls, DeadAfter: 1, Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(r.Handler())
+	t.Cleanup(func() {
+		rts.Close()
+		r.Close()
+	})
+	ctx := context.Background()
+	rc := routerClient(rts.URL)
+	sub, err := rc.SubmitSweep(ctx, &client.JobSubmitRequest{Graph: client.Graph{Ring: []string{"1", "2", "3", "4"}}, V: 0, Grid: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sub.Job.ID
+	leases := r.Leases()
+	if len(leases) != 1 || leases[0].JobID != id {
+		t.Fatalf("leases after submit: %+v", leases)
+	}
+	owner := leases[0].Node
+	if job, err := rc.WaitJob(ctx, id); err != nil || job.State != client.JobDone {
+		t.Fatalf("wait: %+v, %v", job, err)
+	}
+	r.superviseLeases(ctx)
+	if ls := r.Leases(); len(ls) != 0 {
+		t.Fatalf("finished job's lease not retired: %+v", ls)
+	}
+
+	call := func(method, id string) (int, http.Header, server.ErrorResponse) {
+		t.Helper()
+		req, err := http.NewRequest(method, rts.URL+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body server.ErrorResponse
+		raw, _ := io.ReadAll(resp.Body)
+		json.Unmarshal(raw, &body)
+		return resp.StatusCode, resp.Header, body
+	}
+
+	r.members.markFailed(owner)
+	if r.members.alive(owner) {
+		t.Fatal("owner still alive after a failed probe at DeadAfter 1")
+	}
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		status, hdr, body := call(method, id)
+		if status != http.StatusServiceUnavailable || body.Code != CodeJobUnreachable || hdr.Get("Retry-After") != "1" {
+			t.Fatalf("%s with the owner down: %d %+v, Retry-After %q; want 503 %s, Retry-After 1",
+				method, status, body, hdr.Get("Retry-After"), CodeJobUnreachable)
+		}
+	}
+
+	r.members.markOK(owner, "back", 0, time.Now())
+	if status, _, body := call(http.MethodGet, id); status != http.StatusOK {
+		t.Fatalf("GET with the owner back: %d %+v", status, body)
+	}
+	if job, err := rc.GetJob(ctx, id); err != nil || job.State != client.JobDone {
+		t.Fatalf("client GET with the owner back: %+v, %v", job, err)
+	}
+	if status, _, body := call(http.MethodGet, "j0000000000000000"); status != http.StatusNotFound || body.Code != "not_found" {
+		t.Fatalf("unknown job with every member alive: %d %+v, want 404 not_found", status, body)
+	}
+}

@@ -259,7 +259,7 @@ func (r *Router) handleJobCancel(w http.ResponseWriter, req *http.Request) {
 			lastErr = err
 			continue
 		}
-		if status == http.StatusNotFound && len(nodes) > 1 {
+		if status == http.StatusNotFound {
 			continue
 		}
 		if status < http.StatusMultipleChoices || status == http.StatusConflict {
@@ -278,13 +278,14 @@ func (r *Router) handleJobCancel(w http.ResponseWriter, req *http.Request) {
 		writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway, "no backend could cancel the job", lastErr.Error())
 		return
 	}
-	writeError(w, http.StatusNotFound, "not_found", "no such job on any live node")
+	r.jobNotFound(w, len(nodes))
 }
 
 // fanFind asks every live node for the job and forwards the first non-404.
 func (r *Router) fanFind(w http.ResponseWriter, req *http.Request, id string) {
 	var lastErr error
-	for _, node := range r.aliveSequence(id) {
+	nodes := r.aliveSequence(id)
+	for _, node := range nodes {
 		status, hdr, respBody, err := r.exchange(req.Context(), node, req, "/v1/jobs/"+id, nil)
 		if err != nil {
 			lastErr = err
@@ -302,7 +303,22 @@ func (r *Router) fanFind(w http.ResponseWriter, req *http.Request, id string) {
 		writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway, "job lookup failed on every live node", lastErr.Error())
 		return
 	}
-	writeError(w, http.StatusNotFound, "not_found", "no such job on any live node")
+	r.jobNotFound(w, len(nodes))
+}
+
+// jobNotFound answers a job lookup whose asked nodes all said 404. That is
+// a 404 only when every ring member was asked: a finished job's lease is
+// retired, so while its owner is down or quarantined nothing else knows
+// where the job lives, and the lookup answers a retryable 503 instead.
+func (r *Router) jobNotFound(w http.ResponseWriter, asked int) {
+	if asked < len(r.ring.nodes) {
+		secs := int((r.cfg.ProbeInterval + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		writeError(w, http.StatusServiceUnavailable, CodeJobUnreachable,
+			"job not found on any live node; a node that is down may hold it")
+		return
+	}
+	writeError(w, http.StatusNotFound, "not_found", "no such job on any node")
 }
 
 func terminalState(s string) bool {

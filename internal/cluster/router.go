@@ -109,6 +109,10 @@ const (
 	// safe and converges: submission is content-addressed, so the retry
 	// dedupes to the same job and only the lease grant is repeated.
 	CodeLeaseUnavailable = "lease_unavailable"
+	// CodeJobUnreachable: no live node holds the job, but a dead or
+	// quarantined member was not asked and may (503, with Retry-After set
+	// to the probe interval, after which that member may be asked again).
+	CodeJobUnreachable = "job_unreachable"
 )
 
 // Router is the cluster coordinator: a reverse proxy that owns placement,

@@ -200,7 +200,7 @@ func timeOptimize(g *graph.Graph, trials int) (cold, incr time.Duration, err err
 func timeMaxflow(g *graph.Graph, algo maxflow.Algorithm, trials int) time.Duration {
 	build := func() *maxflow.Network {
 		n := g.N()
-		nw := maxflow.NewNetwork(2*n+2, 2*n, 2*n+1)
+		nw := maxflow.NewNetwork(2*n+2, 2*n, 2*n+1, 2*n+2*g.M())
 		for v := 0; v < n; v++ {
 			nw.AddEdge(2*n, v, maxflow.Finite(g.Weight(v)))
 			nw.AddEdge(n+v, 2*n+1, maxflow.Finite(g.Weight(v)))

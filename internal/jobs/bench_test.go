@@ -88,3 +88,32 @@ func BenchmarkRecover10k(b *testing.B) {
 		re.Close()
 	}
 }
+
+// BenchmarkCheckpointJob measures the checkpoints of one ksybil k=3 grid-32
+// job: 561 one-point AppendPoints on one record, as a running scan sends
+// them. The job's submission is outside the timer.
+func BenchmarkCheckpointJob(b *testing.B) {
+	const points = 561
+	ctx := context.Background()
+	st, err := Open(b.TempDir(), StoreConfig{CompactBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	pts := []Point{{W1: "12,7,13", U: "98765/43210"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rec, _, err := st.Submit(ctx, Submission{Key: fmt.Sprintf("job-%d", i), Kind: "ksybil"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for k := 0; k < points; k++ {
+			if err := st.AppendPoints(ctx, rec.ID, k, pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -77,7 +77,8 @@ type Point struct {
 
 // Record is the persistent form of one job. The store owns the canonical
 // copy; callers receive clones (see Record.clone) so readers never race the
-// scheduler's mutations.
+// scheduler's mutations. A clone's Points, Spec and Result share the
+// store's arrays and must be treated as read-only.
 type Record struct {
 	// ID is derived from Key (see IDForKey): content-addressing makes
 	// duplicate submissions converge on one job.
@@ -126,15 +127,14 @@ type Record struct {
 	CancelRequested bool `json:"cancel_requested,omitempty"`
 }
 
-// clone deep-copies the record (Points, Spec and Result are shared-read
-// slices internally, so only the slice headers and the point slice need
-// copying — Point values and the byte slices are never mutated in place).
+// clone copies the record in O(1). Points are append-only and never
+// changed in place, so the clone shares them as a capped view: the store's
+// later appends land past the view's capacity, and an append to the view
+// reallocates instead of writing into the store's array. Spec and Result
+// are shared the same way; no one mutates them in place.
 func (r *Record) clone() *Record {
 	c := *r
-	if r.Points != nil {
-		c.Points = make([]Point, len(r.Points))
-		copy(c.Points, r.Points)
-	}
+	c.Points = r.Points[:len(r.Points):len(r.Points)]
 	return &c
 }
 

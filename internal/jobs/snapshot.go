@@ -1,8 +1,10 @@
 package jobs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -49,19 +51,15 @@ func loadSnapshot(dir string) (*snapshot, error) {
 
 // writeSnapshot atomically replaces dir's snapshot with s.
 func writeSnapshot(dir string, s *snapshot) error {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("jobs: encode snapshot: %w", err)
-	}
 	tmp := filepath.Join(dir, snapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("jobs: create snapshot: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := encodeSnapshot(f, s); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("jobs: write snapshot: %w", err)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -77,6 +75,36 @@ func writeSnapshot(dir string, s *snapshot) error {
 		return fmt.Errorf("jobs: publish snapshot: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// encodeSnapshot writes exactly the bytes of json.Marshal(s), one record at
+// a time through a buffered writer, so no buffer ever holds the whole store.
+// The writer keeps its first write error and Flush returns it, so the
+// writes before Flush go unchecked.
+func encodeSnapshot(w io.Writer, s *snapshot) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, `{"version":%d,"seq":%d,"jobs":`, s.Version, s.Seq)
+	if s.Jobs == nil {
+		bw.WriteString("null")
+	} else {
+		bw.WriteByte('[')
+		for i, rec := range s.Jobs {
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			data, err := json.Marshal(rec)
+			if err != nil {
+				return fmt.Errorf("jobs: encode snapshot: %w", err)
+			}
+			bw.Write(data)
+		}
+		bw.WriteByte(']')
+	}
+	bw.WriteByte('}')
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("jobs: write snapshot: %w", err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

@@ -110,12 +110,13 @@ func Open(dir string, cfg StoreConfig) (*Store, error) {
 	// Fix up the invariant NextIndex == len(Points): an un-synced
 	// checkpoint suffix may have been lost while a later (synced) record
 	// claimed more progress. Resuming earlier is always safe — points are
-	// independent and exact.
+	// independent and exact. The cut is capped, so the next append
+	// reallocates instead of overwriting the dropped tail in place.
 	for _, rec := range st.jobs {
 		if rec.NextIndex > len(rec.Points) {
 			rec.NextIndex = len(rec.Points)
 		} else if rec.NextIndex < len(rec.Points) {
-			rec.Points = rec.Points[:rec.NextIndex]
+			rec.Points = rec.Points[:rec.NextIndex:rec.NextIndex]
 		}
 		st.order = append(st.order, rec)
 		if !rec.State.Terminal() {
@@ -144,12 +145,13 @@ func (st *Store) applyLocked(e *walEntry) error {
 		}
 		if prev, ok := st.jobs[rec.ID]; ok {
 			// Carry resident points, truncated to the record's checkpoint
-			// cursor (a resubmission resets it to zero, dropping them all).
+			// cursor (a resubmission resets it to zero, dropping them all)
+			// and capped like Open's fix-up.
 			n := rec.NextIndex
 			if n > len(prev.Points) {
 				n = len(prev.Points)
 			}
-			rec.Points = prev.Points[:n]
+			rec.Points = prev.Points[:n:n]
 		}
 		st.jobs[rec.ID] = rec
 		if rec.Seq >= st.nextSeq {
@@ -346,14 +348,14 @@ func (r *Record) walForm() *Record {
 }
 
 // replaceLocked swaps the canonical copy of a record (same ID and Seq) in
-// both indexes.
+// both indexes. order is sorted by Seq, so the slot is found by binary
+// search.
 func (st *Store) replaceLocked(rec *Record) {
 	st.jobs[rec.ID] = rec
-	for i, r := range st.order {
-		if r.ID == rec.ID {
-			st.order[i] = rec
-			return
-		}
+	i := sort.Search(len(st.order), func(i int) bool { return st.order[i].Seq >= rec.Seq })
+	if i < len(st.order) && st.order[i].ID == rec.ID {
+		st.order[i] = rec
+		return
 	}
 	st.order = append(st.order, rec)
 }
@@ -402,7 +404,10 @@ func (st *Store) Update(ctx context.Context, id string, mutate func(*Record) err
 // AppendPoints checkpoints a contiguous run of partial results starting at
 // work-unit index start (which must equal the job's NextIndex). The delta
 // is appended without fsync — durability piggybacks on the next state
-// transition, and a lost tail only costs recomputing those points.
+// transition, and a lost tail only costs recomputing those points. The
+// points are then appended to the canonical record in place: clones handed
+// out earlier hold capped views that end before them (see Record.clone),
+// so a checkpoint costs O(len(pts)), not O(points so far).
 func (st *Store) AppendPoints(ctx context.Context, id string, start int, pts []Point) error {
 	if len(pts) == 0 {
 		return nil
@@ -419,10 +424,8 @@ func (st *Store) AppendPoints(ctx context.Context, id string, start int, pts []P
 	if err := st.appendLocked(ctx, &walEntry{Op: "points", ID: id, Start: start, Points: pts}, false); err != nil {
 		return err
 	}
-	next := rec.clone()
-	next.Points = append(next.Points, pts...)
-	next.NextIndex += len(pts)
-	st.replaceLocked(next)
+	rec.Points = append(rec.Points, pts...)
+	rec.NextIndex += len(pts)
 	return st.maybeCompactLocked()
 }
 
@@ -487,11 +490,10 @@ func (st *Store) Compact() error {
 	return st.compactLocked()
 }
 
+// compactLocked encodes the canonical records themselves: the lock is held
+// until the snapshot is on disk, so nothing mutates them meanwhile.
 func (st *Store) compactLocked() error {
-	snap := &snapshot{Version: snapshotVersion, Seq: st.nextSeq - 1}
-	for _, rec := range st.order {
-		snap.Jobs = append(snap.Jobs, rec.clone())
-	}
+	snap := &snapshot{Version: snapshotVersion, Seq: st.nextSeq - 1, Jobs: st.order}
 	if err := writeSnapshot(st.dir, snap); err != nil {
 		return err
 	}

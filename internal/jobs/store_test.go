@@ -3,9 +3,13 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -353,5 +357,213 @@ func TestStoreCheckpointValidation(t *testing.T) {
 		return nil
 	}); err == nil {
 		t.Fatal("unknown state accepted")
+	}
+}
+
+// TestStoreReplaceKeepsOrder drives many jobs through state transitions in
+// a shuffled order — Update and the restart of a failed job both replace a
+// record in the Seq-sorted index — and checks that List still returns every
+// job once, in submission order, agreeing with Get, before and after a
+// reopen.
+func TestStoreReplaceKeepsOrder(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	st := openStore(t, dir, StoreConfig{CompactBytes: -1})
+	recs := submitN(t, st, 200)
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 3; round++ {
+		for _, i := range rng.Perm(len(recs)) {
+			if _, err := st.Update(ctx, recs[i].ID, func(r *Record) error {
+				r.Priority = round*1000 + i
+				if i%5 == 0 {
+					r.State = StateFailed
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if i%5 == 0 {
+				// Restart the failed job: a fresh attempt, same ID and Seq.
+				if _, created, err := st.Submit(ctx, Submission{Key: fmt.Sprintf("key-%d", i), Priority: round*1000 + i}); err != nil || !created {
+					t.Fatalf("restart %d: created=%v err=%v", i, created, err)
+				}
+			}
+		}
+	}
+	check := func(st *Store) {
+		t.Helper()
+		var all []*Record
+		for cursor := uint64(0); ; {
+			page, next := st.List(ListOptions{AfterSeq: cursor, Limit: 7})
+			all = append(all, page...)
+			if next == 0 {
+				break
+			}
+			cursor = next
+		}
+		if len(all) != len(recs) {
+			t.Fatalf("List returned %d records, want %d", len(all), len(recs))
+		}
+		for i, r := range all {
+			if r.ID != recs[i].ID || r.Seq != recs[i].Seq {
+				t.Fatalf("List[%d] = %s (seq %d), want %s (seq %d)", i, r.ID, r.Seq, recs[i].ID, recs[i].Seq)
+			}
+			got, ok := st.Get(r.ID)
+			if !ok || !reflect.DeepEqual(got, r) {
+				t.Fatalf("job %d: Get %+v disagrees with List %+v", i, got, r)
+			}
+			if want := 2000 + i; r.Priority != want {
+				t.Fatalf("job %d: priority %d, want %d", i, r.Priority, want)
+			}
+			want := 1
+			if i%5 == 0 {
+				want = 4 // restarted once per round
+			}
+			if r.Attempt != want {
+				t.Fatalf("job %d: attempt %d, want %d", i, r.Attempt, want)
+			}
+		}
+	}
+	check(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(openStore(t, dir, StoreConfig{}))
+}
+
+// TestStoreCloneIsolation checks the store's memory contract: checkpoints
+// append to the canonical record in place, and every record handed out
+// earlier — by Get, List or Pending, and the running job's own prefix —
+// keeps exactly the points it had. Readers take records from several
+// goroutines while the scheduler's worker appends and Compact runs.
+func TestStoreCloneIsolation(t *testing.T) {
+	const seeded, appended = 3, 300
+	pointAt := func(i int) Point { return Point{W1: strconv.Itoa(i), U: fmt.Sprintf("%d/3", i)} }
+	dir := t.TempDir()
+	st := openStore(t, dir, StoreConfig{CompactBytes: 4 << 10})
+	checkPrefix := func(where string, rec *Record) {
+		if rec.NextIndex != len(rec.Points) {
+			t.Errorf("%s: NextIndex %d with %d points", where, rec.NextIndex, len(rec.Points))
+			return
+		}
+		for k, p := range rec.Points {
+			if p != pointAt(k) {
+				t.Errorf("%s: point %d = %+v, want %+v", where, k, p, pointAt(k))
+				return
+			}
+		}
+	}
+
+	prefixKept := make(chan error, 1)
+	run := func(ctx context.Context, rec *Record, ckpt CheckpointFunc) ([]byte, error) {
+		prefix := append([]Point(nil), rec.Points...)
+		for i := rec.NextIndex; i < seeded+appended; i++ {
+			if err := ckpt(i, []Point{pointAt(i)}); err != nil {
+				return nil, err
+			}
+		}
+		if !reflect.DeepEqual(rec.Points, prefix) {
+			prefixKept <- fmt.Errorf("runner prefix changed under appends: %v, want %v", rec.Points, prefix)
+		}
+		close(prefixKept)
+		return []byte(`{}`), nil
+	}
+	s := newSched(t, st, 1, run)
+	seed := make([]Point, seeded)
+	for i := range seed {
+		seed[i] = pointAt(i)
+	}
+	rec, _, err := s.Submit(context.Background(), Submission{Key: "isolation", Kind: "ksybil", Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	type held struct {
+		rec    *Record
+		points []Point
+	}
+	heldBy := make([][]held, 3)
+	for r := range heldBy {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var got []*Record
+				switch n % 3 {
+				case 0:
+					if rec, ok := st.Get(rec.ID); ok {
+						got = append(got, rec)
+					}
+				case 1:
+					got, _ = st.List(ListOptions{})
+				case 2:
+					got = st.Pending()
+				}
+				for _, g := range got {
+					checkPrefix("reader", g)
+					if n%16 == r && len(heldBy[r]) < 64 {
+						heldBy[r] = append(heldBy[r], held{g, append([]Point(nil), g.Points...)})
+					}
+				}
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := st.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	s.Start()
+	waitState(t, st, rec.ID, StateDone)
+	close(stop)
+	wg.Wait()
+	if err := <-prefixKept; err != nil {
+		t.Fatal(err)
+	}
+
+	total := 0
+	for _, hs := range heldBy {
+		for _, h := range hs {
+			total++
+			if !reflect.DeepEqual(h.rec.Points, h.points) {
+				t.Fatalf("a record read with %d points changed after later appends: now %v", len(h.points), h.rec.Points)
+			}
+			// An append to a held view must not write into the store.
+			_ = append(h.rec.Points, Point{W1: "x", U: "x"})
+		}
+	}
+	if total == 0 {
+		t.Fatal("readers held no records; the isolation check is vacuous")
+	}
+	final, _ := st.Get(rec.ID)
+	if len(final.Points) != seeded+appended {
+		t.Fatalf("final record has %d points, want %d", len(final.Points), seeded+appended)
+	}
+	checkPrefix("final", final)
+	s.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, _ := openStore(t, dir, StoreConfig{}).Get(rec.ID)
+	if !reflect.DeepEqual(re, final) {
+		t.Fatalf("reopened record differs:\n got %+v\nwant %+v", re, final)
 	}
 }

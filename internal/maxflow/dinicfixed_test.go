@@ -49,7 +49,7 @@ func (a testArc) cap() Cap {
 }
 
 func buildTestNetwork(n int, arcs []testArc) (*Network, []int) {
-	nw := NewNetwork(n, 0, n-1)
+	nw := NewNetwork(n, 0, n-1, len(arcs))
 	ids := make([]int, len(arcs))
 	for i, a := range arcs {
 		ids[i] = nw.AddEdge(a.u, a.v, a.cap())

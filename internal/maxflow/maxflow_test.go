@@ -41,7 +41,7 @@ func TestFiniteNegativePanics(t *testing.T) {
 //
 //	s → a (3), s → b (2), a → b (1), a → t (2), b → t (3); max flow = 5
 func buildDiamond() (*Network, []int) {
-	nw := NewNetwork(4, 0, 3)
+	nw := NewNetwork(4, 0, 3, 5)
 	ids := []int{
 		nw.AddEdge(0, 1, Finite(numeric.FromInt(3))),
 		nw.AddEdge(0, 2, Finite(numeric.FromInt(2))),
@@ -67,7 +67,7 @@ func TestDiamondBothAlgorithms(t *testing.T) {
 
 func TestRationalCapacities(t *testing.T) {
 	// s → a (1/3), a → t (1/2): max flow 1/3 exactly.
-	nw := NewNetwork(3, 0, 2)
+	nw := NewNetwork(3, 0, 2, 2)
 	nw.AddEdge(0, 1, Finite(r(1, 3)))
 	nw.AddEdge(1, 2, Finite(r(1, 2)))
 	if got := nw.Solve(Dinic); !got.Equal(r(1, 3)) {
@@ -78,7 +78,7 @@ func TestRationalCapacities(t *testing.T) {
 func TestInfiniteCapacityMiddle(t *testing.T) {
 	// s → a (5), a → b (inf), b → t (7/2): flow = 7/2.
 	for _, algo := range []Algorithm{Dinic, PushRelabel, EdmondsKarp} {
-		nw := NewNetwork(4, 0, 3)
+		nw := NewNetwork(4, 0, 3, 3)
 		nw.AddEdge(0, 1, Finite(numeric.FromInt(5)))
 		mid := nw.AddEdge(1, 2, Inf)
 		nw.AddEdge(2, 3, Finite(r(7, 2)))
@@ -92,7 +92,7 @@ func TestInfiniteCapacityMiddle(t *testing.T) {
 }
 
 func TestDisconnectedSinkZeroFlow(t *testing.T) {
-	nw := NewNetwork(4, 0, 3)
+	nw := NewNetwork(4, 0, 3, 2)
 	nw.AddEdge(0, 1, Finite(numeric.FromInt(4)))
 	nw.AddEdge(2, 3, Finite(numeric.FromInt(4)))
 	if got := nw.Solve(Dinic); !got.IsZero() {
@@ -101,7 +101,7 @@ func TestDisconnectedSinkZeroFlow(t *testing.T) {
 }
 
 func TestZeroCapacityEdges(t *testing.T) {
-	nw := NewNetwork(3, 0, 2)
+	nw := NewNetwork(3, 0, 2, 2)
 	nw.AddEdge(0, 1, Finite(numeric.Zero))
 	nw.AddEdge(1, 2, Finite(numeric.FromInt(3)))
 	if got := nw.Solve(PushRelabel); !got.IsZero() {
@@ -164,8 +164,9 @@ func cutValue(nw *Network, side []bool) numeric.Rat {
 }
 
 // randomNetwork builds a random DAG-ish network with integer capacities.
+// Its edge count is not known up front, so it reserves none.
 func randomNetwork(rng *rand.Rand, n int) *Network {
-	nw := NewNetwork(n, 0, n-1)
+	nw := NewNetwork(n, 0, n-1, 0)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u == v || (v == 0) || (u == n-1) {
@@ -284,11 +285,38 @@ func TestAddEdgeAfterSolvePanics(t *testing.T) {
 	nw.AddEdge(0, 1, Inf)
 }
 
+// TestNewNetworkReservesArcs checks that NewNetwork's edge count sizes the
+// arc storage once — an exact count never reallocates — and only sizes it:
+// a network reserving fewer edges than it gets (none, here) numbers and
+// solves its arcs identically.
+func TestNewNetworkReservesArcs(t *testing.T) {
+	nw, ids := buildDiamond()
+	if got := cap(nw.arcs); got != 2*len(ids) {
+		t.Fatalf("diamond arcs capacity %d after %d edges, want %d", got, len(ids), 2*len(ids))
+	}
+	short := NewNetwork(4, 0, 3, 0)
+	for i, id := range ids {
+		a := nw.arcs[id]
+		if got := short.AddEdge(nw.arcs[id^1].to, a.to, Finite(a.cap)); got != id {
+			t.Fatalf("edge %d: id %d without reservation, %d with", i, got, id)
+		}
+	}
+	want, got := nw.Solve(Dinic), short.Solve(Dinic)
+	if !got.Equal(want) || short.Pushes() != nw.Pushes() {
+		t.Fatalf("unreserved network: flow %v in %d pushes, reserved %v in %d", got, short.Pushes(), want, nw.Pushes())
+	}
+	for _, id := range ids {
+		if !short.Flow(id).Equal(nw.Flow(id)) {
+			t.Fatalf("edge %d: flow %v without reservation, %v with", id, short.Flow(id), nw.Flow(id))
+		}
+	}
+}
+
 func TestBadNetworkParamsPanic(t *testing.T) {
-	for _, c := range []struct{ n, s, t int }{{1, 0, 0}, {3, -1, 2}, {3, 0, 3}, {3, 1, 1}} {
+	for _, c := range []struct{ n, s, t, edges int }{{1, 0, 0, 0}, {3, -1, 2, 0}, {3, 0, 3, 0}, {3, 1, 1, 0}, {3, 0, 2, -1}} {
 		func() {
 			defer func() { recover() }()
-			NewNetwork(c.n, c.s, c.t)
+			NewNetwork(c.n, c.s, c.t, c.edges)
 			t.Errorf("NewNetwork(%v) did not panic", c)
 		}()
 	}

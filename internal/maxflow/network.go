@@ -22,6 +22,10 @@
 // bottleneck network and the B_i × C_i arcs of the allocation network) are
 // replaced at solve time by a finite bound exceeding the total finite
 // capacity; this preserves the max-flow value and every finite min-cut.
+//
+// NewNetwork takes the number of edges the caller will add and reserves
+// their arcs up front, so a network allocates its arc storage once: every
+// caller knows the count (or an upper bound) from its graph.
 package maxflow
 
 import (
@@ -97,12 +101,16 @@ type Network struct {
 	inj *fault.Injector
 }
 
-// NewNetwork returns a network with n nodes, source s and sink t.
-func NewNetwork(n, s, t int) *Network {
-	if n < 2 || s < 0 || s >= n || t < 0 || t >= n || s == t {
-		panic(fmt.Sprintf("maxflow: bad network parameters n=%d s=%d t=%d", n, s, t))
+// NewNetwork returns a network with n nodes, source s and sink t, with arc
+// storage reserved for edges AddEdge calls. The count only sizes the
+// storage: an exact count means AddEdge never reallocates, adding more
+// edges than reserved still works, and arc ids, adjacency order, pushes and
+// flows do not depend on it.
+func NewNetwork(n, s, t, edges int) *Network {
+	if n < 2 || s < 0 || s >= n || t < 0 || t >= n || s == t || edges < 0 {
+		panic(fmt.Sprintf("maxflow: bad network parameters n=%d s=%d t=%d edges=%d", n, s, t, edges))
 	}
-	return &Network{n: n, s: s, t: t, adj: make([][]int, n)}
+	return &Network{n: n, s: s, t: t, arcs: make([]arc, 0, 2*edges), adj: make([][]int, n)}
 }
 
 // N returns the number of nodes.

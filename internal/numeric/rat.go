@@ -14,9 +14,9 @@
 package numeric
 
 import (
-	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 )
 
 // Rat is an immutable exact rational number.
@@ -216,7 +216,10 @@ func (r Rat) String() string {
 	}
 	n, d := r.parts()
 	if d == 1 {
-		return fmt.Sprintf("%d", n)
+		return strconv.FormatInt(n, 10)
 	}
-	return fmt.Sprintf("%d/%d", n, d)
+	var buf [40]byte // "-9223372036854775808/9223372036854775807"
+	b := strconv.AppendInt(buf[:0], n, 10)
+	b = append(b, '/')
+	return string(strconv.AppendInt(b, d, 10))
 }

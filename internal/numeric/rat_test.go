@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -47,6 +48,51 @@ func TestNewNormalization(t *testing.T) {
 		got := New(c.n, c.d)
 		if got.String() != c.want {
 			t.Errorf("New(%d, %d) = %q, want %q", c.n, c.d, got.String(), c.want)
+		}
+	}
+}
+
+// TestStringMatchesSprintf checks String's strconv formatting byte for byte
+// against fmt.Sprintf of the exact value's parts, on the int64 path (zero,
+// ±1, ±(2^63−1), math.MinInt64 as an integer, integers and fractions) and
+// on the big path (values past int64), which String leaves to math/big.
+func TestStringMatchesSprintf(t *testing.T) {
+	huge := new(big.Int).Lsh(big.NewInt(1), 70)
+	cases := []struct {
+		r   Rat
+		big bool
+	}{
+		{Zero, false},
+		{One, false},
+		{FromInt(-1), false},
+		{FromInt(math.MaxInt64), false},
+		{FromInt(-math.MaxInt64), false},
+		{FromInt(math.MinInt64), false},
+		{FromInt(42), false},
+		{FromInt(-1000000007), false},
+		{New(1, 2), false},
+		{New(-3, 7), false},
+		{New(1, math.MaxInt64), false},
+		{New(-1, math.MaxInt64), false},
+		{New(math.MaxInt64, math.MaxInt64-1), false},
+		{New(-math.MaxInt64, math.MaxInt64-1), false},
+		{New(math.MinInt64, 3), true},
+		{FromBig(new(big.Rat).SetInt(huge)), true},
+		{FromBig(new(big.Rat).SetInt(new(big.Int).Neg(huge))), true},
+		{FromBig(new(big.Rat).SetFrac(huge, big.NewInt(3))), true},
+		{FromBig(new(big.Rat).SetFrac(big.NewInt(-5), huge)), true},
+	}
+	for _, c := range cases {
+		if c.r.isBig() != c.big {
+			t.Fatalf("%v: big path %v, want %v", c.r.bigVal(), c.r.isBig(), c.big)
+		}
+		br := c.r.bigVal()
+		want := fmt.Sprintf("%d/%d", br.Num(), br.Denom())
+		if br.IsInt() {
+			want = fmt.Sprintf("%d", br.Num())
+		}
+		if got := c.r.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
 		}
 	}
 }

@@ -283,18 +283,18 @@ func benchEvalSplit(b *testing.B, incremental bool) {
 // measurement honest: every iteration pays for its own caches, exactly like
 // a caller optimizing a new ring.
 func BenchmarkOptimizeSplit(b *testing.B) {
-	benchOptimizeSplit(b, core.OptimizeOptions{Grid: 32})
+	benchOptimizeSplit(b, true)
 }
 
-// BenchmarkOptimizeSplitCold is the same workload with the evaluation cache
-// and the incremental engine disabled — the seed implementation's execution
-// path, kept runnable for before/after comparisons (see BENCH_optimize.json
-// and cmd/benchjson).
+// BenchmarkOptimizeSplitCold is the same workload on a cold Instance, one
+// with the evaluation cache and the incremental engine off — the seed
+// implementation's execution path, kept runnable for before/after
+// comparisons (see BENCH_optimize.json and cmd/benchjson).
 func BenchmarkOptimizeSplitCold(b *testing.B) {
-	benchOptimizeSplit(b, core.OptimizeOptions{Grid: 32, DisableEvalCache: true, DisableIncremental: true})
+	benchOptimizeSplit(b, false)
 }
 
-func benchOptimizeSplit(b *testing.B, opts core.OptimizeOptions) {
+func benchOptimizeSplit(b *testing.B, warm bool) {
 	for _, n := range []int{9, 17, 33, 65, 129} {
 		g, v, err := core.LowerBoundFamily((n-5)/2, numeric.FromInt(1000))
 		if err != nil {
@@ -307,7 +307,9 @@ func benchOptimizeSplit(b *testing.B, opts core.OptimizeOptions) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := in.Optimize(opts); err != nil {
+				in.SetEvalCache(warm)
+				in.SetIncremental(warm)
+				if _, err := in.Optimize(core.OptimizeOptions{Grid: 32}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -110,7 +110,7 @@ go run ./cmd/benchjson -bench 'Obs' -pkg ./internal/obs -out BENCH_obs.json \
 # Refresh the split-optimizer micro-benchmarks at the default benchtime
 # (the seed_baseline section of the file survives regeneration).
 go run ./cmd/benchjson -out BENCH_optimize.json \
-	-note "OptimizeSplit = incremental engine; OptimizeSplitCold / EvalSplitStock = same binary with DisableEvalCache+DisableIncremental; both run the fixed-width 128-bit path DP with the big.Int plan as its overflow path — compare seed_baseline for the seed's numbers"
+	-note "OptimizeSplit = incremental engine; OptimizeSplitCold = the same workload on a cold Instance (SetEvalCache(false) and SetIncremental(false)); EvalSplitStock = eval cache and incremental engine off; all run the fixed-width 128-bit path DP with the big.Int plan as its overflow path — compare seed_baseline for the seed's numbers"
 
 # Refresh the disabled-injection overhead numbers (fault.Hit in the hot
 # loops with no injector installed must stay within noise of the baseline).
@@ -168,10 +168,19 @@ printf '%s\n' "$tourn_out" | grep -q 'eqsplit *ζ = 1 ' || { echo "tournament sm
 # Exhaustive small-n certification smoke: every canonical ring with n ≤ 6
 # vertices and integer weights in {1..3} — 604 instances up to symmetry —
 # is solved, certified (internal/cert/build), and independently re-verified
-# by the solver-free checker. The binary exits nonzero on any certification
+# by the solver-free checker. The command exits nonzero on any certification
 # failure or any certified ratio above the Theorem 8 bound 2; -eps 3/5
-# keeps the near-tight frontier (ratio ≥ 7/5) non-empty. ~12s.
-go run ./cmd/certenum -min-n 3 -max-n 6 -levels 3 -grid 8 -eps 3/5 -timeout 25s
+# keeps the near-tight frontier (ratio ≥ 7/5) non-empty.
+enum_out="$(go run ./cmd/irshare enumerate -min-n 3 -max-n 6 -levels 3 -grid 8 -eps 3/5 -timeout 25s)"
+printf '%s\n' "$enum_out"
+printf '%s\n' "$enum_out" | grep -q '"instances": 604' || { echo "enumeration smoke: instance count drifted"; exit 1; }
+
+# Split-engine parity smoke: a dense sweep on a random 33-ring runs on the
+# incremental engine and again on a cold Instance (no evaluation cache, no
+# incremental solver); the command fails unless both give identical results.
+sweep_out="$(go run ./cmd/irshare sweep -n 33 -grid 64 -seed 1)"
+printf '%s\n' "$sweep_out"
+printf '%s\n' "$sweep_out" | grep -q 'cold baseline (identical results)' || { echo "sweep smoke: cold parity line missing"; exit 1; }
 
 # Cluster: a dedicated race pass over the router's data structures (hash
 # ring, lease WAL, membership) and the certificate-verified routing path,

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -32,6 +33,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/server"
 )
 
 func main() {
@@ -126,33 +128,15 @@ func run(args []string) error {
 	router.Start()
 	defer router.Close()
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           router.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("routing", "addr", *addr, "nodes", nodeList)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		return err
-	case <-ctx.Done():
 	}
-	logger.Info("draining", "max_wait", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	logger.Info("routing", "addr", *addr, "nodes", nodeList)
+	hs := &http.Server{Handler: router.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	if err := server.ServeAndDrain(ctx, hs, ln, *drain, logger); err != nil {
 		return err
 	}
 	// Stop the lease loops and sync the lease WAL after the listener drains:

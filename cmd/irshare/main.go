@@ -1,7 +1,10 @@
-// Command irshare inspects resource-sharing instances: it computes the
-// bottleneck decomposition, the BD allocation, the equilibrium utilities,
-// (for rings) the incentive ratio of an agent, and head-to-head mechanism
-// tournaments.
+// Command irshare inspects and verifies resource-sharing instances: it
+// computes the bottleneck decomposition, the BD allocation, the equilibrium
+// utilities, (for rings) the incentive ratio of an agent, head-to-head
+// mechanism tournaments and manipulation scenarios; it drives the split
+// engine over a dense sweep against its cold baseline, runs the
+// proportional response dynamics, and certifies every small ring of an
+// integer weight lattice.
 //
 // Usage:
 //
@@ -16,6 +19,10 @@
 //	irshare scenario   -kind ksybil    -v <agent> [-k N] [-grid N] [-mechanism m] [graph args]
 //	irshare scenario   -kind coalition -members i,j,... [-grid N] [-mechanism m] [graph args]
 //	irshare scenario   -kind topology  [-families a,b] [-count N] [-n N] [-grid N] [-seed S] [-dist d] [-mechanism m]
+//	irshare sweep      [-n N] [-dist d] [-seed S] [-grid N]
+//	irshare dynamics   [-rounds N] [-damping θ] [-swarm] [-track v1,v2,...] [graph args]
+//	irshare enumerate  [-min-n 3] [-max-n 6] [-levels 3] [-grid 8] [-eps 1/2]
+//	                   [-workers N] [-frontier FILE] [-timeout D]
 //
 // Graph selection (one of):
 //
@@ -37,10 +44,12 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bottleneck"
 	"repro/internal/core"
+	"repro/internal/dynamics"
 	"repro/internal/graph"
 	"repro/internal/mechanism"
 	"repro/internal/numeric"
 	"repro/internal/obs"
+	"repro/internal/p2p"
 	"repro/internal/scan"
 )
 
@@ -53,10 +62,19 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: irshare <decompose|allocate|utilities|ratio|curve|verify|mechanisms|tournament|scenario> [flags]")
+		return fmt.Errorf("usage: irshare <decompose|allocate|utilities|ratio|curve|verify|mechanisms|tournament|scenario|sweep|dynamics|enumerate> [flags]")
 	}
 	cmd, rest := args[0], args[1:]
-	if cmd == "mechanisms" {
+	switch cmd {
+	case "sweep":
+		return runSweep(rest, w)
+	case "dynamics":
+		return runDynamics(rest, w)
+	case "enumerate":
+		return runEnumerate(rest, w)
+	case "scenario":
+		return runScenario(rest, w)
+	case "mechanisms":
 		// Registry listing needs no graph; sorted order keeps output stable.
 		for _, info := range mechanism.Infos() {
 			def := ""
@@ -69,51 +87,23 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	sel := addGraphFlags(fs)
 	var (
-		inFile = fs.String("in", "", "graph file in text format (\"-\" = stdin)")
-		ringW  = fs.String("ring", "", "comma-separated ring weights")
-		pathW  = fs.String("path", "", "comma-separated path weights")
-		fig1   = fs.Bool("fig1", false, "use the paper's Fig. 1 example")
 		engine = fs.String("engine", "auto", "decomposition engine: auto|flow|path-dp|brute")
 		dot    = fs.Bool("dot", false, "emit Graphviz DOT colored by class")
 		traceF = fs.Bool("trace", false, "print solver trace events (decompose)")
 		agent  = fs.Int("v", -1, "agent index (ratio)")
 		grid   = fs.Int("grid", 64, "optimizer grid (ratio)")
 		mechs  = fs.String("mechanisms", "", "comma-separated mechanism names (tournament; empty = all)")
-		kind   = fs.String("kind", "", "scenario kind: ksybil|coalition|topology")
-		kIdent = fs.Int("k", 2, "identity count of a ksybil scan")
-		membF  = fs.String("members", "", "comma-separated coalition member vertices")
-		famF   = fs.String("families", "", "comma-separated topology families (empty = all)")
-		countF = fs.Int("count", 4, "instances per family (topology)")
-		nF     = fs.Int("n", 8, "vertices per generated instance (topology)")
-		seedF  = fs.Int64("seed", 1, "instance generator seed (topology)")
-		distF  = fs.String("dist", "uniform", "weight distribution: uniform|skewed|powers|unit (topology)")
-		mechF  = fs.String("mechanism", "", "allocation mechanism (scenario; empty = default)")
 	)
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
-	if cmd == "scenario" {
-		// Topology scans generate their own instances; the other kinds take
-		// the usual graph selection.
-		var g *graph.Graph
-		if *kind != "topology" {
-			var err error
-			if g, err = loadGraph(*inFile, *ringW, *pathW, *fig1); err != nil {
-				return err
-			}
-		}
-		return runScenario(w, g, scenarioArgs{
-			kind: *kind, v: *agent, k: *kIdent, grid: *grid, members: *membF,
-			families: *famF, count: *countF, n: *nF, seed: *seedF, dist: *distF,
-			mech: *mechF,
-		})
-	}
-	g, err := loadGraph(*inFile, *ringW, *pathW, *fig1)
+	g, err := sel.load()
 	if err != nil {
 		return err
 	}
-	eng, err := parseEngine(*engine)
+	eng, err := bottleneck.ParseEngine(*engine)
 	if err != nil {
 		return err
 	}
@@ -339,6 +329,72 @@ func run(args []string, w io.Writer) error {
 	}
 }
 
+// runDynamics is `irshare dynamics`: the proportional response dynamics
+// (or, with -swarm, the message-passing swarm) on a graph, reported against
+// the exact BD utilities they converge to.
+func runDynamics(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("dynamics", flag.ContinueOnError)
+	sel := addGraphFlags(fs)
+	var (
+		rounds  = fs.Int("rounds", 10000, "maximum rounds")
+		damping = fs.Float64("damping", 0, "damping θ ∈ [0,1)")
+		swarm   = fs.Bool("swarm", false, "run the message-passing swarm instead of the recurrence")
+		track   = fs.String("track", "", "comma-separated agents to track (swarm mode)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	g, err := sel.load()
+	if err != nil {
+		return err
+	}
+	dec, err := bottleneck.Decompose(g)
+	if err != nil {
+		return err
+	}
+	exact := dec.Utilities(g)
+
+	if *swarm {
+		var tracked []int
+		if *track != "" {
+			if tracked, err = parseInts(*track); err != nil {
+				return err
+			}
+		}
+		res, err := p2p.Run(g, p2p.Config{Rounds: *rounds, TrackAgents: tracked})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "swarm: %d rounds, %d messages\n", res.Rounds, res.Messages)
+		printUtilities(w, g, res.Utilities, exact)
+		for i, v := range tracked {
+			h := res.History[i]
+			fmt.Fprintf(w, "agent %d history: first=%.6f mid=%.6f last=%.6f\n",
+				v, h[0], h[len(h)/2], h[len(h)-1])
+		}
+		return nil
+	}
+
+	res, err := dynamics.Run(g, dynamics.Options{
+		MaxRounds:       *rounds,
+		Damping:         *damping,
+		TargetUtilities: exact,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "dynamics: %d rounds, converged=%v, final L∞ utility error %.3e\n",
+		res.Rounds, res.Converged, res.FinalUtilityError())
+	printUtilities(w, g, res.Utilities, exact)
+	return nil
+}
+
+func printUtilities(w io.Writer, g *graph.Graph, got []float64, exact []numeric.Rat) {
+	for v := 0; v < g.N(); v++ {
+		fmt.Fprintf(w, "  U(%s) = %.6f (exact %s)\n", g.Label(v), got[v], exact[v])
+	}
+}
+
 // printTrace prints every decomposition stage of a traced run from its
 // bottleneck.stage span: the residual size, each Dinkelbach iteration's λ
 // and subproblem minimum g(λ), and the extracted α. Iterations or spans
@@ -377,9 +433,27 @@ func printTrace(w io.Writer, snap *obs.TraceSnapshot) {
 	}
 }
 
-func loadGraph(inFile, ringW, pathW string, fig1 bool) (*graph.Graph, error) {
+// graphFlags is the graph selection shared by every subcommand that takes
+// a graph.
+type graphFlags struct {
+	in, ring, path string
+	fig1           bool
+}
+
+// addGraphFlags registers the graph-selection flags on fs.
+func addGraphFlags(fs *flag.FlagSet) *graphFlags {
+	sel := &graphFlags{}
+	fs.StringVar(&sel.in, "in", "", "graph file in text format (\"-\" = stdin)")
+	fs.StringVar(&sel.ring, "ring", "", "comma-separated ring weights")
+	fs.StringVar(&sel.path, "path", "", "comma-separated path weights")
+	fs.BoolVar(&sel.fig1, "fig1", false, "use the paper's Fig. 1 example")
+	return sel
+}
+
+// load builds the one selected graph.
+func (sel *graphFlags) load() (*graph.Graph, error) {
 	selected := 0
-	for _, on := range []bool{inFile != "", ringW != "", pathW != "", fig1} {
+	for _, on := range []bool{sel.in != "", sel.ring != "", sel.path != "", sel.fig1} {
 		if on {
 			selected++
 		}
@@ -388,24 +462,26 @@ func loadGraph(inFile, ringW, pathW string, fig1 bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("select exactly one of -in, -ring, -path, -fig1")
 	}
 	switch {
-	case fig1:
+	case sel.fig1:
 		return graph.Fig1Graph(), nil
-	case ringW != "":
-		ws, err := parseWeights(ringW)
-		if err != nil {
-			return nil, err
+	case sel.ring != "" || sel.path != "":
+		build, list := graph.Ring, sel.ring
+		if sel.path != "" {
+			build, list = graph.Path, sel.path
 		}
-		return graph.Ring(ws), nil
-	case pathW != "":
-		ws, err := parseWeights(pathW)
-		if err != nil {
-			return nil, err
+		parts := strings.Split(list, ",")
+		ws := make([]numeric.Rat, len(parts))
+		for i, p := range parts {
+			var err error
+			if ws[i], err = numeric.Parse(p); err != nil {
+				return nil, err
+			}
 		}
-		return graph.Path(ws), nil
+		return build(ws), nil
 	default:
 		r := os.Stdin
-		if inFile != "-" {
-			f, err := os.Open(inFile)
+		if sel.in != "-" {
+			f, err := os.Open(sel.in)
 			if err != nil {
 				return nil, err
 			}
@@ -414,31 +490,4 @@ func loadGraph(inFile, ringW, pathW string, fig1 bool) (*graph.Graph, error) {
 		}
 		return graph.Read(r)
 	}
-}
-
-func parseWeights(s string) ([]numeric.Rat, error) {
-	parts := strings.Split(s, ",")
-	ws := make([]numeric.Rat, len(parts))
-	for i, p := range parts {
-		w, err := numeric.Parse(p)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = w
-	}
-	return ws, nil
-}
-
-func parseEngine(s string) (bottleneck.Engine, error) {
-	switch s {
-	case "auto":
-		return bottleneck.EngineAuto, nil
-	case "flow":
-		return bottleneck.EngineFlow, nil
-	case "path-dp":
-		return bottleneck.EnginePathDP, nil
-	case "brute":
-		return bottleneck.EngineBrute, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -293,5 +294,118 @@ func TestScenarioCommand(t *testing.T) {
 	}
 	if _, err := runCapture(t, "scenario", "-kind", "ksybil", "-ring", "1,2,3", "-v", "0", "-mechanism", "quantum"); err == nil {
 		t.Error("unknown mechanism accepted")
+	}
+}
+
+func TestSweepMode(t *testing.T) {
+	out, err := runCapture(t, "sweep", "-n", "9", "-grid", "24", "-seed", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sweep of 25 splits on a random uniform[1,100] ring (n=9, v=3, incremental engine)",
+		"best sampled split w1 = 51/2", "solver:", "fixed-width", "whole-path passes", "caches:", "cold baseline (identical results)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in output:\n%s", want, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"sweep", "-dist", "weird"},
+		{"sweep", "-n", "2"}, // too small for a ring
+	} {
+		if _, err := runCapture(t, args...); err == nil {
+			t.Errorf("args %v: expected error", args)
+		}
+	}
+}
+
+func TestDynamicsMode(t *testing.T) {
+	out, err := runCapture(t, "dynamics", "-path", "1,100,2", "-rounds", "2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "dynamics:") || !strings.Contains(out, "exact 100/3") {
+		t.Errorf("output:\n%s", out)
+	}
+}
+
+func TestSwarmMode(t *testing.T) {
+	out, err := runCapture(t, "dynamics", "-ring", "1,7,2,9,3", "-rounds", "500", "-swarm", "-track", "0,2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "swarm:") || !strings.Contains(out, "agent 0 history") {
+		t.Errorf("output:\n%s", out)
+	}
+}
+
+func TestDampedDynamics(t *testing.T) {
+	out, err := runCapture(t, "dynamics", "-ring", "1,7,2,9,3", "-rounds", "2000", "-damping", "0.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "dynamics:") {
+		t.Errorf("output:\n%s", out)
+	}
+}
+
+func TestDynamicsErrors(t *testing.T) {
+	cases := [][]string{
+		{"dynamics"}, // no graph
+		{"dynamics", "-ring", "1,2,3", "-path", "1,2"},           // two graphs
+		{"dynamics", "-ring", "a,b,c"},                           // bad weights
+		{"dynamics", "-ring", "1,2,3", "-damping", "1.5"},        // bad damping
+		{"dynamics", "-ring", "1,2,3", "-swarm", "-track", "zz"}, // bad track list
+		{"dynamics", "-in", "/nonexistent"},
+	}
+	for _, args := range cases {
+		if _, err := runCapture(t, args...); err == nil {
+			t.Errorf("args %v: expected error", args)
+		}
+	}
+}
+
+// TestEnumerate certifies the whole tiny lattice (rings of 3 and 4 vertices,
+// weights in {1, 2}: 16 instances up to symmetry) and archives its frontier.
+func TestEnumerate(t *testing.T) {
+	frontier := filepath.Join(t.TempDir(), "frontier.json")
+	out, err := runCapture(t, "enumerate", "-max-n", "4", "-levels", "2", "-eps", "1", "-frontier", frontier)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	var sum struct {
+		Instances, Certified int
+		MaxRatio             string `json:"max_ratio"`
+		Frontier             []struct{ Key, Ratio string }
+		Elapsed              string
+	}
+	if err := json.Unmarshal([]byte(out), &sum); err != nil {
+		t.Fatalf("summary is not JSON: %v\n%s", err, out)
+	}
+	if sum.Instances != 16 || sum.Certified != 16 || sum.MaxRatio == "" || sum.Elapsed == "" {
+		t.Fatalf("summary %+v, want 16 of 16 instances certified", sum)
+	}
+	data, err := os.ReadFile(frontier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var archived []struct{ Key, Ratio string }
+	if err := json.Unmarshal(data, &archived); err != nil || len(archived) != len(sum.Frontier) || len(archived) == 0 {
+		t.Fatalf("frontier file %s (err %v), summary frontier %v", data, err, sum.Frontier)
+	}
+}
+
+// TestEnumerateErrors: a bad threshold and a run cut short by -timeout are
+// errors that print no summary, partial or otherwise.
+func TestEnumerateErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"enumerate", "-max-n", "4", "-levels", "2", "-eps", "x"},
+		{"enumerate", "-max-n", "4", "-levels", "2", "-eps", "-1/2"},
+		{"enumerate", "-max-n", "4", "-levels", "2", "-timeout", "1ns"},
+		{"enumerate", "-max-n", "11"},
+	} {
+		out, err := runCapture(t, args...)
+		if err == nil || out != "" {
+			t.Errorf("args %v: err %v, output %q; want an error and no output", args, err, out)
+		}
 	}
 }

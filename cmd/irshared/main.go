@@ -24,10 +24,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -135,33 +135,15 @@ func run(args []string) error {
 	}
 	defer srv.Close()
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		return err
-	case <-ctx.Done():
 	}
-	logger.Info("draining", "max_wait", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	logger.Info("listening", "addr", *addr)
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	if err := server.ServeAndDrain(ctx, hs, ln, *drain, logger); err != nil {
 		return err
 	}
 	// Stop the job scheduler after the listener drains: running jobs

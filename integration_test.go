@@ -15,6 +15,21 @@ import (
 	"repro/internal/sybil"
 )
 
+// optimizedRatio is ζ_v as the split optimizer of a fresh Instance
+// certifies it.
+func optimizedRatio(t *testing.T, g *graph.Graph, v, grid int) numeric.Rat {
+	t.Helper()
+	in, err := core.NewInstance(g, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := in.Optimize(core.OptimizeOptions{Grid: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt.Ratio
+}
+
 // TestExhaustiveSearchNeverBeatsExactOptimizer: on rings, the generic
 // grid-based Sybil search explores a subset of the exact optimizer's
 // strategy space (two identities, discretized weights), so its best ratio
@@ -24,10 +39,7 @@ func TestExhaustiveSearchNeverBeatsExactOptimizer(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := graph.RandomRing(rng, rng.Intn(5)+4, graph.WeightDist(rng.Intn(3)))
 		v := rng.Intn(g.N())
-		exact, err := core.RingRatio(g, v, core.OptimizeOptions{Grid: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact := optimizedRatio(t, g, v, 64)
 		search, err := sybil.Search(g, v, sybil.SearchOptions{GridResolution: 12})
 		if err != nil {
 			t.Fatal(err)
@@ -86,14 +98,7 @@ func TestIncentiveRatioIsScaleInvariant(t *testing.T) {
 		for u := 0; u < g.N(); u++ {
 			scaled.MustSetWeight(u, g.Weight(u).Mul(c))
 		}
-		r1, err := core.RingRatio(g, v, core.OptimizeOptions{Grid: 24})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := core.RingRatio(scaled, v, core.OptimizeOptions{Grid: 24})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r1, r2 := optimizedRatio(t, g, v, 24), optimizedRatio(t, scaled, v, 24)
 		// The optimizer's numeric refinement may land on slightly different
 		// candidates; the certified ratios must agree to high precision.
 		if diff := r1.Sub(r2).Abs(); numeric.New(1, 1_000_000).Less(diff) {

@@ -42,6 +42,20 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
+// ParseEngine maps an engine name (the String of an Engine; "" = auto) to
+// the engine. It is the one parser of the name for the CLI and the wire.
+func ParseEngine(s string) (Engine, error) {
+	for e := EngineAuto; e <= EngineBrute; e++ {
+		if s == e.String() {
+			return e, nil
+		}
+	}
+	if s == "" {
+		return EngineAuto, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q", s)
+}
+
 // Decompose computes the bottleneck decomposition of g with the automatic
 // engine.
 func Decompose(g *graph.Graph) (*Decomposition, error) {

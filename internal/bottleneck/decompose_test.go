@@ -543,3 +543,16 @@ func TestDecomposeStageSpansRecordIterations(t *testing.T) {
 		}
 	}
 }
+
+// TestParseEngine covers every engine name, "" (auto, as on the wire) and
+// an unknown name, whose error text the wire's golden error body pins.
+func TestParseEngine(t *testing.T) {
+	for name, want := range map[string]Engine{"": EngineAuto, "auto": EngineAuto, "flow": EngineFlow, "path-dp": EnginePathDP, "brute": EngineBrute} {
+		if got, err := ParseEngine(name); err != nil || got != want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseEngine("turbo"); err == nil || err.Error() != `unknown engine "turbo"` {
+		t.Errorf("ParseEngine(turbo) error = %v", err)
+	}
+}

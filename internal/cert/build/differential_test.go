@@ -107,9 +107,13 @@ func FuzzSplitDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("incremental eval: %v", err)
 		}
-		in.SetIncremental(false)
-		in.SetEvalCache(false)
-		evStock, err := in.EvalSplitCtx(ctx, w1)
+		stock, err := core.NewInstanceCtx(ctx, g, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stock.SetIncremental(false)
+		stock.SetEvalCache(false)
+		evStock, err := stock.EvalSplitCtx(ctx, w1)
 		if err != nil {
 			t.Fatalf("stock eval: %v", err)
 		}

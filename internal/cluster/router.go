@@ -54,9 +54,6 @@ type Config struct {
 	// Chaos arms the cluster.probe and cluster.lease fault sites (see
 	// internal/fault); nil disables injection.
 	Chaos *fault.Injector
-	// HTTPClient overrides the backend transport (default a dedicated
-	// client with sane timeouts).
-	HTTPClient *http.Client
 	// TraceBuffer bounds retained request traces (default 256; negative
 	// disables router tracing).
 	TraceBuffer int
@@ -87,14 +84,14 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 60 * time.Second}
-	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = obs.DefaultCapacity
 	}
 	return c
 }
+
+// backendTimeout bounds one proxied exchange with a backend, body included.
+const backendTimeout = 60 * time.Second
 
 // Error codes the router adds to the catalogue. Backend errors pass through
 // with their own codes.
@@ -167,7 +164,7 @@ func New(cfg Config) (*Router, error) {
 		ring:     newRing(cfg.Nodes, cfg.VNodes),
 		members:  newMembership(cfg.Nodes, cfg.DeadAfter, cfg.QuarantineFor),
 		leases:   leases,
-		hc:       cfg.HTTPClient,
+		hc:       &http.Client{Timeout: backendTimeout},
 		log:      cfg.Logger,
 		col:      col,
 		base:     fault.ContextWith(context.Background(), cfg.Chaos),

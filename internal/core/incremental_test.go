@@ -8,32 +8,30 @@ import (
 	"repro/internal/numeric"
 )
 
-// TestOptimizeKnobsParity proves the benchmarking knobs change only the
-// amount of work: with the eval cache and the incremental engine disabled,
-// Optimize must return exactly (Rat-equal) the same best split, utility,
-// ratio, and piece certificate as the fully accelerated run.
+// TestOptimizeKnobsParity proves the Instance's engine knobs change only the
+// amount of work: on a cold Instance (eval cache and incremental engine
+// off), Optimize must return exactly (Rat-equal) the same best split,
+// utility, ratio, and piece certificate as on a fully accelerated one.
 func TestOptimizeKnobsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		n := []int{5, 6, 7, 9, 11}[rng.Intn(5)]
 		g := graph.RandomRing(rng, n, graph.WeightDist(rng.Intn(4)))
 		v := rng.Intn(n)
-		run := func(disable bool) *OptResult {
+		run := func(on bool) *OptResult {
 			in, err := NewInstance(g, v)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			opt, err := in.Optimize(OptimizeOptions{
-				Grid:               16,
-				DisableEvalCache:   disable,
-				DisableIncremental: disable,
-			})
+			in.SetEvalCache(on)
+			in.SetIncremental(on)
+			opt, err := in.Optimize(OptimizeOptions{Grid: 16})
 			if err != nil {
-				t.Fatalf("trial %d (disable=%v, w=%v, v=%d): %v", trial, disable, g.Weights(), v, err)
+				t.Fatalf("trial %d (engine on=%v, w=%v, v=%d): %v", trial, on, g.Weights(), v, err)
 			}
 			return opt
 		}
-		warm, cold := run(false), run(true)
+		warm, cold := run(true), run(false)
 		if !warm.BestW1.Equal(cold.BestW1) || !warm.BestU.Equal(cold.BestU) || !warm.Ratio.Equal(cold.Ratio) {
 			t.Fatalf("trial %d (w=%v, v=%d): warm (w1=%v U=%v ζ=%v) != cold (w1=%v U=%v ζ=%v)",
 				trial, g.Weights(), v,
@@ -80,7 +78,9 @@ func TestEvalStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in2.Optimize(OptimizeOptions{Grid: 16, DisableEvalCache: true, DisableIncremental: true}); err != nil {
+	in2.SetEvalCache(false)
+	in2.SetIncremental(false)
+	if _, err := in2.Optimize(OptimizeOptions{Grid: 16}); err != nil {
 		t.Fatal(err)
 	}
 	st2 := in2.EvalStats()

@@ -154,8 +154,10 @@ func NewInstanceCtx(ctx context.Context, g *graph.Graph, v int) (*Instance, erro
 }
 
 // SetEvalCache enables or disables the per-instance evaluation cache
-// (enabled by default). Disabling is a benchmarking knob: correctness never
-// depends on the cache.
+// (enabled by default). The Instance is the one place its split engine is
+// chosen — nothing else, Optimize included, changes it — so a cold
+// reference is an Instance of its own with both knobs off. Correctness
+// never depends on the cache.
 func (in *Instance) SetEvalCache(on bool) { in.cacheOff.Store(!on) }
 
 // SetIncremental enables or disables the incremental split engine (enabled

@@ -15,6 +15,8 @@ import (
 )
 
 // OptimizeOptions tunes the split optimizer. Zero values select defaults.
+// The split engine itself (evaluation cache, incremental solver) belongs to
+// the Instance; see SetEvalCache and SetIncremental.
 type OptimizeOptions struct {
 	// Grid is the number of initial uniform samples of w1 over [0, w_v]
 	// (default 64).
@@ -24,27 +26,20 @@ type OptimizeOptions struct {
 	// grid cell, the bracket an exact bisection of that many steps ends on
 	// (default 48, i.e. breakpoints located to w_v/2^48).
 	BisectIters int
-	// SampleK is the number of exact interior samples per piece used to
-	// validate the piece's closed-form model (default 3).
-	SampleK int
-	// GoldenIters bounds the golden-section refinement per piece
-	// (default 80; it runs on the exact closed-form formula in float64, so
-	// iterations are cheap).
-	GoldenIters int
 	// Workers is the parallel worker count for the grid phase (≤ 0 =
 	// GOMAXPROCS).
 	Workers int
-	// DisableEvalCache turns off the Instance's (w1, w2) → PathEval
-	// memoization for this optimization run, forcing every grid point,
-	// breakpoint probe and piece sample to decompose from scratch. A
-	// benchmarking knob; results are identical either way.
-	DisableEvalCache bool
-	// DisableIncremental turns off the incremental split engine for this
-	// run, so fresh evaluations use a stock per-call DecomposeWith — the
-	// pre-optimization baseline. A benchmarking knob; results are identical
-	// either way.
-	DisableIncremental bool
 }
+
+const (
+	// pieceSamples is the number of exact interior samples per piece used
+	// to validate the piece's closed-form model.
+	pieceSamples = 3
+	// goldenIters bounds the golden-section refinement per piece (it runs
+	// on the exact closed-form formula in float64, so iterations are
+	// cheap).
+	goldenIters = 80
+)
 
 func (o OptimizeOptions) withDefaults() OptimizeOptions {
 	if o.Grid <= 0 {
@@ -52,12 +47,6 @@ func (o OptimizeOptions) withDefaults() OptimizeOptions {
 	}
 	if o.BisectIters <= 0 {
 		o.BisectIters = 48
-	}
-	if o.SampleK <= 0 {
-		o.SampleK = 3
-	}
-	if o.GoldenIters <= 0 {
-		o.GoldenIters = 80
 	}
 	return o
 }
@@ -129,8 +118,6 @@ func (in *Instance) optimize(ctx context.Context, opts OptimizeOptions, cut cutF
 	}
 	res := &OptResult{}
 	defer func() { span.AddInt("evals", int64(res.Evals)) }()
-	in.SetEvalCache(!opts.DisableEvalCache)
-	in.SetIncremental(!opts.DisableIncremental)
 	W := in.W()
 	if W.IsZero() {
 		ev, err := in.EvalSplitCtx(ctx, numeric.Zero)
@@ -221,7 +208,7 @@ func (in *Instance) optimize(ctx context.Context, opts OptimizeOptions, cut cutF
 		}
 	}
 	for i := 0; i+1 < len(edges); i += 2 {
-		piece, bestEv, evals, err := in.optimizePiece(pctx, edges[i], edges[i+1], W, opts)
+		piece, bestEv, evals, err := in.optimizePiece(pctx, edges[i], edges[i+1], W)
 		if err != nil {
 			pspan.End()
 			return nil, err
@@ -252,7 +239,7 @@ func (in *Instance) optimize(ctx context.Context, opts OptimizeOptions, cut cutF
 }
 
 // optimizePiece finds the best split inside [lo, hi] (one structure piece).
-func (in *Instance) optimizePiece(ctx context.Context, lo, hi, W numeric.Rat, opts OptimizeOptions) (*Piece, *PathEval, int, error) {
+func (in *Instance) optimizePiece(ctx context.Context, lo, hi, W numeric.Rat) (*Piece, *PathEval, int, error) {
 	evals := 0
 	mid := lo.Add(hi).DivInt(2)
 	evMid, err := in.EvalSplitCtx(ctx, mid)
@@ -296,8 +283,8 @@ func (in *Instance) optimizePiece(ctx context.Context, lo, hi, W numeric.Rat, op
 	formula := pieceFormula(evMid, W)
 	span := hi.Sub(lo)
 	p.FormulaOK = true
-	for k := 1; k <= opts.SampleK; k++ {
-		w1 := lo.Add(span.MulInt(int64(k)).DivInt(int64(opts.SampleK + 1)))
+	for k := 1; k <= pieceSamples; k++ {
+		w1 := lo.Add(span.MulInt(int64(k)).DivInt(pieceSamples + 1))
 		ev, err := in.EvalSplitCtx(ctx, w1)
 		if err != nil {
 			return nil, nil, evals, err
@@ -315,7 +302,7 @@ func (in *Instance) optimizePiece(ctx context.Context, lo, hi, W numeric.Rat, op
 	if p.FormulaOK {
 		// Golden-section on the closed form (cheap float evaluations), then
 		// one exact evaluation at the winner.
-		x := goldenMax(formula, lo.Float64(), hi.Float64(), opts.GoldenIters)
+		x := goldenMax(formula, lo.Float64(), hi.Float64())
 		if err := consider(snap(x, lo, hi)); err != nil {
 			return nil, nil, evals, err
 		}
@@ -332,7 +319,7 @@ func (in *Instance) optimizePiece(ctx context.Context, lo, hi, W numeric.Rat, op
 }
 
 // goldenMax maximizes f over [a, b] by dense seeding plus golden-section.
-func goldenMax(f func(float64) float64, a, b float64, iters int) float64 {
+func goldenMax(f func(float64) float64, a, b float64) float64 {
 	const seeds = 64
 	bestX, bestF := a, f(a)
 	for i := 1; i <= seeds; i++ {
@@ -351,7 +338,7 @@ func goldenMax(f func(float64) float64, a, b float64, iters int) float64 {
 	x1 := hi - phi*(hi-lo)
 	x2 := lo + phi*(hi-lo)
 	f1, f2 := f(x1), f(x2)
-	for it := 0; it < iters && hi-lo > 1e-15*(b-a+1); it++ {
+	for it := 0; it < goldenIters && hi-lo > 1e-15*(b-a+1); it++ {
 		if f1 < f2 {
 			lo, x1, f1 = x1, x2, f2
 			x2 = lo + phi*(hi-lo)

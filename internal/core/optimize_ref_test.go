@@ -114,11 +114,11 @@ func refereeCase(t testing.TB, g *graph.Graph, v int, opts OptimizeOptions, pred
 	return got, rec.Last().Root.Find("optimize.breakpoints"), want
 }
 
-// certenumRings lists the rings of ci.sh's certenum smoke: n = 3..6,
+// enumSmokeRings lists the rings of ci.sh's enumeration smoke: n = 3..6,
 // integer weights in {1, 2, 3}, attacker at vertex 0, one ring per
 // reflection class with gcd 1 — internal/cert/enum's reduction, restated
 // because that package imports this one.
-func certenumRings() [][]int64 {
+func enumSmokeRings() [][]int64 {
 	var out [][]int64
 	for n := 3; n <= 6; n++ {
 		w := make([]int64, n)
@@ -196,7 +196,7 @@ func TestBreakpointLocatorMatchesBisection(t *testing.T) {
 			cases = append(cases, tcase{graph.Ring(numeric.Ints(r.ws...)), r.v, grid})
 		}
 	}
-	for _, ws := range certenumRings() {
+	for _, ws := range enumSmokeRings() {
 		cases = append(cases, tcase{graph.Ring(numeric.Ints(ws...)), 0, 8})
 	}
 
@@ -305,8 +305,9 @@ func TestBreakpointLocatorResolutions(t *testing.T) {
 
 // TestBreakpointLocatorEvalCount checks that Evals counts evaluation
 // calls, cache hits included: a hot re-run on the same Instance and a run
-// with the cache and the incremental engine off, where every repeated
-// evaluation is recomputed, report the cold run's answer and count.
+// on a cold Instance (cache and incremental engine off), where every
+// repeated evaluation is recomputed, report the first run's answer and
+// count.
 func TestBreakpointLocatorEvalCount(t *testing.T) {
 	g, v, err := LowerBoundFamily(2, numeric.FromInt(100))
 	if err != nil {
@@ -316,10 +317,16 @@ func TestBreakpointLocatorEvalCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold, err := NewInstance(g, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.SetEvalCache(false)
+	cold.SetIncremental(false)
 	var answers []string
 	var evals []int
-	for _, opts := range []OptimizeOptions{{Grid: 16}, {Grid: 16}, {Grid: 16, DisableEvalCache: true, DisableIncremental: true}} {
-		res, err := in.Optimize(opts)
+	for _, in := range []*Instance{in, in, cold} {
+		res, err := in.Optimize(OptimizeOptions{Grid: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,10 +108,15 @@ func TestLowerBoundFamilyApproachesTwo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := RingRatio(g, v, OptimizeOptions{Grid: 96})
+		in, err := NewInstance(g, v)
 		if err != nil {
 			t.Fatal(err)
 		}
+		opt, err := in.Optimize(OptimizeOptions{Grid: 96})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := opt.Ratio
 		limit := LowerBoundLimitRatio(k)
 		if r.Float64() < limit.Float64()-1e-3 {
 			t.Fatalf("k=%d: measured %v well below limit %v", k, r.Float64(), limit)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -43,25 +42,6 @@ func VerifyTheorem8(g *graph.Graph, v int, opts OptimizeOptions) (*Verdict, erro
 		Ratio:    opt.Ratio,
 		LeqTwo:   opt.Ratio.LessEq(numeric.Two),
 	}, nil
-}
-
-// RingRatio is a convenience wrapper returning only ζ_v.
-func RingRatio(g *graph.Graph, v int, opts OptimizeOptions) (numeric.Rat, error) {
-	return RingRatioCtx(context.Background(), g, v, opts)
-}
-
-// RingRatioCtx is RingRatio with cancellation and tracing threaded through
-// instance construction and the split optimization.
-func RingRatioCtx(ctx context.Context, g *graph.Graph, v int, opts OptimizeOptions) (numeric.Rat, error) {
-	in, err := NewInstanceCtx(ctx, g, v)
-	if err != nil {
-		return numeric.Rat{}, err
-	}
-	opt, err := in.OptimizeCtx(ctx, opts)
-	if err != nil {
-		return numeric.Rat{}, err
-	}
-	return opt.Ratio, nil
 }
 
 // LowerBoundFamily builds the ring family whose incentive ratio approaches

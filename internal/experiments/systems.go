@@ -155,11 +155,12 @@ func E12SolverAblation(sizes []int, trials int) (*Table, error) {
 	return t, nil
 }
 
-// timeOptimize times Instance.Optimize on g (attacker at vertex 0) with the
-// incremental machinery off and on, returning the best of trials runs each.
-// Both runs compute identical results (enforced exactly).
+// timeOptimize times Instance.Optimize on g (attacker at vertex 0) on a
+// cold Instance (evaluation cache and incremental engine off) and on a warm
+// one, returning the best of trials runs each. Both runs compute identical
+// results (enforced exactly).
 func timeOptimize(g *graph.Graph, trials int) (cold, incr time.Duration, err error) {
-	run := func(opts core.OptimizeOptions) (time.Duration, *core.OptResult, error) {
+	run := func(warm bool) (time.Duration, *core.OptResult, error) {
 		var best time.Duration
 		var opt *core.OptResult
 		for k := 0; k < trials; k++ {
@@ -167,8 +168,10 @@ func timeOptimize(g *graph.Graph, trials int) (cold, incr time.Duration, err err
 			if err != nil {
 				return 0, nil, err
 			}
+			in.SetEvalCache(warm)
+			in.SetIncremental(warm)
 			t0 := time.Now()
-			o, err := in.Optimize(opts)
+			o, err := in.Optimize(core.OptimizeOptions{Grid: 16})
 			el := time.Since(t0)
 			if err != nil {
 				return 0, nil, err
@@ -180,12 +183,11 @@ func timeOptimize(g *graph.Graph, trials int) (cold, incr time.Duration, err err
 		}
 		return best, opt, nil
 	}
-	const grid = 16
-	cold, oCold, err := run(core.OptimizeOptions{Grid: grid, DisableEvalCache: true, DisableIncremental: true})
+	cold, oCold, err := run(false)
 	if err != nil {
 		return 0, 0, err
 	}
-	incr, oIncr, err := run(core.OptimizeOptions{Grid: grid})
+	incr, oIncr, err := run(true)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -23,7 +23,7 @@ func FuzzParseGraph(f *testing.F) {
 	f.Add("n 2\ne 0 0\n")
 	f.Add("x 1 2\n")
 	// Near-tight frontier rings from the exhaustive small-n certification
-	// (cmd/certenum at eps 3/5): the weight patterns that drive the
+	// (irshare enumerate at eps 3/5): the weight patterns that drive the
 	// incentive ratio toward the bound 2 are exactly the ones whose
 	// mutations are worth exploring.
 	f.Add("n 5\nw 0 2\nw 1 1\nw 2 1\nw 3 3\nw 4 1\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n")

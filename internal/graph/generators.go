@@ -126,6 +126,23 @@ func (d WeightDist) String() string {
 	return fmt.Sprintf("WeightDist(%d)", int(d))
 }
 
+// ParseWeightDist maps a distribution name ("" = uniform) to the
+// distribution. It is the one parser of the name for the CLI and the wire;
+// String stays the experiment tables' label.
+func ParseWeightDist(name string) (WeightDist, error) {
+	switch name {
+	case "", "uniform":
+		return DistUniform, nil
+	case "skewed":
+		return DistSkewed, nil
+	case "powers":
+		return DistPowers, nil
+	case "unit":
+		return DistUnit, nil
+	}
+	return 0, fmt.Errorf("unknown weight distribution %q (want uniform, skewed, powers, or unit)", name)
+}
+
 // RandomWeights draws n weights from distribution d using rng.
 func RandomWeights(rng *rand.Rand, n int, d WeightDist) []numeric.Rat {
 	ws := make([]numeric.Rat, n)

@@ -193,3 +193,17 @@ func TestRandomBarbellAndSmallWorldConnectedDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestParseWeightDist covers every distribution name, "" (uniform, as on
+// the wire) and an unknown name.
+func TestParseWeightDist(t *testing.T) {
+	for name, want := range map[string]WeightDist{"": DistUniform, "uniform": DistUniform, "skewed": DistSkewed, "powers": DistPowers, "unit": DistUnit} {
+		if got, err := ParseWeightDist(name); err != nil || got != want {
+			t.Errorf("ParseWeightDist(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := ParseWeightDist("normal")
+	if want := `unknown weight distribution "normal" (want uniform, skewed, powers, or unit)`; err == nil || err.Error() != want {
+		t.Errorf("ParseWeightDist(normal) error = %v, want %q", err, want)
+	}
+}

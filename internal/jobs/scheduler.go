@@ -48,23 +48,16 @@ type SchedulerConfig struct {
 	Base context.Context
 	// Logger receives job lifecycle logs (default slog.Default()).
 	Logger *slog.Logger
-	// OnCheckpoint, when non-nil, observes every persisted checkpoint: the
-	// job ID and its new NextIndex after the append. A cluster node uses it
-	// as the lease-renewal hook — progress proves liveness, so an embedding
-	// router can renew the node's lease without polling. Called on the
-	// worker goroutine after the store append succeeds; keep it fast.
-	OnCheckpoint func(id string, nextIndex int)
 }
 
 // Scheduler drains the job queue into the worker pool: higher Priority
 // first, FIFO within a priority. One Scheduler owns all transitions of its
 // store's jobs; readers go through the store directly.
 type Scheduler struct {
-	store  *Store
-	pool   *par.Limiter
-	run    Runner
-	log    *slog.Logger
-	onCkpt func(id string, nextIndex int)
+	store *Store
+	pool  *par.Limiter
+	run   Runner
+	log   *slog.Logger
 
 	base context.Context
 	stop context.CancelFunc
@@ -103,7 +96,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		pool:        cfg.Pool,
 		run:         cfg.Run,
 		log:         cfg.Logger,
-		onCkpt:      cfg.OnCheckpoint,
 		base:        base,
 		stop:        stop,
 		running:     make(map[string]context.CancelFunc),
@@ -320,13 +312,7 @@ func (s *Scheduler) work(id string) {
 	}()
 
 	ckpt := func(start int, pts []Point) error {
-		if err := s.store.AppendPoints(jctx, id, start, pts); err != nil {
-			return err
-		}
-		if s.onCkpt != nil {
-			s.onCkpt(id, start+len(pts))
-		}
-		return nil
+		return s.store.AppendPoints(jctx, id, start, pts)
 	}
 	var result []byte
 	err = par.Protect(func() error {

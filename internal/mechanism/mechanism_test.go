@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/allocation"
 	"repro/internal/bottleneck"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/numeric"
 	"repro/internal/scan"
@@ -268,7 +269,19 @@ func TestGenericSweepDelegatesForBD(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Ring(numeric.Ints(4, 1, 5, 2, 3))
 	// The reference runs cold: no evaluation cache, no incremental engine.
-	want, err := sybil.RingSweepCtx(ctx, g, 0, sybil.SweepOptions{Grid: 16, Cold: true})
+	cold, err := core.NewInstance(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.SetEvalCache(false)
+	cold.SetIncremental(false)
+	want, err := sybil.NewSweep(cold.W(), cold.HonestU, 16, func(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, error) {
+		ev, err := cold.EvalPairCtx(ctx, w1, w2)
+		if err != nil {
+			return numeric.Rat{}, err
+		}
+		return ev.U, nil
+	}).Run(ctx, sybil.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,9 +116,7 @@ func (s *Splitter) Stats() core.EvalStats {
 // sweep contract of sybil.Sweep: Start in [0, Grid], earliest-maximum
 // best, partial prefix results on cancellation.
 func RingSweep(ctx context.Context, m Mechanism, g *graph.Graph, v int, opts sybil.SweepOptions) (*sybil.SweepResult, error) {
-	sp, err := NewSplitter(ctx, m, g, v, 2, func(ctx context.Context) (*core.Instance, error) {
-		return sybil.NewInstance(ctx, g, v, opts.Cold)
-	})
+	sp, err := NewSplitter(ctx, m, g, v, 2, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -91,7 +91,19 @@ func TestKSybilK2MatchesRingSweep(t *testing.T) {
 		v := rng.Intn(n)
 		grid := []int{4, 8, 16}[rng.Intn(3)]
 
-		sweep, err := sybil.RingSweep(g, v, sybil.SweepOptions{Grid: grid, Workers: 1, Cold: true})
+		cold, err := core.NewInstance(g, v)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		cold.SetEvalCache(false)
+		cold.SetIncremental(false)
+		sweep, err := sybil.NewSweep(cold.W(), cold.HonestU, grid, func(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, error) {
+			ev, err := cold.EvalPairCtx(ctx, w1, w2)
+			if err != nil {
+				return numeric.Rat{}, err
+			}
+			return ev.U, nil
+		}).Run(context.Background(), sybil.SweepOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: sweep: %v", trial, err)
 		}

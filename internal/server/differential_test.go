@@ -227,7 +227,7 @@ func TestDifferentialHTTP(t *testing.T) {
 
 func mustEngine(t *testing.T, s string) bottleneck.Engine {
 	t.Helper()
-	e, err := parseEngine(s)
+	e, err := bottleneck.ParseEngine(s)
 	if err != nil {
 		t.Fatal(err)
 	}

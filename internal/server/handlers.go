@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/bottleneck"
 	"repro/internal/cert"
 	"repro/internal/cert/build"
 	"repro/internal/core"
@@ -210,7 +211,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := bottleneck.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
 		return
@@ -257,7 +258,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := bottleneck.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
 		return
@@ -316,7 +317,7 @@ func (s *Server) handleUtilities(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := bottleneck.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
 		return

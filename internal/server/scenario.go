@@ -211,26 +211,10 @@ type scenarioJobSpec struct {
 	Total     int        `json:"total"`
 }
 
-// parseDist maps the wire weight-distribution name ("" = uniform) to the
-// generator enum.
-func parseDist(name string) (graph.WeightDist, error) {
-	switch name {
-	case "", "uniform":
-		return graph.DistUniform, nil
-	case "skewed":
-		return graph.DistSkewed, nil
-	case "powers":
-		return graph.DistPowers, nil
-	case "unit":
-		return graph.DistUnit, nil
-	}
-	return 0, fmt.Errorf("unknown weight distribution %q (want uniform, skewed, powers, or unit)", name)
-}
-
 // topologyOptions rebuilds the engine options of a topology spec. The
 // mechanism may be nil when only instance regeneration is needed.
 func (spec *scenarioJobSpec) topologyOptions(m mechanism.Mechanism) (scenario.TopologyOptions, error) {
-	dist, err := parseDist(spec.Dist)
+	dist, err := graph.ParseWeightDist(spec.Dist)
 	if err != nil {
 		return scenario.TopologyOptions{}, err
 	}
@@ -379,7 +363,7 @@ func (s *Server) validateScenario(w http.ResponseWriter, req *ScenarioRequest) (
 		if dist == "" {
 			dist = "uniform"
 		}
-		if _, err := parseDist(dist); err != nil {
+		if _, err := graph.ParseWeightDist(dist); err != nil {
 			return reject(CodeBadBody, err.Error())
 		}
 		total := scenario.TopologyTotal(len(fams), count)

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -71,11 +73,6 @@ type Config struct {
 	// behind the same address. Default: the hostname ("irshared" when even
 	// that is unavailable).
 	NodeID string
-	// OnJobCheckpoint, when set, is invoked after every durably persisted
-	// job checkpoint with the job ID and the next index to execute. Cluster
-	// routers use it (via daemon plumbing) as the lease-renewal heartbeat.
-	// It runs on the job's worker goroutine — keep it fast and non-blocking.
-	OnJobCheckpoint func(id string, nextIndex int)
 }
 
 func (c Config) withDefaults() Config {
@@ -187,12 +184,11 @@ func New(cfg Config) (*Server, error) {
 		// jobs.wal.append and jobs.recover sites fire there.
 		base := fault.ContextWith(context.Background(), cfg.Chaos)
 		sched, err := jobs.NewScheduler(jobs.SchedulerConfig{
-			Store:        store,
-			Pool:         s.pool,
-			Run:          s.runJob,
-			Base:         base,
-			Logger:       cfg.Logger,
-			OnCheckpoint: cfg.OnJobCheckpoint,
+			Store:  store,
+			Pool:   s.pool,
+			Run:    s.runJob,
+			Base:   base,
+			Logger: cfg.Logger,
 		})
 		if err != nil {
 			store.Close()
@@ -222,6 +218,30 @@ func (s *Server) Close() error {
 	}
 	if s.jobStore != nil {
 		return s.jobStore.Close()
+	}
+	return nil
+}
+
+// ServeAndDrain serves hs on ln until ctx is done (a daemon passes its
+// SIGINT/SIGTERM context), then drains: the listener closes and in-flight
+// requests get up to drain to finish. It is the process lifecycle cmd/irshared
+// and cmd/irrouter share.
+func ServeAndDrain(ctx context.Context, hs *http.Server, ln net.Listener, drain time.Duration, logger *slog.Logger) error {
+	errCh := make(chan error, 1)
+	go func() { errCh <- hs.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	logger.Info("draining", "max_wait", drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := hs.Shutdown(shutdownCtx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
+		return err
 	}
 	return nil
 }

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -135,4 +138,35 @@ func TestQueueTimeoutReturns503(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestServeAndDrain serves until the context ends, answers in between,
+// and returns nil once drained; a listener that cannot accept is an error.
+func TestServeAndDrain(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	ctx, cancel := context.WithCancel(context.Background())
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {})}
+	done := make(chan error, 1)
+	go func() { done <- ServeAndDrain(ctx, hs, ln, time.Second, logger) }()
+	resp, err := http.Get("http://" + ln.Addr().String())
+	if err != nil {
+		t.Fatalf("no answer while serving: %v", err)
+	}
+	resp.Body.Close()
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	closed, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if err := ServeAndDrain(context.Background(), &http.Server{}, closed, time.Second, logger); err == nil {
+		t.Fatal("closed listener accepted")
+	}
 }

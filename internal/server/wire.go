@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bottleneck"
 	"repro/internal/cert"
 	"repro/internal/graph"
 	"repro/internal/numeric"
@@ -175,21 +174,6 @@ func CanonicalKey(g *graph.Graph) string {
 		fmt.Fprintf(&b, "%d-%d", e[0], e[1])
 	}
 	return b.String()
-}
-
-// parseEngine maps the wire engine name (empty = auto) to the solver enum.
-func parseEngine(s string) (bottleneck.Engine, error) {
-	switch s {
-	case "", "auto":
-		return bottleneck.EngineAuto, nil
-	case "flow":
-		return bottleneck.EngineFlow, nil
-	case "path-dp":
-		return bottleneck.EnginePathDP, nil
-	case "brute":
-		return bottleneck.EngineBrute, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
 }
 
 // Request and response bodies of the five endpoints. All rationals are

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/numeric"
 )
@@ -38,7 +39,7 @@ func TestRingSweepCancelEveryIndex(t *testing.T) {
 	}
 	for cut := 0; cut <= grid; cut++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		in, err := NewInstance(ctx, g, 1, false)
+		in, err := core.NewInstanceCtx(ctx, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,11 +19,6 @@ type SweepOptions struct {
 	Grid int
 	// Workers bounds the parallel evaluation workers (≤ 0 = GOMAXPROCS).
 	Workers int
-	// Cold disables the instance's evaluation cache and incremental split
-	// engine, so every point costs a from-scratch decomposition — the
-	// pre-optimization baseline, kept for benchmarking. Results are
-	// identical either way.
-	Cold bool
 	// Start is the first grid index to evaluate, in [0, Grid]. A resumed
 	// sweep passes the NextIndex of an earlier partial result; the returned
 	// Points then cover [Start, NextIndex).
@@ -129,19 +124,6 @@ func (s *Sweep) Result(r *scan.Result[SweepPoint]) (*SweepResult, error) {
 	return res, nil
 }
 
-// NewInstance builds the BD split engine of agent v on ring g; cold
-// disables its evaluation cache and incremental solver (see
-// SweepOptions.Cold).
-func NewInstance(ctx context.Context, g *graph.Graph, v int, cold bool) (*core.Instance, error) {
-	in, err := core.NewInstanceCtx(ctx, g, v)
-	if err != nil {
-		return nil, err
-	}
-	in.SetEvalCache(!cold)
-	in.SetIncremental(!cold)
-	return in, nil
-}
-
 // RingSweep evaluates the two-identity split utility curve of agent v on
 // ring g under the BD mechanism at Grid+1 evenly spaced w1 values, sharing
 // one core.Instance so the incremental split engine — cached interior
@@ -155,10 +137,18 @@ func RingSweep(g *graph.Graph, v int, opts SweepOptions) (*SweepResult, error) {
 // RingSweepCtx is RingSweep with cancellation, tracing and partial results
 // (see Sweep.Run).
 func RingSweepCtx(ctx context.Context, g *graph.Graph, v int, opts SweepOptions) (*SweepResult, error) {
-	in, err := NewInstance(ctx, g, v, opts.Cold)
+	in, err := core.NewInstanceCtx(ctx, g, v)
 	if err != nil {
 		return nil, err
 	}
+	return instanceSweep(ctx, in, opts)
+}
+
+// instanceSweep is RingSweepCtx on the split engine of an existing
+// Instance, whichever engine it was set to: a cold one (SetEvalCache and
+// SetIncremental off) decomposes every point from scratch and gives the
+// same points. Stats reports in's counters.
+func instanceSweep(ctx context.Context, in *core.Instance, opts SweepOptions) (*SweepResult, error) {
 	res, err := NewSweep(in.W(), in.HonestU, opts.Grid, func(ctx context.Context, w1, w2 numeric.Rat) (numeric.Rat, error) {
 		ev, err := in.EvalPairCtx(ctx, w1, w2)
 		if err != nil {

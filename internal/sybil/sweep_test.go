@@ -1,6 +1,7 @@
 package sybil
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,13 @@ func TestRingSweepWarmColdParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
-		cold, err := RingSweep(g, v, SweepOptions{Grid: 24, Cold: true})
+		in, err := core.NewInstance(g, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.SetEvalCache(false)
+		in.SetIncremental(false)
+		cold, err := instanceSweep(context.Background(), in, SweepOptions{Grid: 24})
 		if err != nil {
 			t.Fatalf("trial %d cold: %v", trial, err)
 		}
@@ -53,12 +60,16 @@ func TestRingSweepTracksOptimizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, err := core.RingRatio(g, v, core.OptimizeOptions{Grid: 32})
+	in, err := core.NewInstance(g, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio.Less(sw.Ratio) {
-		t.Fatalf("sweep ratio %v exceeds optimizer's certified %v", sw.Ratio, ratio)
+	opt, err := in.Optimize(core.OptimizeOptions{Grid: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Ratio.Less(sw.Ratio) {
+		t.Fatalf("sweep ratio %v exceeds optimizer's certified %v", sw.Ratio, opt.Ratio)
 	}
 	if numeric.Two.Less(sw.Ratio) {
 		t.Fatalf("sweep ratio %v exceeds 2", sw.Ratio)

@@ -67,10 +67,7 @@ func TestStressTheorem8OnLargeRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, err := core.RingRatio(g, v, core.OptimizeOptions{Grid: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ratio := optimizedRatio(t, g, v, 48)
 	if ratio.Float64() < 1.9 {
 		t.Fatalf("ratio %v below the family's expected ≈ %v", ratio, core.LowerBoundLimitRatio(29))
 	}

@@ -9,11 +9,11 @@
 // Usage:
 //
 //	irshare decompose  [-engine auto|flow|path-dp|brute] [-dot] [-trace] [graph args]
-//	irshare allocate   [graph args]
-//	irshare utilities  [graph args]
+//	irshare allocate   [-engine e] [graph args]
+//	irshare utilities  [-engine e] [graph args]
 //	irshare ratio      -v <agent> [-grid N] [graph args]
 //	irshare curve      -v <agent> [graph args]
-//	irshare verify     [-v <agent>] [graph args]
+//	irshare verify     [-engine e] [-v <agent>] [-grid N] [graph args]
 //	irshare mechanisms
 //	irshare tournament -v <agent> [-grid N] [-mechanisms a,b] [graph args]
 //	irshare scenario   -kind ksybil    -v <agent> [-k N] [-grid N] [-mechanism m] [graph args]
@@ -86,16 +86,25 @@ func run(args []string, w io.Writer) error {
 		}
 		return nil
 	}
+	own, ok := inspectFlags[cmd]
+	if !ok {
+		return fmt.Errorf("unknown command %q", cmd)
+	}
+	all := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	var (
+		engine = all.String("engine", "auto", "decomposition engine: auto|flow|path-dp|brute")
+		dot    = all.Bool("dot", false, "emit Graphviz DOT colored by class")
+		traceF = all.Bool("trace", false, "print solver trace events")
+		agent  = all.Int("v", -1, "agent index")
+		grid   = all.Int("grid", 64, "optimizer grid")
+		mechs  = all.String("mechanisms", "", "comma-separated mechanism names (empty = all)")
+	)
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	sel := addGraphFlags(fs)
-	var (
-		engine = fs.String("engine", "auto", "decomposition engine: auto|flow|path-dp|brute")
-		dot    = fs.Bool("dot", false, "emit Graphviz DOT colored by class")
-		traceF = fs.Bool("trace", false, "print solver trace events (decompose)")
-		agent  = fs.Int("v", -1, "agent index (ratio)")
-		grid   = fs.Int("grid", 64, "optimizer grid (ratio)")
-		mechs  = fs.String("mechanisms", "", "comma-separated mechanism names (tournament; empty = all)")
-	)
+	for _, name := range own {
+		f := all.Lookup(name)
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
@@ -324,9 +333,21 @@ func run(args []string, w io.Writer) error {
 		}
 		return nil
 
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
 	}
+	return nil
+}
+
+// inspectFlags lists the flags each inspection subcommand reads, beside the
+// graph flags; each is declared once, on run's all, and copied into the
+// subcommand's own flag set.
+var inspectFlags = map[string][]string{
+	"decompose":  {"engine", "dot", "trace"},
+	"allocate":   {"engine"},
+	"utilities":  {"engine"},
+	"curve":      {"v"},
+	"verify":     {"engine", "v", "grid"},
+	"ratio":      {"v", "grid"},
+	"tournament": {"v", "grid", "mechanisms"},
 }
 
 // runDynamics is `irshare dynamics`: the proportional response dynamics

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -406,6 +407,49 @@ func TestEnumerateErrors(t *testing.T) {
 		out, err := runCapture(t, args...)
 		if err == nil || out != "" {
 			t.Errorf("args %v: err %v, output %q; want an error and no output", args, err, out)
+		}
+	}
+}
+
+// TestInspectionFlags: each inspection subcommand defines only the flags
+// its case reads, beside the graph flags. Any other inspection flag is an
+// error, and each of its own, given at its default, parses and leaves the
+// output as it is without the flag.
+func TestInspectionFlags(t *testing.T) {
+	defaults := []struct{ name, value string }{
+		{"engine", "auto"}, {"dot", "false"}, {"trace", "false"},
+		{"v", "-1"}, {"grid", "64"}, {"mechanisms", ""},
+	}
+	own := map[string]string{
+		"decompose":  "engine dot trace",
+		"allocate":   "engine",
+		"utilities":  "engine",
+		"curve":      "v",
+		"verify":     "engine v grid",
+		"ratio":      "v grid",
+		"tournament": "v grid mechanisms",
+	}
+	for cmd, names := range own {
+		graph := []string{"-ring", "3,1,2,1,5"}
+		if slices.Contains(strings.Fields(names), "v") {
+			graph = append(graph, "-v", "0")
+		}
+		want, err := runCapture(t, append([]string{cmd}, graph...)...)
+		if err != nil {
+			t.Fatalf("%s %v: %v", cmd, graph, err)
+		}
+		for _, f := range defaults {
+			arg := "-" + f.name + "=" + f.value
+			// The flag goes first, so a -v 0 in graph still applies.
+			got, err := runCapture(t, append([]string{cmd, arg}, graph...)...)
+			switch listed := slices.Contains(strings.Fields(names), f.name); {
+			case !listed && err == nil:
+				t.Errorf("%s accepted the foreign flag %s", cmd, arg)
+			case listed && err != nil:
+				t.Errorf("%s %s: %v", cmd, arg, err)
+			case listed && got != want:
+				t.Errorf("%s %s changed the output:\n%s\nwant\n%s", cmd, arg, got, want)
+			}
 		}
 	}
 }

@@ -28,17 +28,18 @@ func parseRat(s string) (*big.Rat, error) {
 	if len(s) > maxRatLen {
 		return nil, fmt.Errorf("cert: rational literal of %d bytes exceeds limit %d", len(s), maxRatLen)
 	}
-	num, den := s, ""
+	num, den := s, "1"
 	if i := strings.IndexByte(s, '/'); i >= 0 {
 		num, den = s[:i], s[i+1:]
 	}
-	if !validInt(num, true) || (den != "" && !validInt(den, false)) {
+	if !validInt(num, true) || !validInt(den, false) || strings.Trim(den, "0") == "" {
 		return nil, fmt.Errorf("cert: malformed rational literal %q", s)
 	}
-	r, ok := new(big.Rat).SetString(s)
-	if !ok {
-		return nil, fmt.Errorf("cert: malformed rational literal %q", s)
-	}
+	// Both halves, checked above, are read in base 10: big.Rat's SetString
+	// would read a fraction's leading-zero half as octal.
+	n, _ := new(big.Int).SetString(num, 10)
+	d, _ := new(big.Int).SetString(den, 10)
+	r := new(big.Rat).SetFrac(n, d)
 	if r.RatString() != s {
 		return nil, fmt.Errorf("cert: non-canonical rational literal %q (canonical form %q)", s, r.RatString())
 	}
@@ -48,7 +49,7 @@ func parseRat(s string) (*big.Rat, error) {
 // validInt reports whether s is a plain decimal integer (optionally signed
 // when neg is true). It intentionally over-accepts non-canonical forms like
 // leading zeros — the canonical re-render check in parseRat rejects those —
-// and exists only to keep exponents and decimals away from big.Rat.
+// and exists only to keep signs, exponents and decimals away from big.Int.
 func validInt(s string, neg bool) bool {
 	if neg && strings.HasPrefix(s, "-") {
 		s = s[1:]

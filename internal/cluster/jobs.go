@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,7 +11,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/jobs"
 	"repro/internal/server"
 )
 
@@ -32,72 +31,48 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_body", "unreadable request body")
 		return
 	}
-	var sub server.JobSubmitRequest
-	if err := json.Unmarshal(body, &sub); err != nil {
-		// Forward anyway: the backend produces the catalogue 400.
-		r.forward(req.Context(), w, req, "/v1/jobs", body, r.aliveSequence("/v1/jobs"), nil)
-		return
-	}
 	// Placement comes from the server's job-kind table: graph-bound kinds
 	// land where their instance's cache is warm, and neither the priority
-	// nor a checkpoint seed moves a job to another node.
-	key, keyed := server.JobPlacementKey(&sub)
-	if !keyed {
-		key = "/v1/jobs"
+	// nor a checkpoint seed moves a job to another node. A body that does
+	// not decode goes anywhere, unleased; the backend produces the
+	// catalogue 400.
+	var sub server.JobSubmitRequest
+	key, decoded := "/v1/jobs", json.Unmarshal(body, &sub) == nil
+	if decoded {
+		if k, ok := server.JobPlacementKey(&sub); ok {
+			key = k
+		}
 	}
 	ctx := req.Context()
-	seq := r.aliveSequence(key)
-	if len(seq) == 0 {
-		writeError(w, http.StatusServiceUnavailable, CodeNoBackends, "no live backend nodes")
+	node, a, ok := r.failover(ctx, w, req, "/v1/jobs", body, r.aliveSequence(key), nil)
+	if !ok {
 		return
 	}
-	if len(seq) > 2 {
-		seq = seq[:2] // single-retry hedging, like every proxied request
-	}
-	var lastErr error
-	for i, node := range seq {
-		if i > 0 {
-			r.failovers.Add(1)
-		}
-		status, hdr, respBody, err := r.exchange(ctx, node, req, "/v1/jobs", body)
-		if err != nil || status == http.StatusBadGateway || status == http.StatusGatewayTimeout {
-			if err == nil {
-				err = fmt.Errorf("cluster: node %s answered %d", node, status)
+	if decoded && (a.status == http.StatusAccepted || a.status == http.StatusOK) {
+		var jr server.JobSubmitResponse
+		if err := json.Unmarshal(a.body, &jr); err == nil && jr.Job.ID != "" && !jobs.State(jr.Job.State).Terminal() {
+			ls := &Lease{
+				JobID:  jr.Job.ID,
+				Node:   node,
+				Kind:   jr.Job.Kind,
+				Key:    key,
+				Expiry: time.Now().Add(r.cfg.LeaseTTL).UnixNano(),
+				Body:   json.RawMessage(body),
 			}
-			lastErr = err
-			continue
-		}
-		if status == http.StatusAccepted || status == http.StatusOK {
-			var jr server.JobSubmitResponse
-			if err := json.Unmarshal(respBody, &jr); err == nil && jr.Job.ID != "" && !terminalState(jr.Job.State) {
-				ls := &Lease{
-					JobID:  jr.Job.ID,
-					Node:   node,
-					Kind:   jr.Job.Kind,
-					Key:    key,
-					Expiry: time.Now().Add(r.cfg.LeaseTTL).UnixNano(),
-					Body:   json.RawMessage(body),
-				}
-				if err := r.leases.grant(ctx, ls); err != nil {
-					// The backend accepted the job but the placement is
-					// unrecorded — an unsupervised job would never fail over.
-					// Fail the request instead: resubmission dedupes to the
-					// same job ID and only the grant is retried.
-					r.log.Warn("lease grant failed", "job", jr.Job.ID, "err", err)
-					writeErrorDetail(w, http.StatusServiceUnavailable, CodeLeaseUnavailable,
-						"job accepted but lease not persisted; retry the submission", err.Error())
-					return
-				}
-				r.leaseGrants.Add(1)
+			if err := r.leases.grant(ctx, ls); err != nil {
+				// The backend accepted the job but the placement is
+				// unrecorded — an unsupervised job would never fail over.
+				// Fail the request instead: resubmission dedupes to the
+				// same job ID and only the grant is retried.
+				r.log.Warn("lease grant failed", "job", jr.Job.ID, "err", err)
+				writeErrorDetail(w, http.StatusServiceUnavailable, CodeLeaseUnavailable,
+					"job accepted but lease not persisted; retry the submission", err.Error())
+				return
 			}
+			r.leaseGrants.Add(1)
 		}
-		copyHeaders(w, hdr)
-		w.WriteHeader(status)
-		w.Write(respBody)
-		return
 	}
-	writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway,
-		"backend placement and failover replica both failed", fmt.Sprint(lastErr))
+	a.write(w)
 }
 
 // handleJobGet proxies a job lookup to its lease owner; jobs the router
@@ -119,7 +94,9 @@ func (r *Router) handleJobGet(w http.ResponseWriter, req *http.Request) {
 		})
 		return
 	}
-	r.fanFind(w, req, id)
+	if a, ok := r.findJob(w, req, id, r.aliveSequence(id), "job lookup failed on every live node"); ok {
+		a.write(w)
+	}
 }
 
 // handleJobList answers GET /v1/jobs cluster-wide: fan out to every live
@@ -158,37 +135,25 @@ func (r *Router) handleJobList(w http.ResponseWriter, req *http.Request) {
 
 	merged := map[string]server.WireJob{}
 	for _, node := range r.aliveSequence("/v1/jobs") {
-		cursor := uint64(0)
+		filter.Del("cursor")
 		for {
-			pageQ := url.Values{}
-			for k, vs := range filter {
-				pageQ[k] = vs
-			}
-			if cursor != 0 {
-				pageQ.Set("cursor", strconv.FormatUint(cursor, 10))
-			}
-			// exchange forwards the proxied request's own query string, which
-			// here carries the router-level limit (post-merge) and would
-			// double the filters; hand it a clone with the per-page query.
-			nreq := req.Clone(req.Context())
-			nreq.URL.RawQuery = pageQ.Encode()
-			status, hdr, respBody, err := r.exchange(req.Context(), node, nreq, "/v1/jobs", nil)
+			// The page query replaces the client's, whose limit applies to
+			// the merged view.
+			a, err := r.roundTrip(req.Context(), "router.forward", req.Method, node, withQuery("/v1/jobs", filter.Encode()), nil, maxBody)
 			if err != nil {
 				break // unreachable mid-fan-out: the lease merge below covers its leased jobs
 			}
-			if status == http.StatusBadRequest {
+			if a.status == http.StatusBadRequest {
 				// An invalid filter is invalid on every node; answer with the
 				// backend's catalogue error.
-				copyHeaders(w, hdr)
-				w.WriteHeader(status)
-				w.Write(respBody)
+				a.write(w)
 				return
 			}
-			if status != http.StatusOK {
+			if a.status != http.StatusOK {
 				break // jobs disabled on this node, or a gateway-grade failure
 			}
 			var page server.JobListResponse
-			if err := json.Unmarshal(respBody, &page); err != nil {
+			if err := json.Unmarshal(a.body, &page); err != nil {
 				break
 			}
 			for _, j := range page.Jobs {
@@ -199,7 +164,7 @@ func (r *Router) handleJobList(w http.ResponseWriter, req *http.Request) {
 			if page.NextCursor == 0 {
 				break
 			}
-			cursor = page.NextCursor
+			filter.Set("cursor", strconv.FormatUint(page.NextCursor, 10))
 		}
 	}
 
@@ -219,27 +184,27 @@ func (r *Router) handleJobList(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	jobs := make([]server.WireJob, 0, len(merged))
+	list := make([]server.WireJob, 0, len(merged))
 	for _, j := range merged {
-		jobs = append(jobs, j)
+		list = append(list, j)
 	}
-	sort.Slice(jobs, func(i, k int) bool {
-		if jobs[i].CreatedAt != jobs[k].CreatedAt {
-			return jobs[i].CreatedAt < jobs[k].CreatedAt
+	sort.Slice(list, func(i, k int) bool {
+		if list[i].CreatedAt != list[k].CreatedAt {
+			return list[i].CreatedAt < list[k].CreatedAt
 		}
-		return jobs[i].ID < jobs[k].ID
+		return list[i].ID < list[k].ID
 	})
-	if limit > 0 && len(jobs) > limit {
-		jobs = jobs[:limit]
+	if limit > 0 && len(list) > limit {
+		list = list[:limit]
 	}
-	writeJSON(w, http.StatusOK, server.JobListResponse{Jobs: jobs})
+	writeJSON(w, http.StatusOK, server.JobListResponse{Jobs: list})
 }
 
 // jobFresher reports whether a beats b as the authoritative view of one job:
 // a terminal state beats a live one, then more checkpointed progress wins.
 func jobFresher(a, b server.WireJob) bool {
-	if terminalState(a.State) != terminalState(b.State) {
-		return terminalState(a.State)
+	if ta := jobs.State(a.State).Terminal(); ta != jobs.State(b.State).Terminal() {
+		return ta
 	}
 	return a.NextIndex > b.NextIndex
 }
@@ -252,77 +217,57 @@ func (r *Router) handleJobCancel(w http.ResponseWriter, req *http.Request) {
 	if ls, ok := r.leases.get(id); ok && r.members.alive(ls.Node) {
 		nodes = []string{ls.Node}
 	}
+	a, ok := r.findJob(w, req, id, nodes, "no backend could cancel the job")
+	if !ok {
+		return
+	}
+	if a.status < http.StatusMultipleChoices || a.status == http.StatusConflict {
+		r.retireLease(req.Context(), id)
+	}
+	a.write(w)
+}
+
+// retireLease retires the lease of a job that reached a terminal state.
+func (r *Router) retireLease(ctx context.Context, id string) {
+	if err := r.leases.retire(ctx, id); err != nil {
+		r.log.Warn("lease retire failed", "job", id, "err", err)
+		return
+	}
+	r.leaseRetired.Add(1)
+}
+
+// findJob asks nodes in turn for job id, with req's method and query, and
+// returns the first answer that is not a 404. When there is none it answers
+// the client itself — 502 with failMsg if a node could not be reached,
+// else 404, or a retryable 503 while some member was not asked — and
+// reports false.
+func (r *Router) findJob(w http.ResponseWriter, req *http.Request, id string, nodes []string, failMsg string) (reply, bool) {
 	var lastErr error
 	for _, node := range nodes {
-		status, hdr, respBody, err := r.exchange(req.Context(), node, req, "/v1/jobs/"+id, nil)
+		a, err := r.roundTrip(req.Context(), "router.forward", req.Method, node, withQuery("/v1/jobs/"+id, req.URL.RawQuery), nil, maxBody)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if status == http.StatusNotFound {
-			continue
+		if a.status != http.StatusNotFound {
+			return a, true
 		}
-		if status < http.StatusMultipleChoices || status == http.StatusConflict {
-			if err := r.leases.retire(req.Context(), id); err != nil {
-				r.log.Warn("lease retire failed", "job", id, "err", err)
-			} else {
-				r.leaseRetired.Add(1)
-			}
-		}
-		copyHeaders(w, hdr)
-		w.WriteHeader(status)
-		w.Write(respBody)
-		return
 	}
-	if lastErr != nil {
-		writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway, "no backend could cancel the job", lastErr.Error())
-		return
-	}
-	r.jobNotFound(w, len(nodes))
-}
-
-// fanFind asks every live node for the job and forwards the first non-404.
-func (r *Router) fanFind(w http.ResponseWriter, req *http.Request, id string) {
-	var lastErr error
-	nodes := r.aliveSequence(id)
-	for _, node := range nodes {
-		status, hdr, respBody, err := r.exchange(req.Context(), node, req, "/v1/jobs/"+id, nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if status == http.StatusNotFound {
-			continue
-		}
-		copyHeaders(w, hdr)
-		w.WriteHeader(status)
-		w.Write(respBody)
-		return
-	}
-	if lastErr != nil {
-		writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway, "job lookup failed on every live node", lastErr.Error())
-		return
-	}
-	r.jobNotFound(w, len(nodes))
-}
-
-// jobNotFound answers a job lookup whose asked nodes all said 404. That is
-// a 404 only when every ring member was asked: a finished job's lease is
-// retired, so while its owner is down or quarantined nothing else knows
-// where the job lives, and the lookup answers a retryable 503 instead.
-func (r *Router) jobNotFound(w http.ResponseWriter, asked int) {
-	if asked < len(r.ring.nodes) {
+	switch {
+	case lastErr != nil:
+		writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway, failMsg, lastErr.Error())
+	case len(nodes) < len(r.ring.nodes):
+		// A 404 from every asked node is a 404 only when every ring member
+		// was asked: a finished job's lease is retired, so while its owner
+		// is down or quarantined nothing else knows where the job lives.
 		secs := int((r.cfg.ProbeInterval + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeError(w, http.StatusServiceUnavailable, CodeJobUnreachable,
 			"job not found on any live node; a node that is down may hold it")
-		return
+	default:
+		writeError(w, http.StatusNotFound, "not_found", "no such job on any node")
 	}
-	writeError(w, http.StatusNotFound, "not_found", "no such job on any node")
-}
-
-func terminalState(s string) bool {
-	return s == "done" || s == "failed" || s == "canceled"
+	return reply{}, false
 }
 
 // superviseLeases is one pass of the lease loop: poll every leased job's
@@ -333,12 +278,8 @@ func (r *Router) superviseLeases(ctx context.Context) {
 		now := time.Now()
 		job, status, err := r.pollJob(ctx, ls.Node, ls.JobID)
 		switch {
-		case err == nil && status == http.StatusOK && terminalState(job.State):
-			if rerr := r.leases.retire(ctx, ls.JobID); rerr != nil {
-				r.log.Warn("lease retire failed", "job", ls.JobID, "err", rerr)
-			} else {
-				r.leaseRetired.Add(1)
-			}
+		case err == nil && status == http.StatusOK && jobs.State(job.State).Terminal():
+			r.retireLease(ctx, ls.JobID)
 		case err == nil && status == http.StatusOK:
 			start := len(ls.Points)
 			var delta []server.WireSweepPoint
@@ -371,30 +312,15 @@ func (r *Router) superviseLeases(ctx context.Context) {
 func (r *Router) pollJob(ctx context.Context, node, id string) (*server.WireJob, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
 	defer cancel()
-	ctx, sp := obs.Start(ctx, "router.lease_poll")
-	sp.SetAttr("node", node)
-	defer sp.End()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, resp.StatusCode, nil
+	a, err := r.roundTrip(ctx, "router.lease_poll", http.MethodGet, node, "/v1/jobs/"+id, nil, maxBody)
+	if err != nil || a.status != http.StatusOK {
+		return nil, a.status, err
 	}
 	var job server.WireJob
-	if err := json.Unmarshal(raw, &job); err != nil {
+	if err := json.Unmarshal(a.body, &job); err != nil {
 		return nil, 0, fmt.Errorf("cluster: job detail from %s: %w", node, err)
 	}
-	return &job, resp.StatusCode, nil
+	return &job, a.status, nil
 }
 
 // replaceLease re-places a lost job on a survivor, seeding the submission
@@ -402,21 +328,21 @@ func (r *Router) pollJob(ctx context.Context, node, id string) (*server.WireJob,
 // restarting. The original body is replayed — content addressing gives the
 // identical job ID — with only the Checkpoint field added.
 func (r *Router) replaceLease(ctx context.Context, ls Lease) {
-	var survivors []string
+	node := ""
 	for _, n := range r.aliveSequence(ls.Key) {
 		if n != ls.Node {
-			survivors = append(survivors, n)
+			node = n
+			break
 		}
 	}
-	if len(survivors) == 0 {
+	if node == "" {
 		// The old owner may be the only live node (e.g. its store was wiped
 		// but the process lives): resubmitting there is still correct.
-		if r.members.alive(ls.Node) {
-			survivors = []string{ls.Node}
-		} else {
+		if !r.members.alive(ls.Node) {
 			r.log.Warn("no survivor for lease; will retry", "job", ls.JobID)
 			return
 		}
+		node = ls.Node
 	}
 	var sub server.JobSubmitRequest
 	if err := json.Unmarshal(ls.Body, &sub); err != nil {
@@ -432,60 +358,31 @@ func (r *Router) replaceLease(ctx context.Context, ls Lease) {
 		r.log.Error("lease re-placement encode failed", "job", ls.JobID, "err", err)
 		return
 	}
-	node := survivors[0]
-	status, _, respBody, err := r.postJSON(ctx, node, "/v1/jobs", body)
-	if err != nil || (status != http.StatusAccepted && status != http.StatusOK) {
+	a, err := r.roundTrip(ctx, "", http.MethodPost, node, "/v1/jobs", body, maxBody)
+	if err != nil || (a.status != http.StatusAccepted && a.status != http.StatusOK) {
 		r.log.Warn("lease re-placement failed; will retry", "job", ls.JobID, "node", node,
-			"status", status, "err", err)
+			"status", a.status, "err", err)
 		return
 	}
 	var jr server.JobSubmitResponse
-	if err := json.Unmarshal(respBody, &jr); err != nil || jr.Job.ID == "" {
+	if err := json.Unmarshal(a.body, &jr); err != nil || jr.Job.ID == "" {
 		r.log.Warn("lease re-placement answer undecodable; will retry", "job", ls.JobID, "node", node)
 		return
 	}
-	if terminalState(jr.Job.State) {
+	if jobs.State(jr.Job.State).Terminal() {
 		// The survivor already has the finished job (it ran there before).
-		if rerr := r.leases.retire(ctx, ls.JobID); rerr == nil {
-			r.leaseRetired.Add(1)
-		}
+		r.retireLease(ctx, ls.JobID)
 		return
 	}
-	nls := &Lease{
-		JobID:     jr.Job.ID,
-		Node:      node,
-		Kind:      ls.Kind,
-		Key:       ls.Key,
-		Expiry:    time.Now().Add(r.cfg.LeaseTTL).UnixNano(),
-		Body:      ls.Body,
-		NextIndex: len(ls.Points),
-		Points:    ls.Points,
-	}
-	if err := r.leases.grant(ctx, nls); err != nil {
+	// The new lease keeps the kind, key, body and observed checkpoint.
+	nls := ls
+	nls.JobID, nls.Node, nls.NextIndex = jr.Job.ID, node, len(ls.Points)
+	nls.Expiry = time.Now().Add(r.cfg.LeaseTTL).UnixNano()
+	if err := r.leases.grant(ctx, &nls); err != nil {
 		r.log.Warn("re-placement lease grant failed; will retry", "job", ls.JobID, "err", err)
 		return
 	}
 	r.leaseReplaced.Add(1)
 	r.log.Info("job re-placed", "job", ls.JobID, "from", ls.Node, "to", node,
 		"resume_from", len(ls.Points))
-}
-
-// postJSON performs one bare POST (no statusWriter plumbing) for the lease
-// loop.
-func (r *Router) postJSON(ctx context.Context, node, path string, body []byte) (int, http.Header, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, raw, nil
 }

@@ -2,17 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/jobs"
 	"repro/internal/server"
 )
 
@@ -23,8 +20,7 @@ import (
 //	            └── owner dead / TTL expired ──► re-placed (new grant on a
 //	                survivor, seeded with the last observed checkpoint)
 //
-// The lease log reuses the WAL framing of internal/jobs —
-// [4-byte LE length][4-byte CRC-32C][JSON payload] — with three ops:
+// The lease log is a jobs.Log (leases.wal) with three ops:
 //
 //   - "grant": full lease (job ID, owner, expiry, submission body);
 //     fsync'd — an acknowledged placement must survive a router crash.
@@ -36,12 +32,16 @@ import (
 //     restarted router does not resurrect finished work.
 //
 // Replay reduces the log to the live lease table: grant upserts, renew
-// advances, done deletes. A torn tail (crash mid-append) is truncated,
-// exactly like the jobs WAL.
+// advances, done deletes. Like the job store, the table compacts once its
+// log passes jobs.CompactBytes: the live table is published as
+// leases.snapshot.json and the log is truncated. Re-applying a stale log
+// over that snapshot converges, because every renew splices its points at
+// the lease's length when it was logged.
 
-const leaseMaxFrame = 16 << 20
-
-var leaseCRC = crc32.MakeTable(crc32.Castagnoli)
+const (
+	leaseWALName      = "leases.wal"
+	leaseSnapshotName = "leases.snapshot.json"
+)
 
 // Lease is one durable job placement: job ID, owning node, and the
 // checkpointed prefix the router has observed — everything needed to
@@ -74,69 +74,32 @@ type leaseEntry struct {
 // an in-memory table: placements don't survive a router restart, but every
 // in-process behavior (renewal, expiry, re-placement) is identical.
 type leaseLog struct {
-	mu      sync.Mutex
-	leases  map[string]*Lease
-	f       *os.File // nil in memory-only mode
-	appends int64
-	syncs   int64
+	mu     sync.Mutex
+	dir    string
+	leases map[string]*Lease
+	log    *jobs.Log[leaseEntry] // nil in memory-only mode
 }
 
 func openLeaseLog(dir string) (*leaseLog, error) {
-	l := &leaseLog{leases: make(map[string]*Lease)}
+	l := &leaseLog{dir: dir, leases: make(map[string]*Lease)}
 	if dir == "" {
 		return l, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: lease dir: %w", err)
-	}
-	path := filepath.Join(dir, "leases.wal")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: open lease log: %w", err)
-	}
-	valid, torn, err := l.replay(f)
-	if err != nil {
-		f.Close()
+	if _, err := jobs.ReadSnapshot(dir, leaseSnapshotName, &l.leases); err != nil {
 		return nil, err
 	}
-	if torn {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cluster: truncate torn lease log: %w", err)
-		}
+	if l.leases == nil {
+		return nil, fmt.Errorf("cluster: lease snapshot holds null")
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
+	var err error
+	l.log, _, err = jobs.OpenLog(dir, leaseWALName, func(e *leaseEntry) error {
+		l.applyLocked(e)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	l.f = f
 	return l, nil
-}
-
-func (l *leaseLog) replay(r io.Reader) (valid int64, torn bool, err error) {
-	var header [8]byte
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			return valid, err != io.EOF, nil
-		}
-		n := binary.LittleEndian.Uint32(header[0:4])
-		if n > leaseMaxFrame {
-			return valid, true, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return valid, true, nil
-		}
-		if crc32.Checksum(payload, leaseCRC) != binary.LittleEndian.Uint32(header[4:8]) {
-			return valid, true, nil
-		}
-		var e leaseEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return valid, false, fmt.Errorf("cluster: lease log entry at offset %d: %w", valid, err)
-		}
-		l.applyLocked(&e)
-		valid += int64(8 + n)
-	}
 }
 
 func (l *leaseLog) applyLocked(e *leaseEntry) {
@@ -171,28 +134,28 @@ func (l *leaseLog) append(ctx context.Context, e *leaseEntry, sync bool) error {
 	if err := fault.Hit(ctx, fault.SiteClusterLease); err != nil {
 		return err
 	}
-	if l.f != nil {
-		payload, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("cluster: encode lease entry: %w", err)
-		}
-		buf := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, leaseCRC))
-		copy(buf[8:], payload)
-		if _, err := l.f.Write(buf); err != nil {
-			return fmt.Errorf("cluster: append lease log: %w", err)
-		}
-		l.appends++
-		if sync {
-			if err := l.f.Sync(); err != nil {
-				return fmt.Errorf("cluster: sync lease log: %w", err)
-			}
-			l.syncs++
+	if l.log != nil {
+		if err := l.log.Append(e, sync); err != nil {
+			return err
 		}
 	}
 	l.applyLocked(e)
+	if l.log != nil && l.log.Size() > jobs.CompactBytes {
+		return l.compactLocked()
+	}
 	return nil
+}
+
+// compactLocked publishes the live table, a JSON object keyed by job ID,
+// as the snapshot and truncates the log. It runs after the entry that
+// crossed the threshold is applied, so the snapshot holds it.
+func (l *leaseLog) compactLocked() error {
+	if err := jobs.PublishSnapshot(l.dir, leaseSnapshotName, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(l.leases)
+	}); err != nil {
+		return err
+	}
+	return l.log.Truncate()
 }
 
 // grant places jobID on node under a TTL starting now.
@@ -234,9 +197,7 @@ func (l *leaseLog) get(id string) (Lease, bool) {
 	if !ok {
 		return Lease{}, false
 	}
-	cp := *ls
-	cp.Points = append([]server.WireSweepPoint(nil), ls.Points...)
-	return cp, true
+	return ls.clone(), true
 }
 
 // all returns copies of every live lease.
@@ -245,29 +206,34 @@ func (l *leaseLog) all() []Lease {
 	defer l.mu.Unlock()
 	out := make([]Lease, 0, len(l.leases))
 	for _, ls := range l.leases {
-		cp := *ls
-		cp.Points = append([]server.WireSweepPoint(nil), ls.Points...)
-		out = append(out, cp)
+		out = append(out, ls.clone())
 	}
 	return out
+}
+
+// clone copies the lease, points included.
+func (ls *Lease) clone() Lease {
+	cp := *ls
+	cp.Points = append([]server.WireSweepPoint(nil), ls.Points...)
+	return cp
 }
 
 func (l *leaseLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
+	err := l.log.Close()
+	l.log = nil
 	return err
 }
 
 func (l *leaseLog) stats() (count int, appends, syncs int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.leases), l.appends, l.syncs
+	if l.log != nil {
+		appends, syncs, _ = l.log.Counts()
+	}
+	return len(l.leases), appends, syncs
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -43,21 +42,20 @@ type Member struct {
 // ProbeInterval, and starting pessimistic would make a fresh router reject
 // everything until then.
 type membership struct {
-	mu         sync.Mutex
-	members    map[string]*Member
-	deadAfter  int
-	quarFor    time.Duration
-	quarUntil  map[string]time.Time
-	probeTotal map[string]int64 // "ok" / "fail" counters for /metrics
+	mu                   sync.Mutex
+	members              map[string]*Member
+	deadAfter            int
+	quarFor              time.Duration
+	quarUntil            map[string]time.Time
+	probesOK, probesFail int64 // for /metrics
 }
 
 func newMembership(nodes []string, deadAfter int, quarFor time.Duration) *membership {
 	m := &membership{
-		members:    make(map[string]*Member, len(nodes)),
-		deadAfter:  deadAfter,
-		quarFor:    quarFor,
-		quarUntil:  make(map[string]time.Time),
-		probeTotal: map[string]int64{"ok": 0, "fail": 0},
+		members:   make(map[string]*Member, len(nodes)),
+		deadAfter: deadAfter,
+		quarFor:   quarFor,
+		quarUntil: make(map[string]time.Time),
 	}
 	for _, n := range nodes {
 		m.members[n] = &Member{URL: n, State: StateAlive}
@@ -100,7 +98,7 @@ func (m *membership) quarantine(node string, now time.Time) {
 func (m *membership) markFailed(node string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.probeTotal["fail"]++
+	m.probesFail++
 	mem, ok := m.members[node]
 	if !ok {
 		return false
@@ -119,7 +117,7 @@ func (m *membership) markFailed(node string) bool {
 func (m *membership) markOK(node, nodeID string, depth int, now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.probeTotal["ok"]++
+	m.probesOK++
 	mem, ok := m.members[node]
 	if !ok {
 		return
@@ -141,7 +139,7 @@ func (m *membership) markOK(node, nodeID string, depth int, now time.Time) {
 func (m *membership) probeCounts() (ok, fail int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.probeTotal["ok"], m.probeTotal["fail"]
+	return m.probesOK, m.probesFail
 }
 
 // probeOnce probes every member sequentially. The fault site cluster.probe
@@ -169,27 +167,18 @@ func (r *Router) probe(ctx context.Context, node string) (nodeID string, depth i
 	if err := fault.Hit(ctx, fault.SiteClusterProbe); err != nil {
 		return "", 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/readyz", nil)
+	a, err := r.roundTrip(ctx, "", http.MethodGet, node, "/readyz", nil, 1<<20)
 	if err != nil {
 		return "", 0, err
 	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return "", 0, err
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
+	if a.status == http.StatusTooManyRequests {
 		return "", 0, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", 0, fmt.Errorf("cluster: probe %s: status %d", node, resp.StatusCode)
+	if a.status != http.StatusOK {
+		return "", 0, fmt.Errorf("cluster: probe %s: status %d", node, a.status)
 	}
 	var body server.ReadyzResponse
-	if err := json.Unmarshal(raw, &body); err != nil {
+	if err := json.Unmarshal(a.body, &body); err != nil {
 		return "", 0, fmt.Errorf("cluster: probe %s: %w", node, err)
 	}
 	return body.NodeID, body.QueueDepth, nil

@@ -23,7 +23,6 @@ import (
 // its keys spill to the next replica while it is down and come straight
 // back when it recovers.
 type ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 	nodes  []string
 }
@@ -56,10 +55,7 @@ func hash64(s string) uint64 {
 // does not matter: positions depend only on (node, index), so every router
 // over the same seed list agrees on placement.
 func newRing(nodes []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	r := &ring{vnodes: vnodes, nodes: append([]string(nil), nodes...)}
+	r := &ring{nodes: append([]string(nil), nodes...)}
 	sort.Strings(r.nodes)
 	for _, n := range r.nodes {
 		for i := 0; i < vnodes; i++ {

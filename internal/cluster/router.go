@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,7 +160,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.TraceBuffer > 0 {
 		col = obs.NewCollector(obs.CollectorConfig{Capacity: cfg.TraceBuffer})
 	}
-	r := &Router{
+	return &Router{
 		cfg:      cfg,
 		ring:     newRing(cfg.Nodes, cfg.VNodes),
 		members:  newMembership(cfg.Nodes, cfg.DeadAfter, cfg.QuarantineFor),
@@ -170,37 +171,32 @@ func New(cfg Config) (*Router, error) {
 		base:     fault.ContextWith(context.Background(), cfg.Chaos),
 		requests: make(map[string]int64),
 		done:     make(chan struct{}),
-	}
-	return r, nil
+	}, nil
 }
 
-// Start launches the membership prober and the lease supervision loop.
+// Start launches the membership prober, which probes at once and then
+// every ProbeInterval, and the lease supervision loop, every RenewInterval.
 func (r *Router) Start() {
-	r.wg.Add(2)
+	r.every(r.cfg.ProbeInterval, true, r.probeOnce)
+	r.every(r.cfg.RenewInterval, false, r.superviseLeases)
+}
+
+// every runs fn every d until Close, and once at the start when now is set.
+func (r *Router) every(d time.Duration, now bool, fn func(context.Context)) {
+	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		r.probeOnce(r.base)
-		t := time.NewTicker(r.cfg.ProbeInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.done:
-				return
-			case <-t.C:
-				r.probeOnce(r.base)
-			}
+		if now {
+			fn(r.base)
 		}
-	}()
-	go func() {
-		defer r.wg.Done()
-		t := time.NewTicker(r.cfg.RenewInterval)
+		t := time.NewTicker(d)
 		defer t.Stop()
 		for {
 			select {
 			case <-r.done:
 				return
 			case <-t.C:
-				r.superviseLeases(r.base)
+				fn(r.base)
 			}
 		}
 	}()
@@ -223,30 +219,22 @@ func (r *Router) Leases() []Lease { return r.leases.all() }
 // with placement and failover, plus the router's own health and metrics.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, ep := range []string{"/v1/decompose", "/v1/allocate", "/v1/utilities"} {
-		ep := ep
-		mux.HandleFunc("POST "+ep, r.instrument(ep, func(w http.ResponseWriter, req *http.Request) {
-			r.proxyCompute(w, req, ep, nil)
+	// Every proxied request is placed by its body's instance key when it
+	// has one. /v1/scenario's ksybil and coalition bodies carry a graph, so
+	// they land where that instance's caches are warm; topology scans,
+	// tournaments (which span many instances) and discovery have none and
+	// take the stable endpoint spread. Ratio and sweep certificates are
+	// re-checked.
+	for route, verify := range map[string]func([]byte) error{
+		"POST /v1/decompose": nil, "POST /v1/allocate": nil, "POST /v1/utilities": nil,
+		"POST /v1/scenario": nil, "POST /v1/tournament": nil, "GET /v1/mechanisms": nil,
+		"POST /v1/ratio": verifyRatioCert, "POST /v1/sweep": verifySweepCert,
+	} {
+		ep, verify := route[strings.IndexByte(route, ' ')+1:], verify
+		mux.HandleFunc(route, r.instrument(ep, func(w http.ResponseWriter, req *http.Request) {
+			r.proxyCompute(w, req, ep, verify)
 		}))
 	}
-	mux.HandleFunc("POST /v1/ratio", r.instrument("/v1/ratio", func(w http.ResponseWriter, req *http.Request) {
-		r.proxyCompute(w, req, "/v1/ratio", verifyRatioCert)
-	}))
-	mux.HandleFunc("POST /v1/sweep", r.instrument("/v1/sweep", func(w http.ResponseWriter, req *http.Request) {
-		r.proxyCompute(w, req, "/v1/sweep", verifySweepCert)
-	}))
-	mux.HandleFunc("POST /v1/tournament", r.instrument("/v1/tournament", func(w http.ResponseWriter, req *http.Request) {
-		r.proxyAny(w, req, "/v1/tournament")
-	}))
-	mux.HandleFunc("POST /v1/scenario", r.instrument("/v1/scenario", func(w http.ResponseWriter, req *http.Request) {
-		// ksybil/coalition bodies carry a graph, so placementKey lands them
-		// where that instance's caches are warm; topology scans have no
-		// graph and fall back to the stable endpoint spread.
-		r.proxyCompute(w, req, "/v1/scenario", nil)
-	}))
-	mux.HandleFunc("GET /v1/mechanisms", r.instrument("/v1/mechanisms", func(w http.ResponseWriter, req *http.Request) {
-		r.proxyAny(w, req, "/v1/mechanisms")
-	}))
 	mux.HandleFunc("POST /v1/jobs", r.instrument("/v1/jobs", r.handleJobSubmit))
 	mux.HandleFunc("GET /v1/jobs", r.instrument("/v1/jobs#list", r.handleJobList))
 	mux.HandleFunc("GET /v1/jobs/{id}", r.instrument("/v1/jobs/{id}", r.handleJobGet))
@@ -305,18 +293,15 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// placementBody is the subset of every compute request the router needs
-// for placement: the instance graph and the mechanism scope.
-type placementBody struct {
-	Graph     server.WireGraph `json:"graph"`
-	Mechanism string           `json:"mechanism"`
-}
-
-// placementKey derives the ring key of a compute request body; ok=false
-// (malformed body, unknown mechanism) falls back to any-node routing and
-// lets the backend produce its precise 400.
+// placementKey derives the ring key of a compute request body from the
+// subset every compute request shares, the instance graph and the
+// mechanism scope; ok=false (malformed body, unknown mechanism) falls back
+// to any-node routing and lets the backend produce its precise 400.
 func placementKey(body []byte) (string, bool) {
-	var pb placementBody
+	var pb struct {
+		Graph     server.WireGraph `json:"graph"`
+		Mechanism string           `json:"mechanism"`
+	}
 	if err := json.Unmarshal(body, &pb); err != nil {
 		return "", false
 	}
@@ -340,10 +325,11 @@ func (r *Router) aliveSequence(key string) []string {
 	return alive
 }
 
-// proxyCompute routes one compute request: consistent-hash placement on the
-// instance key, single-retry failover to the next ring replica, and — when
-// verify is set and the backend answered 200 — solver-free certificate
-// checking with quarantine on failure.
+// proxyCompute routes one request: consistent-hash placement on the
+// instance key (or, without one, on the endpoint), single-retry failover
+// to the next ring replica, and — when verify is set and the backend
+// answered 200 — solver-free certificate checking with quarantine on
+// failure.
 func (r *Router) proxyCompute(w http.ResponseWriter, req *http.Request, endpoint string, verify func([]byte) error) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
 	if err != nil {
@@ -363,52 +349,46 @@ func (r *Router) proxyCompute(w http.ResponseWriter, req *http.Request, endpoint
 	r.forward(ctx, w, req, endpoint, body, seq, verify)
 }
 
-// proxyAny routes a request with no instance affinity (tournaments span
-// many instances; discovery is node-independent) to the first alive node.
-func (r *Router) proxyAny(w http.ResponseWriter, req *http.Request, endpoint string) {
-	var body []byte
-	if req.Method != http.MethodGet {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, 8<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_body", "unreadable request body")
-			return
-		}
+// forward passes the answer failover accepts through to the client byte
+// for byte.
+func (r *Router) forward(ctx context.Context, w http.ResponseWriter, req *http.Request, endpoint string, body []byte, seq []string, verify func([]byte) error) {
+	if _, a, ok := r.failover(ctx, w, req, endpoint, body, seq, verify); ok {
+		a.write(w)
 	}
-	r.forward(req.Context(), w, req, endpoint, body, r.aliveSequence(endpoint), nil)
 }
 
-// forward attempts the request on seq[0], hedging with a single retry on
+// failover attempts the request on seq[0], hedging with a single retry on
 // the next replica when a node fails at the node level (transport error,
-// 502/504) or flunks certificate verification. Backend answers — success
-// or error — pass through byte-for-byte otherwise.
-func (r *Router) forward(ctx context.Context, w http.ResponseWriter, req *http.Request, endpoint string, body []byte, seq []string, verify func([]byte) error) {
+// 502/504) or flunks certificate verification, and returns the answering
+// node and the answer it accepts: any other backend answer, success or
+// error. When no node is live or both attempts fail, it answers the client
+// itself (503 or 502) and reports false.
+func (r *Router) failover(ctx context.Context, w http.ResponseWriter, req *http.Request, endpoint string, body []byte, seq []string, verify func([]byte) error) (string, reply, bool) {
 	if len(seq) == 0 {
 		writeError(w, http.StatusServiceUnavailable, CodeNoBackends, "no live backend nodes")
-		return
+		return "", reply{}, false
 	}
-	attempts := seq
-	if len(attempts) > 2 {
-		attempts = attempts[:2] // single-retry hedging
+	if len(seq) > 2 {
+		seq = seq[:2] // single-retry hedging
 	}
 	var lastErr error
-	for i, node := range attempts {
+	for i, node := range seq {
 		if i > 0 {
 			r.failovers.Add(1)
 		}
-		status, hdr, respBody, err := r.exchange(ctx, node, req, endpoint, body)
-		if err != nil || status == http.StatusBadGateway || status == http.StatusGatewayTimeout {
-			if err == nil {
-				err = fmt.Errorf("cluster: node %s answered %d", node, status)
-			}
+		a, err := r.roundTrip(ctx, "router.forward", req.Method, node, withQuery(endpoint, req.URL.RawQuery), body, maxBody)
+		if err == nil && (a.status == http.StatusBadGateway || a.status == http.StatusGatewayTimeout) {
+			err = fmt.Errorf("cluster: node %s answered %d", node, a.status)
+		}
+		if err != nil {
 			lastErr = err
 			r.log.Warn("node failed, failing over", "node", node, "endpoint", endpoint, "err", err)
 			continue
 		}
-		if verify != nil && status == http.StatusOK {
+		if verify != nil && a.status == http.StatusOK {
 			r.certChecks.Add(1)
 			_, csp := obs.Start(ctx, "router.cert_check")
-			verr := verify(respBody)
+			verr := verify(a.body)
 			csp.End()
 			if verr != nil {
 				r.certRejections.Add(1)
@@ -418,46 +398,76 @@ func (r *Router) forward(ctx context.Context, w http.ResponseWriter, req *http.R
 				continue
 			}
 		}
-		copyHeaders(w, hdr)
-		w.WriteHeader(status)
-		w.Write(respBody)
-		return
+		return node, a, true
 	}
 	writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway,
-		"backend placement and failover replica both failed", fmt.Sprint(lastErr))
+		"backend placement and failover replica both failed", lastErr.Error())
+	return "", reply{}, false
 }
 
-// exchange performs one proxied HTTP round trip.
-func (r *Router) exchange(ctx context.Context, node string, req *http.Request, endpoint string, body []byte) (int, http.Header, []byte, error) {
-	ctx, sp := obs.Start(ctx, "router.forward")
-	sp.SetAttr("node", node)
-	defer sp.End()
-	url := node + endpoint
-	if req.URL.RawQuery != "" {
-		url += "?" + req.URL.RawQuery
+// maxBody bounds a backend answer the router reads (probes read 1 MiB).
+const maxBody = 64 << 20
+
+// reply is one backend answer.
+type reply struct {
+	status int
+	hdr    http.Header
+	body   []byte
+}
+
+// write passes the answer through to the client with the headers that
+// describe it.
+func (a reply) write(w http.ResponseWriter) {
+	for _, k := range []string{"Content-Type", "Retry-After", "X-Trace-Id"} {
+		if v := a.hdr.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.WriteHeader(a.status)
+	w.Write(a.body)
+}
+
+// roundTrip is the router's one exchange with a backend: method on
+// node+path, a non-nil body sent as JSON, at most limit bytes of the answer
+// read. A non-empty span names the exchange in the caller's trace. The
+// caller's context bounds it, and the client's backendTimeout caps it.
+func (r *Router) roundTrip(ctx context.Context, span, method, node, path string, body []byte, limit int64) (reply, error) {
+	var sp *obs.Span
+	if span != "" {
+		ctx, sp = obs.Start(ctx, span)
+		sp.SetAttr("node", node)
+		defer sp.End()
 	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	preq, err := http.NewRequestWithContext(ctx, req.Method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, method, node+path, rd)
 	if err != nil {
-		return 0, nil, nil, err
+		return reply{}, err
 	}
 	if body != nil {
-		preq.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := r.hc.Do(preq)
+	resp, err := r.hc.Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return reply{}, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
-		return 0, nil, nil, err
+		return reply{}, err
 	}
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
-	return resp.StatusCode, resp.Header, raw, nil
+	return reply{status: resp.StatusCode, hdr: resp.Header, body: raw}, nil
+}
+
+// withQuery appends a non-empty query string to path.
+func withQuery(path, query string) string {
+	if query == "" {
+		return path
+	}
+	return path + "?" + query
 }
 
 // verifyRatioCert re-checks a /v1/ratio answer's certificate — the zero-
@@ -484,14 +494,6 @@ func verifySweepCert(body []byte) error {
 		return nil
 	}
 	return cert.Check(resp.Certificate)
-}
-
-func copyHeaders(w http.ResponseWriter, hdr http.Header) {
-	for _, k := range []string{"Content-Type", "Retry-After", "X-Trace-Id"} {
-		if v := hdr.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

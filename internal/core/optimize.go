@@ -21,17 +21,17 @@ type OptimizeOptions struct {
 	// Grid is the number of initial uniform samples of w1 over [0, w_v]
 	// (default 64).
 	Grid int
-	// BisectIters fixes the resolution of each decomposition breakpoint:
-	// it is bracketed to the level-BisectIters dyadic sub-interval of its
-	// grid cell, the bracket an exact bisection of that many steps ends on
-	// (default 48, i.e. breakpoints located to w_v/2^48).
-	BisectIters int
 	// Workers is the parallel worker count for the grid phase (≤ 0 =
 	// GOMAXPROCS).
 	Workers int
 }
 
 const (
+	// bisectIters fixes the resolution of each decomposition breakpoint:
+	// it is bracketed to the level-bisectIters dyadic sub-interval of its
+	// grid cell, the bracket an exact bisection of that many steps ends on
+	// (breakpoints located to w_v/2^48).
+	bisectIters = 48
 	// pieceSamples is the number of exact interior samples per piece used
 	// to validate the piece's closed-form model.
 	pieceSamples = 3
@@ -44,9 +44,6 @@ const (
 func (o OptimizeOptions) withDefaults() OptimizeOptions {
 	if o.Grid <= 0 {
 		o.Grid = 64
-	}
-	if o.BisectIters <= 0 {
-		o.BisectIters = 48
 	}
 	return o
 }
@@ -105,7 +102,7 @@ func (in *Instance) Optimize(opts OptimizeOptions) (*OptResult, error) {
 // leaves the Instance's shared caches consistent.
 func (in *Instance) OptimizeCtx(ctx context.Context, opts OptimizeOptions) (*OptResult, error) {
 	opts = opts.withDefaults()
-	loc := breakpointLocator{in: in, iters: opts.BisectIters, predict: modelBracket}
+	loc := breakpointLocator{in: in, iters: bisectIters, predict: modelBracket}
 	return in.optimize(ctx, opts, loc.cut)
 }
 
@@ -154,7 +151,7 @@ func (in *Instance) optimize(ctx context.Context, opts OptimizeOptions, cut cutF
 	res.Evals += len(grid)
 
 	// Phase 2: locate the breakpoint inside every cell whose ends carry
-	// different structure signatures, to the level-BisectIters dyadic
+	// different structure signatures, to the level-bisectIters dyadic
 	// bracket an exact bisection reaches (breakpoint.go), then try to snap
 	// the bracket onto the exact breakpoint (the simplest rational inside
 	// it — these boundaries are ratios of weight sums). A successful snap

@@ -78,11 +78,12 @@ func answerOf(r *OptResult) string {
 }
 
 // refereeCase optimizes (g, v) with the locator (predict), then with the
-// bisection referee on the same Instance (evaluations are exact, so the
-// shared cache only saves the referee work), and fails unless every cut
-// and every answer field but Evals agree. It returns the locator's result, its
-// optimize.breakpoints span and the referee's result.
-func refereeCase(t testing.TB, g *graph.Graph, v int, opts OptimizeOptions, predict bracketPredictor) (*OptResult, *obs.SpanSnapshot, *OptResult) {
+// bisection referee, both at resolution iters, on the same Instance
+// (evaluations are exact, so the shared cache only saves the referee work),
+// and fails unless every cut and every answer field but Evals agree. It
+// returns the locator's result, its optimize.breakpoints span and the
+// referee's result.
+func refereeCase(t testing.TB, g *graph.Graph, v int, opts OptimizeOptions, iters int, predict bracketPredictor) (*OptResult, *obs.SpanSnapshot, *OptResult) {
 	t.Helper()
 	opts = opts.withDefaults()
 	in, err := NewInstance(g, v)
@@ -100,10 +101,10 @@ func refereeCase(t testing.TB, g *graph.Graph, v int, opts OptimizeOptions, pred
 	rec := &obs.Capture{}
 	tr := rec.NewTrace("locator")
 	got, gotCuts := run(tr.Context(context.Background()), func(in *Instance) cutFunc {
-		return breakpointLocator{in: in, iters: opts.BisectIters, predict: predict}.cut
+		return breakpointLocator{in: in, iters: iters, predict: predict}.cut
 	})
 	tr.Finish()
-	want, wantCuts := run(context.Background(), func(in *Instance) cutFunc { return bisectCut(in, opts.BisectIters) })
+	want, wantCuts := run(context.Background(), func(in *Instance) cutFunc { return bisectCut(in, iters) })
 	if strings.Join(gotCuts, " ") != strings.Join(wantCuts, " ") {
 		t.Fatalf("ring %v v=%d grid %d: cuts differ\nlocator   %v\nbisection %v",
 			g.Weights(), v, opts.Grid, gotCuts, wantCuts)
@@ -210,7 +211,7 @@ func TestBreakpointLocatorMatchesBisection(t *testing.T) {
 				t.Parallel()
 				for i := k; i < len(cases); i += chunks {
 					c := cases[i]
-					_, bp, _ := refereeCase(t, c.g, c.v, OptimizeOptions{Grid: c.grid}, modelBracket)
+					_, bp, _ := refereeCase(t, c.g, c.v, OptimizeOptions{Grid: c.grid}, bisectIters, modelBracket)
 					cuts[k] += bp.Counter("breakpoints")
 					predicted[k] += bp.Counter("predicted")
 					if n := bp.Counter("rescans"); n != 0 {
@@ -269,7 +270,7 @@ func TestBreakpointLocatorRecoversFromWrongGuess(t *testing.T) {
 		var probes, predicted, cuts int64
 		for _, r := range rings {
 			g := graph.Ring(numeric.Ints(r.ws...))
-			got, bp, want := refereeCase(t, g, r.v, OptimizeOptions{Grid: r.grid}, predict)
+			got, bp, want := refereeCase(t, g, r.v, OptimizeOptions{Grid: r.grid}, bisectIters, predict)
 			probes += bp.Counter("probes")
 			predicted += bp.Counter("predicted")
 			cuts += bp.Counter("breakpoints")
@@ -287,18 +288,18 @@ func TestBreakpointLocatorRecoversFromWrongGuess(t *testing.T) {
 	}
 }
 
-// TestBreakpointLocatorResolutions covers BisectIters away from the
-// default: a coarse bracket, and one too fine for an int64 dyadic index,
+// TestBreakpointLocatorResolutions covers locator resolutions away from
+// bisectIters: a coarse bracket, and one too fine for an int64 dyadic index,
 // where the locator runs the plain descent.
 func TestBreakpointLocatorResolutions(t *testing.T) {
 	g := graph.Ring(numeric.Ints(93, 30, 32, 22, 56, 12))
 	for _, iters := range []int{1, 5, 62, 70} {
-		_, bp, _ := refereeCase(t, g, 1, OptimizeOptions{Grid: 8, BisectIters: iters}, modelBracket)
+		_, bp, _ := refereeCase(t, g, 1, OptimizeOptions{Grid: 8}, iters, modelBracket)
 		if iters > 62 && bp.Counter("predicted") != 0 {
-			t.Errorf("BisectIters %d: %d predicted cuts past the int64 index range", iters, bp.Counter("predicted"))
+			t.Errorf("resolution %d: %d predicted cuts past the int64 index range", iters, bp.Counter("predicted"))
 		}
 		if iters <= 62 && bp.Counter("predicted") == 0 {
-			t.Errorf("BisectIters %d: no cut accepted on a prediction", iters)
+			t.Errorf("resolution %d: no cut accepted on a prediction", iters)
 		}
 	}
 }
@@ -366,7 +367,7 @@ func FuzzBreakpointLocator(f *testing.F) {
 			t.Skip("a ring needs three vertices")
 		}
 		g := graph.Ring(ws)
-		refereeCase(t, g, int(v)%len(ws), OptimizeOptions{Grid: 2 + int(grid)%30}, modelBracket)
+		refereeCase(t, g, int(v)%len(ws), OptimizeOptions{Grid: 2 + int(grid)%30}, bisectIters, modelBracket)
 	})
 }
 

@@ -3,12 +3,8 @@ package jobs
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -23,9 +19,26 @@ type StoreConfig struct {
 
 func (c StoreConfig) withDefaults() StoreConfig {
 	if c.CompactBytes == 0 {
-		c.CompactBytes = 4 << 20
+		c.CompactBytes = CompactBytes
 	}
 	return c
+}
+
+// walEntry is one logged mutation. Op selects the shape:
+//
+//   - "job": Job is the full record sans Points; replay upserts it and
+//     truncates any resident points to Job.NextIndex (so a requeued or
+//     resubmitted job's stale tail is dropped, and snapshot+stale-WAL
+//     replay converges — every truncated point reappears from a later
+//     "points" entry in the same log).
+//   - "points": a checkpoint delta: Points covers work units
+//     [Start, Start+len(Points)) of job ID.
+type walEntry struct {
+	Op     string  `json:"op"`
+	Job    *Record `json:"job,omitempty"`
+	ID     string  `json:"id,omitempty"`
+	Start  int     `json:"start,omitempty"`
+	Points []Point `json:"points,omitempty"`
 }
 
 // Store is the crash-safe job store: an in-memory map of records backed by
@@ -35,15 +48,12 @@ type Store struct {
 	dir string
 	cfg StoreConfig
 
-	mu       sync.Mutex
-	wal      *os.File
-	walBytes int64
-	jobs     map[string]*Record // by ID; live canonical copies
-	order    []*Record          // by Seq ascending (List pagination)
-	nextSeq  uint64
-	closed   bool
-
-	appends, syncs, compactions atomic.Int64
+	mu      sync.Mutex
+	log     *Log[walEntry]
+	jobs    map[string]*Record // by ID; live canonical copies
+	order   []*Record          // by Seq ascending (List pagination)
+	nextSeq uint64
+	closed  bool
 	// recovery facts, fixed at Open
 	recovered int  // records live after replay
 	replayed  int  // WAL entries applied
@@ -57,9 +67,6 @@ type Store struct {
 // exactly the fsync'd history plus whatever checkpoint deltas survived.
 func Open(dir string, cfg StoreConfig) (*Store, error) {
 	cfg = cfg.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: create data dir: %w", err)
-	}
 	snap, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
@@ -80,32 +87,14 @@ func Open(dir string, cfg StoreConfig) (*Store, error) {
 		}
 	}
 
-	walPath := filepath.Join(dir, walName)
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: open wal: %w", err)
-	}
-	valid, torn, err := readFrames(f, func(e *walEntry) error {
+	log, torn, err := OpenLog(dir, walName, func(e *walEntry) error {
 		st.replayed++
 		return st.applyLocked(e)
 	})
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	st.tornTail = torn
-	if torn {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("jobs: truncate torn wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: seek wal: %w", err)
-	}
-	st.wal = f
-	st.walBytes = valid
+	st.log, st.tornTail = log, torn
 
 	// Fix up the invariant NextIndex == len(Points): an un-synced
 	// checkpoint suffix may have been lost while a later (synced) record
@@ -192,11 +181,7 @@ func (st *Store) Close() error {
 		return nil
 	}
 	st.closed = true
-	if err := st.wal.Sync(); err != nil {
-		st.wal.Close()
-		return fmt.Errorf("jobs: sync wal on close: %w", err)
-	}
-	return st.wal.Close()
+	return st.log.Close()
 }
 
 // appendLocked writes one WAL frame, optionally fsync'ing it (state
@@ -210,22 +195,7 @@ func (st *Store) appendLocked(ctx context.Context, e *walEntry, sync bool) error
 	if err := fault.Hit(ctx, fault.SiteJobsWAL); err != nil {
 		return err
 	}
-	frame, err := encodeFrame(e)
-	if err != nil {
-		return err
-	}
-	if _, err := st.wal.Write(frame); err != nil {
-		return fmt.Errorf("jobs: append wal: %w", err)
-	}
-	st.walBytes += int64(len(frame))
-	st.appends.Add(1)
-	if sync {
-		if err := st.wal.Sync(); err != nil {
-			return fmt.Errorf("jobs: sync wal: %w", err)
-		}
-		st.syncs.Add(1)
-	}
-	return nil
+	return st.log.Append(e, sync)
 }
 
 // maybeCompactLocked compacts when the WAL has outgrown the configured
@@ -234,7 +204,7 @@ func (st *Store) appendLocked(ctx context.Context, e *walEntry, sync bool) error
 // inside the append (before the publish) would truncate the just-written
 // frame without capturing its effect.
 func (st *Store) maybeCompactLocked() error {
-	if st.cfg.CompactBytes > 0 && st.walBytes > st.cfg.CompactBytes {
+	if st.cfg.CompactBytes > 0 && st.log.Size() > st.cfg.CompactBytes {
 		return st.compactLocked()
 	}
 	return nil
@@ -271,49 +241,43 @@ func (st *Store) Submit(ctx context.Context, sub Submission) (*Record, bool, err
 	id := IDForKey(sub.Key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	now := time.Now().UnixNano()
+	var rec *Record
 	if prev, ok := st.jobs[id]; ok {
 		if !prev.State.Terminal() || prev.State == StateDone {
 			return prev.clone(), false, nil
 		}
 		// Failed or canceled: restart as a fresh attempt of the same job.
-		next := prev.clone()
-		next.State = StateQueued
-		next.Attempt++
-		next.Error = ""
-		next.Result = nil
-		next.Points = nil
-		next.NextIndex = 0
-		next.StartedUnixNano = 0
-		next.FinishedUnixNano = 0
-		next.CancelRequested = false
-		next.Priority = sub.Priority
-		if err := st.submitLocked(ctx, next, sub.Seed); err != nil {
-			return nil, false, err
+		rec = prev.clone()
+		rec.State = StateQueued
+		rec.Attempt++
+		rec.Error = ""
+		rec.Result = nil
+		rec.Points = nil
+		rec.NextIndex = 0
+		rec.StartedUnixNano = 0
+		rec.FinishedUnixNano = 0
+		rec.CancelRequested = false
+		rec.Priority = sub.Priority
+	} else {
+		rec = &Record{
+			ID:              id,
+			Key:             sub.Key,
+			Kind:            sub.Kind,
+			Spec:            sub.Spec,
+			Priority:        sub.Priority,
+			Seq:             st.nextSeq,
+			Attempt:         1,
+			State:           StateQueued,
+			CreatedUnixNano: time.Now().UnixNano(),
 		}
-		st.replaceLocked(next)
-		if err := st.maybeCompactLocked(); err != nil {
-			return nil, false, err
-		}
-		return next.clone(), true, nil
-	}
-	rec := &Record{
-		ID:              id,
-		Key:             sub.Key,
-		Kind:            sub.Kind,
-		Spec:            sub.Spec,
-		Priority:        sub.Priority,
-		Seq:             st.nextSeq,
-		Attempt:         1,
-		State:           StateQueued,
-		CreatedUnixNano: now,
 	}
 	if err := st.submitLocked(ctx, rec, sub.Seed); err != nil {
 		return nil, false, err
 	}
-	st.nextSeq++
-	st.jobs[id] = rec
-	st.order = append(st.order, rec)
+	if rec.Seq == st.nextSeq {
+		st.nextSeq++ // a new job took the next sequence number
+	}
+	st.replaceLocked(rec)
 	if err := st.maybeCompactLocked(); err != nil {
 		return nil, false, err
 	}
@@ -497,18 +461,7 @@ func (st *Store) compactLocked() error {
 	if err := writeSnapshot(st.dir, snap); err != nil {
 		return err
 	}
-	if err := st.wal.Truncate(0); err != nil {
-		return fmt.Errorf("jobs: truncate wal after compaction: %w", err)
-	}
-	if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("jobs: rewind wal after compaction: %w", err)
-	}
-	if err := st.wal.Sync(); err != nil {
-		return fmt.Errorf("jobs: sync truncated wal: %w", err)
-	}
-	st.walBytes = 0
-	st.compactions.Add(1)
-	return nil
+	return st.log.Truncate()
 }
 
 // StoreStats is a point-in-time snapshot of store counters.
@@ -527,14 +480,14 @@ type StoreStats struct {
 // Stats snapshots the store counters.
 func (st *Store) Stats() StoreStats {
 	st.mu.Lock()
-	jobs, walBytes := len(st.jobs), st.walBytes
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	appends, syncs, compactions := st.log.Counts()
 	return StoreStats{
-		Jobs:        jobs,
-		WALBytes:    walBytes,
-		Appends:     st.appends.Load(),
-		Syncs:       st.syncs.Load(),
-		Compactions: st.compactions.Load(),
+		Jobs:        len(st.jobs),
+		WALBytes:    st.log.Size(),
+		Appends:     appends,
+		Syncs:       syncs,
+		Compactions: compactions,
 		Recovered:   st.recovered,
 		Replayed:    st.replayed,
 		Resumable:   st.resumable,

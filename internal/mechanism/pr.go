@@ -21,23 +21,20 @@ import (
 // attacks.
 //
 // Plain exact iteration squares denominator sizes every round, so each
-// round quantizes the transfers onto the dyadic lattice {k·w_v/2^Prec}:
+// round quantizes the transfers onto the dyadic lattice {k·w_v/2^prPrec}:
 // every transfer of v is rounded down to the lattice and the rounding
 // remainder goes to v's last neighbor in adjacency order, keeping the row
 // sums Σ_u x_vu = w_v exact. States therefore live on a finite lattice,
 // the iteration is deterministic, and termination is exact: the run stops
-// when the largest per-edge change is at most Tol·max_v w_v (or after
-// Rounds rounds).
-type PR struct {
-	// Rounds bounds the iteration count (default 256).
-	Rounds int
-	// Prec is the dyadic lattice precision in bits (default 24): transfers
-	// are multiples of w_v/2^Prec.
-	Prec uint
-	// Tol is the relative termination tolerance (default 1/2^20): the run
-	// stops when max |x(t+1)−x(t)| ≤ Tol·max_v w_v.
-	Tol numeric.Rat
-}
+// when the largest per-edge change is at most max_v w_v/prTolInv (or after
+// prRounds rounds).
+type PR struct{}
+
+const (
+	prRounds = 256     // iteration bound
+	prPrec   = 24      // lattice precision in bits: transfers are multiples of w_v/2^prPrec
+	prTolInv = 1 << 20 // relative termination tolerance 1/2^20
+)
 
 // Name implements Mechanism.
 func (PR) Name() string { return "pr" }
@@ -51,22 +48,8 @@ func (PR) Description() string {
 // not certified equilibria — no certificate format exists for them.
 func (PR) Certifiable() bool { return false }
 
-func (m PR) withDefaults() PR {
-	if m.Rounds <= 0 {
-		m.Rounds = 256
-	}
-	if m.Prec == 0 {
-		m.Prec = 24
-	}
-	if m.Tol.Sign() <= 0 {
-		m.Tol = numeric.New(1, 1<<20)
-	}
-	return m
-}
-
 // Allocate implements Mechanism.
-func (m PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation, error) {
-	m = m.withDefaults()
+func (PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("mechanism/pr: empty graph")
@@ -95,12 +78,12 @@ func (m PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocatio
 		}
 	}
 	wmax := numeric.MaxOf(g.Weights())
-	tolAbs := m.Tol.Mul(wmax)
+	tolAbs := wmax.DivInt(prTolInv)
 	next := make([][]numeric.Rat, n)
 	for v := range next {
 		next[v] = make([]numeric.Rat, len(x[v]))
 	}
-	for round := 0; round < m.Rounds; round++ {
+	for round := 0; round < prRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -130,7 +113,7 @@ func (m PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocatio
 					break
 				}
 				raw := x[nb[j]][reverse[v][j]].Mul(wv).Div(recv)
-				q := latticeFloor(raw, wv, m.Prec)
+				q := latticeFloor(raw, wv, prPrec)
 				next[v][j] = q
 				rest = rest.Sub(q)
 			}

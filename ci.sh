@@ -183,14 +183,16 @@ printf '%s\n' "$sweep_out"
 printf '%s\n' "$sweep_out" | grep -q 'cold baseline (identical results)' || { echo "sweep smoke: cold parity line missing"; exit 1; }
 
 # Cluster: a dedicated race pass over the router's data structures (hash
-# ring, lease WAL, membership) and the certificate-verified routing path,
-# then the two cluster smokes — the 3-node kill/recover acceptance test (a
-# job's owning node hard-stopped mid-sweep, the job re-placed on a survivor
-# from the router's lease checkpoint, final result bit-identical to a
-# single-node run) and the router chaos replay (the 100-instance corpus
-# routed under fault injection at cluster.probe and cluster.lease) — plus
-# the irrouter binary's flag gating and graceful drain.
-go test -race -count=2 ./internal/cluster -run 'TestRing|TestLease|TestRouterReadyz|TestCertRejection'
+# ring, lease WAL, membership), the certificate-verified routing path (the
+# gate's check and its binding of the answer to the request) and the
+# router's /debug/trace, then the two cluster smokes — the 3-node
+# kill/recover acceptance test (a job's owning node hard-stopped
+# mid-sweep, the job re-placed on a survivor from the router's lease
+# checkpoint, final result bit-identical to a single-node run) and the
+# router chaos replay (the 100-instance corpus routed under fault
+# injection at cluster.probe and cluster.lease) — plus the irrouter
+# binary's flag gating and graceful drain.
+go test -race -count=2 ./internal/cluster -run 'TestRing|TestLease|TestRouterReadyz|TestCertRejection|TestRouterTrace'
 go test ./internal/cluster -run 'TestClusterKillRecoverBitIdentical|TestClusterChaosReplay' -count=1
 go test ./cmd/irrouter -count=1
 

@@ -15,6 +15,7 @@
 //	GET  /readyz        ready while at least one backend is alive
 //	GET  /cluster/nodes membership view (state, node IDs, queue depths)
 //	GET  /metrics       Prometheus text metrics (irrouter_*)
+//	GET  /debug/trace   span tree of a routed request (?id= from X-Router-Trace-Id)
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -79,34 +79,13 @@ func run(args []string) error {
 		return errors.New("-nodes contained no usable URLs")
 	}
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		return fmt.Errorf("unknown -log format %q (want text or json)", *logFormat)
+	logger, err := server.NewLogger(*logFormat)
+	if err != nil {
+		return err
 	}
-	logger := slog.New(handler)
-
-	// Chaos is strictly opt-in twice over, exactly like irshared.
-	var injector *fault.Injector
-	if *chaosSpec != "" {
-		if !*chaosAllow {
-			return fmt.Errorf("-chaos requires -chaos-allow (fault injection deliberately fails requests)")
-		}
-		rules, err := fault.Parse(*chaosSpec)
-		if err != nil {
-			return fmt.Errorf("bad -chaos spec: %w", err)
-		}
-		injector, err = fault.New(*chaosSeed, rules...)
-		if err != nil {
-			return fmt.Errorf("bad -chaos spec: %w", err)
-		}
-		logger.Warn("chaos mode: fault injection armed", "spec", *chaosSpec, "seed", *chaosSeed)
-	} else if *chaosAllow {
-		return fmt.Errorf("-chaos-allow given without -chaos")
+	injector, err := fault.FromFlags(*chaosSpec, *chaosAllow, *chaosSeed, logger)
+	if err != nil {
+		return err
 	}
 
 	router, err := cluster.New(cluster.Config{

@@ -26,7 +26,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -71,16 +70,14 @@ func run(args []string) error {
 		return err
 	}
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		return fmt.Errorf("unknown -log format %q (want text or json)", *logFormat)
+	logger, err := server.NewLogger(*logFormat)
+	if err != nil {
+		return err
 	}
-	logger := slog.New(handler)
+	injector, err := fault.FromFlags(*chaosSpec, *chaosAllow, *chaosSeed, logger)
+	if err != nil {
+		return err
+	}
 
 	// The flag uses 0 = disabled (natural for operators); Config uses
 	// 0 = default and negative = disabled.
@@ -91,27 +88,6 @@ func run(args []string) error {
 	cfgTrace := *traceBuffer
 	if cfgTrace == 0 {
 		cfgTrace = -1
-	}
-
-	// Chaos is strictly opt-in twice over: -chaos names the faults, and
-	// -chaos-allow acknowledges that a production-looking server is about to
-	// fail requests on purpose. One without the other is refused.
-	var injector *fault.Injector
-	if *chaosSpec != "" {
-		if !*chaosAllow {
-			return fmt.Errorf("-chaos requires -chaos-allow (fault injection deliberately fails requests)")
-		}
-		rules, err := fault.Parse(*chaosSpec)
-		if err != nil {
-			return fmt.Errorf("bad -chaos spec: %w", err)
-		}
-		injector, err = fault.New(*chaosSeed, rules...)
-		if err != nil {
-			return fmt.Errorf("bad -chaos spec: %w", err)
-		}
-		logger.Warn("chaos mode: fault injection armed", "spec", *chaosSpec, "seed", *chaosSeed)
-	} else if *chaosAllow {
-		return fmt.Errorf("-chaos-allow given without -chaos")
 	}
 
 	srv, err := server.New(server.Config{

@@ -142,3 +142,47 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("unknown flag accepted")
 	}
 }
+
+// TestRunFailsBeforeServing: a data dir that cannot hold the job store and
+// an address that cannot be bound each end run with an error.
+func TestRunFailsBeforeServing(t *testing.T) {
+	file := t.TempDir() + "/not-a-dir"
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-data-dir", file}); err == nil {
+		t.Fatal("a file accepted as -data-dir")
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := run([]string{"-addr", l.Addr().String()}); err == nil {
+		t.Fatal("a bound address accepted as -addr")
+	}
+}
+
+// TestZeroDisables: -cache-size 0 and -trace-buffer 0 turn the instance
+// cache and request tracing off, so /debug/trace answers 404 and no answer
+// carries a trace id.
+func TestZeroDisables(t *testing.T) {
+	base, done := bootServer(t, "-cache-size", "0", "-trace-buffer", "0")
+	resp, err := http.Post(base+"/v1/utilities", "application/json",
+		strings.NewReader(`{"graph":{"ring":["1","2","3"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Trace-Id") != "" {
+		t.Fatalf("utilities: %d, trace id %q", resp.StatusCode, resp.Header.Get("X-Trace-Id"))
+	}
+	if resp, err = http.Get(base + "/debug/trace?id=1"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/trace with tracing off: %d", resp.StatusCode)
+	}
+	drain(t, done)
+}

@@ -333,6 +333,137 @@ func TestCertRejectionQuarantinesAndFailsOver(t *testing.T) {
 	}
 }
 
+// lyingNode wraps a real backend and rewrites every 200 answer on path
+// with lie: a byzantine node whose certificates still pass cert.Check
+// while its answers do not match them, or the request.
+func lyingNode(t *testing.T, inner *testNode, path string, lie func(answer map[string]any)) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.srv.Handler().ServeHTTP(rec, req)
+		body := rec.Body.Bytes()
+		if req.URL.Path == path && rec.Code == http.StatusOK {
+			var m map[string]any
+			if err := json.Unmarshal(body, &m); err != nil {
+				t.Errorf("lying node: %v", err)
+			}
+			lie(m)
+			body, _ = json.Marshal(m)
+		}
+		for k, vs := range rec.Header() {
+			if k != "Content-Length" {
+				w.Header()[k] = vs
+			}
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestCertRejectionBindsAnswer: the certificate gate rejects an answer
+// whose certificate verifies but is not a proof of this answer to this
+// request — a rewritten ratio, a dropped certificate, the certified answer
+// of another ring, a rewritten sweep point — exactly like a failed check:
+// counted, the node quarantined, and the request answered honestly by the
+// failover replica.
+func TestCertRejectionBindsAnswer(t *testing.T) {
+	// The honest certified answer for another ring, replayed in case (c).
+	var replay map[string]any
+	other := startNode(t, "other", server.Config{})
+	_, raw := postAnswer(t, other.url+"/v1/ratio", client.RatioRequest{
+		Graph: client.Graph{Ring: []string{"2", "7", "5"}}, V: 1, Grid: 8, Cert: true})
+	if err := json.Unmarshal(raw, &replay); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, path string
+		lie        func(m map[string]any)
+	}{
+		{"rewritten_ratio", "/v1/ratio", func(m map[string]any) { m["ratio"] = "7919/13" }},
+		{"dropped_cert", "/v1/ratio", func(m map[string]any) { delete(m, "certificate") }},
+		{"replayed_cert", "/v1/ratio", func(m map[string]any) {
+			for k := range m {
+				delete(m, k)
+			}
+			for k, v := range replay {
+				m[k] = v
+			}
+		}},
+		{"rewritten_sweep_point", "/v1/sweep", func(m map[string]any) {
+			m["points"].([]any)[1].(map[string]any)["u"] = "7919/13"
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			honest := startNode(t, "h1", server.Config{})
+			evil := lyingNode(t, startNode(t, "evil", server.Config{}), tc.path, tc.lie)
+			r, rts := startRouter(t, Config{QuarantineFor: time.Hour}, honest.url, evil.URL)
+			var wg client.Graph
+			for i := 0; i < 256; i++ {
+				wg = client.Graph{Ring: []string{"1", "2", strconv.Itoa(3 + i)}}
+				if k, err := server.PlacementKey(&wg, ""); err != nil || r.ring.sequence(k)[0] == evil.URL {
+					break
+				}
+			}
+			var req any = client.RatioRequest{Graph: wg, V: 1, Grid: 8, Cert: true}
+			if tc.path == "/v1/sweep" {
+				req = client.SweepRequest{Graph: wg, V: 1, Grid: 4, Cert: true}
+			}
+			status, got := postAnswer(t, rts.URL+tc.path, req)
+			_, want := postAnswer(t, honest.url+tc.path, req)
+			if status != http.StatusOK || !sameAnswer(t, got, want) {
+				t.Fatalf("routed answer %d is not the honest one:\n%.400s", status, got)
+			}
+			if got := r.certRejections.Load(); got != 1 {
+				t.Fatalf("cert_rejections_total = %d, want 1", got)
+			}
+			if ms := r.Members(); !hasMember(ms, Member{URL: evil.URL, State: StateQuarantined}) {
+				t.Fatalf("lying node not quarantined: %+v", ms)
+			}
+		})
+	}
+}
+
+// postAnswer posts body as JSON to url and returns the status and answer.
+func postAnswer(t *testing.T, url string, body any) (int, []byte) {
+	t.Helper()
+	blob, _ := json.Marshal(body)
+	resp, err := http.Post(url, "application/json", strings.NewReader(string(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// sameAnswer compares two answers apart from evals, a work count.
+func sameAnswer(t *testing.T, a, b []byte) bool {
+	t.Helper()
+	var x, y map[string]any
+	if json.Unmarshal(a, &x) != nil || json.Unmarshal(b, &y) != nil {
+		return false
+	}
+	delete(x, "evals")
+	delete(y, "evals")
+	return reflect.DeepEqual(x, y)
+}
+
+// hasMember reports whether ms holds a member with want's URL and state.
+func hasMember(ms []Member, want Member) bool {
+	for _, m := range ms {
+		if m.URL == want.URL && m.State == want.State {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRouterReadyzAndMetrics: the router's own health flips to 503 when the
 // last backend dies, and /metrics exposes the counters the ops story
 // depends on.

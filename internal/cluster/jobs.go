@@ -28,7 +28,7 @@ import (
 func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "unreadable request body")
+		server.WriteError(w, http.StatusBadRequest, "bad_body", "unreadable request body")
 		return
 	}
 	// Placement comes from the server's job-kind table: graph-bound kinds
@@ -65,7 +65,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 				// Fail the request instead: resubmission dedupes to the
 				// same job ID and only the grant is retried.
 				r.log.Warn("lease grant failed", "job", jr.Job.ID, "err", err)
-				writeErrorDetail(w, http.StatusServiceUnavailable, CodeLeaseUnavailable,
+				server.WriteErrorDetail(w, http.StatusServiceUnavailable, CodeLeaseUnavailable,
 					"job accepted but lease not persisted; retry the submission", err.Error())
 				return
 			}
@@ -88,7 +88,7 @@ func (r *Router) handleJobGet(w http.ResponseWriter, req *http.Request) {
 		// The owner is down and re-placement is pending: answer from the
 		// lease's observed checkpoint so pollers see a queued job making its
 		// way to a survivor instead of a spurious 404.
-		writeJSON(w, http.StatusOK, server.WireJob{
+		server.WriteJSON(w, http.StatusOK, server.WireJob{
 			ID: ls.JobID, Kind: ls.Kind, State: "queued",
 			NextIndex: len(ls.Points), Points: ls.Points,
 		})
@@ -113,7 +113,7 @@ func (r *Router) handleJobGet(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleJobList(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	if q.Get("cursor") != "" {
-		writeError(w, http.StatusBadRequest, "bad_body",
+		server.WriteError(w, http.StatusBadRequest, "bad_body",
 			"cluster-wide job lists are unpaginated; drop the cursor parameter")
 		return
 	}
@@ -121,7 +121,7 @@ func (r *Router) handleJobList(w http.ResponseWriter, req *http.Request) {
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad_body", "limit must be a positive integer")
+			server.WriteError(w, http.StatusBadRequest, "bad_body", "limit must be a positive integer")
 			return
 		}
 		limit = n
@@ -197,7 +197,7 @@ func (r *Router) handleJobList(w http.ResponseWriter, req *http.Request) {
 	if limit > 0 && len(list) > limit {
 		list = list[:limit]
 	}
-	writeJSON(w, http.StatusOK, server.JobListResponse{Jobs: list})
+	server.WriteJSON(w, http.StatusOK, server.JobListResponse{Jobs: list})
 }
 
 // jobFresher reports whether a beats b as the authoritative view of one job:
@@ -255,17 +255,17 @@ func (r *Router) findJob(w http.ResponseWriter, req *http.Request, id string, no
 	}
 	switch {
 	case lastErr != nil:
-		writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway, failMsg, lastErr.Error())
+		server.WriteErrorDetail(w, http.StatusBadGateway, CodeBadGateway, failMsg, lastErr.Error())
 	case len(nodes) < len(r.ring.nodes):
 		// A 404 from every asked node is a 404 only when every ring member
 		// was asked: a finished job's lease is retired, so while its owner
 		// is down or quarantined nothing else knows where the job lives.
 		secs := int((r.cfg.ProbeInterval + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusServiceUnavailable, CodeJobUnreachable,
+		server.WriteError(w, http.StatusServiceUnavailable, CodeJobUnreachable,
 			"job not found on any live node; a node that is down may hold it")
 	default:
-		writeError(w, http.StatusNotFound, "not_found", "no such job on any node")
+		server.WriteError(w, http.StatusNotFound, "not_found", "no such job on any node")
 	}
 	return reply{}, false
 }

@@ -1,11 +1,23 @@
 package cluster
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
+
+// requestKey counts one proxied request by endpoint and status code.
+type requestKey struct {
+	endpoint string
+	code     int
+}
+
+// text is the key as "endpoint|code". The scrape lists keys in the order
+// of their texts, so "/v1/jobs#list" lists before "/v1/jobs".
+func (k requestKey) text() string { return k.endpoint + "|" + strconv.Itoa(k.code) }
 
 // handleMetrics renders the router's Prometheus text exposition: request
 // counts, failovers, certificate checks and rejections, lease lifecycle
@@ -13,58 +25,40 @@ import (
 // aggregated span stats under the irrouter_ prefix.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	fmt.Fprint(w, "# HELP irrouter_requests_total Proxied requests by endpoint and status.\n# TYPE irrouter_requests_total counter\n")
+	p := obs.PromWriter{W: w, Prefix: "irrouter_"}
+	p.Family("requests_total", "counter", "Proxied requests by endpoint and status.")
 	r.requestsMu.Lock()
-	keys := make([]string, 0, len(r.requests))
-	for k := range r.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ep, status, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "irrouter_requests_total{endpoint=%q,status=%q} %d\n", ep, status, r.requests[k])
+	byText := func(a, b requestKey) int { return strings.Compare(a.text(), b.text()) }
+	for _, k := range obs.SortedKeys(r.requests, byText) {
+		p.Sample("requests_total", r.requests[k], "endpoint", k.endpoint, "status", strconv.Itoa(k.code))
 	}
 	r.requestsMu.Unlock()
-
-	fmt.Fprint(w, "# HELP irrouter_failovers_total Requests retried on the next ring replica.\n# TYPE irrouter_failovers_total counter\n")
-	fmt.Fprintf(w, "irrouter_failovers_total %d\n", r.failovers.Load())
-	fmt.Fprint(w, "# HELP irrouter_cert_checks_total Backend certificates re-checked by the router.\n# TYPE irrouter_cert_checks_total counter\n")
-	fmt.Fprintf(w, "irrouter_cert_checks_total %d\n", r.certChecks.Load())
-	fmt.Fprint(w, "# HELP irrouter_cert_rejections_total Backend answers rejected by the solver-free certificate check.\n# TYPE irrouter_cert_rejections_total counter\n")
-	fmt.Fprintf(w, "irrouter_cert_rejections_total %d\n", r.certRejections.Load())
-
-	fmt.Fprint(w, "# HELP irrouter_lease_grants_total Job placement leases granted.\n# TYPE irrouter_lease_grants_total counter\n")
-	fmt.Fprintf(w, "irrouter_lease_grants_total %d\n", r.leaseGrants.Load())
-	fmt.Fprint(w, "# HELP irrouter_lease_renewals_total Lease renewals (checkpoint observations).\n# TYPE irrouter_lease_renewals_total counter\n")
-	fmt.Fprintf(w, "irrouter_lease_renewals_total %d\n", r.leaseRenewals.Load())
-	fmt.Fprint(w, "# HELP irrouter_lease_replacements_total Jobs re-placed on a survivor after owner death or lease expiry.\n# TYPE irrouter_lease_replacements_total counter\n")
-	fmt.Fprintf(w, "irrouter_lease_replacements_total %d\n", r.leaseReplaced.Load())
-	fmt.Fprint(w, "# HELP irrouter_lease_retirements_total Leases retired after their job reached a terminal state.\n# TYPE irrouter_lease_retirements_total counter\n")
-	fmt.Fprintf(w, "irrouter_lease_retirements_total %d\n", r.leaseRetired.Load())
-
+	p.Scalar("failovers_total", "counter", "Requests retried on the next ring replica.", r.failovers.Load())
+	p.Scalar("cert_checks_total", "counter", "Backend certificates re-checked by the router.", r.certChecks.Load())
+	p.Scalar("cert_rejections_total", "counter", "Backend answers rejected by the solver-free certificate check.", r.certRejections.Load())
+	p.Scalar("lease_grants_total", "counter", "Job placement leases granted.", r.leaseGrants.Load())
+	p.Scalar("lease_renewals_total", "counter", "Lease renewals (checkpoint observations).", r.leaseRenewals.Load())
+	p.Scalar("lease_replacements_total", "counter", "Jobs re-placed on a survivor after owner death or lease expiry.", r.leaseReplaced.Load())
+	p.Scalar("lease_retirements_total", "counter", "Leases retired after their job reached a terminal state.", r.leaseRetired.Load())
 	count, appends, syncs := r.leases.stats()
-	fmt.Fprint(w, "# HELP irrouter_leases_active Live placement leases.\n# TYPE irrouter_leases_active gauge\n")
-	fmt.Fprintf(w, "irrouter_leases_active %d\n", count)
-	fmt.Fprint(w, "# HELP irrouter_lease_wal_appends_total Lease WAL frames appended.\n# TYPE irrouter_lease_wal_appends_total counter\n")
-	fmt.Fprintf(w, "irrouter_lease_wal_appends_total %d\n", appends)
-	fmt.Fprint(w, "# HELP irrouter_lease_wal_syncs_total Fsync'd lease WAL appends.\n# TYPE irrouter_lease_wal_syncs_total counter\n")
-	fmt.Fprintf(w, "irrouter_lease_wal_syncs_total %d\n", syncs)
+	p.Scalar("leases_active", "gauge", "Live placement leases.", int64(count))
+	p.Scalar("lease_wal_appends_total", "counter", "Lease WAL frames appended.", appends)
+	p.Scalar("lease_wal_syncs_total", "counter", "Fsync'd lease WAL appends.", syncs)
 
 	okProbes, failProbes := r.members.probeCounts()
-	fmt.Fprint(w, "# HELP irrouter_probes_total Health probes by result.\n# TYPE irrouter_probes_total counter\n")
-	fmt.Fprintf(w, "irrouter_probes_total{result=\"ok\"} %d\nirrouter_probes_total{result=\"fail\"} %d\n", okProbes, failProbes)
-
-	fmt.Fprint(w, "# HELP irrouter_node_state Backend state (1 = the node is in this state).\n# TYPE irrouter_node_state gauge\n")
+	p.Family("probes_total", "counter", "Health probes by result.")
+	p.Sample("probes_total", okProbes, "result", "ok")
+	p.Sample("probes_total", failProbes, "result", "fail")
+	p.Family("node_state", "gauge", "Backend state (1 = the node is in this state).")
 	members := r.members.snapshot()
 	sort.Slice(members, func(i, j int) bool { return members[i].URL < members[j].URL })
 	for _, m := range members {
 		for _, st := range []NodeState{StateAlive, StateDead, StateQuarantined} {
-			v := 0
+			v := int64(0)
 			if m.State == st {
 				v = 1
 			}
-			fmt.Fprintf(w, "irrouter_node_state{node=%q,state=%q} %d\n", m.URL, st, v)
+			p.Sample("node_state", v, "node", m.URL, "state", string(st))
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cert"
+	"repro/internal/cert/build"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -128,7 +130,7 @@ type Router struct {
 	base    context.Context // carries the chaos injector into loops
 
 	requestsMu sync.Mutex
-	requests   map[string]int64 // "endpoint|status" → count
+	requests   map[requestKey]int64
 
 	failovers      atomic.Int64
 	certChecks     atomic.Int64
@@ -169,7 +171,7 @@ func New(cfg Config) (*Router, error) {
 		log:      cfg.Logger,
 		col:      col,
 		base:     fault.ContextWith(context.Background(), cfg.Chaos),
-		requests: make(map[string]int64),
+		requests: make(map[requestKey]int64),
 		done:     make(chan struct{}),
 	}, nil
 }
@@ -216,23 +218,24 @@ func (r *Router) Members() []Member { return r.members.snapshot() }
 func (r *Router) Leases() []Lease { return r.leases.all() }
 
 // Handler returns the router's http.Handler: the full /v1 surface proxied
-// with placement and failover, plus the router's own health and metrics.
+// with placement and failover, plus the router's own health, metrics and
+// traces (/debug/trace?id= from X-Router-Trace-Id).
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// Every proxied request is placed by its body's instance key when it
 	// has one. /v1/scenario's ksybil and coalition bodies carry a graph, so
 	// they land where that instance's caches are warm; topology scans,
 	// tournaments (which span many instances) and discovery have none and
-	// take the stable endpoint spread. Ratio and sweep certificates are
-	// re-checked.
-	for route, verify := range map[string]func([]byte) error{
+	// take the stable endpoint spread. Ratio and sweep answers pass the
+	// certificate gate.
+	for route, gate := range map[string]certGate{
 		"POST /v1/decompose": nil, "POST /v1/allocate": nil, "POST /v1/utilities": nil,
 		"POST /v1/scenario": nil, "POST /v1/tournament": nil, "GET /v1/mechanisms": nil,
-		"POST /v1/ratio": verifyRatioCert, "POST /v1/sweep": verifySweepCert,
+		"POST /v1/ratio": verifyRatio, "POST /v1/sweep": verifySweep,
 	} {
-		ep, verify := route[strings.IndexByte(route, ' ')+1:], verify
+		ep, gate := route[strings.IndexByte(route, ' ')+1:], gate
 		mux.HandleFunc(route, r.instrument(ep, func(w http.ResponseWriter, req *http.Request) {
-			r.proxyCompute(w, req, ep, verify)
+			r.proxyCompute(w, req, ep, gate)
 		}))
 	}
 	mux.HandleFunc("POST /v1/jobs", r.instrument("/v1/jobs", r.handleJobSubmit))
@@ -240,7 +243,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", r.instrument("/v1/jobs/{id}", r.handleJobGet))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", r.instrument("/v1/jobs/{id}", r.handleJobCancel))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "router"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "router"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
 		alive := 0
@@ -250,15 +253,16 @@ func (r *Router) Handler() http.Handler {
 			}
 		}
 		if alive == 0 {
-			writeError(w, http.StatusServiceUnavailable, CodeNoBackends, "no live backend nodes")
+			server.WriteError(w, http.StatusServiceUnavailable, CodeNoBackends, "no live backend nodes")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "alive_nodes": alive})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "alive_nodes": alive})
 	})
 	mux.HandleFunc("GET /cluster/nodes", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.members.snapshot())
+		server.WriteJSON(w, http.StatusOK, r.members.snapshot())
 	})
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
+	mux.HandleFunc("GET /debug/trace", server.TraceHandler(r.col))
 	return mux
 }
 
@@ -278,7 +282,7 @@ func (r *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, req)
 		r.requestsMu.Lock()
-		r.requests[endpoint+"|"+strconv.Itoa(sw.code)]++
+		r.requests[requestKey{endpoint, sw.code}]++
 		r.requestsMu.Unlock()
 	}
 }
@@ -293,23 +297,15 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// placementKey derives the ring key of a compute request body from the
-// subset every compute request shares, the instance graph and the
-// mechanism scope; ok=false (malformed body, unknown mechanism) falls back
-// to any-node routing and lets the backend produce its precise 400.
-func placementKey(body []byte) (string, bool) {
-	var pb struct {
-		Graph     server.WireGraph `json:"graph"`
-		Mechanism string           `json:"mechanism"`
-	}
-	if err := json.Unmarshal(body, &pb); err != nil {
-		return "", false
-	}
-	key, err := server.PlacementKey(&pb.Graph, pb.Mechanism)
-	if err != nil {
-		return "", false
-	}
-	return key, true
+// computeRequest is what the router reads of a compute request body, in
+// one decode: the instance graph and mechanism scope that place it, and
+// the agent, grid and cert flag its certificate gate binds the answer to.
+type computeRequest struct {
+	Graph     server.WireGraph `json:"graph"`
+	Mechanism string           `json:"mechanism"`
+	V         int              `json:"v"`
+	Grid      int              `json:"grid"`
+	Cert      bool             `json:"cert"`
 }
 
 // aliveSequence is the ring's failover order for key with dead and
@@ -327,25 +323,35 @@ func (r *Router) aliveSequence(key string) []string {
 
 // proxyCompute routes one request: consistent-hash placement on the
 // instance key (or, without one, on the endpoint), single-retry failover
-// to the next ring replica, and — when verify is set and the backend
-// answered 200 — solver-free certificate checking with quarantine on
-// failure.
-func (r *Router) proxyCompute(w http.ResponseWriter, req *http.Request, endpoint string, verify func([]byte) error) {
+// to the next ring replica, and — when gate is set and the backend
+// answered 200 — the certificate gate with quarantine on failure. A body
+// without a key (malformed, unknown mechanism, invalid graph) goes to the
+// endpoint's node, which produces the precise 400.
+func (r *Router) proxyCompute(w http.ResponseWriter, req *http.Request, endpoint string, gate certGate) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", "unreadable request body")
+		server.WriteError(w, http.StatusBadRequest, "bad_body", "unreadable request body")
 		return
 	}
 	ctx, sp := obs.Start(req.Context(), "router.place")
-	key, keyed := placementKey(body)
+	var cr computeRequest
+	key := ""
+	if err = json.Unmarshal(body, &cr); err == nil {
+		key, err = server.PlacementKey(&cr.Graph, cr.Mechanism)
+	}
 	var seq []string
-	if keyed {
+	if err == nil {
 		seq = r.aliveSequence(key)
 		sp.SetAttr("key", key)
 	} else {
 		seq = r.aliveSequence(endpoint) // arbitrary but stable spread
 	}
 	sp.End()
+	var verify func([]byte) error
+	if gate != nil {
+		cr.Cert = cr.Cert || req.URL.Query().Get("cert") == "1"
+		verify = func(answer []byte) error { return gate(&cr, answer) }
+	}
 	r.forward(ctx, w, req, endpoint, body, seq, verify)
 }
 
@@ -365,7 +371,7 @@ func (r *Router) forward(ctx context.Context, w http.ResponseWriter, req *http.R
 // itself (503 or 502) and reports false.
 func (r *Router) failover(ctx context.Context, w http.ResponseWriter, req *http.Request, endpoint string, body []byte, seq []string, verify func([]byte) error) (string, reply, bool) {
 	if len(seq) == 0 {
-		writeError(w, http.StatusServiceUnavailable, CodeNoBackends, "no live backend nodes")
+		server.WriteError(w, http.StatusServiceUnavailable, CodeNoBackends, "no live backend nodes")
 		return "", reply{}, false
 	}
 	if len(seq) > 2 {
@@ -400,7 +406,7 @@ func (r *Router) failover(ctx context.Context, w http.ResponseWriter, req *http.
 		}
 		return node, a, true
 	}
-	writeErrorDetail(w, http.StatusBadGateway, CodeBadGateway,
+	server.WriteErrorDetail(w, http.StatusBadGateway, CodeBadGateway,
 		"backend placement and failover replica both failed", lastErr.Error())
 	return "", reply{}, false
 }
@@ -470,42 +476,98 @@ func withQuery(path, query string) string {
 	return path + "?" + query
 }
 
-// verifyRatioCert re-checks a /v1/ratio answer's certificate — the zero-
-// trust gate: the router never recomputes the ratio, it verifies the proof.
-// Answers without a certificate (the request didn't opt in) pass.
-func verifyRatioCert(body []byte) error {
+// certGate checks a backend's 200 answer to a certified endpoint against
+// the request it answers. The router never recomputes an answer: it
+// verifies the proof, and that the proof is of this answer to this
+// request. A certificate the request asked for (cert: true or ?cert=1)
+// must be present, except on a partial sweep segment, which the server
+// never certifies. A present one must pass the solver-free cert.Check,
+// speak about the request's ring and agent, and agree with the answer's
+// own fields. Any failure is a rejection: counted, the node quarantined,
+// and the request failed over.
+type certGate func(cr *computeRequest, answer []byte) error
+
+// verifyRatio is the certificate gate of /v1/ratio.
+func verifyRatio(cr *computeRequest, answer []byte) error {
 	var resp server.RatioResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if err := json.Unmarshal(answer, &resp); err != nil {
 		return fmt.Errorf("undecodable ratio response: %w", err)
 	}
-	if resp.Certificate == nil {
-		return nil
+	c := resp.Certificate
+	if c == nil {
+		return cr.missing(false)
 	}
-	return cert.Check(resp.Certificate)
+	if err := cr.bind(c, c.Ring.Instance, c.V); err != nil {
+		return err
+	}
+	return agree("honest", resp.Honest, c.Honest, "ratio", resp.Ratio, c.Ratio,
+		"leq_two", strconv.FormatBool(resp.LeqTwo), strconv.FormatBool(c.LeqTwo),
+		"best_w1", resp.BestW1, c.Best.W1, "best_u", resp.BestU, c.Best.U)
 }
 
-// verifySweepCert is verifyRatioCert for /v1/sweep answers.
-func verifySweepCert(body []byte) error {
+// verifySweep is the certificate gate of /v1/sweep.
+func verifySweep(cr *computeRequest, answer []byte) error {
 	var resp server.SweepResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if err := json.Unmarshal(answer, &resp); err != nil {
 		return fmt.Errorf("undecodable sweep response: %w", err)
 	}
-	if resp.Certificate == nil {
-		return nil
+	c := resp.Certificate
+	if c == nil {
+		return cr.missing(resp.Partial)
 	}
-	return cert.Check(resp.Certificate)
+	if err := cr.bind(c, c.Ring.Instance, c.V); err != nil {
+		return err
+	}
+	grid := cr.Grid
+	if grid == 0 {
+		grid = server.DefaultSweepGrid
+	}
+	if c.Grid != grid || c.Start != resp.StartIndex || len(c.Points) != len(resp.Points) {
+		return fmt.Errorf("certificate covers %d points of grid %d from index %d, the answer %d of grid %d from %d",
+			len(c.Points), c.Grid, c.Start, len(resp.Points), grid, resp.StartIndex)
+	}
+	for i, p := range resp.Points {
+		if err := agree("w1", p.W1, c.Points[i].W1, "u", p.U, c.Points[i].U); err != nil {
+			return fmt.Errorf("point %d: %w", i, err)
+		}
+	}
+	best := c.Points[c.BestIndex]
+	return agree("honest", resp.Honest, c.Honest, "ratio", resp.Ratio, c.Ratio,
+		"best_w1", resp.BestW1, best.W1, "best_u", resp.BestU, best.U)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+// missing is the verdict on an answer without a certificate: a rejection
+// when the request asked for one, unless the answer is a partial segment.
+func (cr *computeRequest) missing(partial bool) error {
+	if cr.Cert && !partial {
+		return errors.New("requested certificate missing")
+	}
+	return nil
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Code: code, Message: msg})
+// bind checks certificate c and that it speaks about the request: ring is
+// the request's graph and v its agent.
+func (cr *computeRequest) bind(c cert.Checkable, ring cert.Instance, v int) error {
+	if err := cert.Check(c); err != nil {
+		return err
+	}
+	g, err := cr.Graph.Build()
+	if err != nil {
+		return fmt.Errorf("certificate answers a request whose graph does not build: %w", err)
+	}
+	if v != cr.V || !reflect.DeepEqual(ring, build.InstanceOf(g)) {
+		return fmt.Errorf("certificate is about agent %d of weights %v, not the request's agent %d of its graph", v, ring.Weights, cr.V)
+	}
+	return nil
 }
 
-func writeErrorDetail(w http.ResponseWriter, status int, code, msg, detail string) {
-	writeJSON(w, status, server.ErrorResponse{Code: code, Message: msg, Detail: detail})
+// agree compares answer fields with their certificate counterparts, given
+// as (name, answer, certificate) triples.
+func agree(fields ...string) error {
+	for i := 0; i+2 < len(fields); i += 3 {
+		if fields[i+1] != fields[i+2] {
+			return fmt.Errorf("answer %s %q disagrees with its certificate's %q", fields[i], fields[i+1], fields[i+2])
+		}
+	}
+	return nil
 }

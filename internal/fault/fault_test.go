@@ -1,9 +1,12 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -285,6 +288,40 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
+	}
+}
+
+// TestFromFlags pins the daemons' chaos gating: no spec is no injector,
+// each half of the double opt-in alone is refused, a bad spec fails in
+// Parse or in New, and an armed injector is announced once.
+func TestFromFlags(t *testing.T) {
+	var logged bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logged, nil))
+	cases := []struct {
+		spec  string
+		allow bool
+		want  string // error substring; "" = success
+	}{
+		{"", false, ""},
+		{"", true, "-chaos-allow given without -chaos"},
+		{"server.compute=error:1", false, "-chaos requires -chaos-allow"},
+		{"nonsense", true, "bad -chaos spec: fault: rule"},
+		{"no.such.site=error:1", true, "bad -chaos spec"},
+		{"server.compute=error:1/2", true, ""},
+	}
+	for _, tc := range cases {
+		inj, err := FromFlags(tc.spec, tc.allow, 5, log)
+		switch {
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("FromFlags(%q, %v) = %v, want error containing %q", tc.spec, tc.allow, err, tc.want)
+		case tc.want == "" && err != nil:
+			t.Errorf("FromFlags(%q, %v): %v", tc.spec, tc.allow, err)
+		case (inj != nil) != (tc.want == "" && tc.spec != ""):
+			t.Errorf("FromFlags(%q, %v) injector = %v", tc.spec, tc.allow, inj)
+		}
+	}
+	if n := strings.Count(logged.String(), "chaos mode: fault injection armed"); n != 1 {
+		t.Fatalf("armed warning logged %d times:\n%s", n, logged.String())
 	}
 }
 

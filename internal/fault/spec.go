@@ -1,11 +1,40 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
+	"log/slog"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// FromFlags builds the injector a daemon's -chaos, -chaos-allow and
+// -chaos-seed flags ask for, nil when spec is empty. Chaos is strictly
+// opt-in twice over: spec names the faults, and allow acknowledges that a
+// production-looking daemon is about to fail requests on purpose. One
+// without the other is refused. An armed injector is announced on log.
+func FromFlags(spec string, allow bool, seed uint64, log *slog.Logger) (*Injector, error) {
+	if spec == "" {
+		if allow {
+			return nil, errors.New("-chaos-allow given without -chaos")
+		}
+		return nil, nil
+	}
+	if !allow {
+		return nil, errors.New("-chaos requires -chaos-allow (fault injection deliberately fails requests)")
+	}
+	rules, err := Parse(spec)
+	if err != nil {
+		return nil, fmt.Errorf("bad -chaos spec: %w", err)
+	}
+	inj, err := New(seed, rules...)
+	if err != nil {
+		return nil, fmt.Errorf("bad -chaos spec: %w", err)
+	}
+	log.Warn("chaos mode: fault injection armed", "spec", spec, "seed", seed)
+	return inj, nil
+}
 
 // Parse compiles the -chaos flag grammar into rules:
 //

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -70,9 +71,7 @@ type Scheduler struct {
 	started bool
 
 	transitions map[State]int64
-	ageCounts   []int64 // len(AgeBuckets())+1, last = +Inf
-	ageSum      float64
-	ageCount    int64
+	age         *obs.Histogram // queued-to-terminal seconds, over ageBuckets
 	deduped     int64
 	recovered   int64
 
@@ -100,7 +99,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		stop:        stop,
 		running:     make(map[string]context.CancelFunc),
 		transitions: make(map[State]int64),
-		ageCounts:   make([]int64, len(ageBuckets)+1),
+		age:         obs.NewHistogram(ageBuckets),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
@@ -380,14 +379,6 @@ func (s *Scheduler) countTransition(to State) {
 // ageBuckets are the job age histogram bounds, in seconds.
 var ageBuckets = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600, 3600}
 
-// AgeBuckets returns the job-age histogram upper bounds in seconds
-// (cumulative-histogram convention, +Inf implicit).
-func AgeBuckets() []float64 {
-	out := make([]float64, len(ageBuckets))
-	copy(out, ageBuckets)
-	return out
-}
-
 // observeTerminal folds a finished job into the transition counters and the
 // queued-to-finished age histogram.
 func (s *Scheduler) observeTerminal(rec *Record) {
@@ -395,13 +386,7 @@ func (s *Scheduler) observeTerminal(rec *Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.transitions[rec.State]++
-	i := 0
-	for i < len(ageBuckets) && age > ageBuckets[i] {
-		i++
-	}
-	s.ageCounts[i]++
-	s.ageSum += age
-	s.ageCount++
+	s.age.Observe(age)
 }
 
 // SchedulerStats is a point-in-time snapshot of scheduler counters.
@@ -411,9 +396,7 @@ type SchedulerStats struct {
 	Transitions map[State]int64 // entries into each state since boot
 	Deduped     int64           // submissions answered by an existing job
 	Recovered   int64           // jobs requeued by Recover at boot
-	AgeCounts   []int64         // job age histogram (AgeBuckets, +Inf last)
-	AgeSum      float64         // sum of observed ages, seconds
-	AgeCount    int64           // observed terminal jobs
+	Age         obs.Histogram   // queued-to-terminal age of terminal jobs, seconds
 }
 
 // Stats snapshots the scheduler counters.
@@ -424,17 +407,13 @@ func (s *Scheduler) Stats() SchedulerStats {
 	for k, v := range s.transitions {
 		tr[k] = v
 	}
-	counts := make([]int64, len(s.ageCounts))
-	copy(counts, s.ageCounts)
 	return SchedulerStats{
 		QueueDepth:  len(s.queue),
 		Running:     len(s.running),
 		Transitions: tr,
 		Deduped:     s.deduped,
 		Recovered:   s.recovered,
-		AgeCounts:   counts,
-		AgeSum:      s.ageSum,
-		AgeCount:    s.ageCount,
+		Age:         s.age.Snapshot(),
 	}
 }
 

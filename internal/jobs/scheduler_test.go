@@ -65,7 +65,7 @@ func TestSchedulerRunsJob(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		stats = s.Stats()
 	}
-	if stats.Transitions[StateDone] != 1 || stats.AgeCount != 1 {
+	if stats.Transitions[StateDone] != 1 || stats.Age.Count != 1 {
 		t.Fatalf("stats: %+v", stats)
 	}
 }

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,15 +46,6 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 	return c
 }
 
-// stageStats aggregates one stage's (span name's) durations into a
-// fixed-bucket histogram plus observation count and sum — the shape the
-// Prometheus text writer needs.
-type stageStats struct {
-	buckets []int64 // cumulative at write time; stored as per-bucket here
-	count   int64
-	sumSec  float64
-}
-
 // stageBuckets spans 50µs..5s in roughly 3x steps: decomposition stages on
 // small rings land at the low end, full sweeps at the high end.
 var stageBuckets = []float64{0.00005, 0.00015, 0.0005, 0.0015, 0.005, 0.015, 0.05, 0.15, 0.5, 1.5, 5}
@@ -78,9 +68,9 @@ type Collector struct {
 	byID    map[uint64]*TraceSnapshot
 	evicted int64 // traces pushed out of the ring or expired at Get
 
-	stages   map[string]*stageStats // span name -> duration histogram
-	iters    map[string]*stageStats // "span/counter" -> iteration histogram
-	counters map[string]int64       // "span/counter" -> running sum
+	stages   map[string]*Histogram // span name -> duration histogram
+	iters    map[string]*Histogram // "span/counter" -> iteration histogram
+	counters map[string]int64      // "span/counter" -> running sum
 	finished int64
 }
 
@@ -91,8 +81,8 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		cfg:      cfg,
 		ring:     make([]*TraceSnapshot, cfg.Capacity),
 		byID:     make(map[uint64]*TraceSnapshot, cfg.Capacity),
-		stages:   make(map[string]*stageStats),
-		iters:    make(map[string]*stageStats),
+		stages:   make(map[string]*Histogram),
+		iters:    make(map[string]*Histogram),
 		counters: make(map[string]int64),
 	}
 }
@@ -121,37 +111,11 @@ func (c *Collector) ingest(t *Trace) {
 	c.head = (c.head + 1) % len(c.ring)
 	c.finished++
 	snap.Root.Walk(func(sp *SpanSnapshot) {
-		st := c.stages[sp.Name]
-		if st == nil {
-			st = &stageStats{buckets: make([]int64, len(stageBuckets))}
-			c.stages[sp.Name] = st
-		}
-		sec := sp.Duration.Seconds()
-		st.count++
-		st.sumSec += sec
-		for i, ub := range stageBuckets {
-			if sec <= ub {
-				st.buckets[i]++
-				break
-			}
-		}
+		ObserveIn(c.stages, sp.Name, stageBuckets, sp.Duration.Seconds())
 		for _, cv := range sp.Counters {
 			key := sp.Name + "/" + cv.Key
 			c.counters[key] += cv.Value
-			ih := c.iters[key]
-			if ih == nil {
-				ih = &stageStats{buckets: make([]int64, len(iterBuckets))}
-				c.iters[key] = ih
-			}
-			v := float64(cv.Value)
-			ih.count++
-			ih.sumSec += v
-			for i, ub := range iterBuckets {
-				if v <= ub {
-					ih.buckets[i]++
-					break
-				}
-			}
+			ObserveIn(c.iters, key, iterBuckets, float64(cv.Value))
 		}
 	})
 }
@@ -202,66 +166,20 @@ func (c *Collector) Stats() Stats {
 func (c *Collector) WritePrometheus(w io.Writer, prefix string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP %sstage_seconds Time spent per solver stage (span name).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %sstage_seconds histogram\n", prefix)
-	for _, name := range sortedKeys(c.stages) {
-		st := c.stages[name]
-		cum := int64(0)
-		for i, ub := range stageBuckets {
-			cum += st.buckets[i]
-			fmt.Fprintf(w, "%sstage_seconds_bucket{stage=%q,le=\"%g\"} %d\n", prefix, name, ub, cum)
-		}
-		fmt.Fprintf(w, "%sstage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", prefix, name, st.count)
-		fmt.Fprintf(w, "%sstage_seconds_sum{stage=%q} %g\n", prefix, name, st.sumSec)
-		fmt.Fprintf(w, "%sstage_seconds_count{stage=%q} %d\n", prefix, name, st.count)
+	p := PromWriter{W: w, Prefix: prefix}
+	p.Family("stage_seconds", "histogram", "Time spent per solver stage (span name).")
+	for _, name := range SortedKeys(c.stages, strings.Compare) {
+		p.Histogram("stage_seconds", c.stages[name], "stage", name)
 	}
-
-	fmt.Fprintf(w, "# HELP %sstage_iterations Per-solve distribution of span counters (e.g. Dinkelbach iterations).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %sstage_iterations histogram\n", prefix)
-	for _, key := range sortedKeys(c.iters) {
-		ih := c.iters[key]
-		cum := int64(0)
-		for i, ub := range iterBuckets {
-			cum += ih.buckets[i]
-			fmt.Fprintf(w, "%sstage_iterations_bucket{counter=%q,le=\"%g\"} %d\n", prefix, key, ub, cum)
-		}
-		fmt.Fprintf(w, "%sstage_iterations_bucket{counter=%q,le=\"+Inf\"} %d\n", prefix, key, ih.count)
-		fmt.Fprintf(w, "%sstage_iterations_sum{counter=%q} %g\n", prefix, key, ih.sumSec)
-		fmt.Fprintf(w, "%sstage_iterations_count{counter=%q} %d\n", prefix, key, ih.count)
+	p.Family("stage_iterations", "histogram", "Per-solve distribution of span counters (e.g. Dinkelbach iterations).")
+	for _, key := range SortedKeys(c.iters, strings.Compare) {
+		p.Histogram("stage_iterations", c.iters[key], "counter", key)
 	}
-
-	fmt.Fprintf(w, "# HELP %sspan_counter_total Running sums of span counters across all traces.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %sspan_counter_total counter\n", prefix)
-	for _, key := range sortedKeys2(c.counters) {
-		fmt.Fprintf(w, "%sspan_counter_total{counter=%q} %d\n", prefix, key, c.counters[key])
+	p.Family("span_counter_total", "counter", "Running sums of span counters across all traces.")
+	for _, key := range SortedKeys(c.counters, strings.Compare) {
+		p.Sample("span_counter_total", c.counters[key], "counter", key)
 	}
-
-	fmt.Fprintf(w, "# HELP %straces_finished_total Traces finished and ingested.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %straces_finished_total counter\n", prefix)
-	fmt.Fprintf(w, "%straces_finished_total %d\n", prefix, c.finished)
-	fmt.Fprintf(w, "# HELP %straces_evicted_total Traces evicted from the ring buffer or expired by retention.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %straces_evicted_total counter\n", prefix)
-	fmt.Fprintf(w, "%straces_evicted_total %d\n", prefix, c.evicted)
-	fmt.Fprintf(w, "# HELP %straces_buffered Traces currently retrievable from /debug/trace.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %straces_buffered gauge\n", prefix)
-	fmt.Fprintf(w, "%straces_buffered %d\n", prefix, len(c.byID))
-}
-
-func sortedKeys(m map[string]*stageStats) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	p.Scalar("traces_finished_total", "counter", "Traces finished and ingested.", c.finished)
+	p.Scalar("traces_evicted_total", "counter", "Traces evicted from the ring buffer or expired by retention.", c.evicted)
+	p.Scalar("traces_buffered", "gauge", "Traces currently retrievable from /debug/trace.", int64(len(c.byID)))
 }

@@ -55,12 +55,12 @@ func (s *Server) certify(c cert.Checkable) error {
 // answers on a ring of n vertices.
 func certAllowed(w http.ResponseWriter, m mechanism.Mechanism, n int) bool {
 	if !mechCertifiable(m) {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
+		WriteError(w, http.StatusBadRequest, CodeCertLimit,
 			fmt.Sprintf("certificates are only available for certifiable mechanisms (bd), not %q", m.Name()))
 		return false
 	}
 	if n > maxCertRingSize {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
+		WriteError(w, http.StatusBadRequest, CodeCertLimit,
 			fmt.Sprintf("certificates are limited to rings of at most %d vertices, got %d", maxCertRingSize, n))
 		return false
 	}
@@ -96,8 +96,9 @@ func (e *certError) Unwrap() error { return e.err }
 // logs and metrics honest about why the request ended.
 const statusClientClosed = 499
 
-// writeJSON writes a JSON response body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes a JSON response body with the given status, HTML
+// characters unescaped. It is the one JSON writer of irshared and irrouter.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -105,15 +106,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError writes the uniform error body: a stable machine-readable code
+// WriteError writes the uniform error body: a stable machine-readable code
 // plus a human-readable message.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Code: code, Message: msg})
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorResponse{Code: code, Message: msg})
 }
 
-// writeErrorDetail is writeError with underlying error text in Detail.
-func writeErrorDetail(w http.ResponseWriter, status int, code, msg, detail string) {
-	writeJSON(w, status, ErrorResponse{Code: code, Message: msg, Detail: detail})
+// WriteErrorDetail is WriteError with underlying error text in Detail.
+func WriteErrorDetail(w http.ResponseWriter, status int, code, msg, detail string) {
+	WriteJSON(w, status, ErrorResponse{Code: code, Message: msg, Detail: detail})
 }
 
 // writeComputeError maps a computation error to a status: context errors
@@ -128,21 +129,21 @@ func writeComputeError(w http.ResponseWriter, r *http.Request, err error) {
 	var ce *certError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, CodeTimeout, "computation exceeded the request timeout")
+		WriteError(w, http.StatusGatewayTimeout, CodeTimeout, "computation exceeded the request timeout")
 	case errors.Is(err, context.Canceled):
-		writeError(w, statusClientClosed, CodeClientClosed, "client canceled")
+		WriteError(w, statusClientClosed, CodeClientClosed, "client canceled")
 	case errors.Is(err, fault.ErrInjected):
 		retryAfter(w, time.Second)
-		writeErrorDetail(w, http.StatusServiceUnavailable, CodeBusy, "transient fault; retry", err.Error())
+		WriteErrorDetail(w, http.StatusServiceUnavailable, CodeBusy, "transient fault; retry", err.Error())
 	case errors.As(err, &pe):
-		writeErrorDetail(w, http.StatusInternalServerError, CodeInternalPanic,
+		WriteErrorDetail(w, http.StatusInternalServerError, CodeInternalPanic,
 			"computation panicked; the panic was contained and the request may be retried",
 			fmt.Sprint(pe.Value))
 	case errors.As(err, &ce):
-		writeErrorDetail(w, http.StatusInternalServerError, CodeCertInvalid,
+		WriteErrorDetail(w, http.StatusInternalServerError, CodeCertInvalid,
 			"certificate failed the server's solver-free self-check", ce.err.Error())
 	default:
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
 }
 
@@ -156,11 +157,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid request body", err.Error())
+		WriteErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid request body", err.Error())
 		return false
 	}
 	if dec.More() {
-		writeErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid request body", "trailing data")
+		WriteErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid request body", "trailing data")
 		return false
 	}
 	return true
@@ -170,7 +171,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // "server.write" stage span when traced.
 func writeResult(w http.ResponseWriter, r *http.Request, v any) {
 	_, sp := obs.Start(r.Context(), "server.write")
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 	sp.End()
 }
 
@@ -187,7 +188,7 @@ func (s *Server) entryForWire(w http.ResponseWriter, r *http.Request, wg *WireGr
 func (s *Server) entryForKeyed(w http.ResponseWriter, r *http.Request, wg *WireGraph, keyOf func(*graph.Graph) string) (*cacheEntry, bool) {
 	g, err := wg.Build()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadGraph, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadGraph, err.Error())
 		return nil, false
 	}
 	if err := fault.Hit(r.Context(), fault.SiteCacheGet); err != nil {
@@ -213,7 +214,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	}
 	engine, err := bottleneck.ParseEngine(req.Engine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
 		return
 	}
 	entry, ok := s.entryForWire(w, r, &req.Graph)
@@ -260,7 +261,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	engine, err := bottleneck.ParseEngine(req.Engine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
 		return
 	}
 	m, ok := resolveWireMechanism(w, req.Mechanism)
@@ -268,7 +269,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, decomposes := m.(mechanism.Decomposer); !decomposes && req.Engine != "" && req.Engine != "auto" {
-		writeError(w, http.StatusBadRequest, CodeBadEngine,
+		WriteError(w, http.StatusBadRequest, CodeBadEngine,
 			fmt.Sprintf("engine selection applies to decomposition-based mechanisms, not %q", m.Name()))
 		return
 	}
@@ -319,7 +320,7 @@ func (s *Server) handleUtilities(w http.ResponseWriter, r *http.Request) {
 	}
 	engine, err := bottleneck.ParseEngine(req.Engine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadEngine, err.Error())
 		return
 	}
 	entry, ok := s.entryForWire(w, r, &req.Graph)
@@ -356,7 +357,7 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Grid < 0 || req.Grid > 4096 {
-		writeError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [0, 4096]")
+		WriteError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [0, 4096]")
 		return
 	}
 	entry, m, ok := s.validateAgent(w, r, &req.Graph, req.V, req.Mechanism, "ratio")
@@ -483,7 +484,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if withCert && grid > maxCertSweepGrid {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
+		WriteError(w, http.StatusBadRequest, CodeCertLimit,
 			fmt.Sprintf("sweep certificates are limited to grids of at most %d, got %d", maxCertSweepGrid, grid))
 		return
 	}
@@ -491,16 +492,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Resume != "" {
 		tok, err := decodeResumeToken(req.Resume)
 		if err != nil {
-			writeErrorDetail(w, http.StatusBadRequest, CodePartialResult, "invalid resume token", err.Error())
+			WriteErrorDetail(w, http.StatusBadRequest, CodePartialResult, "invalid resume token", err.Error())
 			return
 		}
 		if tok.Key != entry.key || tok.V != req.V || tok.Grid != grid {
-			writeError(w, http.StatusBadRequest, CodePartialResult,
+			WriteError(w, http.StatusBadRequest, CodePartialResult,
 				"resume token was minted for a different graph, agent, grid, or mechanism")
 			return
 		}
 		if tok.Next < 0 || tok.Next > grid {
-			writeError(w, http.StatusBadRequest, CodePartialResult, "resume token index out of range")
+			WriteError(w, http.StatusBadRequest, CodePartialResult, "resume token index out of range")
 			return
 		}
 		start = tok.Next

@@ -1,13 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -198,12 +197,12 @@ func seedPoints(w http.ResponseWriter, ck *JobCheckpoint, total int) ([]jobs.Poi
 		return nil, true
 	}
 	if ck.NextIndex != len(ck.Points) {
-		writeError(w, http.StatusBadRequest, CodeBadBody,
+		WriteError(w, http.StatusBadRequest, CodeBadBody,
 			fmt.Sprintf("checkpoint next_index %d must equal len(points) %d", ck.NextIndex, len(ck.Points)))
 		return nil, false
 	}
 	if len(ck.Points) > total {
-		writeError(w, http.StatusBadRequest, CodeBadBody,
+		WriteError(w, http.StatusBadRequest, CodeBadBody,
 			fmt.Sprintf("checkpoint carries %d points but the job has only %d", len(ck.Points), total))
 		return nil, false
 	}
@@ -219,7 +218,7 @@ func seedPoints(w http.ResponseWriter, ck *JobCheckpoint, total int) ([]jobs.Poi
 func (s *Server) jobsEnabled(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.jobSched == nil {
-			writeError(w, http.StatusNotImplemented, CodeJobsDisabled, "durable jobs are disabled: start the server with -data-dir")
+			WriteError(w, http.StatusNotImplemented, CodeJobsDisabled, "durable jobs are disabled: start the server with -data-dir")
 			return
 		}
 		h(w, r)
@@ -238,7 +237,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	kind := jobKindOf(req.Kind)
 	if kind == nil {
-		writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown job kind %q (want %s)", req.Kind, jobKindList()))
+		WriteError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown job kind %q (want %s)", req.Kind, jobKindList()))
 		return
 	}
 	spec, key, total, ok := kind.submit(s, w, r, &req)
@@ -251,7 +250,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	rec, enqueued, err := s.jobSched.Submit(r.Context(), jobs.Submission{
@@ -269,7 +268,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !enqueued {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, JobSubmitResponse{Job: wireJob(rec, false), Deduped: !enqueued})
+	WriteJSON(w, status, JobSubmitResponse{Job: wireJob(rec, false), Deduped: !enqueued})
 }
 
 // persistedMechanism is the mechanism name a spec records: empty for the
@@ -282,14 +281,18 @@ func persistedMechanism(m mechanism.Mechanism) string {
 	return m.Name()
 }
 
+// DefaultSweepGrid is the grid of a sweep request that gives none.
+const DefaultSweepGrid = 64
+
 // validateSweep resolves and validates a sweep request shared by /v1/sweep
-// and sweep jobs: the grid (0 = 64) and the ring agent (validateAgent).
+// and sweep jobs: the grid (0 = DefaultSweepGrid) and the ring agent
+// (validateAgent).
 func (s *Server) validateSweep(w http.ResponseWriter, r *http.Request, wg *WireGraph, v, grid int, mech string) (*cacheEntry, mechanism.Mechanism, int, bool) {
 	if grid == 0 {
-		grid = 64
+		grid = DefaultSweepGrid
 	}
 	if grid < 0 || grid > 4096 {
-		writeError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [1, 4096]")
+		WriteError(w, http.StatusBadRequest, CodeBadGrid, "grid outside [1, 4096]")
 		return nil, nil, 0, false
 	}
 	entry, m, ok := s.validateAgent(w, r, wg, v, mech, "sweep")
@@ -309,11 +312,11 @@ func (s *Server) validateAgent(w http.ResponseWriter, r *http.Request, wg *WireG
 		return nil, nil, false
 	}
 	if !entry.g.IsRing() {
-		writeError(w, http.StatusBadRequest, CodeNotRing, endpoint+" requires a ring graph")
+		WriteError(w, http.StatusBadRequest, CodeNotRing, endpoint+" requires a ring graph")
 		return nil, nil, false
 	}
 	if v < 0 || v >= entry.g.N() {
-		writeError(w, http.StatusBadRequest, CodeBadAgent, fmt.Sprintf("agent %d out of range [0, %d)", v, entry.g.N()))
+		WriteError(w, http.StatusBadRequest, CodeBadAgent, fmt.Sprintf("agent %d out of range [0, %d)", v, entry.g.N()))
 		return nil, nil, false
 	}
 	return entry, m, true
@@ -376,23 +379,23 @@ func (s *Server) submitEnum(w http.ResponseWriter, r *http.Request, req *JobSubm
 	if er.Eps != "" {
 		var err error
 		if eps, err = DecodeRat(er.Eps); err != nil || eps.Sign() <= 0 {
-			writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("enum.eps %q is not a positive rational", er.Eps))
+			WriteError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("enum.eps %q is not a positive rational", er.Eps))
 			return nil, "", 0, false
 		}
 	}
 	if er.Grid < 0 || er.Grid > 4096 {
-		writeError(w, http.StatusBadRequest, CodeBadGrid, "enum.grid outside [0, 4096]")
+		WriteError(w, http.StatusBadRequest, CodeBadGrid, "enum.grid outside [0, 4096]")
 		return nil, "", 0, false
 	}
 	opts := enum.Options{MinN: er.MinN, MaxN: er.MaxN, Levels: er.Levels, Grid: er.Grid, Eps: eps}
 	specs, err := enum.Enumerate(opts)
 	if err != nil {
-		writeErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid enumeration bounds", err.Error())
+		WriteErrorDetail(w, http.StatusBadRequest, CodeBadBody, "invalid enumeration bounds", err.Error())
 		return nil, "", 0, false
 	}
 	opts = opts.Resolved()
 	if opts.MaxN > maxEnumN || opts.Levels > maxEnumLevels {
-		writeError(w, http.StatusBadRequest, CodeCertLimit,
+		WriteError(w, http.StatusBadRequest, CodeCertLimit,
 			fmt.Sprintf("enumeration jobs are limited to max_n ≤ %d and levels ≤ %d", maxEnumN, maxEnumLevels))
 		return nil, "", 0, false
 	}
@@ -452,7 +455,7 @@ func (s *Server) enumJob(ctx context.Context, spec *enumJobSpec, start int, pref
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.jobStore.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
 		return
 	}
 	writeResult(w, r, wireJob(rec, true))
@@ -467,7 +470,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	if c := q.Get("cursor"); c != "" {
 		cur, err := strconv.ParseUint(c, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadBody, "cursor must be an unsigned integer")
+			WriteError(w, http.StatusBadRequest, CodeBadBody, "cursor must be an unsigned integer")
 			return
 		}
 		opts.AfterSeq = cur
@@ -475,7 +478,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, CodeBadBody, "limit must be a positive integer")
+			WriteError(w, http.StatusBadRequest, CodeBadBody, "limit must be a positive integer")
 			return
 		}
 		opts.Limit = n
@@ -486,13 +489,13 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		case jobs.StateQueued, jobs.StateRunning, jobs.StateDone, jobs.StateFailed, jobs.StateCanceled:
 			opts.State = state
 		default:
-			writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown state %q", st))
+			WriteError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown state %q", st))
 			return
 		}
 	}
 	if k := q.Get("kind"); k != "" {
 		if jobKindOf(k) == nil {
-			writeError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown kind %q", k))
+			WriteError(w, http.StatusBadRequest, CodeBadBody, fmt.Sprintf("unknown kind %q", k))
 			return
 		}
 		opts.Kind = k
@@ -512,10 +515,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	rec, err := s.jobSched.Cancel(r.Context(), r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
 		return
 	case errors.Is(err, jobs.ErrTerminal):
-		writeError(w, http.StatusConflict, CodeJobTerminal, "job already reached a terminal state")
+		WriteError(w, http.StatusConflict, CodeJobTerminal, "job already reached a terminal state")
 		return
 	case err != nil:
 		writeComputeError(w, r, err)
@@ -582,49 +585,25 @@ func (s *Server) runJob(ctx context.Context, rec *jobs.Record, ckpt jobs.Checkpo
 // writeJobsMetrics renders the jobs subsystem series on /metrics. No-op
 // when jobs are disabled, so the exposition only grows for servers that
 // opted in with -data-dir.
-func (s *Server) writeJobsMetrics(w io.Writer) {
+func (s *Server) writeJobsMetrics(p obs.PromWriter) {
 	if s.jobSched == nil {
 		return
 	}
 	ss := s.jobStore.Stats()
 	js := s.jobSched.Stats()
-
-	fmt.Fprint(w, "# HELP irshared_jobs_total Job state transitions, by state entered.\n# TYPE irshared_jobs_total counter\n")
-	states := make([]string, 0, len(js.Transitions))
-	for st := range js.Transitions {
-		states = append(states, string(st))
+	p.Family("jobs_total", "counter", "Job state transitions, by state entered.")
+	for _, st := range obs.SortedKeys(js.Transitions, cmp.Compare[jobs.State]) {
+		p.Sample("jobs_total", js.Transitions[st], "state", string(st))
 	}
-	sort.Strings(states)
-	for _, st := range states {
-		fmt.Fprintf(w, "irshared_jobs_total{state=%q} %d\n", st, js.Transitions[jobs.State(st)])
-	}
-	fmt.Fprint(w, "# HELP irshared_jobs_queue_depth Jobs waiting for a worker slot.\n# TYPE irshared_jobs_queue_depth gauge\n")
-	fmt.Fprintf(w, "irshared_jobs_queue_depth %d\n", js.QueueDepth)
-	fmt.Fprint(w, "# HELP irshared_jobs_running Jobs currently executing.\n# TYPE irshared_jobs_running gauge\n")
-	fmt.Fprintf(w, "irshared_jobs_running %d\n", js.Running)
-	fmt.Fprint(w, "# HELP irshared_jobs_resident Job records resident in the store.\n# TYPE irshared_jobs_resident gauge\n")
-	fmt.Fprintf(w, "irshared_jobs_resident %d\n", ss.Jobs)
-	fmt.Fprint(w, "# HELP irshared_jobs_deduped_total Submissions answered by an existing job.\n# TYPE irshared_jobs_deduped_total counter\n")
-	fmt.Fprintf(w, "irshared_jobs_deduped_total %d\n", js.Deduped)
-	fmt.Fprint(w, "# HELP irshared_jobs_recovered_total Jobs requeued by startup recovery.\n# TYPE irshared_jobs_recovered_total counter\n")
-	fmt.Fprintf(w, "irshared_jobs_recovered_total %d\n", js.Recovered)
-
-	fmt.Fprint(w, "# HELP irshared_job_age_seconds Queued-to-terminal job age.\n# TYPE irshared_job_age_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range jobs.AgeBuckets() {
-		cum += js.AgeCounts[i]
-		fmt.Fprintf(w, "irshared_job_age_seconds_bucket{le=\"%g\"} %d\n", ub, cum)
-	}
-	fmt.Fprintf(w, "irshared_job_age_seconds_bucket{le=\"+Inf\"} %d\n", js.AgeCount)
-	fmt.Fprintf(w, "irshared_job_age_seconds_sum %g\n", js.AgeSum)
-	fmt.Fprintf(w, "irshared_job_age_seconds_count %d\n", js.AgeCount)
-
-	fmt.Fprint(w, "# HELP irshared_jobs_wal_bytes Bytes in the current WAL segment.\n# TYPE irshared_jobs_wal_bytes gauge\n")
-	fmt.Fprintf(w, "irshared_jobs_wal_bytes %d\n", ss.WALBytes)
-	fmt.Fprint(w, "# HELP irshared_jobs_wal_appends_total WAL frames appended.\n# TYPE irshared_jobs_wal_appends_total counter\n")
-	fmt.Fprintf(w, "irshared_jobs_wal_appends_total %d\n", ss.Appends)
-	fmt.Fprint(w, "# HELP irshared_jobs_wal_syncs_total Fsync'd WAL appends.\n# TYPE irshared_jobs_wal_syncs_total counter\n")
-	fmt.Fprintf(w, "irshared_jobs_wal_syncs_total %d\n", ss.Syncs)
-	fmt.Fprint(w, "# HELP irshared_jobs_compactions_total Snapshot compactions.\n# TYPE irshared_jobs_compactions_total counter\n")
-	fmt.Fprintf(w, "irshared_jobs_compactions_total %d\n", ss.Compactions)
+	p.Scalar("jobs_queue_depth", "gauge", "Jobs waiting for a worker slot.", int64(js.QueueDepth))
+	p.Scalar("jobs_running", "gauge", "Jobs currently executing.", int64(js.Running))
+	p.Scalar("jobs_resident", "gauge", "Job records resident in the store.", int64(ss.Jobs))
+	p.Scalar("jobs_deduped_total", "counter", "Submissions answered by an existing job.", js.Deduped)
+	p.Scalar("jobs_recovered_total", "counter", "Jobs requeued by startup recovery.", js.Recovered)
+	p.Family("job_age_seconds", "histogram", "Queued-to-terminal job age.")
+	p.Histogram("job_age_seconds", &js.Age)
+	p.Scalar("jobs_wal_bytes", "gauge", "Bytes in the current WAL segment.", ss.WALBytes)
+	p.Scalar("jobs_wal_appends_total", "counter", "WAL frames appended.", ss.Appends)
+	p.Scalar("jobs_wal_syncs_total", "counter", "Fsync'd WAL appends.", ss.Syncs)
+	p.Scalar("jobs_compactions_total", "counter", "Snapshot compactions.", ss.Compactions)
 }

@@ -24,7 +24,7 @@ import (
 func resolveWireMechanism(w http.ResponseWriter, name string) (mechanism.Mechanism, bool) {
 	m, err := mechanism.Get(name)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeUnknownMechanism, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeUnknownMechanism, err.Error())
 		return nil, false
 	}
 	return m, true
@@ -189,7 +189,7 @@ func wireTournament(res *mechanism.TournamentResult) *TournamentResponse {
 func (s *Server) validateTournament(w http.ResponseWriter, req *TournamentRequest) (tournamentJobSpec, string, bool) {
 	names, err := mechanism.ResolveSet(req.Mechanisms)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeUnknownMechanism, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeUnknownMechanism, err.Error())
 		return tournamentJobSpec{}, "", false
 	}
 	grid := req.Grid
@@ -197,11 +197,11 @@ func (s *Server) validateTournament(w http.ResponseWriter, req *TournamentReques
 		grid = 64
 	}
 	if grid < 0 || grid > maxTournamentGrid {
-		writeError(w, http.StatusBadRequest, CodeBadGrid, fmt.Sprintf("grid outside [1, %d]", maxTournamentGrid))
+		WriteError(w, http.StatusBadRequest, CodeBadGrid, fmt.Sprintf("grid outside [1, %d]", maxTournamentGrid))
 		return tournamentJobSpec{}, "", false
 	}
 	if len(req.Instances) == 0 || len(req.Instances) > maxTournamentInstances {
-		writeError(w, http.StatusBadRequest, CodeBadGraph,
+		WriteError(w, http.StatusBadRequest, CodeBadGraph,
 			fmt.Sprintf("tournament needs between 1 and %d instances, got %d", maxTournamentInstances, len(req.Instances)))
 		return tournamentJobSpec{}, "", false
 	}
@@ -210,15 +210,15 @@ func (s *Server) validateTournament(w http.ResponseWriter, req *TournamentReques
 	for i, inst := range req.Instances {
 		g, err := inst.Graph.Build()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadGraph, fmt.Sprintf("instances[%d]: %v", i, err))
+			WriteError(w, http.StatusBadRequest, CodeBadGraph, fmt.Sprintf("instances[%d]: %v", i, err))
 			return tournamentJobSpec{}, "", false
 		}
 		if !g.IsRing() {
-			writeError(w, http.StatusBadRequest, CodeNotRing, fmt.Sprintf("instances[%d]: tournament requires ring graphs", i))
+			WriteError(w, http.StatusBadRequest, CodeNotRing, fmt.Sprintf("instances[%d]: tournament requires ring graphs", i))
 			return tournamentJobSpec{}, "", false
 		}
 		if inst.V < 0 || inst.V >= g.N() {
-			writeError(w, http.StatusBadRequest, CodeBadAgent,
+			WriteError(w, http.StatusBadRequest, CodeBadAgent,
 				fmt.Sprintf("instances[%d]: agent %d out of range [0, %d)", i, inst.V, g.N()))
 			return tournamentJobSpec{}, "", false
 		}

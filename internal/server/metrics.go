@@ -1,12 +1,15 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
+	"cmp"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds (Prometheus
@@ -19,9 +22,9 @@ var latencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 
 // request rates one exact-arithmetic solver process can sustain.
 type metrics struct {
 	mu        sync.Mutex
-	requests  map[statusKey]int64          // requests_total{endpoint,code}
-	histogram map[string]*latencyHistogram // request_seconds{endpoint}
-	cacheReqs map[cacheKey]int64           // cache_requests_total{endpoint,result}
+	requests  map[statusKey]int64       // requests_total{endpoint,code}
+	latency   map[string]*obs.Histogram // request_seconds{endpoint}
+	cacheReqs map[cacheKey]int64        // cache_requests_total{endpoint,result}
 
 	// panics counts contained panics (handler barrier + batch containment);
 	// shed counts requests rejected by queue-saturation load shedding.
@@ -36,21 +39,23 @@ type statusKey struct {
 	code     int
 }
 
-type cacheKey struct {
-	endpoint string
-	hit      bool
+func (a statusKey) compare(b statusKey) int {
+	return cmp.Or(strings.Compare(a.endpoint, b.endpoint), cmp.Compare(a.code, b.code))
 }
 
-type latencyHistogram struct {
-	counts []int64 // len(latencyBuckets)+1; last bucket = +Inf
-	sum    float64
-	total  int64
+type cacheKey struct {
+	endpoint string
+	result   string // "hit" or "miss", the order they list in
+}
+
+func (a cacheKey) compare(b cacheKey) int {
+	return cmp.Or(strings.Compare(a.endpoint, b.endpoint), strings.Compare(a.result, b.result))
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		requests:  make(map[statusKey]int64),
-		histogram: make(map[string]*latencyHistogram),
+		latency:   make(map[string]*obs.Histogram),
 		cacheReqs: make(map[cacheKey]int64),
 	}
 }
@@ -58,113 +63,62 @@ func newMetrics() *metrics {
 // cacheLookup records one instance-cache lookup attributed to an endpoint,
 // feeding the per-endpoint hit-ratio series.
 func (m *metrics) cacheLookup(endpoint string, hit bool) {
+	result := "miss"
+	if hit {
+		result = "hit"
+	}
 	m.mu.Lock()
-	m.cacheReqs[cacheKey{endpoint, hit}]++
+	m.cacheReqs[cacheKey{endpoint, result}]++
 	m.mu.Unlock()
 }
 
 // observe records one finished request.
 func (m *metrics) observe(endpoint string, code int, d time.Duration) {
-	secs := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[statusKey{endpoint, code}]++
-	h := m.histogram[endpoint]
-	if h == nil {
-		h = &latencyHistogram{counts: make([]int64, len(latencyBuckets)+1)}
-		m.histogram[endpoint] = h
-	}
-	i := sort.SearchFloat64s(latencyBuckets, secs)
-	h.counts[i]++
-	h.sum += secs
-	h.total++
+	obs.ObserveIn(m.latency, endpoint, latencyBuckets, d.Seconds())
 }
 
-// gauges is the snapshot of instantaneous values rendered alongside the
-// cumulative series; the server fills it from the pool, cache and batcher.
-type gauges struct {
-	poolCap, poolInUse, poolWaiting int
-	cacheEntries                    int
-	cacheHits, cacheMisses          int64
-	cacheEvictions                  int64
-	batchRuns, batchJoins           int64
-}
-
-// write renders everything in the Prometheus text format.
-func (m *metrics) write(w io.Writer, g gauges) {
+// write renders the request and cache-lookup families.
+func (m *metrics) write(p obs.PromWriter) {
 	m.mu.Lock()
-	reqs := make([]statusKey, 0, len(m.requests))
-	for k := range m.requests {
-		reqs = append(reqs, k)
+	defer m.mu.Unlock()
+	p.Family("requests_total", "counter", "Requests served, by endpoint and status code.")
+	for _, k := range obs.SortedKeys(m.requests, statusKey.compare) {
+		p.Sample("requests_total", m.requests[k], "endpoint", k.endpoint, "code", strconv.Itoa(k.code))
 	}
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].endpoint != reqs[j].endpoint {
-			return reqs[i].endpoint < reqs[j].endpoint
-		}
-		return reqs[i].code < reqs[j].code
-	})
-	eps := make([]string, 0, len(m.histogram))
-	for ep := range m.histogram {
-		eps = append(eps, ep)
+	p.Family("request_seconds", "histogram", "Request latency, by endpoint.")
+	for _, ep := range obs.SortedKeys(m.latency, strings.Compare) {
+		p.Histogram("request_seconds", m.latency[ep], "endpoint", ep)
 	}
-	sort.Strings(eps)
-	cacheKeys := make([]cacheKey, 0, len(m.cacheReqs))
-	for k := range m.cacheReqs {
-		cacheKeys = append(cacheKeys, k)
+	p.Family("cache_requests_total", "counter", "Instance-cache lookups, by endpoint and result.")
+	for _, k := range obs.SortedKeys(m.cacheReqs, cacheKey.compare) {
+		p.Sample("cache_requests_total", m.cacheReqs[k], "endpoint", k.endpoint, "result", k.result)
 	}
-	sort.Slice(cacheKeys, func(i, j int) bool {
-		if cacheKeys[i].endpoint != cacheKeys[j].endpoint {
-			return cacheKeys[i].endpoint < cacheKeys[j].endpoint
-		}
-		return cacheKeys[i].hit && !cacheKeys[j].hit // hit before miss
-	})
+}
 
-	fmt.Fprint(w, "# HELP irshared_requests_total Requests served, by endpoint and status code.\n# TYPE irshared_requests_total counter\n")
-	for _, k := range reqs {
-		fmt.Fprintf(w, "irshared_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.requests[k])
+// handleMetrics renders every irshared_ series in the Prometheus text
+// format: the request families above, the cache, pool and batcher gauges,
+// the jobs subsystem when it is enabled, and the trace collector's stage
+// aggregates.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	p := obs.PromWriter{W: w, Prefix: "irshared_"}
+	s.metrics.write(p)
+	p.Scalar("cache_hits_total", "counter", "Instance-cache hits.", s.cache.hits.Load())
+	p.Scalar("cache_misses_total", "counter", "Instance-cache misses.", s.cache.misses.Load())
+	p.Scalar("cache_evictions_total", "counter", "Instance-cache LRU evictions.", s.cache.evictions.Load())
+	p.Scalar("cache_entries", "gauge", "Resident instance-cache entries.", int64(s.cache.len()))
+	p.Scalar("pool_capacity", "gauge", "Worker-pool slot capacity.", int64(s.pool.Cap()))
+	p.Scalar("pool_in_use", "gauge", "Worker-pool slots currently held.", int64(s.pool.InUse()))
+	p.Scalar("pool_waiting", "gauge", "Requests queued for a pool slot.", int64(s.pool.Waiting()))
+	p.Scalar("batch_runs_total", "counter", "Ratio computations executed.", s.batch.runs.Load())
+	p.Scalar("batch_joins_total", "counter", "Ratio requests that joined an in-flight batch.", s.batch.joins.Load())
+	p.Scalar("panics_total", "counter", "Panics contained by the recovery barriers.", s.metrics.panics.Load())
+	p.Scalar("shed_total", "counter", "Requests shed by queue-saturation load shedding.", s.metrics.shed.Load())
+	s.writeJobsMetrics(p)
+	if s.collector != nil {
+		s.collector.WritePrometheus(w, "irshared_")
 	}
-	fmt.Fprint(w, "# HELP irshared_request_seconds Request latency, by endpoint.\n# TYPE irshared_request_seconds histogram\n")
-	for _, ep := range eps {
-		h := m.histogram[ep]
-		cum := int64(0)
-		for i, ub := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "irshared_request_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", ep, ub, cum)
-		}
-		fmt.Fprintf(w, "irshared_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, h.total)
-		fmt.Fprintf(w, "irshared_request_seconds_sum{endpoint=%q} %g\n", ep, h.sum)
-		fmt.Fprintf(w, "irshared_request_seconds_count{endpoint=%q} %d\n", ep, h.total)
-	}
-	fmt.Fprint(w, "# HELP irshared_cache_requests_total Instance-cache lookups, by endpoint and result.\n# TYPE irshared_cache_requests_total counter\n")
-	for _, k := range cacheKeys {
-		result := "miss"
-		if k.hit {
-			result = "hit"
-		}
-		fmt.Fprintf(w, "irshared_cache_requests_total{endpoint=%q,result=%q} %d\n", k.endpoint, result, m.cacheReqs[k])
-	}
-	m.mu.Unlock()
-
-	fmt.Fprint(w, "# HELP irshared_cache_hits_total Instance-cache hits.\n# TYPE irshared_cache_hits_total counter\n")
-	fmt.Fprintf(w, "irshared_cache_hits_total %d\n", g.cacheHits)
-	fmt.Fprint(w, "# HELP irshared_cache_misses_total Instance-cache misses.\n# TYPE irshared_cache_misses_total counter\n")
-	fmt.Fprintf(w, "irshared_cache_misses_total %d\n", g.cacheMisses)
-	fmt.Fprint(w, "# HELP irshared_cache_evictions_total Instance-cache LRU evictions.\n# TYPE irshared_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "irshared_cache_evictions_total %d\n", g.cacheEvictions)
-	fmt.Fprint(w, "# HELP irshared_cache_entries Resident instance-cache entries.\n# TYPE irshared_cache_entries gauge\n")
-	fmt.Fprintf(w, "irshared_cache_entries %d\n", g.cacheEntries)
-	fmt.Fprint(w, "# HELP irshared_pool_capacity Worker-pool slot capacity.\n# TYPE irshared_pool_capacity gauge\n")
-	fmt.Fprintf(w, "irshared_pool_capacity %d\n", g.poolCap)
-	fmt.Fprint(w, "# HELP irshared_pool_in_use Worker-pool slots currently held.\n# TYPE irshared_pool_in_use gauge\n")
-	fmt.Fprintf(w, "irshared_pool_in_use %d\n", g.poolInUse)
-	fmt.Fprint(w, "# HELP irshared_pool_waiting Requests queued for a pool slot.\n# TYPE irshared_pool_waiting gauge\n")
-	fmt.Fprintf(w, "irshared_pool_waiting %d\n", g.poolWaiting)
-	fmt.Fprint(w, "# HELP irshared_batch_runs_total Ratio computations executed.\n# TYPE irshared_batch_runs_total counter\n")
-	fmt.Fprintf(w, "irshared_batch_runs_total %d\n", g.batchRuns)
-	fmt.Fprint(w, "# HELP irshared_batch_joins_total Ratio requests that joined an in-flight batch.\n# TYPE irshared_batch_joins_total counter\n")
-	fmt.Fprintf(w, "irshared_batch_joins_total %d\n", g.batchJoins)
-	fmt.Fprint(w, "# HELP irshared_panics_total Panics contained by the recovery barriers.\n# TYPE irshared_panics_total counter\n")
-	fmt.Fprintf(w, "irshared_panics_total %d\n", m.panics.Load())
-	fmt.Fprint(w, "# HELP irshared_shed_total Requests shed by queue-saturation load shedding.\n# TYPE irshared_shed_total counter\n")
-	fmt.Fprintf(w, "irshared_shed_total %d\n", m.shed.Load())
 }

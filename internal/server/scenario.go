@@ -236,7 +236,7 @@ func (spec *scenarioJobSpec) topologyOptions(m mechanism.Mechanism) (scenario.To
 // which generate their own).
 func (s *Server) validateScenario(w http.ResponseWriter, req *ScenarioRequest) (scenarioJobSpec, *graph.Graph, mechanism.Mechanism, bool) {
 	reject := func(code, msg string) (scenarioJobSpec, *graph.Graph, mechanism.Mechanism, bool) {
-		writeError(w, http.StatusBadRequest, code, msg)
+		WriteError(w, http.StatusBadRequest, code, msg)
 		return scenarioJobSpec{}, nil, nil, false
 	}
 	m, ok := resolveWireMechanism(w, req.Mechanism)
@@ -702,7 +702,7 @@ func (s *Server) submitScenario(w http.ResponseWriter, r *http.Request, req *Job
 		sr.Kind = req.Kind
 	}
 	if sr.Kind != req.Kind {
-		writeError(w, http.StatusBadRequest, CodeBadBody,
+		WriteError(w, http.StatusBadRequest, CodeBadBody,
 			fmt.Sprintf("job kind %q conflicts with scenario kind %q", req.Kind, sr.Kind))
 		return nil, "", 0, false
 	}

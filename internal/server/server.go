@@ -222,6 +222,18 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// NewLogger builds a daemon's logger from its -log flag: "text" or "json"
+// records on stderr.
+func NewLogger(format string) (*slog.Logger, error) {
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+	}
+	return nil, fmt.Errorf("unknown -log format %q (want text or json)", format)
+}
+
 // ServeAndDrain serves hs on ln until ctx is done (a daemon passes its
 // SIGINT/SIGTERM context), then drains: the listener closes and in-flight
 // requests get up to drain to finish. It is the process lifecycle cmd/irshared
@@ -268,7 +280,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("/readyz", s.handleReadyz))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/trace", s.handleTrace)
+	mux.HandleFunc("GET /debug/trace", TraceHandler(s.collector))
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -362,7 +374,7 @@ func (s *Server) contain(sw *statusWriter, r *http.Request, h http.HandlerFunc) 
 			slog.String("stack", string(stack)),
 		)
 		if !sw.wrote {
-			writeErrorDetail(sw, http.StatusInternalServerError, CodeInternalPanic,
+			WriteErrorDetail(sw, http.StatusInternalServerError, CodeInternalPanic,
 				"computation panicked; the panic was contained and the request may be retried",
 				fmt.Sprint(rec))
 		} else if sw.code < http.StatusBadRequest {
@@ -399,7 +411,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Cont
 	if s.saturated() {
 		s.metrics.shed.Add(1)
 		retryAfter(w, time.Second)
-		writeError(w, http.StatusTooManyRequests, CodeOverloaded, "server overloaded: pool wait queue is saturated")
+		WriteError(w, http.StatusTooManyRequests, CodeOverloaded, "server overloaded: pool wait queue is saturated")
 		return nil, nil, false
 	}
 	_, sp := obs.Start(r.Context(), "server.admit")
@@ -410,10 +422,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Cont
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Client went away while queued; nothing useful to write.
-			writeError(w, statusClientClosed, CodeClientClosed, "client canceled while queued")
+			WriteError(w, statusClientClosed, CodeClientClosed, "client canceled while queued")
 		} else {
 			retryAfter(w, s.cfg.QueueTimeout)
-			writeError(w, http.StatusServiceUnavailable, CodeBusy, "server busy: no worker slot within queue timeout")
+			WriteError(w, http.StatusServiceUnavailable, CodeBusy, "server busy: no worker slot within queue timeout")
 		}
 		return nil, nil, false
 	}
@@ -466,7 +478,7 @@ type ReadyzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthzResponse{Status: "ok", NodeID: s.cfg.NodeID})
+	WriteJSON(w, http.StatusOK, HealthzResponse{Status: "ok", NodeID: s.cfg.NodeID})
 }
 
 // queueDepth is the total backlog behind the worker pool: requests waiting
@@ -487,32 +499,13 @@ func (s *Server) queueDepth() int {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.saturated() {
 		retryAfter(w, time.Second)
-		writeError(w, http.StatusTooManyRequests, CodeOverloaded, "not ready: pool wait queue is saturated")
+		WriteError(w, http.StatusTooManyRequests, CodeOverloaded, "not ready: pool wait queue is saturated")
 		return
 	}
-	writeJSON(w, http.StatusOK, ReadyzResponse{
+	WriteJSON(w, http.StatusOK, ReadyzResponse{
 		Status:     "ready",
 		NodeID:     s.cfg.NodeID,
 		QueueDepth: s.queueDepth(),
 		Waiting:    strconv.Itoa(s.pool.Waiting()),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, gauges{
-		poolCap:        s.pool.Cap(),
-		poolInUse:      s.pool.InUse(),
-		poolWaiting:    s.pool.Waiting(),
-		cacheEntries:   s.cache.len(),
-		cacheHits:      s.cache.hits.Load(),
-		cacheMisses:    s.cache.misses.Load(),
-		cacheEvictions: s.cache.evictions.Load(),
-		batchRuns:      s.batch.runs.Load(),
-		batchJoins:     s.batch.joins.Load(),
-	})
-	s.writeJobsMetrics(w)
-	if s.collector != nil {
-		s.collector.WritePrometheus(w, "irshared_")
-	}
 }

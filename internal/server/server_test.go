@@ -8,6 +8,9 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -32,8 +35,17 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestMetricsExposition checks named series after a fixed sequence of
+// requests, then extends the sequence with a ratio and a sweep job run to
+// done and compares the whole scrape, wall-time values masked, with
+// testdata/exposition.prom: every series name, label, HELP/TYPE line,
+// bucket bound, order and count.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	// One P: the solver's grid phase evaluates its points in order, so its
+	// span counters (cache hits, warm starts, par_workers) are the same on
+	// every run and every host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), PoolSize: 2})
 	// Generate some traffic first.
 	ring := WireGraph{Ring: []string{"1", "2", "3"}}
 	for i := 0; i < 3; i++ {
@@ -61,6 +73,102 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)
 		}
+	}
+
+	mustPost(t, ts.URL, "/v1/ratio", RatioRequest{Graph: ring, V: 0, Grid: 4}, &RatioResponse{})
+	if status, raw := postJSON(t, ts.URL, "/v1/jobs", JobSubmitRequest{Graph: ring, V: 1, Grid: 4}); status != http.StatusAccepted {
+		t.Fatalf("job submit: %d %s", status, raw)
+	}
+	// Poll the scrape (not the job API, whose requests it would count)
+	// until the job is done, its worker has left the pool and the last
+	// request trace has been ingested.
+	settled := []string{
+		`irshared_jobs_total{state="done"} 1`, "irshared_jobs_running 0",
+		"irshared_pool_in_use 0", "irshared_traces_finished_total 8",
+	}
+	text = scrapeUntil(t, ts.URL, settled)
+	checkExposition(t, filepath.Join("testdata", "exposition.prom"), maskExposition(text), *updateGolden)
+}
+
+// scrapeUntil scrapes base's /metrics until the text holds every line in
+// want, failing after 15 s.
+func scrapeUntil(t *testing.T, base string, want []string) string {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, missing := string(raw), ""
+		for _, w := range want {
+			if !strings.Contains(text, w+"\n") {
+				missing = w
+				break
+			}
+		}
+		if missing == "" {
+			return text
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics never showed %q:\n%s", missing, text)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// maskExposition blanks the sample values that depend on wall time — every
+// *_seconds_bucket and *_seconds_sum sample and the WAL's byte size — so
+// the rest of a scrape compares byte for byte.
+func maskExposition(text string) string {
+	lines := strings.SplitAfter(text, "\n")
+	for i, ln := range lines {
+		name := ln[:strings.IndexAny(ln+" ", "{ ")]
+		if strings.HasSuffix(name, "_seconds_bucket") || strings.HasSuffix(name, "_seconds_sum") || name == "irshared_jobs_wal_bytes" {
+			lines[i] = ln[:strings.LastIndexByte(ln, ' ')] + " <masked>\n"
+		}
+	}
+	return strings.Join(lines, "")
+}
+
+// checkExposition compares a masked scrape with its golden file, or
+// rewrites the file when update is set.
+func checkExposition(t *testing.T, path, got string, update bool) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("exposition drifted from %s at line %d:\ngot:  %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("exposition drifted from %s: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+func TestNewLogger(t *testing.T) {
+	for _, format := range []string{"text", "json"} {
+		if l, err := NewLogger(format); err != nil || l == nil {
+			t.Fatalf("NewLogger(%q) = %v, %v", format, l, err)
+		}
+	}
+	if _, err := NewLogger("yaml"); err == nil || !strings.Contains(err.Error(), `unknown -log format "yaml"`) {
+		t.Fatalf("NewLogger(yaml) = %v", err)
 	}
 }
 

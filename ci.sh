@@ -96,7 +96,7 @@ go run ./cmd/irshare scenario -kind topology -families ring,tree,er -count 1 -n 
 # Refresh the scenario engine throughput numbers (points/s is the custom
 # metric reported by the scan benchmarks).
 go run ./cmd/benchjson -bench 'KSybil|Topology' -pkg ./internal/scenario -out BENCH_scenarios.json \
-	-note "scenario engine throughput: BenchmarkKSybilK3 — k=3 identity Sybil grid scan on an 8-ring (grid 16, 153 admissible points per scan), exact rational BD per point, points/s = grid points per second; BenchmarkTopologyScan — one jobs-scan-shaped topology scan (tree, barbell, smallworld, er; n=10; grid 12; 2 instances each), 111 BD allocations on a general graph per instance, points/s = instances per second"
+	-note "scenario engine throughput: BenchmarkKSybilK3 — k=3 identity Sybil grid scan on an 8-ring (grid 16, 153 admissible points per scan), exact rational BD per point, points/s = grid points per second; BenchmarkTopologyScan — one jobs-scan-shaped topology scan (tree, barbell, smallworld, er; n=10; grid 12; 2 instances each), 111 BD decompositions on a general graph per instance (utilities by Proposition 6, no allocation flows), points/s = instances per second"
 
 # Refresh the HTTP service numbers: cold (cache disabled) and warm solves
 # per endpoint, and sustained /v1/ratio load through the retrying client.
@@ -140,7 +140,12 @@ go run ./cmd/benchjson -bench 'WAL|Recover|Checkpoint' -pkg ./internal/jobs -out
 # referees internal/cert/build's one-network-per-decomposition Hall
 # witnesses against a fresh per-pair network (test code only,
 # internal/cert/build/witness_ref_test.go), byte for byte and push for
-# push, on paths and rings with k/2^48 dust weights.
+# push, on paths and rings with k/2^48 dust weights. FuzzLambdaNetwork
+# referees internal/bottleneck's one-λ-network-per-decomposition against a
+# fresh network per stage (test code only,
+# internal/bottleneck/flowref_test.go) at every λ of every stage — value,
+# w(S), maximal set, pushes, fixed/rat arithmetic — on general graphs and
+# the five topology families with zero, dust and past-int64 weights.
 # FuzzBreakpointLocator referees the optimizer's breakpoint locator against
 # the 48-step exact bisection it replaced (test code only,
 # internal/core/optimize_ref_test.go) on rings mixing small integers,
@@ -153,6 +158,7 @@ go test ./internal/server -run '^$' -fuzz '^FuzzScenarioRequest$' -fuzztime 10s
 go test ./internal/bottleneck -run '^$' -fuzz '^FuzzFixedWidthDP$' -fuzztime 10s
 go test ./internal/maxflow -run '^$' -fuzz '^FuzzFixedWidthMaxflow$' -fuzztime 10s
 go test ./internal/cert/build -run '^$' -fuzz '^FuzzWitnessNetwork$' -fuzztime 10s
+go test ./internal/bottleneck -run '^$' -fuzz '^FuzzLambdaNetwork$' -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz '^FuzzBreakpointLocator$' -fuzztime 10s
 
 # Cross-mechanism tournament smoke: every registered mechanism evaluated

@@ -111,6 +111,7 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomp
 	d := &Decomposition{}
 	if len(positive) > 0 {
 		posSub, posOrig := g.InducedSubgraph(positive)
+		var net *lambdaNet // posSub's λ-network, built on the first flow stage
 		remaining := make([]int, posSub.N())
 		for i := range remaining {
 			remaining[i] = i
@@ -125,7 +126,12 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomp
 				sspan.AddInt("remaining", int64(len(remaining)))
 			}
 			sub, orig := posSub.InducedSubgraph(remaining)
-			oracle, err := oracleFor(sctx, sub, engine)
+			oracle, err := oracleFor(sub, engine, func() *flowOracle {
+				if net == nil {
+					net = newLambdaNet(posSub)
+				}
+				return newFlowOracle(sctx, net, sub, orig)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -279,7 +285,7 @@ func insertSortedInt(s []int, x int) []int {
 // its ratio, without running the full decomposition. The graph must have
 // positive total weight.
 func MaxBottleneck(g *graph.Graph, engine Engine) (B []int, alpha numeric.Rat, err error) {
-	oracle, err := oracleFor(context.Background(), g, engine)
+	oracle, err := oracleFor(g, engine, func() *flowOracle { return graphFlowOracle(context.Background(), g) })
 	if err != nil {
 		return nil, numeric.Rat{}, err
 	}
@@ -296,18 +302,19 @@ func mapBack(local []int, orig []int) []int {
 	return out
 }
 
-// oracleFor selects the λ-subproblem solver. The context only carries the
-// current obs span (for the flow oracle's per-solve child spans); it is not
-// consulted for cancellation here.
-func oracleFor(ctx context.Context, sub *graph.Graph, engine Engine) (minimizeOracle, error) {
+// oracleFor selects the λ-subproblem solver of the stage graph sub; flow
+// binds sub to its decomposition's λ-network. The automatic engine runs the
+// path/cycle DP exactly when no vertex has degree above 2, which in a
+// simple graph is when every component is a path or a cycle.
+func oracleFor(sub *graph.Graph, engine Engine, flow func() *flowOracle) (minimizeOracle, error) {
 	switch engine {
 	case EngineAuto:
-		if o, err := newDPOracle(sub); err == nil {
-			return o, nil
+		if !pathsAndCycles(sub) {
+			return flow(), nil
 		}
-		return &flowOracle{g: sub, ctx: ctx}, nil
+		return newDPOracle(sub)
 	case EngineFlow:
-		return &flowOracle{g: sub, ctx: ctx}, nil
+		return flow(), nil
 	case EnginePathDP:
 		return newDPOracle(sub)
 	case EngineBrute:
@@ -315,4 +322,14 @@ func oracleFor(ctx context.Context, sub *graph.Graph, engine Engine) (minimizeOr
 	default:
 		return nil, fmt.Errorf("bottleneck: unknown engine %d", int(engine))
 	}
+}
+
+// pathsAndCycles reports whether no vertex of g has degree above 2.
+func pathsAndCycles(g *graph.Graph) bool {
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) > 2 {
+			return false
+		}
+	}
+	return true
 }

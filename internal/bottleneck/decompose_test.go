@@ -556,3 +556,16 @@ func TestParseEngine(t *testing.T) {
 		t.Errorf("ParseEngine(turbo) error = %v", err)
 	}
 }
+
+// TestSignatureTextTwoDigitIDs pins the exact StructureSignature and String
+// text of a decomposition whose pairs hold two-digit vertex ids.
+func TestSignatureTextTwoDigitIDs(t *testing.T) {
+	g := graph.Ring(numeric.Ints(1, 5, 1, 1, 3, 1, 1, 1, 2, 1, 7, 2))
+	d := mustDecompose(t, g, EngineAuto)
+	if got, want := d.StructureSignature(), "B{1}C{0,2};B{10}C{9,11};B{4,6,8}C{3,5,7};"; got != want {
+		t.Errorf("signature = %q, want %q", got, want)
+	}
+	if got, want := d.String(), "(B1{1}, C1{0,2}, α=2/5) (B2{10}, C2{9,11}, α=3/7) (B3{4,6,8}, C3{3,5,7}, α=1/2)"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+}

@@ -41,7 +41,7 @@ func TestFlowOracleReusesNetwork(t *testing.T) {
 	g.MustSetWeight(3, numeric.New(7, 2)) // L = 2·(2^63−1) and 2^126 at the two tiny λ below
 	past := numeric.FromBig(new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 125)))
 	tr := obs.NewTrace("test")
-	o := &flowOracle{g: g, ctx: tr.Context(context.Background())}
+	o := graphFlowOracle(tr.Context(context.Background()), g)
 	lambdas := []numeric.Rat{
 		numeric.One, numeric.New(1, 2), numeric.New(1, 2), numeric.New(3, 4),
 		numeric.New(1, 3), numeric.New(1, 3), numeric.New(1, math.MaxInt64), past,
@@ -50,7 +50,7 @@ func TestFlowOracleReusesNetwork(t *testing.T) {
 	wantSolves := 0
 	for i, lambda := range lambdas {
 		wantSolves++
-		fresh := &flowOracle{g: g}
+		fresh := graphFlowOracle(context.Background(), g)
 		val, wS := o.value(lambda)
 		again, wAgain := o.value(lambda)
 		wantVal, wantW := fresh.value(lambda)
@@ -58,8 +58,8 @@ func TestFlowOracleReusesNetwork(t *testing.T) {
 			again.String() != val.String() || wAgain.String() != wS.String() {
 			t.Fatalf("λ=%v: value (%v, %v), again (%v, %v), fresh (%v, %v)", lambda, val, wS, again, wAgain, wantVal, wantW)
 		}
-		if o.nw.Pushes() != fresh.nw.Pushes() {
-			t.Fatalf("λ=%v: %d pushes, fresh %d", lambda, o.nw.Pushes(), fresh.nw.Pushes())
+		if o.net.nw.Pushes() != fresh.net.nw.Pushes() {
+			t.Fatalf("λ=%v: %d pushes, fresh %d", lambda, o.net.nw.Pushes(), fresh.net.nw.Pushes())
 		}
 		S, wantS := o.maximal(lambda), fresh.maximal(lambda)
 		if !equalInts(S, wantS) {
@@ -70,7 +70,7 @@ func TestFlowOracleReusesNetwork(t *testing.T) {
 			if len(S) > 0 {
 				S[0] = -1
 			}
-			if again := o.maximal(lambda); !equalInts(again, wantS) || o.nw.Pushes() != fresh.nw.Pushes() {
+			if again := o.maximal(lambda); !equalInts(again, wantS) || o.net.nw.Pushes() != fresh.net.nw.Pushes() {
 				t.Fatalf("λ=%v: second maximal %v, want %v", lambda, again, wantS)
 			}
 			wantSolves++

@@ -26,6 +26,7 @@ package bottleneck
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -230,11 +231,12 @@ func (d *Decomposition) String() string {
 }
 
 func writeInts(b *strings.Builder, xs []int) {
+	var buf [20]byte
 	for i, x := range xs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(b, "%d", x)
+		b.Write(strconv.AppendInt(buf[:0], int64(x), 10))
 	}
 }
 

@@ -173,18 +173,23 @@ func (g *Graph) WeightOf(S []int) numeric.Rat {
 // NeighborhoodSet returns Γ(S) = ∪_{v∈S} Γ(v) as a sorted slice. Note that
 // Γ(S) may intersect S (the "inclusive" neighborhood of the paper).
 func (g *Graph) NeighborhoodSet(S []int) []int {
-	seen := make(map[int]bool)
+	in := make([]bool, len(g.adj))
+	count := 0
 	for _, v := range S {
 		g.check(v)
 		for _, u := range g.adj[v] {
-			seen[u] = true
+			if !in[u] {
+				in[u] = true
+				count++
+			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
+	out := make([]int, 0, count)
+	for u, ok := range in {
+		if ok {
+			out = append(out, u)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -232,32 +237,49 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// InducedSubgraph returns the subgraph induced by keep (sorted, distinct
-// vertex indices) together with the mapping orig[i] = original index of new
-// vertex i.
+// InducedSubgraph returns the subgraph induced by keep (distinct vertex
+// indices, in any order) together with the ascending mapping orig[i] =
+// original index of new vertex i.
 func (g *Graph) InducedSubgraph(keep []int) (sub *Graph, orig []int) {
-	idx := make(map[int]int, len(keep))
 	orig = append([]int(nil), keep...)
 	sort.Ints(orig)
 	for i, v := range orig {
 		g.check(v)
-		if _, dup := idx[v]; dup {
+		if i > 0 && orig[i-1] == v {
 			panic(fmt.Sprintf("graph: duplicate vertex %d in InducedSubgraph", v))
 		}
-		idx[v] = i
 	}
 	sub = New(len(orig))
+	if len(orig) == 0 {
+		return sub, orig
+	}
+	// idx[u-lo] is 1 + the new index of u, or 0 when u is not kept. It
+	// increases along orig, so every new neighbor list comes out sorted; the
+	// lists share one backing array, each capped at its own end.
+	lo := orig[0]
+	idx := make([]int, orig[len(orig)-1]-lo+1)
+	half := 0
+	for i, v := range orig {
+		idx[v-lo] = i + 1
+		half += len(g.adj[v])
+	}
+	buf := make([]int, 0, half)
 	for i, v := range orig {
 		sub.w[i] = g.w[v]
 		if g.labels != nil && g.labels[v] != "" {
 			sub.SetLabel(i, g.labels[v])
 		}
+		start := len(buf)
 		for _, u := range g.adj[v] {
-			if j, ok := idx[u]; ok && i < j {
-				sub.MustAddEdge(i, j)
+			if j := u - lo; j >= 0 && j < len(idx) && idx[j] > 0 {
+				buf = append(buf, idx[j]-1)
 			}
 		}
+		if len(buf) > start {
+			sub.adj[i] = buf[start:len(buf):len(buf)]
+		}
 	}
+	sub.edges = len(buf) / 2
 	return sub, orig
 }
 

@@ -74,12 +74,13 @@ func (c Cap) String() string {
 }
 
 // arc is half of an undirected residual pair; arcs are stored in pairs
-// (i, i^1) where i^1 is the reverse arc.
+// (i, i^1) where i^1 is the reverse arc. Its flow lives with the
+// arithmetic that solved it: the fixed-width cells, or the Network's flow
+// slice for the rational solvers.
 type arc struct {
-	to   int
-	cap  numeric.Rat // solved capacity (infinities already replaced)
-	inf  bool        // declared infinite by the caller
-	flow numeric.Rat
+	to  int
+	cap numeric.Rat // solved capacity (infinities already replaced)
+	inf bool        // declared infinite by the caller
 }
 
 // Network is a directed flow network with a distinguished source and sink.
@@ -89,10 +90,11 @@ type Network struct {
 	n      int
 	s, t   int
 	arcs   []arc
-	adj    [][]int // arc indices leaving each node
-	solved bool    // the flows belong to the current capacities
-	fixed  bool    // the last solve ran on the fixed-width cells
-	pushes int64   // elementary pushes performed by the last solve
+	adj    [][]int       // arc indices leaving each node
+	flow   []numeric.Rat // per-arc flow of the last rational solve, sized by prepare
+	solved bool          // the flows belong to the current capacities
+	fixed  bool          // the last solve ran on the fixed-width cells
+	pushes int64         // elementary pushes performed by the last solve
 	cells  fixedCells
 	// inj is the fault injector cached from SolveCtx's context so the push
 	// hot loop pays one nil check instead of a context lookup per push. A
@@ -151,7 +153,7 @@ func (nw *Network) Flow(id int) numeric.Rat {
 	if nw.fixed {
 		return nw.cells.rat(nw.cells.flow(id))
 	}
-	return nw.arcs[id].flow
+	return nw.flow[id]
 }
 
 // solvedCap returns the capacity the last solve used for arc id, Inf
@@ -181,21 +183,24 @@ func (nw *Network) finiteBound() numeric.Rat {
 	return total
 }
 
-// prepare substitutes infinite capacities and resets flows.
+// prepare substitutes infinite capacities and resets the rational flows.
 func (nw *Network) prepare() {
 	bound := nw.finiteBound()
 	for i := 0; i < len(nw.arcs); i += 2 {
 		if nw.arcs[i].inf {
 			nw.arcs[i].cap = bound
 		}
-		nw.arcs[i].flow = numeric.Zero
-		nw.arcs[i+1].flow = numeric.Zero
 	}
+	if cap(nw.flow) < len(nw.arcs) {
+		nw.flow = make([]numeric.Rat, len(nw.arcs))
+	}
+	nw.flow = nw.flow[:len(nw.arcs)]
+	clear(nw.flow)
 }
 
 // residual returns the residual capacity of arc id.
 func (nw *Network) residual(id int) numeric.Rat {
-	return nw.arcs[id].cap.Sub(nw.arcs[id].flow)
+	return nw.arcs[id].cap.Sub(nw.flow[id])
 }
 
 // hasResidual reports whether arc id has positive residual capacity in the
@@ -210,8 +215,8 @@ func (nw *Network) hasResidual(id int) bool {
 // push sends f along arc id (and -f along its reverse).
 func (nw *Network) push(id int, f numeric.Rat) {
 	nw.strike()
-	nw.arcs[id].flow = nw.arcs[id].flow.Add(f)
-	nw.arcs[id^1].flow = nw.arcs[id^1].flow.Sub(f)
+	nw.flow[id] = nw.flow[id].Add(f)
+	nw.flow[id^1] = nw.flow[id^1].Sub(f)
 	nw.pushes++
 }
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/bottleneck"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/numeric"
 )
 
 // Mechanism is one allocation mechanism backend: a deterministic map from a
@@ -43,9 +44,30 @@ type Mechanism interface {
 // Decomposer exposes the bottleneck decomposition underlying the mechanism.
 // Only mechanisms whose allocation is derived from a bottleneck
 // decomposition (BD) implement it; /v1/decompose and certificates are
-// defined in terms of this capability.
+// defined in terms of this capability. A Decomposer's utilities are its
+// decomposition's (Proposition 6: w_v·α_v on the B side, w_v/α_v on the C
+// side), so Utilities reads them without building the allocation.
 type Decomposer interface {
 	Decompose(ctx context.Context, g *graph.Graph, engine bottleneck.Engine) (*bottleneck.Decomposition, error)
+}
+
+// Utilities returns every agent's utility under m on g: a Decomposer's
+// from its decomposition under the automatic engine, any other
+// mechanism's from its allocation. Callers that need only utilities use it;
+// callers that serve the allocation itself call Allocate.
+func Utilities(ctx context.Context, m Mechanism, g *graph.Graph) ([]numeric.Rat, error) {
+	if d, ok := m.(Decomposer); ok {
+		dec, err := d.Decompose(ctx, g, bottleneck.EngineAuto)
+		if err != nil {
+			return nil, err
+		}
+		return dec.Utilities(g), nil
+	}
+	a, err := m.Allocate(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	return a.Utilities(), nil
 }
 
 // RingOptimizer computes the exact incentive ratio on a ring via a

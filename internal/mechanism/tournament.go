@@ -93,15 +93,14 @@ func ResolveSet(names []string) ([]string, error) {
 	return out, nil
 }
 
-// EvaluateCell runs one (instance, mechanism) cell: the honest allocation's
+// EvaluateCell runs one (instance, mechanism) cell: the honest utilities'
 // efficiency and fairness, then the full Sybil sweep for the empirical
 // incentive ratio.
 func EvaluateCell(ctx context.Context, m Mechanism, g *graph.Graph, v int, grid, workers int) (Cell, error) {
-	a, err := m.Allocate(ctx, g)
+	utils, err := Utilities(ctx, m, g)
 	if err != nil {
 		return Cell{}, fmt.Errorf("mechanism %s: honest allocation: %w", m.Name(), err)
 	}
-	utils := a.Utilities()
 	cell := Cell{
 		Mechanism:  m.Name(),
 		Efficiency: numeric.Sum(utils),

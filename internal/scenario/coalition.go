@@ -138,13 +138,13 @@ func NewCoalition(ctx context.Context, g *graph.Graph, opts CoalitionOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	honestAlloc, err := m.Allocate(ctx, g)
+	honestU, err := mechanism.Utilities(ctx, m, g)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: honest allocation: %w", err)
 	}
 	honest := make([]numeric.Rat, len(opts.Members))
 	for j, v := range opts.Members {
-		honest[j] = honestAlloc.Utility(v)
+		honest[j] = honestU[v]
 	}
 	return &CoalitionScan{Honest: honest, Scan: scan.Scan[CoalitionPoint]{
 		Len:  total,
@@ -157,13 +157,13 @@ func NewCoalition(ctx context.Context, g *graph.Graph, opts CoalitionOptions) (*
 			for j, v := range opts.Members {
 				gp.MustSetWeight(v, g.Weight(v).MulInt(int64(p.Digits[j])).DivInt(int64(opts.Grid)))
 			}
-			a, err := m.Allocate(ctx, gp)
+			u, err := mechanism.Utilities(ctx, m, gp)
 			if err != nil {
 				return p, err
 			}
 			p.Members = make([]numeric.Rat, len(opts.Members))
 			for j, v := range opts.Members {
-				p.Members[j] = a.Utility(v)
+				p.Members[j] = u[v]
 				p.Joint = p.Joint.Add(p.Members[j])
 			}
 			return p, nil

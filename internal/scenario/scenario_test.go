@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/allocation"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -509,9 +511,10 @@ func BenchmarkKSybilK3(b *testing.B) {
 // BenchmarkTopologyScan is the topology-scan throughput benchmark exported to
 // BENCH_scenarios.json: one seeded scan shaped like a jobs-scan topology
 // job (tree, barbell, smallworld and er; n = 10; grid 12; two instances
-// each). Every instance costs 111 BD allocations on a general graph, each a
-// max-flow decomposition plus the allocation max-flow; points/s counts
-// scanned instances per second.
+// each). Every instance costs 111 BD decompositions on a general graph, each
+// on one λ-network, with the utilities read off the decomposition
+// (Proposition 6) and no allocation max-flow; points/s counts scanned
+// instances per second.
 func BenchmarkTopologyScan(b *testing.B) {
 	opts := TopologyOptions{Families: []string{FamilyTree, FamilyBarbell, FamilySmallWorld, FamilyER}, Count: 2, N: 10, Grid: 12, Seed: 7}
 	b.ReportAllocs()
@@ -529,4 +532,54 @@ func BenchmarkTopologyScan(b *testing.B) {
 		b.Fatalf("scanned %d instances, want %d", points, b.N*TopologyTotal(len(opts.Families), opts.Count))
 	}
 	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+}
+
+// allocOnly hides every optional capability of a mechanism: callers see
+// only its Name and Allocate, so its utilities come from allocations.
+type allocOnly struct{ m mechanism.Mechanism }
+
+func (a allocOnly) Name() string { return a.m.Name() }
+func (a allocOnly) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation, error) {
+	return a.m.Allocate(ctx, g)
+}
+
+// TestScansWithoutDecomposer requires topology and coalition scans under
+// BD, whose utilities are read off its decompositions, to be
+// byte-identical to the same scans under a mechanism that allocates exactly
+// as BD does but hides its Decomposer.
+func TestScansWithoutDecomposer(t *testing.T) {
+	ctx := context.Background()
+	bd, err := mechanism.Get("bd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := func(m mechanism.Mechanism) string {
+		res, err := Topology(ctx, TopologyOptions{Families: Families(), Count: 2, N: 7, Grid: 4, Seed: 11, Mechanism: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if got, want := topo(allocOnly{bd}), topo(bd); got != want {
+		t.Fatalf("topology without Decomposer:\n%s\nBD:\n%s", got, want)
+	}
+	g := graph.Ring(numeric.Ints(128, 2, 128, 128, 512, 4, 32))
+	coal := func(m mechanism.Mechanism) string {
+		res, err := Coalition(ctx, g, CoalitionOptions{Members: []int{5, 4}, Grid: 3, Mechanism: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if got, want := coal(allocOnly{bd}), coal(bd); got != want {
+		t.Fatalf("coalition without Decomposer:\n%s\nBD:\n%s", got, want)
+	}
 }

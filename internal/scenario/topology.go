@@ -268,14 +268,14 @@ func worse(ratio, best numeric.Rat, unbounded bool, ratio0, best0 numeric.Rat, u
 
 // scanInstance evaluates every (vertex, report) deviation of one instance.
 func scanInstance(ctx context.Context, m mechanism.Mechanism, g *graph.Graph, grid int) (*TopologyOutcome, error) {
-	honestAlloc, err := m.Allocate(ctx, g)
+	honestU, err := mechanism.Utilities(ctx, m, g)
 	if err != nil {
 		return nil, fmt.Errorf("honest allocation: %w", err)
 	}
 	out := &TopologyOutcome{
 		N: g.N(), M: g.M(),
 		WorstV: -1, WorstDigit: -1,
-		Honest: honestAlloc.Utility(0), Best: honestAlloc.Utility(0),
+		Honest: honestU[0], Best: honestU[0],
 		Ratio: numeric.One,
 	}
 	for v := 0; v < g.N(); v++ {
@@ -283,18 +283,18 @@ func scanInstance(ctx context.Context, m mechanism.Mechanism, g *graph.Graph, gr
 		// (c = Grid) in slot 0: a deviation must strictly beat honesty, and
 		// the earliest strict maximum wins (vertex order, then digit).
 		us := make([]numeric.Rat, grid)
-		us[0] = honestAlloc.Utility(v)
+		us[0] = honestU[v]
 		for c := 1; c < grid; c++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			gp := g.Clone()
 			gp.MustSetWeight(v, g.Weight(v).MulInt(int64(c)).DivInt(int64(grid)))
-			a, err := m.Allocate(ctx, gp)
+			u, err := mechanism.Utilities(ctx, m, gp)
 			if err != nil {
 				return nil, fmt.Errorf("vertex %d report %d/%d: %w", v, c, grid, err)
 			}
-			us[c] = a.Utility(v)
+			us[c] = u[v]
 		}
 		bestDigit := scan.Best(us, func(u numeric.Rat) numeric.Rat { return u })
 		honest, best := us[0], us[bestDigit]

@@ -130,9 +130,15 @@ go run ./cmd/benchjson -bench 'WAL|Recover|Checkpoint' -pkg ./internal/jobs -out
 # FuzzParseGraph corpus includes the near-tight frontier rings surfaced by
 # the certificate enumerator; FuzzCertRoundTrip probes the solver-free
 # certificate checker's parsing hardening and canonical round-trip;
+# FuzzParseRat referees the checker's rational parser, which decides
+# canonicality from the literal and the parsed value, against the rule it
+# replaced (re-render with RatString and compare, test code only): the same
+# accepted values and the same error texts on arbitrary literals;
 # FuzzFixedWidthDP referees the fixed-width path DP, its big.Int overflow
 # path and the split solver's valueFull against the exact rational passes,
-# which are test code only (internal/bottleneck/dpref_test.go), and
+# which are test code only (internal/bottleneck/dpref_test.go), on both
+# sides of the one 2^126 bound and in the band it admits through math/big
+# scaling (λ or weight parts past int64, q·D near 2^126), and
 # FuzzFixedWidthMaxflow the fixed-width Dinic against the rational Dinic
 # (value, every arc's flow, push count, both min-cut sides), at
 # adversarial magnitudes — parts and common denominators past int64 among
@@ -154,6 +160,7 @@ go test ./internal/graph -run '^$' -fuzz '^FuzzParseGraph$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzRatDecode$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzMechanismField$' -fuzztime 10s
 go test ./internal/cert -run '^$' -fuzz '^FuzzCertRoundTrip$' -fuzztime 10s
+go test ./internal/cert -run '^$' -fuzz '^FuzzParseRat$' -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz '^FuzzScenarioRequest$' -fuzztime 10s
 go test ./internal/bottleneck -run '^$' -fuzz '^FuzzFixedWidthDP$' -fuzztime 10s
 go test ./internal/maxflow -run '^$' -fuzz '^FuzzFixedWidthMaxflow$' -fuzztime 10s

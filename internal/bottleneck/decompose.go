@@ -110,6 +110,8 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomp
 	}
 	d := &Decomposition{}
 	if len(positive) > 0 {
+		sc := scratchPool.Get().(*dpScratch) // the DP stages' working memory
+		defer scratchPool.Put(sc)
 		posSub, posOrig := g.InducedSubgraph(positive)
 		var net *lambdaNet // posSub's λ-network, built on the first flow stage
 		remaining := make([]int, posSub.N())
@@ -126,7 +128,7 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomp
 				sspan.AddInt("remaining", int64(len(remaining)))
 			}
 			sub, orig := posSub.InducedSubgraph(remaining)
-			oracle, err := oracleFor(sub, engine, func() *flowOracle {
+			oracle, err := oracleFor(sub, engine, sc, func() *flowOracle {
 				if net == nil {
 					net = newLambdaNet(posSub)
 				}
@@ -164,7 +166,7 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomp
 				sspan.AddInt("pair_size", int64(len(pair.B)+len(pair.C)))
 			}
 			sspan.End()
-			remove := make(map[int]bool, len(bLocal)+len(cLocal))
+			remove := sc.vertexMarks(posSub.N())
 			for _, v := range bLocal {
 				remove[orig[v]] = true
 			}
@@ -285,7 +287,7 @@ func insertSortedInt(s []int, x int) []int {
 // its ratio, without running the full decomposition. The graph must have
 // positive total weight.
 func MaxBottleneck(g *graph.Graph, engine Engine) (B []int, alpha numeric.Rat, err error) {
-	oracle, err := oracleFor(g, engine, func() *flowOracle { return graphFlowOracle(context.Background(), g) })
+	oracle, err := oracleFor(g, engine, new(dpScratch), func() *flowOracle { return graphFlowOracle(context.Background(), g) })
 	if err != nil {
 		return nil, numeric.Rat{}, err
 	}
@@ -303,20 +305,21 @@ func mapBack(local []int, orig []int) []int {
 }
 
 // oracleFor selects the λ-subproblem solver of the stage graph sub; flow
-// binds sub to its decomposition's λ-network. The automatic engine runs the
-// path/cycle DP exactly when no vertex has degree above 2, which in a
-// simple graph is when every component is a path or a cycle.
-func oracleFor(sub *graph.Graph, engine Engine, flow func() *flowOracle) (minimizeOracle, error) {
+// binds sub to its decomposition's λ-network, and the DP runs in sc. The
+// automatic engine runs the path/cycle DP exactly when no vertex has degree
+// above 2, which in a simple graph is when every component is a path or a
+// cycle.
+func oracleFor(sub *graph.Graph, engine Engine, sc *dpScratch, flow func() *flowOracle) (minimizeOracle, error) {
 	switch engine {
 	case EngineAuto:
 		if !pathsAndCycles(sub) {
 			return flow(), nil
 		}
-		return newDPOracle(sub)
+		return newDPOracle(sub, sc)
 	case EngineFlow:
 		return flow(), nil
 	case EnginePathDP:
-		return newDPOracle(sub)
+		return newDPOracle(sub, sc)
 	case EngineBrute:
 		return newBruteOracle(sub)
 	default:

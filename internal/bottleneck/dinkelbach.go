@@ -61,9 +61,9 @@ func maxBottleneck(ctx context.Context, g *graph.Graph, o minimizeOracle, iterTr
 // starting can change only the iterate path, never the answer. A λ0 that
 // undershoots λ* is detected (the subproblem minimum is 0 yet no
 // positive-weight set attains it) and the search restarts from the cold
-// α(V). A λ0 outside (0, 1] is ignored. The boolean reports whether the
-// warm run produced the answer.
-func maxBottleneckWarmAt(ctx context.Context, n int, weightOf func([]int) numeric.Rat, alphaV numeric.Rat, o minimizeOracle, warm numeric.Rat) (numeric.Rat, []int, bool, error) {
+// α(V), which alphaV computes only then. A λ0 outside (0, 1] is ignored.
+// The boolean reports whether the warm run produced the answer.
+func maxBottleneckWarmAt(ctx context.Context, n int, weightOf func([]int) numeric.Rat, alphaV func() numeric.Rat, o minimizeOracle, warm numeric.Rat) (numeric.Rat, []int, bool, error) {
 	if warm.Sign() > 0 && warm.Cmp(numeric.One) <= 0 {
 		alpha, S, err := dinkelbachLoop(ctx, n, weightOf, o, warm, true, nil)
 		if err == nil {
@@ -73,7 +73,7 @@ func maxBottleneckWarmAt(ctx context.Context, n int, weightOf func([]int) numeri
 			return numeric.Rat{}, nil, false, err
 		}
 	}
-	alpha, S, err := dinkelbachLoop(ctx, n, weightOf, o, alphaV, false, nil)
+	alpha, S, err := dinkelbachLoop(ctx, n, weightOf, o, alphaV(), false, nil)
 	return alpha, S, false, err
 }
 

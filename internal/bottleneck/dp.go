@@ -2,6 +2,7 @@ package bottleneck
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/numeric"
@@ -23,16 +24,56 @@ import (
 // minimum (minimizers of a submodular function are closed under union).
 // dpOracle memoizes the prepared per-component plans for the most recent λ:
 // Dinkelbach calls value(λ) and then maximal(λ) at the same λ, and preparing
-// a plan costs an O(n) sweep of multiplies. The memo makes a single oracle
-// unsafe for concurrent use; every construction site builds one oracle per
-// decomposition stage, used by one goroutine.
+// a plan costs an O(n) sweep of multiplies. The memo's plans live in the
+// oracle's scratch, so a scratch serves one live oracle at a time, and the
+// memo makes a single oracle unsafe for concurrent use; every construction
+// site builds one oracle per decomposition stage, used by one goroutine.
 type dpOracle struct {
 	comps []dpComponent
+	sc    *dpScratch
 
 	memoOK     bool
 	memoLambda numeric.Rat
 	memoPlans  []dpPlan
 	tally      arithTally // plans built, by arithmetic
+}
+
+// dpScratch is the working memory of the DP passes of one evaluation — a
+// decomposition, or one split-solver evaluation — reused from λ to λ and
+// from stage to stage instead of allocated per pass. Every pass writes what
+// it reads, so a scratch carries nothing from one pass to the next but its
+// capacity. A scratch serves one goroutine and one live dpOracle at a time
+// (the oracle's λ memo points into memo), and nothing that outlives the
+// evaluation may alias it: the pairs, their B and C, the Decomposition and
+// the cached interior transfers are all copied out.
+type dpScratch struct {
+	memo      []numeric.Int128 // cells of a dpOracle's memoized plans
+	cells     []numeric.Int128 // cells of a one-off plan: a transfer, a whole-path pass
+	plans     []dpPlan         // a dpOracle's memoized plans
+	sweep     [][2][2]fixedVal // the suffix sweep of a membership pass
+	memberMin []fixedVal       // a cycle membership pass's per-vertex minima
+	members   []bool           // a membership pass's result
+	ws        []numeric.Rat    // the split solver's whole-path or endpoint-run weights
+	comps     []dpComponent    // the split solver's later-stage components
+	marks     []bool           // vertex marks of a stage's bookkeeping
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
+
+// vertexMarks returns n marks, all false.
+func (sc *dpScratch) vertexMarks(n int) []bool {
+	sc.marks = resize(sc.marks, n)
+	clear(sc.marks)
+	return sc.marks
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are whatever s held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // dpPlan is a prepared λ-instance for one component: the fixed-width plan
@@ -64,17 +105,27 @@ func (t *arithTally) add(u arithTally) {
 	t.wholePaths += u.wholePaths
 }
 
+// plansFor returns the plans at λ, building them in the scratch's memo
+// cells unless the memo holds λ already.
 func (o *dpOracle) plansFor(lambda numeric.Rat) []dpPlan {
 	if o.memoOK && o.memoLambda.Equal(lambda) {
 		return o.memoPlans
 	}
-	plans := make([]dpPlan, len(o.comps))
+	sc := o.sc
+	cells := 0
+	for _, c := range o.comps {
+		cells += 4 * len(c.ws)
+	}
+	sc.memo = resize(sc.memo, cells)
+	sc.plans = resize(sc.plans, len(o.comps))
+	buf, plans := sc.memo, sc.plans
 	for i, c := range o.comps {
-		if fp, ok := c.fixedPlanFor(lambda); ok {
+		if fp, ok := c.fixedPlanFor(lambda, buf); ok {
 			plans[i] = dpPlan{fixed: true, fp: fp}
 		} else {
 			plans[i] = dpPlan{bp: c.bigPlanFor(lambda)}
 		}
+		buf = buf[4*len(c.ws):]
 		o.tally.plan(plans[i].fixed)
 	}
 	o.memoOK, o.memoLambda, o.memoPlans = true, lambda, plans
@@ -88,9 +139,9 @@ type dpComponent struct {
 }
 
 // newDPOracle decomposes g into path/cycle components; it fails if any
-// component is neither.
-func newDPOracle(g *graph.Graph) (*dpOracle, error) {
-	o := &dpOracle{}
+// component is neither. The oracle's passes run in sc.
+func newDPOracle(g *graph.Graph, sc *dpScratch) (*dpOracle, error) {
+	o := &dpOracle{sc: sc}
 	for _, comp := range g.Components() {
 		sub, orig := g.InducedSubgraph(comp)
 		var order []int
@@ -152,9 +203,9 @@ func (o *dpOracle) maximal(lambda numeric.Rat) []int {
 		var members []bool
 		switch pl := &plans[ci]; {
 		case pl.fixed && c.cycle:
-			_, members = c.cycleMembershipFixed(&pl.fp)
+			_, members = c.cycleMembershipFixed(&pl.fp, o.sc)
 		case pl.fixed:
-			_, members = c.pathMembershipFixed(&pl.fp)
+			_, members = c.pathMembershipFixed(&pl.fp, o.sc)
 		case c.cycle:
 			_, members = c.cycleMembershipBig(pl.bp)
 		default:
@@ -179,12 +230,13 @@ type costW struct {
 }
 
 // valuePass runs the forward-only (cost, weight) DP over the component on
-// the fixed-width plan (dpfixed.go) whenever the admission bound holds and
-// on the big.Int plan (dpbig.go) otherwise, and counts the plan in tally.
-// The normalized-rational reference both plans are tested against lives in
-// dpref_test.go.
-func (c dpComponent) valuePass(lambda numeric.Rat, tally *arithTally) costW {
-	pl, fixed := c.fixedPlanFor(lambda)
+// the fixed-width plan (dpfixed.go), built in sc's one-off cells, whenever
+// the admission bound holds and on the big.Int plan (dpbig.go) otherwise,
+// and counts the plan in tally. The normalized-rational reference both
+// plans are tested against lives in dpref_test.go.
+func (c dpComponent) valuePass(lambda numeric.Rat, sc *dpScratch, tally *arithTally) costW {
+	sc.cells = resize(sc.cells, 4*len(c.ws))
+	pl, fixed := c.fixedPlanFor(lambda, sc.cells)
 	tally.plan(fixed)
 	switch {
 	case fixed && c.cycle:

@@ -9,9 +9,8 @@ import (
 // Arbitrary-precision overflow path for the DP passes.
 //
 // The fixed-width plan (dpfixed.go) admits an instance only while its cells
-// provably fit 128 bits; λ or weights with very large numerators or
-// denominators — rare, but reachable through the optimizer's breakpoint
-// bisection — land here. The fully normalized rational DP would serve them
+// provably fit 128 bits; λ and weights whose scaled integers reach 2^126 —
+// rare, but reachable through the optimizer's breakpoint dust — land here. The fully normalized rational DP would serve them
 // too, but its cost is dominated by gcd normalization on every cell update.
 // This plan removes the gcds instead of the precision: with λ = P/Q and
 // weights w_i = n_i/D (common denominator D, everything big.Int), every DP

@@ -83,7 +83,7 @@ func TestBigPlanMatchesRatReference(t *testing.T) {
 
 		// When the fixed-width plan admits the instance, it must agree with
 		// both.
-		if fp, ok := c.fixedPlanFor(lambda); ok {
+		if fp, ok := freshPlan(c, lambda); ok {
 			var iv costW
 			if cycle {
 				iv = c.cycleValueFixed(&fp)
@@ -104,13 +104,13 @@ func TestBigPlanMatchesRatReference(t *testing.T) {
 func TestDPOraclePlanMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 40; trial++ {
-		o := &dpOracle{comps: []dpComponent{
+		o := &dpOracle{sc: new(dpScratch), comps: []dpComponent{
 			randComponent(rng, false),
 			randComponent(rng, rng.Intn(2) == 0),
 		}}
 		l1, l2 := randLambda(rng), randLambda(rng)
 		fresh := func(lambda numeric.Rat) (numeric.Rat, numeric.Rat, []int) {
-			fo := &dpOracle{comps: o.comps}
+			fo := &dpOracle{comps: o.comps, sc: new(dpScratch)}
 			v, w := fo.value(lambda)
 			return v, w, fo.maximal(lambda)
 		}

@@ -1,6 +1,10 @@
 package bottleneck
 
-import "repro/internal/numeric"
+import (
+	"math/big"
+
+	"repro/internal/numeric"
+)
 
 // Fixed-width exact path for the DP passes.
 //
@@ -13,74 +17,139 @@ import "repro/internal/numeric"
 // Every DP value — prefix, suffix and glue sum alike — adds at most one
 // selection term and one charge term per vertex, so its magnitude is at most
 // (|p|+q)·Σ|n_i|, and a weight sum at most Σ|n_i|. fixedPlanFor admits an
-// instance only when that bound is below 2^numeric.FixedBits = 2^126: every
-// cell then fits a numeric.Int128 with a bit to spare, cell adds need no
-// overflow checks, and a pass allocates nothing beyond its plan and its
-// sweep arrays. Only the final value is converted back to a canonical Rat.
-// Instances past the bound run on the big.Int plan (dpbig.go). The
-// normalized-Rat passes that both must reproduce bit for bit — pathValue,
-// pathMembership and their cycle forms, which the comments below name — are
-// test code in dpref_test.go; no production path runs DP cells on Rat.
+// instance exactly when that bound and the cost denominator q·D are both
+// below 2^numeric.FixedBits = 2^126, the max-flow's one-bound rule
+// (maxflow.fixedCells): every cell then fits a numeric.Int128 with a bit to
+// spare, cell adds need no overflow checks, and a pass allocates nothing
+// beyond its plan and its sweep arrays, which live in a dpScratch. The
+// integers are scaled on int64 parts when λ, every weight and D fit int64,
+// and in math/big otherwise; they are the integers bigPlanFor forms. Only
+// the final value is converted back to a canonical Rat. Instances past the
+// bound run on the big.Int plan (dpbig.go). The normalized-Rat passes that
+// both must reproduce bit for bit — pathValue, pathMembership and their
+// cycle forms, which the comments below name — are test code in
+// dpref_test.go; no production path runs DP cells on Rat.
 
-// fixedPlan is the prepared fixed-width instance for one λ = p/q.
+// fixedPlan is the prepared fixed-width instance for one λ = p/q. Its
+// slices point into the buffer fixedPlanFor was given.
 type fixedPlan struct {
 	sel       []numeric.Int128 // −p·n_i, units 1/(q·D)
 	charge    []numeric.Int128 // q·n_i
 	chargeSel []numeric.Int128 // charge_i + sel_{i+1}, the combined transition delta
 	wInt      []numeric.Int128 // n_i, units 1/D
-	q, d      int64
-	bound     numeric.Int128 // (|p|+q)·Σ|n_i|: no value of any pass exceeds it
+	qd, d     numeric.Int128   // q·D and D, the cost and weight denominators
+	bound     numeric.Int128   // (|p|+q)·Σ|n_i|: no value of any pass exceeds it
+	wide      bool             // scaled in math/big: λ, a weight or D is off int64
 }
 
-// fixedPlanFor prepares the fixed-width representation, or ok=false when
-// λ or a weight is off int64, when D overflows int64, or when the bound
-// (|p|+q)·Σ|n_i| reaches 2^numeric.FixedBits.
-func (c dpComponent) fixedPlanFor(lambda numeric.Rat) (fixedPlan, bool) {
-	p, q, ok := lambda.Int64Parts()
-	if !ok {
-		return fixedPlan{}, false
-	}
-	d := int64(1)
-	for _, w := range c.ws {
-		_, wd, fits := w.Int64Parts()
-		if !fits {
-			return fixedPlan{}, false
-		}
-		if d, fits = numeric.LcmInt64(d, wd); !fits {
-			return fixedPlan{}, false
-		}
-	}
+// fixedPlanFor prepares the fixed-width plan in buf, which holds at least
+// four cells per vertex, or returns ok=false when (|p|+q)·Σ|n_i| or q·D
+// reaches 2^numeric.FixedBits. It writes every cell a pass may read, so buf
+// may hold anything on entry.
+func (c dpComponent) fixedPlanFor(lambda numeric.Rat, buf []numeric.Int128) (fixedPlan, bool) {
 	m := len(c.ws)
-	buf := make([]numeric.Int128, 4*m)
 	pl := fixedPlan{
 		sel:       buf[:m:m],
 		charge:    buf[m : 2*m : 2*m],
 		chargeSel: buf[2*m : 3*m : 3*m],
-		wInt:      buf[3*m:],
-		q:         q,
-		d:         d,
+		wInt:      buf[3*m : 4*m : 4*m],
+	}
+	p, q, narrow, ok := pl.scaleInt64(c.ws, lambda)
+	if !narrow {
+		p, q, ok = pl.scaleBig(c.ws, lambda)
+		pl.wide = true
+	}
+	if !ok {
+		return fixedPlan{}, false
+	}
+	// Every product is at most the bound, below 2^126: the wrapped
+	// products are exact.
+	for i, n := range pl.wInt {
+		pl.sel[i] = n.Mul128(p).Neg()
+		pl.charge[i] = n.Mul128(q)
+	}
+	for i := 0; i+1 < m; i++ {
+		pl.chargeSel[i] = pl.charge[i].Add(pl.sel[i+1])
+	}
+	pl.chargeSel[m-1] = numeric.Int128{} // no pass reads it; no stale cell either
+	return pl, true
+}
+
+// scaleInt64 scales λ and the weights on their int64 parts: it sets n_i,
+// D, q·D and the bound and returns p and q. narrow=false when λ, a weight or
+// D is off int64 (scaleBig decides then); ok=false when the bound reaches
+// 2^numeric.FixedBits. q·D < 2^126 holds by itself here.
+func (pl *fixedPlan) scaleInt64(ws []numeric.Rat, lambda numeric.Rat) (p, q numeric.Int128, narrow, ok bool) {
+	p64, q64, fits := lambda.Int64Parts()
+	if !fits {
+		return p, q, false, false
+	}
+	d := int64(1)
+	for _, w := range ws {
+		_, wd, fits := w.Int64Parts()
+		if !fits {
+			return p, q, false, false
+		}
+		if d, fits = numeric.LcmInt64(d, wd); !fits {
+			return p, q, false, false
+		}
 	}
 	var sum numeric.Int128
-	for i, w := range c.ws {
+	for i, w := range ws {
 		wn, wd, _ := w.Int64Parts()
 		// |wn|·(D/wd) < 2^126, so the wrapped product is exact.
 		n := numeric.Int128Of(wn).Mul(uint64(d / wd))
 		pl.wInt[i] = n
 		if sum = sum.Add(n.Abs()); sum.IsNeg() {
-			return fixedPlan{}, false // Σ|n_i| ≥ 2^127
+			return p, q, true, false // Σ|n_i| ≥ 2^127
 		}
 	}
-	if pl.bound, ok = sum.MulBelow(numeric.AbsU64(p)+uint64(q), numeric.FixedBits); !ok {
-		return fixedPlan{}, false
+	if pl.bound, ok = sum.MulBelow(numeric.AbsU64(p64)+uint64(q64), numeric.FixedBits); !ok {
+		return p, q, true, false
 	}
-	for i, n := range pl.wInt {
-		pl.sel[i] = n.MulInt(p).Neg()
-		pl.charge[i] = n.Mul(uint64(q))
+	pl.d = numeric.Int128Of(d)
+	pl.qd = numeric.Int128Of(q64).Mul(uint64(d))
+	return numeric.Int128Of(p64), numeric.Int128Of(q64), true, true
+}
+
+// scaleBig is scaleInt64 in math/big, for the instances whose λ, weights
+// or D are off int64. It returns false as soon as D, q·D, an n_i or the
+// bound reaches 2^numeric.FixedBits (an n_i that large puts the bound past
+// it too).
+func (pl *fixedPlan) scaleBig(ws []numeric.Rat, lambda numeric.Rat) (p, q numeric.Int128, ok bool) {
+	var bp, bq, num, den, g, t big.Int
+	d := big.NewInt(1)
+	for _, w := range ws {
+		w.BigParts(&num, &den)
+		g.GCD(nil, nil, d, &den)
+		if d.Mul(d, den.Quo(&den, &g)); d.BitLen() > numeric.FixedBits {
+			return p, q, false
+		}
 	}
-	for i := 0; i+1 < m; i++ {
-		pl.chargeSel[i] = pl.charge[i].Add(pl.sel[i+1])
+	lambda.BigParts(&bp, &bq)
+	if t.Mul(&bq, d); t.BitLen() > numeric.FixedBits {
+		return p, q, false
 	}
-	return pl, true
+	pl.qd, _ = numeric.Int128OfBig(&t)
+	pl.d, _ = numeric.Int128OfBig(d)
+	var sum big.Int
+	for i, w := range ws {
+		w.BigParts(&num, &den)
+		if num.Mul(&num, den.Quo(d, &den)); num.BitLen() > numeric.FixedBits {
+			return p, q, false
+		}
+		pl.wInt[i], _ = numeric.Int128OfBig(&num)
+		sum.Add(&sum, num.Abs(&num))
+	}
+	t.Abs(&bp)
+	if t.Mul(t.Add(&t, &bq), &sum); t.BitLen() > numeric.FixedBits {
+		return p, q, false
+	}
+	pl.bound, _ = numeric.Int128OfBig(&t)
+	// |p|, q < 2^126 unless every n_i is 0, where p's zero fallback serves.
+	p, _ = numeric.Int128OfBig(&bp)
+	q, _ = numeric.Int128OfBig(&bq)
+	return p, q, true
 }
 
 // fixedCell mirrors costW on 128-bit integers.
@@ -153,20 +222,17 @@ func lexLess(c1, w1, c2, w2 numeric.Int128) bool {
 	return w2.Less(w1)
 }
 
-// qd returns q·D, the cost denominator.
-func (pl *fixedPlan) qd() numeric.Int128 { return numeric.Int128Of(pl.q).Mul(uint64(pl.d)) }
-
 // toCostW converts a fixed-width cell back to canonical rationals.
 func (pl *fixedPlan) toCostW(c fixedCell) costW {
 	if !c.ok {
 		panic("bottleneck: infeasible fixed-width DP")
 	}
-	return costW{cost: numeric.FromInt128(c.cost, pl.qd()), wS: numeric.FromInt128(c.wS, numeric.Int128Of(pl.d)), ok: true}
+	return costW{cost: numeric.FromInt128(c.cost, pl.qd), wS: numeric.FromInt128(c.wS, pl.d), ok: true}
 }
 
 // costRat converts a cost in units of 1/(q·D) to a canonical Rat.
 func (pl *fixedPlan) costRat(cost numeric.Int128) numeric.Rat {
-	return numeric.FromInt128(cost, pl.qd())
+	return numeric.FromInt128(cost, pl.qd)
 }
 
 func (c dpComponent) pathValueFixed(pl *fixedPlan) costW {
@@ -317,12 +383,14 @@ func (pl *fixedPlan) glue(fwd, bwd *[2][2]fixedVal, i, bFixed, cFixed int) fixed
 
 // pathMembershipFixed mirrors pathMembership on the fixed-width plan; the
 // minimum is returned in units of 1/(q·D) (see costRat). The suffix sweep is
-// stored and the prefix sweep rolls along the gluing positions.
-func (c dpComponent) pathMembershipFixed(pl *fixedPlan) (numeric.Int128, []bool) {
+// stored in sc and the prefix sweep rolls along the gluing positions. The
+// members slice is sc's, valid until its next pass.
+func (c dpComponent) pathMembershipFixed(pl *fixedPlan, sc *dpScratch) (numeric.Int128, []bool) {
 	m := len(c.order)
-	bwd := make([][2][2]fixedVal, m)
+	sc.sweep = resize(sc.sweep, m)
+	bwd := sc.sweep
 	for b := 0; b < 2; b++ {
-		bwd[m-1][b][0] = fixedVal{ok: true}
+		bwd[m-1][b] = [2]fixedVal{{ok: true}, {}}
 	}
 	for i := m - 2; i >= 0; i-- {
 		pl.backward(&bwd[i+1], &bwd[i], i)
@@ -331,7 +399,8 @@ func (c dpComponent) pathMembershipFixed(pl *fixedPlan) (numeric.Int128, []bool)
 	fwd[0][0] = fixedVal{ok: true}
 	fwd[0][1] = fixedVal{v: pl.sel[0], ok: true}
 	globalMin := pl.glue(&fwd, &bwd[0], 0, -1, -1)
-	members := make([]bool, m)
+	sc.members = resize(sc.members, m)
+	members := sc.members
 	for i := 0; i < m; i++ {
 		if i > 0 {
 			pl.forward(&fwd, i-1)
@@ -344,17 +413,21 @@ func (c dpComponent) pathMembershipFixed(pl *fixedPlan) (numeric.Int128, []bool)
 
 // cycleMembershipFixed mirrors cycleMembership on the fixed-width plan; the
 // minimum is returned in units of 1/(q·D) (see costRat). As in the path
-// pass, the suffix sweep is stored and the prefix sweep rolls.
-func (c dpComponent) cycleMembershipFixed(pl *fixedPlan) (numeric.Int128, []bool) {
+// pass, the suffix sweep is stored in sc and the prefix sweep rolls; the
+// members slice is sc's, valid until its next pass.
+func (c dpComponent) cycleMembershipFixed(pl *fixedPlan, sc *dpScratch) (numeric.Int128, []bool) {
 	m := len(c.order)
 	globalMin := fixedVal{}
-	memberMin := make([]fixedVal, m)
+	sc.memberMin = resize(sc.memberMin, m)
+	memberMin := sc.memberMin
+	clear(memberMin)
 	update := func(i int, v fixedVal) {
 		if v.better(memberMin[i]) {
 			memberMin[i] = v
 		}
 	}
-	bwd := make([][2][2]fixedVal, m)
+	sc.sweep = resize(sc.sweep, m)
+	bwd := sc.sweep
 	for s0 := 0; s0 < 2; s0++ {
 		for s1 := 0; s1 < 2; s1++ {
 			for b := 0; b < 2; b++ {
@@ -401,7 +474,8 @@ func (c dpComponent) cycleMembershipFixed(pl *fixedPlan) (numeric.Int128, []bool
 			update(m-1, pl.glue(&fwd, &bwd[m-2], m-2, -1, 1))
 		}
 	}
-	members := make([]bool, m)
+	sc.members = resize(sc.members, m)
+	members := sc.members
 	for i := range members {
 		members[i] = memberMin[i].ok && memberMin[i].v == globalMin.v
 	}

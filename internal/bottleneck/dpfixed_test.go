@@ -33,6 +33,11 @@ func fuzzInt(sel byte, raw int64) int64 {
 	return raw
 }
 
+// freshPlan builds c's fixed-width plan at λ in a buffer of its own.
+func freshPlan(c dpComponent, lambda numeric.Rat) (fixedPlan, bool) {
+	return c.fixedPlanFor(lambda, make([]numeric.Int128, 4*len(c.ws)))
+}
+
 // fuzzReader hands out biased int64s from fuzz data, 9 bytes each, and 1
 // once the data runs out.
 type fuzzReader struct{ data []byte }
@@ -47,8 +52,18 @@ func (r *fuzzReader) next() int64 {
 }
 
 // rat reads a numerator/denominator pair; nonNeg folds the sign away (graph
-// weights are never negative).
+// weights are never negative). A numerator whose selector byte has its top
+// bit set multiplies the pair by the next one, so parts can pass int64.
 func (r *fuzzReader) rat(nonNeg bool) numeric.Rat {
+	wide := len(r.data) > 0 && r.data[0]&0x80 != 0
+	x := r.pair(nonNeg)
+	if wide {
+		x = x.Mul(r.pair(nonNeg))
+	}
+	return x
+}
+
+func (r *fuzzReader) pair(nonNeg bool) numeric.Rat {
 	n, d := r.next(), r.next()
 	if d == 0 {
 		d = 1
@@ -73,20 +88,40 @@ func (r *fuzzReader) rat(nonNeg bool) numeric.Rat {
 // fuzzInput encodes a component and λ the way the fuzzer decodes them, with
 // every value raw (selector 0).
 func fuzzInput(cycle bool, lambda [2]int64, ws ...[2]int64) []byte {
-	head := byte(len(ws) - 3)
+	out := fuzzHead(cycle, len(ws))
+	for _, pair := range append([][2]int64{lambda}, ws...) {
+		out = appendFuzzInt(out, 0, pair[0])
+		out = appendFuzzInt(out, 0, pair[1])
+	}
+	return out
+}
+
+// wideRat is the value n1/d1 · n2/d2 of fuzzInputWide.
+type wideRat [4]int64
+
+// fuzzInputWide is fuzzInput with every value a product of two pairs, raw,
+// so that λ and the weights may have parts past int64 (x·1/1 keeps x).
+func fuzzInputWide(cycle bool, lambda wideRat, ws ...wideRat) []byte {
+	out := fuzzHead(cycle, len(ws))
+	for _, v := range append([]wideRat{lambda}, ws...) {
+		out = appendFuzzInt(out, 0x80, v[0])
+		for _, x := range v[1:] {
+			out = appendFuzzInt(out, 0, x)
+		}
+	}
+	return out
+}
+
+func fuzzHead(cycle bool, m int) []byte {
+	head := byte(m - 3)
 	if cycle {
 		head |= 0x80
 	}
-	out := []byte{head}
-	put := func(v int64) {
-		out = append(out, 0)
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	for _, pair := range append([][2]int64{lambda}, ws...) {
-		put(pair[0])
-		put(pair[1])
-	}
-	return out
+	return []byte{head}
+}
+
+func appendFuzzInt(out []byte, sel byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(out, sel), uint64(v))
 }
 
 // admissionEdge returns a path whose bound (|p|+q)·Σn_i with λ = (2^62−1)/1
@@ -105,7 +140,9 @@ func admissionEdge(above bool) ([2]int64, [][2]int64) {
 // and the membership pass must match bit for bit. A path is also read as a
 // split path [w1, interior…, w2], and valueFull (the integer combination
 // with the interior transfer, or the whole-path pass) must match the Rat
-// value pass of the whole path.
+// value pass of the whole path. The seeds cover both sides of the 2^126
+// bound on int64 parts, and the band scaled in math/big: λ or weight parts
+// past int64 under the bound, and q·D just below and just past 2^126.
 func FuzzFixedWidthDP(f *testing.F) {
 	for _, above := range []bool{false, true} {
 		lam, ws := admissionEdge(above)
@@ -116,6 +153,16 @@ func FuzzFixedWidthDP(f *testing.F) {
 	f.Add(fuzzInput(true, [2]int64{1<<48 - 3, 1 << 48}, [2]int64{1<<48 + 5, 1 << 48}, [2]int64{9, 1}, [2]int64{1<<31 + 1, 1}))
 	f.Add(fuzzInput(false, [2]int64{math.MaxInt64, math.MaxInt64 - 1}, [2]int64{math.MaxInt64, 3}, [2]int64{1, 1 << 48}, [2]int64{1 << 62, 1}))
 	f.Add(fuzzInput(false, [2]int64{-5, 3}, [2]int64{0, 1}, [2]int64{1<<31 - 1, 1<<31 + 1}, [2]int64{4, 1}))
+	wideLambda := wideRat{1<<62 + 1, 1<<62 + 3, 1<<40 + 1, 1<<40 + 7}
+	smallWs := []wideRat{{3, 1, 1, 1}, {5, 2, 1, 1}, {7, 1, 1, 1}, {2, 1, 1, 1}}
+	wideWs := []wideRat{{1<<62 + 1, 1, 3, 1}, {5, 1, 1, 1}, {1<<62 + 5, 1, 2, 1}}
+	for _, cycle := range []bool{false, true} {
+		f.Add(fuzzInputWide(cycle, wideLambda, smallWs...))
+		f.Add(fuzzInputWide(cycle, wideRat{2, 7, 1, 1}, wideWs...))
+		for _, q := range []int64{4, 5} { // q·D just below, then past 2^126
+			f.Add(fuzzInput(cycle, [2]int64{1, q}, [2]int64{1, 1<<62 - 57}, [2]int64{1, 1<<62 - 87}, [2]int64{2, 1<<62 - 57}))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -154,17 +201,17 @@ func checkPlansAgainstRat(t *testing.T, c dpComponent, lambda numeric.Rat) {
 	var gotVal costW
 	var gotMin numeric.Rat
 	var gotMem []bool
-	fp, fixed := c.fixedPlanFor(lambda)
+	fp, fixed := freshPlan(c, lambda)
 	switch {
 	case fixed && c.cycle:
 		gotVal = c.cycleValueFixed(&fp)
 		var v numeric.Int128
-		v, gotMem = c.cycleMembershipFixed(&fp)
+		v, gotMem = c.cycleMembershipFixed(&fp, new(dpScratch))
 		gotMin = fp.costRat(v)
 	case fixed:
 		gotVal = c.pathValueFixed(&fp)
 		var v numeric.Int128
-		v, gotMem = c.pathMembershipFixed(&fp)
+		v, gotMem = c.pathMembershipFixed(&fp, new(dpScratch))
 		gotMin = fp.costRat(v)
 	case c.cycle:
 		bp := c.bigPlanFor(lambda)
@@ -203,11 +250,11 @@ func checkValueFullAgainstRat(t *testing.T, ws []numeric.Rat, lambda numeric.Rat
 	if !s.ok {
 		return false, false
 	}
-	tr := s.buildTransfer(lambda)
+	tr := s.buildTransfer(lambda, new(dpScratch))
 	full := dpComponent{order: iota0(m), ws: ws}
 	want := full.pathValue(full.selCosts(lambda))
 	var tally arithTally
-	val, wS := s.valueFull(tr, lambda, ws[0], ws[m-1], &tally)
+	val, wS := s.valueFull(tr, lambda, ws[0], ws[m-1], new(dpScratch), &tally)
 	fixedTransfer, whole = tr != nil, tally.wholePaths == 1
 	if !val.Equal(want.cost) || !wS.Equal(want.wS) {
 		t.Fatalf("λ=%v w=%v: valueFull (whole path=%v, fixed transfer=%v) = (%v, %v), Rat pass (%v, %v)",
@@ -235,7 +282,7 @@ func TestFixedPlanAdmissionBound(t *testing.T) {
 		}
 		for _, cycle := range []bool{false, true} {
 			c := dpComponent{order: iota0(len(ws)), ws: ws, cycle: cycle}
-			pl, ok := c.fixedPlanFor(lambda)
+			pl, ok := freshPlan(c, lambda)
 			if ok == above {
 				t.Fatalf("above=%v cycle=%v: admitted=%v", above, cycle, ok)
 			}

@@ -338,7 +338,7 @@ func TestPathsAndCyclesMatchesDPOracle(t *testing.T) {
 			}
 			g.MustSetWeight(u, numeric.FromInt(1+rng.Int63n(5)))
 		}
-		_, err := newDPOracle(g)
+		_, err := newDPOracle(g, new(dpScratch))
 		if ok := pathsAndCycles(g); ok != (err == nil) {
 			t.Fatalf("trial %d: pathsAndCycles %v, newDPOracle error %v on %v", trial, ok, err, g.Edges())
 		}

@@ -42,7 +42,9 @@ import (
 //
 // Every stage runs on the package's one Dinkelbach loop (dinkelbachLoop),
 // and every DP pass on the one overflow rule: the fixed-width plan when its
-// bound admits the instance, the big.Int plan otherwise.
+// bound admits the instance, the big.Int plan otherwise. Each evaluation
+// runs its passes in one dpScratch from a pool, so plans, sweeps and the
+// per-stage slices reuse their memory from λ to λ.
 //
 // Exactness is preserved throughout: every cached object is an exact
 // rational computation that the stock engine would repeat verbatim, so
@@ -54,6 +56,7 @@ import (
 type SplitSolver struct {
 	interior []numeric.Rat // fixed interior weights, path positions 1..n-2
 	n        int           // full path length (≥ 3 for the incremental path)
+	order    []int         // the full path's positions 0..n-1, read-only
 	ok       bool          // incremental machinery usable (positive interior)
 
 	interiorComp dpComponent // interior-only component for integer planning
@@ -86,9 +89,9 @@ type SplitSolverStats struct {
 	// transfers, later-stage components, full-path memberships and
 	// whole-path value passes) on the fixed-width path and on the big.Int
 	// overflow path. WholePathPasses counts first-stage values that could
-	// not combine a cached transfer in integers — the interior is past the
-	// fixed-width bound at λ, or the endpoint sums are — and ran the value
-	// pass over the whole path instead. Residual tails run on the stock
+	// not combine a cached transfer in integers — the interior has no plan
+	// on int64 parts at λ, or the endpoint sums are past their checks — and
+	// ran the value pass over the whole path instead. Residual tails run on the stock
 	// engine and are not counted.
 	FixedPlans, BigPlans, WholePathPasses int
 }
@@ -113,10 +116,11 @@ type warmHint struct {
 //
 // The cells are fixed-width integers in units of 1/(q·d) (cost) and 1/d
 // (weight). A transfer exists only for a λ at which the interior admits the
-// fixed-width plan; at any other λ the first stage runs the whole path.
+// fixed-width plan on int64 parts; at any other λ the first stage runs the
+// whole path.
 type interiorTransfer struct {
 	cells      [4][2][2]fixedCell
-	q, d       int64
+	d          int64
 	bound      numeric.Int128 // the plan's bound: no interior value exceeds it
 	lastCharge numeric.Int128 // q·n_{n-2}, the charge of the last interior position
 }
@@ -130,6 +134,7 @@ func NewSplitSolver(interior []numeric.Rat) *SplitSolver {
 	s := &SplitSolver{
 		interior:  append([]numeric.Rat(nil), interior...),
 		n:         len(interior) + 2,
+		order:     iota0(len(interior) + 2),
 		ok:        len(interior) >= 1,
 		transfers: make(map[string]*interiorTransfer),
 		tails:     make(map[string][]Pair),
@@ -186,6 +191,8 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 		return DecomposeCtx(ctx, p, EnginePathDP)
 	}
 
+	sc := scratchPool.Get().(*dpScratch)
+	defer scratchPool.Put(sc)
 	residual := iota0(s.n)
 	var pairs []Pair
 	var tally arithTally
@@ -209,13 +216,13 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 			err   error
 		)
 		if len(residual) == s.n {
-			alpha, B, err = s.stage1(ctx, w1, w2, &tally)
+			alpha, B, err = s.stage1(ctx, w1, w2, sc, &tally)
 			if err != nil {
 				return nil, err
 			}
 			C = p.NeighborhoodSet(B)
 		} else {
-			alpha, B, C, err = s.laterStage(ctx, residual, w1, w2, hasLeft, hasRight, &tally)
+			alpha, B, C, err = s.laterStage(ctx, residual, w1, w2, hasLeft, hasRight, sc, &tally)
 			if err != nil {
 				return nil, err
 			}
@@ -226,14 +233,14 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 				alpha, p.WeightOf(C).Div(wb))
 		}
 		pairs = append(pairs, Pair{B: B, C: C, Alpha: alpha})
-		next := residual[:0]
-		rm := make(map[int]bool, len(B)+len(C))
+		rm := sc.vertexMarks(s.n)
 		for _, v := range B {
 			rm[v] = true
 		}
 		for _, v := range C {
 			rm[v] = true
 		}
+		next := residual[:0]
 		for _, v := range residual {
 			if !rm[v] {
 				next = append(next, v)
@@ -259,16 +266,16 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 // α(V) = 1 (Γ(V) = V on a path with ≥ 2 vertices and positive weights), so
 // a hint counts as a warm start only strictly inside (0, 1). The run's
 // arithmetic is added to tally.
-func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat, tally *arithTally) (numeric.Rat, []int, error) {
+func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat, sc *dpScratch, tally *arithTally) (numeric.Rat, []int, error) {
 	sp := obs.FromContext(ctx)
 	warm, ok := s.nearestHint(fullPathKey, w1.Float64())
 	hinted := ok && warm.Sign() > 0 && warm.Less(numeric.One)
 	if !hinted {
 		warm = numeric.Rat{} // maxBottleneckWarmAt ignores a λ0 of 0
 	}
-	o := &fullPathOracle{s: s, ctx: ctx, w1: w1, w2: w2}
+	o := &fullPathOracle{s: s, ctx: ctx, sc: sc, w1: w1, w2: w2}
 	_, weightOf := s.pathWeights(w1, w2)
-	alpha, B, usedWarm, err := maxBottleneckWarmAt(ctx, s.n, weightOf, numeric.One, o, warm)
+	alpha, B, usedWarm, err := maxBottleneckWarmAt(ctx, s.n, weightOf, func() numeric.Rat { return numeric.One }, o, warm)
 	if err != nil {
 		return numeric.Rat{}, nil, err
 	}
@@ -294,21 +301,23 @@ func (s *SplitSolver) stage1(ctx context.Context, w1, w2 numeric.Rat, tally *ari
 // Dinkelbach loop: value combines the cached interior transfer with the
 // endpoint terms, and maximal runs the membership DP over the whole path,
 // which the loop does only at λ*. Every value call is one iteration,
-// counted on the eval span.
+// counted on the eval span. It keeps no plan between calls: each pass
+// builds its own in sc's one-off cells.
 type fullPathOracle struct {
 	s      *SplitSolver
 	ctx    context.Context
+	sc     *dpScratch
 	w1, w2 numeric.Rat
 	tally  arithTally
 }
 
 func (o *fullPathOracle) value(lambda numeric.Rat) (numeric.Rat, numeric.Rat) {
 	obs.FromContext(o.ctx).AddInt("iters", 1)
-	return o.s.valueFull(o.s.transferFor(o.ctx, lambda, &o.tally), lambda, o.w1, o.w2, &o.tally)
+	return o.s.valueFull(o.s.transferFor(o.ctx, lambda, o.sc, &o.tally), lambda, o.w1, o.w2, o.sc, &o.tally)
 }
 
 func (o *fullPathOracle) maximal(lambda numeric.Rat) []int {
-	return o.s.fullMembers(lambda, o.w1, o.w2, &o.tally)
+	return o.s.fullMembers(lambda, o.w1, o.w2, o.sc, &o.tally)
 }
 
 // laterStage extracts the maximal bottleneck of an endpoint-bearing
@@ -317,12 +326,14 @@ func (o *fullPathOracle) maximal(lambda numeric.Rat) []int {
 // endpoint weight. The residual of a path decomposition is a union of
 // subpaths — the maximal runs of consecutive positions — so the DP
 // components are sliced straight out of the fixed interior instead of
-// materializing an induced subgraph per stage. The run's arithmetic is
-// added to tally.
-func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 numeric.Rat, hasLeft, hasRight bool, tally *arithTally) (numeric.Rat, []int, []int, error) {
+// materializing an induced subgraph per stage; a run holding an endpoint
+// takes its weights in sc. The cold start α(V) is summed only when the
+// cold run happens. The run's arithmetic is added to tally.
+func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 numeric.Rat, hasLeft, hasRight bool, sc *dpScratch, tally *arithTally) (numeric.Rat, []int, []int, error) {
 	wAt, weightOf := s.pathWeights(w1, w2)
-	var comps []dpComponent
-	total, gamma := numeric.Zero, numeric.Zero
+	comps := sc.comps[:0]
+	sc.ws = resize(sc.ws, len(residual))
+	free := sc.ws // the endpoint runs' weights, disjoint slices of sc.ws
 	for i := 0; i < len(residual); {
 		j := i + 1
 		for j < len(residual) && residual[j] == residual[j-1]+1 {
@@ -333,23 +344,31 @@ func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 num
 		if run[0] > 0 && run[len(run)-1] < s.n-1 {
 			ws = s.interior[run[0]-1 : run[len(run)-1]]
 		} else {
-			ws = make([]numeric.Rat, len(run))
+			ws, free = free[:len(run):len(run)], free[len(run):]
 			for k, v := range run {
 				ws[k] = wAt(v)
 			}
 		}
 		comps = append(comps, dpComponent{order: run, ws: ws})
-		runW := numeric.Zero
-		for _, w := range ws {
-			runW = runW.Add(w)
-		}
-		total = total.Add(runW)
-		if len(run) > 1 {
-			// Γ(V) of the residual is exactly the non-isolated vertices:
-			// every vertex of a run of length ≥ 2 has a neighbor in it.
-			gamma = gamma.Add(runW)
-		}
 		i = j
+	}
+	sc.comps = comps
+	alphaV := func() numeric.Rat {
+		total, gamma := numeric.Zero, numeric.Zero
+		for _, c := range comps {
+			runW := numeric.Zero
+			for _, w := range c.ws {
+				runW = runW.Add(w)
+			}
+			total = total.Add(runW)
+			if len(c.ws) > 1 {
+				// Γ(V) of the residual is exactly the non-isolated
+				// vertices: every vertex of a run of length ≥ 2 has a
+				// neighbor in it.
+				gamma = gamma.Add(runW)
+			}
+		}
+		return gamma.Div(total)
 	}
 	key := intsKey(residual)
 	locator := w1.Float64()
@@ -357,8 +376,8 @@ func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 num
 		locator = w2.Float64()
 	}
 	warm, _ := s.nearestHint(key, locator)
-	oracle := &dpOracle{comps: comps}
-	alpha, B, usedWarm, err := maxBottleneckWarmAt(ctx, len(residual), weightOf, gamma.Div(total), oracle, warm)
+	oracle := &dpOracle{comps: comps, sc: sc}
+	alpha, B, usedWarm, err := maxBottleneckWarmAt(ctx, len(residual), weightOf, alphaV, oracle, warm)
 	if err != nil {
 		return numeric.Rat{}, nil, nil, err
 	}
@@ -372,18 +391,15 @@ func (s *SplitSolver) laterStage(ctx context.Context, residual []int, w1, w2 num
 	s.recordRun(key, locator, alpha, counter, oracle.tally)
 	tally.add(oracle.tally)
 	// C = Γ(B) within the residual: a residual position whose path neighbor
-	// is in B (components are index runs, so adjacency is v±1 ∈ residual).
-	inRes := make([]bool, s.n)
-	for _, v := range residual {
-		inRes[v] = true
-	}
-	inB := make([]bool, s.n)
+	// is in B (components are index runs and B lies in the residual, so
+	// adjacency is v±1 ∈ B).
+	inB := sc.vertexMarks(s.n)
 	for _, v := range B {
 		inB[v] = true
 	}
 	var C []int
 	for _, v := range residual {
-		if (v > 0 && inRes[v-1] && inB[v-1]) || (v < s.n-1 && inRes[v+1] && inB[v+1]) {
+		if (v > 0 && inB[v-1]) || (v < s.n-1 && inB[v+1]) {
 			C = append(C, v)
 		}
 	}
@@ -457,11 +473,11 @@ func (s *SplitSolver) pathWeights(w1, w2 numeric.Rat) (wAt func(int) numeric.Rat
 
 // transferFor returns the interior transfer at λ, building and caching it
 // on first use, or nil when the interior does not admit the fixed-width
-// plan at λ. The absence is cached too, so later calls at that λ do not
-// plan the interior again. A transfer built here is counted in tally. The
-// context only carries the obs span the hit/miss is charged to — the
-// prefix-DP reuse signal of the trace.
-func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat, tally *arithTally) *interiorTransfer {
+// plan at λ on int64 parts. The absence is cached too, so later calls at
+// that λ do not plan the interior again. A transfer built here is counted
+// in tally. The context only carries the obs span the hit/miss is charged
+// to — the prefix-DP reuse signal of the trace.
+func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat, sc *dpScratch, tally *arithTally) *interiorTransfer {
 	key := lambda.String()
 	s.mu.Lock()
 	t, ok := s.transfers[key]
@@ -473,7 +489,7 @@ func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat, tally
 		obs.FromContext(ctx).AddInt("transfer_hits", 1)
 		return t
 	}
-	t = s.buildTransfer(lambda)
+	t = s.buildTransfer(lambda, sc)
 	s.mu.Lock()
 	if prev, ok := s.transfers[key]; ok {
 		t = prev // another goroutine built the identical transfer first
@@ -490,15 +506,22 @@ func (s *SplitSolver) transferFor(ctx context.Context, lambda numeric.Rat, tally
 }
 
 // buildTransfer runs the interior prefix DP at λ once per left-boundary
-// assignment on the fixed-width plan, or returns nil when the interior does
-// not admit that plan at λ. The cells stay in the plan's integer units.
-func (s *SplitSolver) buildTransfer(lambda numeric.Rat) *interiorTransfer {
-	pl, ok := s.interiorComp.fixedPlanFor(lambda)
-	if !ok {
-		return nil
+// assignment on the fixed-width plan, built in sc, or returns nil when the
+// interior does not admit that plan at λ on int64 parts: combineFixed works
+// in int64 parts, so a plan scaled in math/big builds no transfer. The cells
+// stay in the plan's integer units and are copied out of sc.
+func (s *SplitSolver) buildTransfer(lambda numeric.Rat, sc *dpScratch) *interiorTransfer {
+	if _, _, ok := lambda.Int64Parts(); !ok {
+		return nil // every plan at this λ is scaled in math/big
 	}
 	k := len(s.interior)
-	t := &interiorTransfer{q: pl.q, d: pl.d, bound: pl.bound, lastCharge: pl.charge[k-1]}
+	sc.cells = resize(sc.cells, 4*k)
+	pl, ok := s.interiorComp.fixedPlanFor(lambda, sc.cells)
+	if !ok || pl.wide {
+		return nil
+	}
+	d, _ := pl.d.Int64()
+	t := &interiorTransfer{d: d, bound: pl.bound, lastCharge: pl.charge[k-1]}
 	for st := 0; st < 4; st++ {
 		s0, s1 := st>>1, st&1
 		var dp [2][2]fixedCell
@@ -519,17 +542,17 @@ func (s *SplitSolver) buildTransfer(lambda numeric.Rat) *interiorTransfer {
 // of its maximal-weight minimizer. With a transfer t it combines the cached
 // interior cells with the endpoint terms of (w1, w2) in integers, O(1) in
 // the path length (combineFixed). Without one, or when combineFixed rejects
-// the endpoint sums, it runs valuePass over the whole path, which takes the
-// fixed-width or big.Int plan like every other DP pass; tally counts that
-// pass and its plan.
-func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat, tally *arithTally) (numeric.Rat, numeric.Rat) {
+// the endpoint sums, it runs valuePass over the whole path in sc, which
+// takes the fixed-width or big.Int plan like every other DP pass; tally
+// counts that pass and its plan.
+func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat, sc *dpScratch, tally *arithTally) (numeric.Rat, numeric.Rat) {
 	if t != nil {
 		if val, wS, ok := t.combineFixed(lambda, w1, w2); ok {
 			return val, wS
 		}
 	}
 	tally.wholePaths++
-	cw := s.fullPath(w1, w2).valuePass(lambda, tally)
+	cw := s.fullPath(w1, w2, sc).valuePass(lambda, sc, tally)
 	return cw.cost, cw.wS
 }
 
@@ -623,14 +646,15 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 }
 
 // fullMembers extracts the maximal minimizer of the full path at λ with the
-// stock membership DP (one O(n) forward/backward sweep), so the extracted
-// set is byte-identical to the one dpOracle.maximal would report.
-func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat, tally *arithTally) []int {
-	c := s.fullPath(w1, w2)
+// stock membership DP (one O(n) forward/backward sweep) in sc, so the
+// extracted set is byte-identical to the one dpOracle.maximal would report.
+func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat, sc *dpScratch, tally *arithTally) []int {
+	c := s.fullPath(w1, w2, sc)
 	var members []bool
-	pl, fixed := c.fixedPlanFor(lambda)
+	sc.cells = resize(sc.cells, 4*s.n)
+	pl, fixed := c.fixedPlanFor(lambda, sc.cells)
 	if fixed {
-		_, members = c.pathMembershipFixed(&pl)
+		_, members = c.pathMembershipFixed(&pl, sc)
 	} else {
 		_, members = c.pathMembershipBig(c.bigPlanFor(lambda))
 	}
@@ -644,13 +668,15 @@ func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat, tally *arithTally)
 	return out
 }
 
-// fullPath is the whole path [w1, interior..., w2] as one DP component.
-func (s *SplitSolver) fullPath(w1, w2 numeric.Rat) dpComponent {
-	ws := make([]numeric.Rat, s.n)
+// fullPath is the whole path [w1, interior..., w2] as one DP component,
+// its weights in sc.
+func (s *SplitSolver) fullPath(w1, w2 numeric.Rat, sc *dpScratch) dpComponent {
+	sc.ws = resize(sc.ws, s.n)
+	ws := sc.ws
 	ws[0] = w1
 	copy(ws[1:], s.interior)
 	ws[s.n-1] = w2
-	return dpComponent{order: iota0(s.n), ws: ws}
+	return dpComponent{order: s.order, ws: ws}
 }
 
 // nearestHint returns a warm λ for the locator: the larger of the λ*

@@ -17,10 +17,12 @@ const maxRatLen = 4096
 // then decimal digits, then optionally '/' and a positive decimal
 // denominator. Unlike big.Rat.SetString it accepts no exponents, no decimal
 // points and no whitespace, and it additionally requires the literal to be
-// canonical — re-rendering the parsed value must reproduce the input byte
-// for byte (lowest terms, no leading zeros, no "-0", denominator omitted
-// when 1). Canonicality is what makes certificate identity textual: two
-// certificates describe the same numbers iff their bytes agree.
+// canonical — the literal RatString renders for the parsed value: lowest
+// terms, no leading zeros, no "-0", denominator omitted when 1.
+// Canonicality is what makes certificate identity textual: two
+// certificates describe the same numbers iff their bytes agree. It is
+// decided from the literal and the parsed value, without rendering the
+// value back (rat_test.go keeps that rule as the referee).
 func parseRat(s string) (*big.Rat, error) {
 	if len(s) == 0 {
 		return nil, fmt.Errorf("cert: empty rational literal")
@@ -28,19 +30,28 @@ func parseRat(s string) (*big.Rat, error) {
 	if len(s) > maxRatLen {
 		return nil, fmt.Errorf("cert: rational literal of %d bytes exceeds limit %d", len(s), maxRatLen)
 	}
-	num, den := s, "1"
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		num, den = s[:i], s[i+1:]
+	num, den := s, ""
+	slash := strings.IndexByte(s, '/')
+	if slash >= 0 {
+		num, den = s[:slash], s[slash+1:]
 	}
-	if !validInt(num, true) || !validInt(den, false) || strings.Trim(den, "0") == "" {
+	if !validInt(num, true) || slash >= 0 && (!validInt(den, false) || strings.Trim(den, "0") == "") {
 		return nil, fmt.Errorf("cert: malformed rational literal %q", s)
 	}
 	// Both halves, checked above, are read in base 10: big.Rat's SetString
 	// would read a fraction's leading-zero half as octal.
 	n, _ := new(big.Int).SetString(num, 10)
-	d, _ := new(big.Int).SetString(den, 10)
-	r := new(big.Rat).SetFrac(n, d)
-	if r.RatString() != s {
+	r := new(big.Rat).SetInt(n)
+	digits := strings.TrimPrefix(num, "-")
+	canonical := digits[0] != '0' || num == "0" // no leading zero, no "-0"
+	if slash >= 0 {
+		d, _ := new(big.Int).SetString(den, 10)
+		r.SetFrac(n, d)
+		// In lowest terms the denominator survives normalization; it is
+		// written only when above 1, and without a leading zero.
+		canonical = canonical && den[0] != '0' && r.Denom().Cmp(d) == 0 && !r.IsInt()
+	}
+	if !canonical {
 		return nil, fmt.Errorf("cert: non-canonical rational literal %q (canonical form %q)", s, r.RatString())
 	}
 	return r, nil
@@ -48,8 +59,8 @@ func parseRat(s string) (*big.Rat, error) {
 
 // validInt reports whether s is a plain decimal integer (optionally signed
 // when neg is true). It intentionally over-accepts non-canonical forms like
-// leading zeros — the canonical re-render check in parseRat rejects those —
-// and exists only to keep signs, exponents and decimals away from big.Int.
+// leading zeros — parseRat's canonicality test rejects those — and exists
+// only to keep signs, exponents and decimals away from big.Int.
 func validInt(s string, neg bool) bool {
 	if neg && strings.HasPrefix(s, "-") {
 		s = s[1:]

@@ -199,6 +199,9 @@ func (s *Scheduler) Cancel(ctx context.Context, id string) (*Record, error) {
 	if rec.State.Terminal() {
 		return rec, ErrTerminal
 	}
+	// A queued job's cancellation is counted before anyone can read it,
+	// as in finish.
+	s.mu.Lock()
 	rec, err := s.store.Update(ctx, id, func(r *Record) error {
 		if r.State.Terminal() {
 			return ErrTerminal
@@ -210,15 +213,14 @@ func (s *Scheduler) Cancel(ctx context.Context, id string) (*Record, error) {
 		}
 		return nil
 	})
+	if err == nil && rec.State == StateCanceled {
+		s.observeTerminalLocked(rec)
+	}
+	cancel := s.running[id]
+	s.mu.Unlock()
 	if err != nil {
 		return rec, err
 	}
-	if rec.State == StateCanceled {
-		s.observeTerminal(rec)
-	}
-	s.mu.Lock()
-	cancel := s.running[id]
-	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
@@ -354,18 +356,26 @@ func (s *Scheduler) work(id string) {
 	}
 }
 
-// finish applies a terminal transition and records its metrics.
+// finish applies a terminal transition and records its metrics. The store
+// update and the count happen under s.mu, so a Stats call that follows any
+// read of the terminal record finds the job counted and no longer running,
+// and a failed update counts nothing.
 func (s *Scheduler) finish(id string, set func(*Record)) {
+	s.mu.Lock()
 	rec, err := s.store.Update(s.base, id, func(r *Record) error {
 		set(r)
 		r.FinishedUnixNano = time.Now().UnixNano()
 		return nil
 	})
+	if err == nil {
+		delete(s.running, id)
+		s.observeTerminalLocked(rec)
+	}
+	s.mu.Unlock()
 	if err != nil {
 		s.log.Error("job finish failed", "job", id, "err", err)
 		return
 	}
-	s.observeTerminal(rec)
 	s.log.Info("job finished", "job", id, "state", string(rec.State), "age", rec.Age(time.Now()))
 }
 
@@ -379,14 +389,11 @@ func (s *Scheduler) countTransition(to State) {
 // ageBuckets are the job age histogram bounds, in seconds.
 var ageBuckets = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600, 3600}
 
-// observeTerminal folds a finished job into the transition counters and the
-// queued-to-finished age histogram.
-func (s *Scheduler) observeTerminal(rec *Record) {
-	age := rec.Age(time.Now()).Seconds()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// observeTerminalLocked folds a finished job into the transition counters
+// and the queued-to-finished age histogram; the caller holds s.mu.
+func (s *Scheduler) observeTerminalLocked(rec *Record) {
 	s.transitions[rec.State]++
-	s.age.Observe(age)
+	s.age.Observe(rec.Age(time.Now()).Seconds())
 }
 
 // SchedulerStats is a point-in-time snapshot of scheduler counters.

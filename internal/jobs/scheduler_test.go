@@ -327,3 +327,75 @@ func TestSchedulerManyJobs(t *testing.T) {
 		t.Fatalf("done transitions %d, want 40", got)
 	}
 }
+
+// TestSchedulerCountsTerminalBeforeReaders reads each job's terminal record
+// as soon as the store publishes it and requires the scheduler's counters
+// taken right after to hold it already: the job counted once as done, in
+// the age histogram and off the running set.
+func TestSchedulerCountsTerminalBeforeReaders(t *testing.T) {
+	st := openStore(t, t.TempDir(), StoreConfig{})
+	run := func(ctx context.Context, rec *Record, ckpt CheckpointFunc) ([]byte, error) {
+		return []byte(`1`), nil
+	}
+	s := newSched(t, st, 2, run)
+	s.Start()
+	for i := 1; i <= 40; i++ {
+		rec, _, err := s.Submit(context.Background(), Submission{Key: fmt.Sprint("k", i), Kind: "sweep", Spec: []byte(`1`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			if got, _ := st.Get(rec.ID); got.State == StateDone {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never finished", i)
+			}
+		}
+		stats := s.Stats()
+		if stats.Transitions[StateDone] != int64(i) || stats.Age.Count != int64(i) || stats.Running != 0 {
+			t.Fatalf("job %d read as done, yet the scheduler counts %d done, %d aged, %d running",
+				i, stats.Transitions[StateDone], stats.Age.Count, stats.Running)
+		}
+	}
+}
+
+// TestSchedulerFailedFinishCountsNothing fails the store update of a job's
+// terminal transition (the second WAL append through the scheduler's base
+// context, after the start transition) and requires the scheduler to count
+// no terminal state for it.
+func TestSchedulerFailedFinishCountsNothing(t *testing.T) {
+	st := openStore(t, t.TempDir(), StoreConfig{})
+	inj, err := fault.New(1, fault.Rule{Site: fault.SiteJobsWAL, Kind: fault.KindError, Every: 2, Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan struct{})
+	run := func(ctx context.Context, rec *Record, ckpt CheckpointFunc) ([]byte, error) {
+		defer close(ran)
+		return []byte(`1`), nil
+	}
+	s, err := NewScheduler(SchedulerConfig{Store: st, Pool: par.NewLimiter(1), Run: run, Base: fault.ContextWith(context.Background(), inj)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	rec, _, err := s.Submit(context.Background(), Submission{Key: "k", Kind: "sweep", Spec: []byte(`1`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ran
+	s.Close() // waits for the worker's finish attempt
+	if got, _ := st.Get(rec.ID); got.State != StateRunning {
+		t.Fatalf("job state %s after a failed finish, want it still running in the store", got.State)
+	}
+	stats := s.Stats()
+	for state, n := range stats.Transitions {
+		if state.Terminal() && n != 0 {
+			t.Fatalf("failed finish counted %d %s transitions: %+v", n, state, stats.Transitions)
+		}
+	}
+	if stats.Age.Count != 0 || stats.Running != 0 {
+		t.Fatalf("failed finish: %d aged, %d running", stats.Age.Count, stats.Running)
+	}
+}

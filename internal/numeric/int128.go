@@ -83,6 +83,13 @@ func (a Int128) MulInt(b int64) Int128 {
 	return a.Mul(uint64(b))
 }
 
+// Mul128 returns a·b modulo 2^128 for a signed 128-bit factor: the exact
+// product whenever it fits.
+func (a Int128) Mul128(b Int128) Int128 {
+	hi, lo := bits.Mul64(a.lo, b.lo)
+	return Int128{hi: hi + a.hi*b.lo + a.lo*b.hi, lo: lo}
+}
+
 // Abs returns |a|; a must not be −2^127.
 func (a Int128) Abs() Int128 {
 	if a.IsNeg() {

@@ -31,6 +31,14 @@ func TestI128Arithmetic(t *testing.T) {
 			if got, w := prod.BigInt(), new(big.Int).Mul(big.NewInt(x), big.NewInt(y)); got.Cmp(w) != 0 {
 				t.Fatalf("%d·%d = %v, want %v", x, y, got, w)
 			}
+			if got, w := Int128Of(x).Mul128(Int128Of(y)).BigInt(), new(big.Int).Mul(big.NewInt(x), big.NewInt(y)); got.Cmp(w) != 0 {
+				t.Fatalf("%d·%d = %v (Mul128), want %v", x, y, got, w)
+			}
+			// a·b with |a| < 2^104 and |b| < 2^23 fits, whatever the signs.
+			b := Int128Of(y >> 41)
+			if got, w := a.Mul128(b).BigInt(), new(big.Int).Mul(want, big.NewInt(y>>41)); got.Cmp(w) != 0 {
+				t.Fatalf("%v·%d = %v (Mul128), want %v", want, y>>41, got, w)
+			}
 			if got, w := Int128Of(x).Less(Int128Of(y)), x < y; got != w {
 				t.Fatalf("%d < %d = %v", x, y, got)
 			}

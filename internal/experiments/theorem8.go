@@ -49,7 +49,8 @@ func E5Theorem8UpperBound(s Scale) (*Table, error) {
 				hitRate(st.CacheHits, st.CacheMisses), hitRate(int64(st.Solver.Stage1Warm+st.Solver.LaterWarm), int64(st.Solver.Stage1Cold+st.Solver.LaterCold)), true)
 		}
 	}
-	t.Note("Theorem 8 upper bound verified with exact rational comparisons; cache hit = eval-cache, warm dink = warm-started Dinkelbach runs")
+	t.Note("Theorem 8 upper bound verified with exact rational comparisons; cache hit = eval-cache, warm dink = warm-started Dinkelbach runs; " +
+		"both are work counts that depend on the order the parallel grid evaluates splits, so they vary run to run (not results)")
 	return t, nil
 }
 

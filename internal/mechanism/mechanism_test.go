@@ -249,19 +249,18 @@ func TestPRApproachesBDOnUniformRing(t *testing.T) {
 
 func TestLatticeFloor(t *testing.T) {
 	wv := numeric.FromInt(3)
-	got := latticeFloor(numeric.New(1, 7), wv, 4) // 1/7 of 3 → ⌊16/21⌋·3/16 = 0
+	// One lattice step is wv/steps.
+	const steps = 1 << prPrec
+	got := latticeFloor(numeric.New(18, 7*steps), wv) // 6/7 of one step → ⌊6/7⌋ = 0
 	if !got.IsZero() {
-		t.Fatalf("latticeFloor(1/7) = %v, want 0", got)
+		t.Fatalf("latticeFloor(6/7 step) = %v, want 0", got)
 	}
-	got = latticeFloor(numeric.New(3, 2), wv, 4) // (3/2)/3·16 = 8 → 8·3/16 = 3/2
-	if !got.Equal(numeric.New(3, 2)) {
-		t.Fatalf("latticeFloor(3/2) = %v, want 3/2", got)
+	point := numeric.New(5*3, steps) // the lattice point 5·wv/2^prPrec
+	if got = latticeFloor(point, wv); !got.Equal(point) {
+		t.Fatalf("latticeFloor(%v) = %v, want it kept", point, got)
 	}
-	if !latticeFloor(numeric.FromInt(-1), wv, 4).IsZero() {
+	if !latticeFloor(numeric.FromInt(-1), wv).IsZero() {
 		t.Fatal("negative input must floor to zero")
-	}
-	if !pow2(70).Equal(pow2(35).Mul(pow2(35))) {
-		t.Fatal("big pow2 inconsistent")
 	}
 }
 

@@ -36,6 +36,9 @@ const (
 	prTolInv = 1 << 20 // relative termination tolerance 1/2^20
 )
 
+// prScale is 2^prPrec, the lattice's steps per unit of w_v.
+var prScale = numeric.FromInt(1 << prPrec)
+
 // Name implements Mechanism.
 func (PR) Name() string { return "pr" }
 
@@ -113,7 +116,7 @@ func (PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation,
 					break
 				}
 				raw := x[nb[j]][reverse[v][j]].Mul(wv).Div(recv)
-				q := latticeFloor(raw, wv, prPrec)
+				q := latticeFloor(raw, wv)
 				next[v][j] = q
 				rest = rest.Sub(q)
 			}
@@ -143,24 +146,16 @@ func (PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation,
 	return a, nil
 }
 
-// latticeFloor rounds raw ∈ [0, wv] down to the lattice {k·wv/2^prec}:
-// floor(raw·2^prec/wv)·wv/2^prec, exactly.
-func latticeFloor(raw, wv numeric.Rat, prec uint) numeric.Rat {
+// latticeFloor rounds raw ∈ [0, wv] down to the lattice {k·wv/2^prPrec}:
+// floor(raw·2^prPrec/wv)·wv/2^prPrec, exactly.
+func latticeFloor(raw, wv numeric.Rat) numeric.Rat {
 	if raw.Sign() <= 0 {
 		return numeric.Zero
 	}
-	// t = raw/wv·2^prec ≥ 0; k = ⌊t⌋ via big integer division.
-	t := raw.Div(wv).Mul(pow2(prec))
+	// t = raw/wv·2^prPrec ≥ 0; k = ⌊t⌋ via big integer division.
+	t := raw.Div(wv).Mul(prScale)
 	k := new(big.Int).Quo(t.Num(), t.Denom())
-	return numeric.FromBig(new(big.Rat).SetInt(k)).Mul(wv).Div(pow2(prec))
-}
-
-// pow2 returns 2^prec as a Rat.
-func pow2(prec uint) numeric.Rat {
-	if prec < 63 {
-		return numeric.FromInt(1 << prec)
-	}
-	return numeric.FromBig(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), prec)))
+	return numeric.FromBig(new(big.Rat).SetInt(k)).Mul(wv).Div(prScale)
 }
 
 // indexOf returns the position of v in nb (nb always contains v here).

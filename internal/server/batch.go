@@ -105,8 +105,9 @@ func (b *batcher) run(key string, call *batchCall, runCtx context.Context, compu
 	b.mu.Lock()
 	call.val, call.err = val, err
 	close(call.done)
-	// The batch is complete; later arrivals for the same key start fresh
-	// (their answer comes from the instance cache in O(lookup) anyway).
+	// The batch is complete. A later arrival for the same key reads its
+	// answer from the cache entry's ratio memo; it opens a new batch only
+	// when this one failed or the entry has been evicted.
 	if b.calls[key] == call {
 		delete(b.calls, key)
 	}

@@ -16,8 +16,9 @@ import (
 
 // instanceCache is the size-bounded LRU keyed by CanonicalKey. An entry
 // carries everything the service ever derives from one graph: the
-// decomposition per engine, the BD allocation, and one core.Instance per
-// manipulative agent — so repeated requests reuse not just answers but the
+// decomposition per engine, the BD allocation, one core.Instance per
+// manipulative agent, and each finished /v1/ratio answer per (agent, grid)
+// — so a repeated ratio is a lookup, and other requests reuse the
 // accumulated SplitSolver state (interior transfers, warm hints, residual
 // tails) and the per-instance (w1, w2) evaluation cache.
 //
@@ -45,7 +46,12 @@ type cacheEntry struct {
 	decs      map[bottleneck.Engine]*bottleneck.Decomposition
 	alloc     *allocation.Allocation
 	instances map[int]*core.Instance
+	ratios    map[ratioKey]ratioBatchResult
 }
+
+// ratioKey names one /v1/ratio answer of an entry: agent and grid as the
+// request spelled them. The entry key already scopes the mechanism.
+type ratioKey struct{ v, grid int }
 
 func newInstanceCache(capacity int) *instanceCache {
 	return &instanceCache{
@@ -183,4 +189,28 @@ func (e *cacheEntry) instance(ctx context.Context, v int) (*core.Instance, error
 	}
 	e.instances[v] = in
 	return in, nil
+}
+
+// ratio returns the memoized /v1/ratio answer for k, if a run finished one.
+func (e *cacheEntry) ratio(k ratioKey) (ratioBatchResult, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rb, ok := e.ratios[k]
+	return rb, ok
+}
+
+// storeRatio memoizes a finished /v1/ratio answer for k; the first stored
+// answer wins. Every mechanism's ratio is exact and deterministic, so a
+// later run could only store the same bytes. The memo lives and dies with
+// the entry: LRU eviction drops it, and a pass-through entry of a
+// zero-capacity cache is never looked up again.
+func (e *cacheEntry) storeRatio(k ratioKey, rb ratioBatchResult) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ratios == nil {
+		e.ratios = make(map[ratioKey]ratioBatchResult)
+	}
+	if _, ok := e.ratios[k]; !ok {
+		e.ratios[k] = rb
+	}
 }

@@ -373,67 +373,52 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// Micro-batch: concurrent ratio requests for the same (instance, agent,
-	// grid) share one run over the entry's shared solver state. The
-	// computation runs detached from any single request (computeBase), so
+	// A finished answer is memoized on the entry, so a repeated ratio is a
+	// lookup. Otherwise micro-batch: concurrent ratio requests for the same
+	// (instance, agent, grid) share one run over the entry's shared solver
+	// state. The run is detached from any single request (computeBase), so
 	// its solver spans cannot hang off a request's trace; instead an exact
-	// batch opens its own collector trace and every participant's compute
-	// span records that trace's id plus whether it joined or opened the run.
-	_, exact := m.(mechanism.RingOptimizer)
+	// run opens its own collector trace, and every request's compute span
+	// records that trace's id plus whether it hit the memo, joined the run
+	// or opened it.
 	cctx, csp := obs.Start(ctx, "server.compute")
-	key := fmt.Sprintf("%s|v=%d|grid=%d", entry.key, req.V, req.Grid)
-	val, joined, err := s.batch.do(cctx, key, s.computeBase, func(runCtx context.Context) (any, error) {
-		if err := fault.Hit(runCtx, fault.SiteServerBatch); err != nil {
-			return nil, err
-		}
-		if !exact {
-			// No exact optimizer: the empirical best over the sweep grid
-			// (default 64), computed by the same run as /v1/sweep.
-			res, err := s.runSweep(runCtx, entry, m, req.V, req.Grid, 0, nil, nil)
+	k := ratioKey{req.V, req.Grid}
+	rb, hit := entry.ratio(k)
+	var (
+		joined bool
+		err    error
+	)
+	if hit {
+		s.metrics.ratioMemoHits.Add(1)
+	} else {
+		var val any
+		key := fmt.Sprintf("%s|v=%d|grid=%d", entry.key, req.V, req.Grid)
+		val, joined, err = s.batch.do(cctx, key, s.computeBase, func(runCtx context.Context) (any, error) {
+			if err := fault.Hit(runCtx, fault.SiteServerBatch); err != nil {
+				return nil, err
+			}
+			run, err := s.ratioRun(runCtx, entry, m, req.V, req.Grid)
 			if err != nil {
 				return nil, err
 			}
-			if res.Partial {
-				// The batch deadline cut the sweep short; a grid ratio has no
-				// resume protocol (that's /v1/sweep), so report the timeout.
-				return nil, context.DeadlineExceeded
-			}
-			return ratioBatchResult{resp: RatioResponse{
-				Honest: EncodeRat(res.Honest), BestW1: EncodeRat(res.BestW1), BestU: EncodeRat(res.BestU),
-				Ratio: EncodeRat(res.Ratio), LeqTwo: res.Ratio.LessEq(numeric.Two), Evals: len(res.Points),
-			}}, nil
+			entry.storeRatio(k, run)
+			return run, nil
+		})
+		if err == nil {
+			rb = val.(ratioBatchResult)
 		}
-		var rb ratioBatchResult
-		if s.collector != nil {
-			tr := s.collector.NewTrace("/v1/ratio#compute")
-			rb.trace = tr.ID()
-			runCtx = tr.Context(runCtx)
-			defer tr.Finish()
-		}
-		in, err := entry.instance(runCtx, req.V)
-		if err != nil {
-			return nil, err
-		}
-		if rb.opt, err = in.OptimizeCtx(runCtx, core.OptimizeOptions{Grid: req.Grid}); err != nil {
-			return nil, err
-		}
-		rb.resp = RatioResponse{
-			Honest: EncodeRat(in.HonestU), BestW1: EncodeRat(rb.opt.BestW1), BestU: EncodeRat(rb.opt.BestU),
-			Ratio: EncodeRat(rb.opt.Ratio), LeqTwo: rb.opt.Ratio.LessEq(numeric.Two),
-			Evals: rb.opt.Evals, Pieces: len(rb.opt.Pieces),
-		}
-		return rb, nil
-	})
+	}
 	if csp != nil {
-		if joined {
+		switch {
+		case hit:
+			csp.AddInt("ratio_memo_hit", 1)
+		case joined:
 			csp.AddInt("batch_joined", 1)
-		} else {
+		default:
 			csp.AddInt("batch_opened", 1)
 		}
-		if err == nil {
-			if rb := val.(ratioBatchResult); rb.trace != 0 {
-				csp.SetAttr("batch_trace", strconv.FormatUint(rb.trace, 10))
-			}
+		if rb.trace != 0 {
+			csp.SetAttr("batch_trace", strconv.FormatUint(rb.trace, 10))
 		}
 	}
 	csp.End()
@@ -441,7 +426,6 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 		writeComputeError(w, r, err)
 		return
 	}
-	rb := val.(ratioBatchResult)
 	resp := rb.resp
 	if withCert {
 		// Certification happens outside the batch: the optimizer answer is
@@ -463,11 +447,55 @@ func (s *Server) handleRatio(w http.ResponseWriter, r *http.Request) {
 // ratioBatchResult is the shared answer of one batched ratio computation:
 // the response body, the optimizer result of an exact run (for its
 // certificate), and the id of the collector trace that recorded the run (0
-// when tracing is disabled or the run was a grid sweep).
+// when tracing is disabled or the run was a grid sweep). The entry memoizes
+// it, so every later request for the same answer shares it too.
 type ratioBatchResult struct {
 	resp  RatioResponse
 	opt   *core.OptResult
 	trace uint64
+}
+
+// ratioRun computes one ratio answer on a batch's context: the exact
+// optimizer over the entry's instance for agent v, or, for a mechanism
+// without one, the empirical best over the sweep grid (default 64),
+// computed by the same run as /v1/sweep.
+func (s *Server) ratioRun(ctx context.Context, entry *cacheEntry, m mechanism.Mechanism, v, grid int) (ratioBatchResult, error) {
+	var rb ratioBatchResult
+	if _, exact := m.(mechanism.RingOptimizer); !exact {
+		res, err := s.runSweep(ctx, entry, m, v, grid, 0, nil, nil)
+		if err != nil {
+			return rb, err
+		}
+		if res.Partial {
+			// The batch deadline cut the sweep short; a grid ratio has no
+			// resume protocol (that's /v1/sweep), so report the timeout.
+			return rb, context.DeadlineExceeded
+		}
+		rb.resp = RatioResponse{
+			Honest: EncodeRat(res.Honest), BestW1: EncodeRat(res.BestW1), BestU: EncodeRat(res.BestU),
+			Ratio: EncodeRat(res.Ratio), LeqTwo: res.Ratio.LessEq(numeric.Two), Evals: len(res.Points),
+		}
+		return rb, nil
+	}
+	if s.collector != nil {
+		tr := s.collector.NewTrace("/v1/ratio#compute")
+		rb.trace = tr.ID()
+		ctx = tr.Context(ctx)
+		defer tr.Finish()
+	}
+	in, err := entry.instance(ctx, v)
+	if err != nil {
+		return rb, err
+	}
+	if rb.opt, err = in.OptimizeCtx(ctx, core.OptimizeOptions{Grid: grid}); err != nil {
+		return rb, err
+	}
+	rb.resp = RatioResponse{
+		Honest: EncodeRat(in.HonestU), BestW1: EncodeRat(rb.opt.BestW1), BestU: EncodeRat(rb.opt.BestU),
+		Ratio: EncodeRat(rb.opt.Ratio), LeqTwo: rb.opt.Ratio.LessEq(numeric.Two),
+		Evals: rb.opt.Evals, Pieces: len(rb.opt.Pieces),
+	}
+	return rb, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

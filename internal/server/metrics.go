@@ -27,11 +27,13 @@ type metrics struct {
 	cacheReqs map[cacheKey]int64        // cache_requests_total{endpoint,result}
 
 	// panics counts contained panics (handler barrier + batch containment);
-	// shed counts requests rejected by queue-saturation load shedding.
-	// Atomics, not map entries: they are bumped from recovery paths that
-	// should stay as simple as possible.
-	panics atomic.Int64
-	shed   atomic.Int64
+	// shed counts requests rejected by queue-saturation load shedding;
+	// ratioMemoHits counts /v1/ratio answers read from an entry's memo.
+	// Atomics, not map entries: they are bumped from recovery paths and the
+	// hot ratio path, which should stay as simple as possible.
+	panics        atomic.Int64
+	shed          atomic.Int64
+	ratioMemoHits atomic.Int64
 }
 
 type statusKey struct {
@@ -115,6 +117,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Scalar("pool_waiting", "gauge", "Requests queued for a pool slot.", int64(s.pool.Waiting()))
 	p.Scalar("batch_runs_total", "counter", "Ratio computations executed.", s.batch.runs.Load())
 	p.Scalar("batch_joins_total", "counter", "Ratio requests that joined an in-flight batch.", s.batch.joins.Load())
+	p.Scalar("ratio_memo_hits_total", "counter", "Ratio requests answered from an instance-cache entry's memo.", s.metrics.ratioMemoHits.Load())
 	p.Scalar("panics_total", "counter", "Panics contained by the recovery barriers.", s.metrics.panics.Load())
 	p.Scalar("shed_total", "counter", "Requests shed by queue-saturation load shedding.", s.metrics.shed.Load())
 	s.writeJobsMetrics(p)

@@ -61,7 +61,7 @@ func runSustainedRatio(b *testing.B, reqs []client.RatioRequest) {
 		client.WithSeed(7))
 	ctx := context.Background()
 	// Warm each instance once so every measured request exercises the
-	// steady state (resident cache entry, live batch key).
+	// steady state (resident cache entry, memoized answer).
 	for i := range reqs {
 		if _, err := c.Ratio(ctx, &reqs[i]); err != nil {
 			b.Fatal(err)
@@ -86,15 +86,14 @@ func runSustainedRatio(b *testing.B, reqs []client.RatioRequest) {
 
 // BenchmarkServerSustainedRatioRPS hammers one resident instance from
 // GOMAXPROCS client goroutines: the upper bound of /v1/ratio throughput,
-// where micro-batching collapses concurrent identical requests into one
-// computation.
+// where every request reads the instance's memoized answer.
 func BenchmarkServerSustainedRatioRPS(b *testing.B) {
 	runSustainedRatio(b, benchRings()[:1])
 }
 
 // BenchmarkServerSustainedRatioRPSMixed rotates over four distinct rings,
-// so requests spread across cache entries and batch keys — closer to a
-// production mix than the single-instance ceiling.
+// so requests spread across cache entries — closer to a production mix
+// than the single-instance ceiling.
 func BenchmarkServerSustainedRatioRPSMixed(b *testing.B) {
 	runSustainedRatio(b, benchRings())
 }

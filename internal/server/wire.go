@@ -278,7 +278,9 @@ type RatioRequest struct {
 // Evals is the number of exact split evaluations the optimizer performed,
 // cache hits included (for a non-BD mechanism, the number of grid points).
 // It is a work count, not part of the answer: a faster optimizer lowers it
-// while every other field stays the same.
+// while every other field stays the same. A repeated request is answered
+// from the server's memo of the first run, so its evals (and pieces) are
+// that run's.
 type RatioResponse struct {
 	Honest      string          `json:"honest"`
 	BestW1      string          `json:"best_w1"`

@@ -68,11 +68,13 @@ go test ./cmd/irshared -run 'TestChaos' -count=1
 # appends against compaction and the scheduler races submit/cancel/shutdown
 # against its workers), a -count=10 race pass over the store's memory
 # contract (checkpoints append in place while records read earlier, from
-# several goroutines and across compactions, keep exactly their points),
+# several goroutines and across compactions, keep exactly their points)
+# and over the scheduler's cancel paths (an acknowledged cancel ends
+# canceled though the run succeeds after it, or the process crashes),
 # then the crash-recovery smoke — a real child process SIGKILLed mid-grid
 # must recover from its -data-dir and finish bit-identically.
 go test -race -count=2 ./internal/jobs
-go test -race -count=10 -run '^TestStoreCloneIsolation$' ./internal/jobs
+go test -race -count=10 -run '^(TestStoreCloneIsolation|TestSchedulerCancelBeatsLateSuccess|TestSchedulerRecoverFinishesAcknowledgedCancel)$' ./internal/jobs
 go test ./cmd/irshared -run 'TestKillAndRecover' -count=1
 
 # Strategic-manipulation scenarios: a dedicated -count=2 race pass over the
@@ -134,15 +136,19 @@ go run ./cmd/benchjson -bench 'WAL|Recover|Checkpoint' -pkg ./internal/jobs -out
 # canonicality from the literal and the parsed value, against the rule it
 # replaced (re-render with RatString and compare, test code only): the same
 # accepted values and the same error texts on arbitrary literals;
-# FuzzFixedWidthDP referees the fixed-width path DP, its big.Int overflow
-# path and the split solver's valueFull against the exact rational passes,
-# which are test code only (internal/bottleneck/dpref_test.go), on both
-# sides of the one 2^126 bound and in the band it admits through math/big
-# scaling (λ or weight parts past int64, q·D near 2^126), and
-# FuzzFixedWidthMaxflow the fixed-width Dinic against the rational Dinic
-# (value, every arc's flow, push count, both min-cut sides), at
-# adversarial magnitudes — parts and common denominators past int64 among
-# them — on both sides of the 2^126 admission bound. FuzzWitnessNetwork
+# FuzzFixedWidthDP referees the path DP's passes, written once over both
+# plans, on the big.Int plan for every input and on the fixed-width plan
+# wherever its bound admits one, and the split solver's valueFull, against
+# the exact rational passes, which are test code only
+# (internal/bottleneck/dpref_test.go), on both sides of the one 2^126 bound
+# and in the band it admits through math/big scaling (λ or weight parts
+# past int64, q·D near 2^126); FuzzFixedWidthMaxflow referees the one
+# Dinic traversal in its two arithmetics against each other (value, every
+# arc's flow, push count, both min-cut sides: the arithmetic) and against
+# push–relabel and Edmonds–Karp (value, both min-cut sides, conservation
+# after every solve: the traversal), at adversarial magnitudes — parts and
+# common denominators past int64 among them — on both sides of the 2^126
+# admission bound. FuzzWitnessNetwork
 # referees internal/cert/build's one-network-per-decomposition Hall
 # witnesses against a fresh per-pair network (test code only,
 # internal/cert/build/witness_ref_test.go), byte for byte and push for

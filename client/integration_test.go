@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/server"
 )
 
@@ -140,27 +141,26 @@ func TestSweepAllResumesAcrossTimeouts(t *testing.T) {
 // validation through the client: a token minted for one (graph, v, grid) is
 // rejected with code partial_result when replayed against another.
 func TestResumeTokenRejectedForDifferentRequest(t *testing.T) {
-	ts := newService(t, server.Config{MaxQueueDepth: -1, RequestTimeout: 20 * time.Millisecond})
+	// Every grid point sleeps 1ms, so a 512-point sweep cannot finish
+	// within the 20ms request timeout however fast the solver is.
+	slow, err := fault.New(1, fault.Rule{Site: fault.SiteSweepPoint, Kind: fault.KindLatency, Every: 1, Latency: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newService(t, server.Config{MaxQueueDepth: -1, RequestTimeout: 20 * time.Millisecond, Chaos: slow})
 	c := New(ts.URL, WithSeed(3), WithBackoff(time.Millisecond, 10*time.Millisecond), WithMaxAttempts(20))
 	ring := Graph{Ring: []string{"1", "2", "3", "4", "5", "6", "7", "8"}}
 	ctx := context.Background()
 
-	// Mint a token by sweeping a big grid against the tight timeout. If the
-	// server happens to finish in one shot, grow the grid and try again.
-	var token string
-	for grid := 512; grid <= 4096 && token == ""; grid *= 2 {
-		resp, err := c.Sweep(ctx, &SweepRequest{Graph: ring, V: 0, Grid: grid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Partial {
-			token = resp.ResumeToken
-		}
+	// Mint a token by sweeping a big grid against the tight timeout.
+	resp, err := c.Sweep(ctx, &SweepRequest{Graph: ring, V: 0, Grid: 512})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if token == "" {
-		t.Skip("server never produced a partial result; cannot mint a token")
+	if !resp.Partial || resp.ResumeToken == "" {
+		t.Fatalf("slowed 512-point sweep finished within 20ms: partial=%v token=%q", resp.Partial, resp.ResumeToken)
 	}
-	_, err := c.Sweep(ctx, &SweepRequest{Graph: ring, V: 1, Grid: 4, Resume: token})
+	_, err = c.Sweep(ctx, &SweepRequest{Graph: ring, V: 1, Grid: 4, Resume: resp.ResumeToken})
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.Code != server.CodePartialResult || apiErr.Status != 400 {
 		t.Fatalf("want partial_result 400, got %v", err)

@@ -2,6 +2,7 @@ package bottleneck
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -47,15 +48,28 @@ type dpOracle struct {
 // evaluation may alias it: the pairs, their B and C, the Decomposition and
 // the cached interior transfers are all copied out.
 type dpScratch struct {
-	memo      []numeric.Int128 // cells of a dpOracle's memoized plans
-	cells     []numeric.Int128 // cells of a one-off plan: a transfer, a whole-path pass
-	plans     []dpPlan         // a dpOracle's memoized plans
-	sweep     [][2][2]fixedVal // the suffix sweep of a membership pass
-	memberMin []fixedVal       // a cycle membership pass's per-vertex minima
-	members   []bool           // a membership pass's result
-	ws        []numeric.Rat    // the split solver's whole-path or endpoint-run weights
-	comps     []dpComponent    // the split solver's later-stage components
-	marks     []bool           // vertex marks of a stage's bookkeeping
+	memo    []numeric.Int128            // cells of a dpOracle's memoized plans
+	cells   []numeric.Int128            // cells of a one-off plan: a transfer, a whole-path pass
+	plans   []dpPlan                    // a dpOracle's memoized plans
+	onePlan dpPlan                      // a one-off plan, in cells
+	fixed   dpWork[fixedCell, fixedVal] // the passes' cells on fixed-width plans
+	big     dpWork[bigCell, bigVal]     // and on big.Int plans
+	members []bool                      // a membership pass's result
+	ws      []numeric.Rat               // the split solver's whole-path or endpoint-run weights
+	comps   []dpComponent               // the split solver's later-stage components
+	marks   []bool                      // vertex marks of a stage's bookkeeping
+}
+
+// dpWork is the passes' working memory in one arithmetic. The passes hand
+// its cells to the plan's methods through a type parameter, which escape
+// analysis cannot see through, so they live here, not on the stack.
+type dpWork[C, V any] struct {
+	dp     [2][2]C   // a value pass's cells
+	best   C         // and its best cell
+	fwd    [2][2]V   // a membership pass's prefix sweep
+	suffix [][2][2]V // its suffix sweep
+	min    []V       // its per-vertex minima
+	least  V         // and its minimum
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
@@ -82,6 +96,35 @@ type dpPlan struct {
 	fixed bool
 	fp    fixedPlan
 	bp    bigPlan
+}
+
+// planFor prepares c's plan at λ — the fixed-width one in buf, which holds
+// at least four cells per vertex, when the bound admits it — and counts it
+// in tally.
+func (c dpComponent) planFor(lambda numeric.Rat, buf []numeric.Int128, tally *arithTally) dpPlan {
+	fp, fixed := c.fixedPlanFor(lambda, buf)
+	tally.plan(fixed)
+	if fixed {
+		return dpPlan{fixed: true, fp: fp}
+	}
+	return dpPlan{bp: c.bigPlanFor(lambda)}
+}
+
+// value runs c's value pass on the plan, in its arithmetic, in sc.
+func (pl *dpPlan) value(c dpComponent, sc *dpScratch) costW {
+	if pl.fixed {
+		return valuePass(&pl.fp, c, sc)
+	}
+	return valuePass(&pl.bp, c, sc)
+}
+
+// members runs c's membership pass on the plan, in its arithmetic, in sc;
+// the slice is sc's, valid until its next pass.
+func (pl *dpPlan) members(c dpComponent, sc *dpScratch) []bool {
+	if pl.fixed {
+		return membershipPass(&pl.fp, c, sc)
+	}
+	return membershipPass(&pl.bp, c, sc)
 }
 
 // arithTally counts which arithmetic a stretch of DP work ran on. Callers
@@ -120,13 +163,8 @@ func (o *dpOracle) plansFor(lambda numeric.Rat) []dpPlan {
 	sc.plans = resize(sc.plans, len(o.comps))
 	buf, plans := sc.memo, sc.plans
 	for i, c := range o.comps {
-		if fp, ok := c.fixedPlanFor(lambda, buf); ok {
-			plans[i] = dpPlan{fixed: true, fp: fp}
-		} else {
-			plans[i] = dpPlan{bp: c.bigPlanFor(lambda)}
-		}
+		plans[i] = c.planFor(lambda, buf, &o.tally)
 		buf = buf[4*len(c.ws):]
-		o.tally.plan(plans[i].fixed)
 	}
 	o.memoOK, o.memoLambda, o.memoPlans = true, lambda, plans
 	return plans
@@ -179,17 +217,7 @@ func (o *dpOracle) value(lambda numeric.Rat) (numeric.Rat, numeric.Rat) {
 	plans := o.plansFor(lambda)
 	total, wS := numeric.Zero, numeric.Zero
 	for i, c := range o.comps {
-		var cw costW
-		switch pl := &plans[i]; {
-		case pl.fixed && c.cycle:
-			cw = c.cycleValueFixed(&pl.fp)
-		case pl.fixed:
-			cw = c.pathValueFixed(&pl.fp)
-		case c.cycle:
-			cw = c.cycleValueBig(pl.bp)
-		default:
-			cw = c.pathValueBig(pl.bp)
-		}
+		cw := plans[i].value(c, o.sc)
 		total = total.Add(cw.cost)
 		wS = wS.Add(cw.wS)
 	}
@@ -200,24 +228,13 @@ func (o *dpOracle) maximal(lambda numeric.Rat) []int {
 	plans := o.plansFor(lambda)
 	var maximal []int
 	for ci, c := range o.comps {
-		var members []bool
-		switch pl := &plans[ci]; {
-		case pl.fixed && c.cycle:
-			_, members = c.cycleMembershipFixed(&pl.fp, o.sc)
-		case pl.fixed:
-			_, members = c.pathMembershipFixed(&pl.fp, o.sc)
-		case c.cycle:
-			_, members = c.cycleMembershipBig(pl.bp)
-		default:
-			_, members = c.pathMembershipBig(pl.bp)
-		}
-		for i, v := range c.order {
-			if members[i] {
-				maximal = append(maximal, v)
+		for i, in := range plans[ci].members(c, o.sc) {
+			if in {
+				maximal = append(maximal, c.order[i])
 			}
 		}
 	}
-	sortInts(maximal)
+	sort.Ints(maximal)
 	return maximal
 }
 
@@ -229,30 +246,139 @@ type costW struct {
 	ok       bool
 }
 
-// valuePass runs the forward-only (cost, weight) DP over the component on
-// the fixed-width plan (dpfixed.go), built in sc's one-off cells, whenever
-// the admission bound holds and on the big.Int plan (dpbig.go) otherwise,
-// and counts the plan in tally. The normalized-rational reference both
-// plans are tested against lives in dpref_test.go.
-func (c dpComponent) valuePass(lambda numeric.Rat, sc *dpScratch, tally *arithTally) costW {
+// plan prepares c's plan at λ in the scratch's one-off cells and counts it
+// in tally; the plan is the scratch's, valid until its next one.
+func (sc *dpScratch) plan(c dpComponent, lambda numeric.Rat, tally *arithTally) *dpPlan {
 	sc.cells = resize(sc.cells, 4*len(c.ws))
-	pl, fixed := c.fixedPlanFor(lambda, sc.cells)
-	tally.plan(fixed)
-	switch {
-	case fixed && c.cycle:
-		return c.cycleValueFixed(&pl)
-	case fixed:
-		return c.pathValueFixed(&pl)
-	case c.cycle:
-		return c.cycleValueBig(c.bigPlanFor(lambda))
-	}
-	return c.pathValueBig(c.bigPlanFor(lambda))
+	sc.onePlan = c.planFor(lambda, sc.cells, tally)
+	return &sc.onePlan
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// The passes, written once over a plan's arithmetic. For λ = p/q and
+// component weights w_i = n_i/D (D the lcm of the weight denominators),
+// every cost is an integer multiple of 1/(q·D) and every minimizer weight
+// one of 1/D — select i: −p·n_i, charge i: q·n_i, weight: n_i — and both
+// plans hold these integers: the fixed-width plan in 128-bit cells
+// (dpfixed.go), the big.Int plan in math/big (dpbig.go). Only a value
+// pass's result is converted back to a canonical Rat. The passes reproduce
+// bit for bit the normalized-Rat passes of dpref_test.go, test code only.
+//
+// dpArith is a plan's arithmetic as the passes see it: C its value-pass
+// cell, a (cost, minimizer weight) pair, and V its membership-pass value, a
+// cost alone, each infeasible as its zero value; better orders V (lower
+// cost first). Seeds, charges, transitions and folds are the plan's
+// concrete methods, so the Int128 adds and compares inside them are not
+// reached through a type parameter; the passes cross it once per value or
+// suffix sweep and hand it cells by pointer, into the scratch.
+type dpArith[C any, V dpOrder[V]] interface {
+	// seed sets *c, and seedVal *v, to the cell (the value) of selecting
+	// vertex 0 when s0 = 1 and vertex 1 when s1 = 1, with nothing charged.
+	seed(c *C, s0, s1 int)
+	seedVal(v *V, s0, s1 int)
+	// chargeVal adds vertex i's charge to a feasible *v.
+	chargeVal(v *V, i int)
+	// advance moves the value DP, in place, from the cells keyed
+	// (s_{i-1}, s_i) to those keyed (s_i, s_{i+1}) for i = from, …, to-1,
+	// charging vertex i when s_{i-1} ∨ s_{i+1} and selecting vertex i+1
+	// when s_{i+1}; forward is one such step on costs alone.
+	advance(dp *[2][2]C, from, to int)
+	forward(dp *[2][2]V, i int)
+	// close folds into *best the cells of dp, keyed (s_{m-2}, s_{m-1}),
+	// each with vertex m-1's charge when last[s_{m-2}] and vertex 0's when
+	// first[s_{m-1}].
+	close(dp *[2][2]C, last, first [2]bool, best *C)
+	// backward fills the suffix sweep down to position first: suffix[i],
+	// keyed (s_i, s_{i+1}), from suffix[i+1], keyed (s_{i+1}, s_{i+2}),
+	// charging vertex i+1 when s_i ∨ s_{i+2} and selecting it when s_{i+1}.
+	backward(suffix [][2][2]V, first int)
+	// glue folds into *least the totals at position i over the prefix
+	// values fwd and the suffix values bwd there, with vertex i's own charge
+	// [s_{i-1} ∨ s_{i+1}], over s_i = 1 alone when selected.
+	glue(fwd, bwd *[2][2]V, i int, selected bool, least *V)
+	toCostW(c *C) costW
+	work(sc *dpScratch) *dpWork[C, V]
+}
+
+type dpOrder[T any] interface{ better(T) bool }
+
+// valuePass is the forward DP of pathValue and cycleValue: on a path from
+// (s_{-1}, s_0) = (0, ·); on a cycle from each of the four seeds
+// (s_0, s_1), closed around it.
+func valuePass[C any, V dpOrder[V], P dpArith[C, V]](pl P, c dpComponent, sc *dpScratch) costW {
+	m, seeds, first := len(c.ws), 1, 0
+	if c.cycle {
+		seeds, first = 4, 1
+	}
+	w := pl.work(sc)
+	dp := &w.dp
+	w.best = *new(C)
+	for s := 0; s < seeds; s++ {
+		s0, s1 := s>>1, s&1
+		*dp = [2][2]C{}
+		if c.cycle {
+			pl.seed(&dp[s0][s1], s0, s1)
+		} else {
+			pl.seed(&dp[0][0], 0, 0)
+			pl.seed(&dp[0][1], 1, 0)
+		}
+		pl.advance(dp, first, m-1)
+		// Vertex m-1 is charged when s_{m-2} ∨ s_0; on a cycle vertex 0 is
+		// charged when s_{m-1} ∨ s_1.
+		pl.close(dp, [2]bool{s0 == 1, true}, [2]bool{c.cycle && s1 == 1, c.cycle}, &w.best)
+	}
+	return pl.toCostW(&w.best)
+}
+
+// membershipPass is pathMembership and cycleMembership: one backward and
+// one forward sweep per seed of valuePass, plus per-position gluing. It
+// keeps per vertex the least total with the vertex selected; the vertex is
+// in the maximal minimizer iff that total is the minimum, which the pass
+// leaves in its work's least, in the plan's units. It returns the members,
+// sc's slice, valid until its next pass. The suffix sweep is stored in sc
+// and the prefix sweep rolls along the gluing positions.
+func membershipPass[C any, V dpOrder[V], P dpArith[C, V]](pl P, c dpComponent, sc *dpScratch) []bool {
+	m, seeds, first := len(c.ws), 1, 0
+	if c.cycle {
+		seeds, first = 4, 1
+	}
+	w := pl.work(sc)
+	w.suffix, w.min = resize(w.suffix, m), resize(w.min, m)
+	bwd, memberMin, fwd, least := w.suffix, w.min, &w.fwd, &w.least
+	clear(memberMin)
+	*least = *new(V)
+	for s := 0; s < seeds; s++ {
+		s0, s1 := s>>1, s&1
+		// bwd[m-1] is keyed (s_{m-1}, s_m): s_m = 0 past a path's end; on a
+		// cycle s_m = s_0, with vertex 0's charge when s_{m-1} ∨ s_1.
+		bwd[m-1] = [2][2]V{}
+		for b := 0; b < 2; b++ {
+			pl.seedVal(&bwd[m-1][b][s0], 0, 0)
+			if c.cycle && (b == 1 || s1 == 1) {
+				pl.chargeVal(&bwd[m-1][b][s0], 0)
+			}
+		}
+		pl.backward(bwd, first)
+		*fwd = [2][2]V{}
+		if c.cycle {
+			pl.seedVal(&fwd[s0][s1], s0, s1)
+		} else {
+			pl.seedVal(&fwd[0][0], 0, 0)
+			pl.seedVal(&fwd[0][1], 1, 0)
+		}
+		pl.glue(fwd, &bwd[first], first, false, least)
+		if c.cycle && s0 == 1 {
+			pl.glue(fwd, &bwd[first], first, false, &memberMin[0])
+		}
+		for i := first; i < m; i++ {
+			if i > first {
+				pl.forward(fwd, i-1)
+			}
+			pl.glue(fwd, &bwd[i], i, true, &memberMin[i])
 		}
 	}
+	sc.members = resize(sc.members, m)
+	for i := range sc.members {
+		sc.members[i] = !(*least).better(memberMin[i])
+	}
+	return sc.members
 }

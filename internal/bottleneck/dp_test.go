@@ -71,33 +71,22 @@ func TestCycleMembershipMatchesProbes(t *testing.T) {
 }
 
 func TestIntValuePassMatchesRationalPass(t *testing.T) {
-	// The fixed-width plan and the exact rational pass must agree bit-for-bit
-	// on both value and minimizer weight, for paths and cycles.
+	// Both plans and the exact rational pass must agree bit-for-bit on both
+	// value and minimizer weight, for paths and cycles.
 	rng := rand.New(rand.NewSource(84))
 	for trial := 0; trial < 200; trial++ {
-		m := rng.Intn(10) + 3
-		var g *graph.Graph
-		if trial%2 == 0 {
-			g = graph.Ring(graph.RandomWeights(rng, m, graph.WeightDist(rng.Intn(4))))
-		} else {
-			g = graph.Path(graph.RandomWeights(rng, m, graph.WeightDist(rng.Intn(4))))
-		}
-		c := buildComponent(t, g)
+		c := smallComponent(t, rng, trial)
 		lambda := numeric.New(int64(rng.Intn(50)+1), int64(rng.Intn(50)+1))
-		pl, ok := freshPlan(c, lambda)
-		if !ok {
-			t.Fatalf("trial %d: fixed-width plan should fit for small weights", trial)
-		}
-		var gotInt, gotRat costW
-		sel := c.selCosts(lambda)
-		if c.cycle {
-			gotInt, gotRat = c.cycleValueFixed(&pl), c.cycleValue(sel)
-		} else {
-			gotInt, gotRat = c.pathValueFixed(&pl), c.pathValue(sel)
-		}
-		if !gotInt.cost.Equal(gotRat.cost) || !gotInt.wS.Equal(gotRat.wS) {
-			t.Fatalf("trial %d: int (%v, %v) != rat (%v, %v) (λ=%v, w=%v, cycle=%v)",
-				trial, gotInt.cost, gotInt.wS, gotRat.cost, gotRat.wS, lambda, g.Weights(), c.cycle)
+		want := ratResult(c, lambda)
+		for _, plan := range dpPlans {
+			got, ok := runPlan(c, lambda, plan.fixed, new(dpScratch))
+			if !ok {
+				t.Fatalf("trial %d: fixed-width plan should fit for small weights", trial)
+			}
+			if !got.val.cost.Equal(want.val.cost) || !got.val.wS.Equal(want.val.wS) {
+				t.Fatalf("trial %d: %s (%v, %v) != rat (%v, %v) (λ=%v, w=%v, cycle=%v)",
+					trial, plan.name, got.val.cost, got.val.wS, want.val.cost, want.val.wS, lambda, c.ws, c.cycle)
+			}
 		}
 	}
 }
@@ -105,38 +94,32 @@ func TestIntValuePassMatchesRationalPass(t *testing.T) {
 func TestIntMembershipMatchesRationalMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	for trial := 0; trial < 200; trial++ {
-		m := rng.Intn(10) + 3
-		var g *graph.Graph
-		if trial%2 == 0 {
-			g = graph.Ring(graph.RandomWeights(rng, m, graph.WeightDist(rng.Intn(4))))
-		} else {
-			g = graph.Path(graph.RandomWeights(rng, m, graph.WeightDist(rng.Intn(4))))
-		}
-		c := buildComponent(t, g)
+		c := smallComponent(t, rng, trial)
 		lambda := numeric.New(int64(rng.Intn(50)+1), int64(rng.Intn(50)+1))
-		pl, ok := freshPlan(c, lambda)
-		if !ok {
-			t.Fatalf("trial %d: fixed-width plan should fit", trial)
-		}
-		var iMin numeric.Int128
-		var rMin numeric.Rat
-		var iMem, rMem []bool
-		if c.cycle {
-			iMin, iMem = c.cycleMembershipFixed(&pl, new(dpScratch))
-			rMin, rMem = c.cycleMembership(lambda)
-		} else {
-			iMin, iMem = c.pathMembershipFixed(&pl, new(dpScratch))
-			rMin, rMem = c.pathMembership(lambda)
-		}
-		if !pl.costRat(iMin).Equal(rMin) {
-			t.Fatalf("trial %d: min %v != %v (λ=%v, w=%v)", trial, iMin, rMin, lambda, g.Weights())
-		}
-		for i := range iMem {
-			if iMem[i] != rMem[i] {
-				t.Fatalf("trial %d: membership of %d differs (λ=%v, w=%v)", trial, i, lambda, g.Weights())
+		want := ratResult(c, lambda)
+		for _, plan := range dpPlans {
+			got, ok := runPlan(c, lambda, plan.fixed, new(dpScratch))
+			if !ok {
+				t.Fatalf("trial %d: fixed-width plan should fit", trial)
+			}
+			if !got.min.Equal(want.min) {
+				t.Fatalf("trial %d: %s min %v != %v (λ=%v, w=%v)", trial, plan.name, got.min, want.min, lambda, c.ws)
+			}
+			if fmt.Sprint(got.members) != fmt.Sprint(want.members) {
+				t.Fatalf("trial %d: %s membership %v != %v (λ=%v, w=%v)", trial, plan.name, got.members, want.members, lambda, c.ws)
 			}
 		}
 	}
+}
+
+// smallComponent draws the ring (even trials) or path of 3–12 small
+// random weights the two tests above referee.
+func smallComponent(t *testing.T, rng *rand.Rand, trial int) dpComponent {
+	m := rng.Intn(10) + 3
+	if trial%2 == 0 {
+		return buildComponent(t, graph.Ring(graph.RandomWeights(rng, m, graph.WeightDist(rng.Intn(4)))))
+	}
+	return buildComponent(t, graph.Path(graph.RandomWeights(rng, m, graph.WeightDist(rng.Intn(4)))))
 }
 
 // TestIntPlanRejectsHugeDenominators pins the one admission bound on
@@ -184,13 +167,7 @@ func TestIntPlanRejectsHugeDenominators(t *testing.T) {
 				t.Fatalf("%s (cycle=%v): admitted=%v wide=%v, want admitted=%v on math/big scaling", tc.name, cycle, ok, pl.wide, tc.fixed)
 			}
 			var tally arithTally
-			v := c.valuePass(tc.lambda, new(dpScratch), &tally)
-			var want costW
-			if cycle {
-				want = c.cycleValue(c.selCosts(tc.lambda))
-			} else {
-				want = c.pathValue(c.selCosts(tc.lambda))
-			}
+			v, want := onePlanValue(c, tc.lambda, new(dpScratch), &tally), ratResult(c, tc.lambda).val
 			if !v.ok || !v.cost.Equal(want.cost) || !v.wS.Equal(want.wS) {
 				t.Fatalf("%s (cycle=%v): value pass (%v, %v), reference (%v, %v)", tc.name, cycle, v.cost, v.wS, want.cost, want.wS)
 			}
@@ -276,35 +253,17 @@ func scratchComponent(rng *rand.Rand, m, first int, cycle bool) dpComponent {
 	return dpComponent{order: order, ws: ws, cycle: cycle}
 }
 
-// membershipPass runs c's membership pass at λ through sc on the plan dp.go
-// would pick, and copies the result out of sc.
-func membershipPass(c dpComponent, lambda numeric.Rat, sc *dpScratch) (numeric.Rat, []bool) {
-	sc.cells = resize(sc.cells, 4*len(c.ws))
-	pl, fixed := c.fixedPlanFor(lambda, sc.cells)
-	var min numeric.Rat
-	var members []bool
-	switch {
-	case fixed && c.cycle:
-		var v numeric.Int128
-		v, members = c.cycleMembershipFixed(&pl, sc)
-		min = pl.costRat(v)
-	case fixed:
-		var v numeric.Int128
-		v, members = c.pathMembershipFixed(&pl, sc)
-		min = pl.costRat(v)
-	case c.cycle:
-		min, members = c.cycleMembershipBig(c.bigPlanFor(lambda))
-	default:
-		min, members = c.pathMembershipBig(c.bigPlanFor(lambda))
-	}
-	return min, append([]bool(nil), members...)
+// onePlanValue runs c's value pass at λ on the plan the scratch's one-off
+// cells hold, as the split solver's whole-path pass does.
+func onePlanValue(c dpComponent, lambda numeric.Rat, sc *dpScratch, tally *arithTally) costW {
+	return sc.plan(c, lambda, tally).value(c, sc)
 }
 
 // TestScratchReuseMatchesFreshBuffers referees the reuse of DP buffers. One
 // scratch serves every pass of the test — value and membership passes,
-// paths and cycles interleaved, sizes growing and shrinking, fixed-width
-// and big.Int plans — and each result must equal the same pass on fresh
-// buffers. Each trial also runs an oracle's value at λ, then one-off value
+// paths and cycles interleaved, sizes growing and shrinking, on the plan
+// planFor picks and on both plans — and each result must equal the same
+// pass on fresh buffers. Each trial also runs an oracle's value at λ, then one-off value
 // and membership passes of another component, then the oracle's maximal at
 // the same λ, whose memoized plans must survive them; and, on paths, the
 // split solver's transfer, whole-path value and membership passes, whose
@@ -328,21 +287,25 @@ func TestScratchReuseMatchesFreshBuffers(t *testing.T) {
 		}
 
 		var got, want arithTally
-		if v, w := c.valuePass(lambda, sc, &got), c.valuePass(lambda, new(dpScratch), &want); !v.cost.Equal(w.cost) || !v.wS.Equal(w.wS) || got != want {
+		if v, w := onePlanValue(c, lambda, sc, &got), onePlanValue(c, lambda, new(dpScratch), &want); !v.cost.Equal(w.cost) || !v.wS.Equal(w.wS) || got != want {
 			t.Fatalf("trial %d: value pass through the scratch (%v, %v) %+v, fresh (%v, %v) %+v", trial, v.cost, v.wS, got, w.cost, w.wS, want)
 		}
-		gotMin, gotMem := membershipPass(c, lambda, sc)
-		if wantMin, wantMem := membershipPass(c, lambda, new(dpScratch)); !gotMin.Equal(wantMin) || fmt.Sprint(gotMem) != fmt.Sprint(wantMem) {
-			t.Fatalf("trial %d (cycle=%v, m=%d): membership through the scratch (%v, %v), fresh (%v, %v)",
-				trial, c.cycle, m, gotMin, gotMem, wantMin, wantMem)
+		for _, plan := range dpPlans {
+			got, ok := runPlan(c, lambda, plan.fixed, sc)
+			fresh, _ := runPlan(c, lambda, plan.fixed, new(dpScratch))
+			if d := got.diff(fresh); ok && d != "" {
+				t.Fatalf("trial %d (cycle=%v, m=%d): %s passes through the scratch, fresh: %s", trial, c.cycle, m, plan.name, d)
+			}
 		}
 
 		other := scratchComponent(rng, sizes[(trial+3)%len(sizes)], m, !c.cycle)
 		o := &dpOracle{comps: []dpComponent{c, other}, sc: sc}
 		fresh := &dpOracle{comps: o.comps, sc: new(dpScratch)}
 		gv, gw := o.value(lambda)
-		other.valuePass(lambda, sc, &got)
-		membershipPass(other, lambda, sc)
+		onePlanValue(other, lambda, sc, &got)
+		for _, plan := range dpPlans {
+			runPlan(other, lambda, plan.fixed, sc)
+		}
 		gs := o.maximal(lambda)
 		fv, fw := fresh.value(lambda)
 		if fs := fresh.maximal(lambda); !gv.Equal(fv) || !gw.Equal(fw) || fmt.Sprint(gs) != fmt.Sprint(fs) {

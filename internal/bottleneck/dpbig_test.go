@@ -39,60 +39,26 @@ func randLambda(rng *rand.Rand) numeric.Rat {
 	return lam
 }
 
-// TestBigPlanMatchesRatReference proves the gcd-free big.Int passes compute
-// exactly the fully-normalized rational reference on both shapes, for both
-// the value pass and the membership sweep. Zero tolerance: the big plan is
-// the live execution path (dp.go routes through it whenever the fixed-width
-// plan's bound rejects an instance), the Rat passes of dpref_test.go are
-// the reference it must reproduce.
+// TestBigPlanMatchesRatReference proves both plans — the gcd-free big.Int
+// plan always, the fixed-width plan where its bound admits the instance —
+// compute exactly the fully-normalized rational reference on both shapes,
+// for both the value pass and the membership sweep, on weights mixing
+// small integers, bisection dust and parts past int64. Zero tolerance: the
+// big plan is the live execution path whenever the fixed-width plan's
+// bound rejects an instance, and the Rat passes of dpref_test.go are the
+// reference both must reproduce.
 func TestBigPlanMatchesRatReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
 		cycle := rng.Intn(2) == 0
 		c := randComponent(rng, cycle)
 		lambda := randLambda(rng)
-		pl := c.bigPlanFor(lambda)
-		sel := c.selCosts(lambda)
-
-		var wantVal, gotVal costW
-		var wantMin, gotMin numeric.Rat
-		var wantMem, gotMem []bool
-		if cycle {
-			wantVal, gotVal = c.cycleValue(sel), c.cycleValueBig(pl)
-			wantMin, wantMem = c.cycleMembership(lambda)
-			gotMin, gotMem = c.cycleMembershipBig(pl)
-		} else {
-			wantVal, gotVal = c.pathValue(sel), c.pathValueBig(pl)
-			wantMin, wantMem = c.pathMembership(lambda)
-			gotMin, gotMem = c.pathMembershipBig(pl)
-		}
-		if !gotVal.ok || !gotVal.cost.Equal(wantVal.cost) || !gotVal.wS.Equal(wantVal.wS) {
-			t.Fatalf("trial %d (cycle=%v, λ=%v): value big (%v, %v) != ref (%v, %v)",
-				trial, cycle, lambda, gotVal.cost, gotVal.wS, wantVal.cost, wantVal.wS)
-		}
-		if !gotMin.Equal(wantMin) {
-			t.Fatalf("trial %d (cycle=%v, λ=%v): membership min %v != ref %v",
-				trial, cycle, lambda, gotMin, wantMin)
-		}
-		for i := range wantMem {
-			if gotMem[i] != wantMem[i] {
-				t.Fatalf("trial %d (cycle=%v, λ=%v): member[%d] = %v != ref %v",
-					trial, cycle, lambda, i, gotMem[i], wantMem[i])
-			}
-		}
-
-		// When the fixed-width plan admits the instance, it must agree with
-		// both.
-		if fp, ok := freshPlan(c, lambda); ok {
-			var iv costW
-			if cycle {
-				iv = c.cycleValueFixed(&fp)
-			} else {
-				iv = c.pathValueFixed(&fp)
-			}
-			if !iv.cost.Equal(wantVal.cost) || !iv.wS.Equal(wantVal.wS) {
-				t.Fatalf("trial %d: fixed-width plan value (%v, %v) != ref (%v, %v)",
-					trial, iv.cost, iv.wS, wantVal.cost, wantVal.wS)
+		want := ratResult(c, lambda)
+		for _, plan := range dpPlans {
+			if got, ok := runPlan(c, lambda, plan.fixed, new(dpScratch)); ok {
+				if d := got.diff(want); d != "" {
+					t.Fatalf("trial %d (cycle=%v, λ=%v): %s plan against the reference: %s", trial, cycle, lambda, plan.name, d)
+				}
 			}
 		}
 	}

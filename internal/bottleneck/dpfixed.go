@@ -6,13 +6,7 @@ import (
 	"repro/internal/numeric"
 )
 
-// Fixed-width exact path for the DP passes.
-//
-// For λ = p/q and component weights w_i = n_i/D (D the lcm of the weight
-// denominators), every subproblem cost is an integer multiple of 1/(q·D)
-// and every minimizer weight an integer multiple of 1/D:
-//
-//	select i: −p·n_i    charge i: q·n_i    minimizer weight: n_i
+// The fixed-width plan: the DP passes' integers (dp.go) in 128-bit cells.
 //
 // Every DP value — prefix, suffix and glue sum alike — adds at most one
 // selection term and one charge term per vertex, so its magnitude is at most
@@ -21,14 +15,9 @@ import (
 // below 2^numeric.FixedBits = 2^126, the max-flow's one-bound rule
 // (maxflow.fixedCells): every cell then fits a numeric.Int128 with a bit to
 // spare, cell adds need no overflow checks, and a pass allocates nothing
-// beyond its plan and its sweep arrays, which live in a dpScratch. The
-// integers are scaled on int64 parts when λ, every weight and D fit int64,
-// and in math/big otherwise; they are the integers bigPlanFor forms. Only
-// the final value is converted back to a canonical Rat. Instances past the
-// bound run on the big.Int plan (dpbig.go). The normalized-Rat passes that
-// both must reproduce bit for bit — pathValue, pathMembership and their
-// cycle forms, which the comments below name — are test code in
-// dpref_test.go; no production path runs DP cells on Rat.
+// beyond its plan, which lives in a dpScratch. The integers are scaled on
+// int64 parts when λ, every weight and D fit int64, and in math/big
+// otherwise. Instances past the bound run on the big.Int plan (dpbig.go).
 
 // fixedPlan is the prepared fixed-width instance for one λ = p/q. Its
 // slices point into the buffer fixedPlanFor was given.
@@ -152,7 +141,7 @@ func (pl *fixedPlan) scaleBig(ws []numeric.Rat, lambda numeric.Rat) (p, q numeri
 	return p, q, true
 }
 
-// fixedCell mirrors costW on 128-bit integers.
+// fixedCell is the fixed-width value-pass cell: costW on 128-bit integers.
 type fixedCell struct {
 	cost, wS numeric.Int128
 	ok       bool
@@ -171,19 +160,14 @@ func (a fixedCell) better(b fixedCell) bool {
 	return b.wS.Less(a.wS)
 }
 
-// advance moves the forward (cost, weight) DP one position along, in
-// place: from the cells keyed (s_{i-1}, s_i) to those keyed (s_i, s_{i+1}),
-// charging vertex i when s_{i-1} ∨ s_{i+1} and selecting vertex i+1 when
-// s_{i+1}. It is the transition loop of pathValue unrolled: with
-// s_{i+1} = 1 both predecessors take the same delta, so the better of them
-// wins outright.
-func (pl *fixedPlan) advance(dp *[2][2]fixedCell, i int) {
-	charge, chargeSel, w := pl.charge[i], pl.chargeSel[i], pl.wInt[i+1]
-	prev := *dp
-	for b := 0; b < 2; b++ {
-		x0, x1 := prev[0][b], prev[1][b]
-		if !x0.ok || !x1.ok {
-			// Only the first steps of a sweep meet infeasible cells.
+// advance is dpArith's advance: with s_{i+1} = 1 both predecessors take the
+// same delta, so the better of them wins outright.
+func (pl *fixedPlan) advance(dp *[2][2]fixedCell, from, to int) {
+	for i := from; i < to; i++ {
+		charge, chargeSel, w := pl.charge[i], pl.chargeSel[i], pl.wInt[i+1]
+		prev := *dp
+		for b := 0; b < 2; b++ {
+			x0, x1 := prev[0][b], prev[1][b]
 			on := x0
 			if x1.better(x0) {
 				on = x1
@@ -198,111 +182,63 @@ func (pl *fixedPlan) advance(dp *[2][2]fixedCell, i int) {
 				x0 = x1
 			}
 			dp[b][0], dp[b][1] = x0, on
-			continue
 		}
-		oc, ow := x0.cost, x0.wS
-		if lexLess(x1.cost, x1.wS, oc, ow) {
-			oc, ow = x1.cost, x1.wS
-		}
-		fc, fw := x0.cost, x0.wS
-		if c := x1.cost.Add(charge); lexLess(c, x1.wS, fc, fw) {
-			fc, fw = c, x1.wS
-		}
-		dp[b][0] = fixedCell{cost: fc, wS: fw, ok: true}
-		dp[b][1] = fixedCell{cost: oc.Add(chargeSel), wS: ow.Add(w), ok: true}
 	}
 }
 
-// lexLess reports whether (c1, w1) precedes (c2, w2): lower cost first, then
-// higher minimizer weight.
-func lexLess(c1, w1, c2, w2 numeric.Int128) bool {
-	if c1 != c2 {
-		return c1.Less(c2)
+func (pl *fixedPlan) seed(c *fixedCell, s0, s1 int) {
+	*c = fixedCell{ok: true}
+	if s0 == 1 {
+		c.cost, c.wS = pl.sel[0], pl.wInt[0]
 	}
-	return w2.Less(w1)
+	if s1 == 1 {
+		c.cost, c.wS = c.cost.Add(pl.sel[1]), c.wS.Add(pl.wInt[1])
+	}
 }
+
+func (pl *fixedPlan) seedVal(v *fixedVal, s0, s1 int) {
+	var c fixedCell
+	pl.seed(&c, s0, s1)
+	*v = fixedVal{v: c.cost, ok: true}
+}
+
+func (pl *fixedPlan) chargeVal(v *fixedVal, i int) { *v = v.plus(pl.charge[i]) }
+
+func (pl *fixedPlan) close(dp *[2][2]fixedCell, last, first [2]bool, best *fixedCell) {
+	m := len(pl.charge)
+	for a := 0; a < 2; a++ {
+		for b := 0; b < 2; b++ {
+			cand := dp[a][b]
+			if last[a] {
+				cand.cost = cand.cost.Add(pl.charge[m-1])
+			}
+			if first[b] {
+				cand.cost = cand.cost.Add(pl.charge[0])
+			}
+			if cand.better(*best) {
+				*best = cand
+			}
+		}
+	}
+}
+
+func (pl *fixedPlan) work(sc *dpScratch) *dpWork[fixedCell, fixedVal] { return &sc.fixed }
 
 // toCostW converts a fixed-width cell back to canonical rationals.
-func (pl *fixedPlan) toCostW(c fixedCell) costW {
+func (pl *fixedPlan) toCostW(c *fixedCell) costW {
 	if !c.ok {
 		panic("bottleneck: infeasible fixed-width DP")
 	}
 	return costW{cost: numeric.FromInt128(c.cost, pl.qd), wS: numeric.FromInt128(c.wS, pl.d), ok: true}
 }
 
-// costRat converts a cost in units of 1/(q·D) to a canonical Rat.
-func (pl *fixedPlan) costRat(cost numeric.Int128) numeric.Rat {
-	return numeric.FromInt128(cost, pl.qd)
+// costRat converts a membership pass's minimum to a canonical Rat.
+func (pl *fixedPlan) costRat(v fixedVal) numeric.Rat {
+	return numeric.FromInt128(v.v, pl.qd)
 }
 
-func (c dpComponent) pathValueFixed(pl *fixedPlan) costW {
-	m := len(c.order)
-	var dp [2][2]fixedCell
-	dp[0][0] = fixedCell{ok: true}
-	dp[0][1] = fixedCell{cost: pl.sel[0], wS: pl.wInt[0], ok: true}
-	for i := 0; i+1 < m; i++ {
-		pl.advance(&dp, i)
-	}
-	best := fixedCell{}
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 2; b++ {
-			if !dp[a][b].ok {
-				continue
-			}
-			cand := dp[a][b]
-			if a == 1 {
-				cand.cost = cand.cost.Add(pl.charge[m-1])
-			}
-			if cand.better(best) {
-				best = cand
-			}
-		}
-	}
-	return pl.toCostW(best)
-}
-
-func (c dpComponent) cycleValueFixed(pl *fixedPlan) costW {
-	m := len(c.order)
-	best := fixedCell{}
-	for s0 := 0; s0 < 2; s0++ {
-		for s1 := 0; s1 < 2; s1++ {
-			var dp [2][2]fixedCell
-			init := fixedCell{ok: true}
-			if s0 == 1 {
-				init.cost, init.wS = pl.sel[0], pl.wInt[0]
-			}
-			if s1 == 1 {
-				init.cost = init.cost.Add(pl.sel[1])
-				init.wS = init.wS.Add(pl.wInt[1])
-			}
-			dp[s0][s1] = init
-			for i := 1; i+1 < m; i++ {
-				pl.advance(&dp, i)
-			}
-			for a := 0; a < 2; a++ {
-				for b := 0; b < 2; b++ {
-					if !dp[a][b].ok {
-						continue
-					}
-					cand := dp[a][b]
-					if a == 1 || s0 == 1 {
-						cand.cost = cand.cost.Add(pl.charge[m-1])
-					}
-					if s1 == 1 || b == 1 {
-						cand.cost = cand.cost.Add(pl.charge[0])
-					}
-					if cand.better(best) {
-						best = cand
-					}
-				}
-			}
-		}
-	}
-	return pl.toCostW(best)
-}
-
-// fixedVal mirrors dpVal: a cost that may be infeasible. The membership
-// sweeps compare costs alone.
+// fixedVal is the fixed-width membership-pass value: a cost that may be
+// infeasible.
 type fixedVal struct {
 	v  numeric.Int128
 	ok bool
@@ -329,8 +265,6 @@ func minVal(a, b fixedVal) fixedVal {
 	return a
 }
 
-// forward is advance on cost-only values, in place: the prefix sweep of the
-// membership passes.
 func (pl *fixedPlan) forward(dp *[2][2]fixedVal, i int) {
 	x00, x01, x10, x11 := dp[0][0], dp[0][1], dp[1][0], dp[1][1]
 	dp[0][0] = minVal(x00, x10.plus(pl.charge[i]))
@@ -339,145 +273,39 @@ func (pl *fixedPlan) forward(dp *[2][2]fixedVal, i int) {
 	dp[1][1] = minVal(x01, x11).plus(pl.chargeSel[i])
 }
 
-// backward moves the suffix sweep one position back: from the values keyed
-// (s_{i+1}, s_{i+2}) in next to those keyed (s_i, s_{i+1}) in prev,
-// charging vertex i+1 when s_i ∨ s_{i+2} and selecting it when s_{i+1}.
-func (pl *fixedPlan) backward(next, prev *[2][2]fixedVal, i int) {
-	for cb := 0; cb < 2; cb++ {
-		y0, y1 := next[cb][0], next[cb][1]
-		off := minVal(y0, y1.plus(pl.charge[i+1]))
-		on := minVal(y0, y1).plus(pl.charge[i+1])
-		if cb == 1 {
-			off, on = off.plus(pl.sel[i+1]), on.plus(pl.sel[i+1])
+func (pl *fixedPlan) backward(suffix [][2][2]fixedVal, first int) {
+	for i := len(suffix) - 2; i >= first; i-- {
+		next, prev := &suffix[i+1], &suffix[i]
+		for cb := 0; cb < 2; cb++ {
+			y0, y1 := next[cb][0], next[cb][1]
+			off := minVal(y0, y1.plus(pl.charge[i+1]))
+			on := minVal(y0, y1).plus(pl.charge[i+1])
+			if cb == 1 {
+				off, on = off.plus(pl.sel[i+1]), on.plus(pl.sel[i+1])
+			}
+			prev[0][cb], prev[1][cb] = off, on
 		}
-		prev[0][cb], prev[1][cb] = off, on
 	}
 }
 
-// glue is the best total at position i over the prefix values fwd and the
-// suffix values bwd there, adding vertex i's own charge [s_{i-1} ∨ s_{i+1}];
-// bFixed and cFixed (when ≥ 0) pin s_i and s_{i+1}.
-func (pl *fixedPlan) glue(fwd, bwd *[2][2]fixedVal, i, bFixed, cFixed int) fixedVal {
-	best := fixedVal{}
+func (pl *fixedPlan) glue(fwd, bwd *[2][2]fixedVal, i int, selected bool, least *fixedVal) {
 	for a := 0; a < 2; a++ {
 		for b := 0; b < 2; b++ {
-			if (bFixed >= 0 && b != bFixed) || !fwd[a][b].ok {
+			if selected && b == 0 || !fwd[a][b].ok {
 				continue
 			}
 			for cb := 0; cb < 2; cb++ {
-				if (cFixed >= 0 && cb != cFixed) || !bwd[b][cb].ok {
+				if !bwd[b][cb].ok {
 					continue
 				}
 				cand := fixedVal{v: fwd[a][b].v.Add(bwd[b][cb].v), ok: true}
 				if a == 1 || cb == 1 {
 					cand.v = cand.v.Add(pl.charge[i])
 				}
-				if cand.better(best) {
-					best = cand
+				if cand.better(*least) {
+					*least = cand
 				}
 			}
 		}
 	}
-	return best
-}
-
-// pathMembershipFixed mirrors pathMembership on the fixed-width plan; the
-// minimum is returned in units of 1/(q·D) (see costRat). The suffix sweep is
-// stored in sc and the prefix sweep rolls along the gluing positions. The
-// members slice is sc's, valid until its next pass.
-func (c dpComponent) pathMembershipFixed(pl *fixedPlan, sc *dpScratch) (numeric.Int128, []bool) {
-	m := len(c.order)
-	sc.sweep = resize(sc.sweep, m)
-	bwd := sc.sweep
-	for b := 0; b < 2; b++ {
-		bwd[m-1][b] = [2]fixedVal{{ok: true}, {}}
-	}
-	for i := m - 2; i >= 0; i-- {
-		pl.backward(&bwd[i+1], &bwd[i], i)
-	}
-	var fwd [2][2]fixedVal
-	fwd[0][0] = fixedVal{ok: true}
-	fwd[0][1] = fixedVal{v: pl.sel[0], ok: true}
-	globalMin := pl.glue(&fwd, &bwd[0], 0, -1, -1)
-	sc.members = resize(sc.members, m)
-	members := sc.members
-	for i := 0; i < m; i++ {
-		if i > 0 {
-			pl.forward(&fwd, i-1)
-		}
-		with := pl.glue(&fwd, &bwd[i], i, 1, -1)
-		members[i] = with.ok && with.v == globalMin.v
-	}
-	return globalMin.v, members
-}
-
-// cycleMembershipFixed mirrors cycleMembership on the fixed-width plan; the
-// minimum is returned in units of 1/(q·D) (see costRat). As in the path
-// pass, the suffix sweep is stored in sc and the prefix sweep rolls; the
-// members slice is sc's, valid until its next pass.
-func (c dpComponent) cycleMembershipFixed(pl *fixedPlan, sc *dpScratch) (numeric.Int128, []bool) {
-	m := len(c.order)
-	globalMin := fixedVal{}
-	sc.memberMin = resize(sc.memberMin, m)
-	memberMin := sc.memberMin
-	clear(memberMin)
-	update := func(i int, v fixedVal) {
-		if v.better(memberMin[i]) {
-			memberMin[i] = v
-		}
-	}
-	sc.sweep = resize(sc.sweep, m)
-	bwd := sc.sweep
-	for s0 := 0; s0 < 2; s0++ {
-		for s1 := 0; s1 < 2; s1++ {
-			for b := 0; b < 2; b++ {
-				for cb := 0; cb < 2; cb++ {
-					cell := fixedVal{ok: true}
-					if cb == 1 {
-						cell.v = pl.sel[m-1]
-					}
-					if b == 1 || s0 == 1 {
-						cell.v = cell.v.Add(pl.charge[m-1])
-					}
-					if s1 == 1 || cb == 1 {
-						cell.v = cell.v.Add(pl.charge[0])
-					}
-					bwd[m-2][b][cb] = cell
-				}
-			}
-			for i := m - 3; i >= 1; i-- {
-				pl.backward(&bwd[i+1], &bwd[i], i)
-			}
-			var fwd [2][2]fixedVal
-			init := fixedVal{ok: true}
-			if s0 == 1 {
-				init.v = pl.sel[0]
-			}
-			if s1 == 1 {
-				init.v = init.v.Add(pl.sel[1])
-			}
-			fwd[s0][s1] = init
-			free := pl.glue(&fwd, &bwd[1], 1, -1, -1)
-			if free.better(globalMin) {
-				globalMin = free
-			}
-			if s0 == 1 {
-				update(0, free)
-			}
-			if s1 == 1 {
-				update(1, free)
-			}
-			for i := 2; i <= m-2; i++ {
-				pl.forward(&fwd, i-1)
-				update(i, pl.glue(&fwd, &bwd[i], i, 1, -1))
-			}
-			update(m-1, pl.glue(&fwd, &bwd[m-2], m-2, -1, 1))
-		}
-	}
-	sc.members = resize(sc.members, m)
-	members := sc.members
-	for i := range members {
-		members[i] = memberMin[i].ok && memberMin[i].v == globalMin.v
-	}
-	return globalMin.v, members
 }

@@ -2,6 +2,7 @@ package bottleneck
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -36,6 +37,72 @@ func fuzzInt(sel byte, raw int64) int64 {
 // freshPlan builds c's fixed-width plan at λ in a buffer of its own.
 func freshPlan(c dpComponent, lambda numeric.Rat) (fixedPlan, bool) {
 	return c.fixedPlanFor(lambda, make([]numeric.Int128, 4*len(c.ws)))
+}
+
+// dpPlans are the two plans every DP referee runs.
+var dpPlans = []struct {
+	name  string
+	fixed bool
+}{{"fixed-width", true}, {"big.Int", false}}
+
+// planResult is what a component's value and membership passes return, in
+// canonical rationals.
+type planResult struct {
+	val     costW
+	min     numeric.Rat
+	members []bool
+}
+
+// runPlan runs c's value and membership passes at λ through sc on the
+// fixed-width plan (fixed) or the big.Int plan, and copies the result out
+// of sc; ok=false when the fixed-width bound rejects the instance.
+func runPlan(c dpComponent, lambda numeric.Rat, fixed bool, sc *dpScratch) (res planResult, ok bool) {
+	if !fixed {
+		pl := c.bigPlanFor(lambda)
+		return planPasses(&pl, c, sc), true
+	}
+	sc.cells = resize(sc.cells, 4*len(c.ws))
+	pl, ok := c.fixedPlanFor(lambda, sc.cells)
+	if !ok {
+		return planResult{}, false
+	}
+	return planPasses(&pl, c, sc), true
+}
+
+// ratArith is a plan's arithmetic with the conversion of a membership
+// pass's minimum.
+type ratArith[C dpOrder[C], V dpOrder[V]] interface {
+	dpArith[C, V]
+	costRat(v V) numeric.Rat
+}
+
+func planPasses[C dpOrder[C], V dpOrder[V], P ratArith[C, V]](pl P, c dpComponent, sc *dpScratch) planResult {
+	members := append([]bool(nil), membershipPass(pl, c, sc)...)
+	return planResult{val: valuePass(pl, c, sc), min: pl.costRat(pl.work(sc).least), members: members}
+}
+
+// ratResult is the planResult of the Rat passes of dpref_test.go.
+func ratResult(c dpComponent, lambda numeric.Rat) planResult {
+	sel := c.selCosts(lambda)
+	if c.cycle {
+		least, members := c.cycleMembership(lambda)
+		return planResult{c.cycleValue(sel), least, members}
+	}
+	least, members := c.pathMembership(lambda)
+	return planResult{c.pathValue(sel), least, members}
+}
+
+// diff describes the first way got differs from want, or is empty.
+func (got planResult) diff(want planResult) string {
+	switch {
+	case got.val.ok != want.val.ok || !got.val.cost.Equal(want.val.cost) || !got.val.wS.Equal(want.val.wS):
+		return fmt.Sprintf("value (%v, %v) != (%v, %v)", got.val.cost, got.val.wS, want.val.cost, want.val.wS)
+	case !got.min.Equal(want.min):
+		return fmt.Sprintf("membership min %v != %v", got.min, want.min)
+	case fmt.Sprint(got.members) != fmt.Sprint(want.members):
+		return fmt.Sprintf("members %v != %v", got.members, want.members)
+	}
+	return ""
 }
 
 // fuzzReader hands out biased int64s from fuzz data, 9 bytes each, and 1
@@ -134,10 +201,11 @@ func admissionEdge(above bool) ([2]int64, [][2]int64) {
 	return [2]int64{1<<62 - 1, 1}, [][2]int64{{1 << 62, 1}, {1 << 62, 1}, {1 << 62, 1}, {last, 1}}
 }
 
-// FuzzFixedWidthDP referees the fixed-width plan — and, where its bound
-// rejects an input, the big.Int plan — against the Rat passes of
-// dpref_test.go on paths and cycles of 3–12 vertices. Both the value pass
-// and the membership pass must match bit for bit. A path is also read as a
+// FuzzFixedWidthDP referees the DP passes on both plans — the big.Int plan
+// on every input, the fixed-width plan wherever its bound admits one —
+// against the Rat passes of dpref_test.go on paths and cycles of 3–12
+// vertices. Both the value pass and the membership pass must match bit for
+// bit. A path is also read as a
 // split path [w1, interior…, w2], and valueFull (the integer combination
 // with the interior transfer, or the whole-path pass) must match the Rat
 // value pass of the whole path. The seeds cover both sides of the 2^126
@@ -183,57 +251,17 @@ func FuzzFixedWidthDP(f *testing.F) {
 	})
 }
 
-// checkPlansAgainstRat runs the plan dp.go would pick for (c, λ) and
-// compares its value and membership passes with the Rat reference.
+// checkPlansAgainstRat runs c's value and membership passes at λ on both
+// plans — the fixed-width one where its bound admits (c, λ) — and compares
+// each with the Rat reference.
 func checkPlansAgainstRat(t *testing.T, c dpComponent, lambda numeric.Rat) {
 	t.Helper()
-	sel := c.selCosts(lambda)
-	var wantVal costW
-	var wantMin numeric.Rat
-	var wantMem []bool
-	if c.cycle {
-		wantVal = c.cycleValue(sel)
-		wantMin, wantMem = c.cycleMembership(lambda)
-	} else {
-		wantVal = c.pathValue(sel)
-		wantMin, wantMem = c.pathMembership(lambda)
-	}
-	var gotVal costW
-	var gotMin numeric.Rat
-	var gotMem []bool
-	fp, fixed := freshPlan(c, lambda)
-	switch {
-	case fixed && c.cycle:
-		gotVal = c.cycleValueFixed(&fp)
-		var v numeric.Int128
-		v, gotMem = c.cycleMembershipFixed(&fp, new(dpScratch))
-		gotMin = fp.costRat(v)
-	case fixed:
-		gotVal = c.pathValueFixed(&fp)
-		var v numeric.Int128
-		v, gotMem = c.pathMembershipFixed(&fp, new(dpScratch))
-		gotMin = fp.costRat(v)
-	case c.cycle:
-		bp := c.bigPlanFor(lambda)
-		gotVal = c.cycleValueBig(bp)
-		gotMin, gotMem = c.cycleMembershipBig(bp)
-	default:
-		bp := c.bigPlanFor(lambda)
-		gotVal = c.pathValueBig(bp)
-		gotMin, gotMem = c.pathMembershipBig(bp)
-	}
-	if !gotVal.cost.Equal(wantVal.cost) || !gotVal.wS.Equal(wantVal.wS) {
-		t.Fatalf("fixed=%v cycle=%v λ=%v w=%v: value (%v, %v) != Rat (%v, %v)",
-			fixed, c.cycle, lambda, c.ws, gotVal.cost, gotVal.wS, wantVal.cost, wantVal.wS)
-	}
-	if !gotMin.Equal(wantMin) {
-		t.Fatalf("fixed=%v cycle=%v λ=%v w=%v: membership min %v != Rat %v",
-			fixed, c.cycle, lambda, c.ws, gotMin, wantMin)
-	}
-	for i := range wantMem {
-		if gotMem[i] != wantMem[i] {
-			t.Fatalf("fixed=%v cycle=%v λ=%v w=%v: member[%d] = %v != Rat %v",
-				fixed, c.cycle, lambda, c.ws, i, gotMem[i], wantMem[i])
+	want := ratResult(c, lambda)
+	for _, plan := range dpPlans {
+		if got, ok := runPlan(c, lambda, plan.fixed, new(dpScratch)); ok {
+			if d := got.diff(want); d != "" {
+				t.Fatalf("%s plan, cycle=%v λ=%v w=%v: %s against Rat", plan.name, c.cycle, lambda, c.ws, d)
+			}
 		}
 	}
 }

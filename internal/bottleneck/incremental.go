@@ -525,14 +525,8 @@ func (s *SplitSolver) buildTransfer(lambda numeric.Rat, sc *dpScratch) *interior
 	for st := 0; st < 4; st++ {
 		s0, s1 := st>>1, st&1
 		var dp [2][2]fixedCell
-		init := fixedCell{ok: true}
-		if s1 == 1 {
-			init = fixedCell{cost: pl.sel[0], wS: pl.wInt[0], ok: true}
-		}
-		dp[s0][s1] = init
-		for j := 0; j+1 < k; j++ {
-			pl.advance(&dp, j)
-		}
+		pl.seed(&dp[s0][s1], s1, 0)
+		pl.advance(&dp, 0, k-1)
 		t.cells[st] = dp
 	}
 	return t
@@ -542,9 +536,9 @@ func (s *SplitSolver) buildTransfer(lambda numeric.Rat, sc *dpScratch) *interior
 // of its maximal-weight minimizer. With a transfer t it combines the cached
 // interior cells with the endpoint terms of (w1, w2) in integers, O(1) in
 // the path length (combineFixed). Without one, or when combineFixed rejects
-// the endpoint sums, it runs valuePass over the whole path in sc, which
-// takes the fixed-width or big.Int plan like every other DP pass; tally
-// counts that pass and its plan.
+// the endpoint sums, it runs the value pass over the whole path in sc, on
+// the fixed-width or big.Int plan like every other DP pass; tally counts
+// that pass and its plan.
 func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat, sc *dpScratch, tally *arithTally) (numeric.Rat, numeric.Rat) {
 	if t != nil {
 		if val, wS, ok := t.combineFixed(lambda, w1, w2); ok {
@@ -552,7 +546,8 @@ func (s *SplitSolver) valueFull(t *interiorTransfer, lambda, w1, w2 numeric.Rat,
 		}
 	}
 	tally.wholePaths++
-	cw := s.fullPath(w1, w2, sc).valuePass(lambda, sc, tally)
+	c := s.fullPath(w1, w2, sc)
+	cw := sc.plan(c, lambda, tally).value(c, sc)
 	return cw.cost, cw.wS
 }
 
@@ -650,17 +645,8 @@ func (t *interiorTransfer) combineFixed(lambda, w1, w2 numeric.Rat) (numeric.Rat
 // extracted set is byte-identical to the one dpOracle.maximal would report.
 func (s *SplitSolver) fullMembers(lambda, w1, w2 numeric.Rat, sc *dpScratch, tally *arithTally) []int {
 	c := s.fullPath(w1, w2, sc)
-	var members []bool
-	sc.cells = resize(sc.cells, 4*s.n)
-	pl, fixed := c.fixedPlanFor(lambda, sc.cells)
-	if fixed {
-		_, members = c.pathMembershipFixed(&pl, sc)
-	} else {
-		_, members = c.pathMembershipBig(c.bigPlanFor(lambda))
-	}
-	tally.plan(fixed)
 	var out []int
-	for i, m := range members {
+	for i, m := range sc.plan(c, lambda, tally).members(c, sc) {
 		if m {
 			out = append(out, i)
 		}

@@ -121,9 +121,11 @@ type Record struct {
 	StartedUnixNano  int64 `json:"started_unix_nano,omitempty"`
 	FinishedUnixNano int64 `json:"finished_unix_nano,omitempty"`
 
-	// CancelRequested marks a cancellation in flight: set when a running
-	// job is asked to stop, so the worker can tell an API cancel from a
-	// shutdown requeue when its context dies.
+	// CancelRequested marks an acknowledged cancellation: set when a
+	// running job is asked to stop, so the worker can tell an API cancel
+	// from a shutdown requeue when its context dies. The job then ends
+	// canceled with no result, whatever its run returns, and across a
+	// crash too: Recover finishes it instead of requeueing it.
 	CancelRequested bool `json:"cancel_requested,omitempty"`
 }
 

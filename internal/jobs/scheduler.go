@@ -108,14 +108,22 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 // Recover requeues every non-terminal job left in the store by a previous
 // process: queued jobs as they are, running jobs demoted back to queued
 // (their checkpointed prefix intact, so they resume where the crash cut
-// them off). Each considered job is a jobs.recover fault-injection site; an
-// injected or real error aborts recovery so a broken store fails the boot
-// loudly instead of silently dropping work.
+// them off). A job whose cancel was acknowledged before the crash ends
+// canceled instead, uncounted in the returned number. Each considered job
+// is a jobs.recover fault-injection site; an injected or real error aborts
+// recovery so a broken store fails the boot loudly instead of silently
+// dropping work.
 func (s *Scheduler) Recover(ctx context.Context) (int, error) {
 	n := 0
 	for _, rec := range s.store.Pending() {
 		if err := fault.Hit(ctx, fault.SiteJobsRecover); err != nil {
 			return n, fmt.Errorf("jobs: recover %s: %w", rec.ID, err)
+		}
+		if rec.CancelRequested {
+			if err := s.finish(ctx, rec.ID, StateCanceled, nil, ""); err != nil {
+				return n, fmt.Errorf("jobs: recover %s: %w", rec.ID, err)
+			}
+			continue
 		}
 		if rec.State == StateRunning {
 			var err error
@@ -324,16 +332,11 @@ func (s *Scheduler) work(id string) {
 
 	switch {
 	case err == nil:
-		s.finish(id, func(r *Record) {
-			r.State = StateDone
-			r.Result = result
-		})
+		s.finish(s.base, id, StateDone, result, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		latest, _ := s.store.Get(id)
 		if latest != nil && latest.CancelRequested {
-			s.finish(id, func(r *Record) {
-				r.State = StateCanceled
-			})
+			s.finish(s.base, id, StateCanceled, nil, "")
 		} else {
 			// Shutdown requeue: back to queued with the checkpointed prefix
 			// intact; the next boot's Recover picks it up.
@@ -348,22 +351,24 @@ func (s *Scheduler) work(id string) {
 			}
 		}
 	default:
-		errMsg := err.Error()
-		s.finish(id, func(r *Record) {
-			r.State = StateFailed
-			r.Error = errMsg
-		})
+		s.finish(s.base, id, StateFailed, nil, err.Error())
 	}
 }
 
-// finish applies a terminal transition and records its metrics. The store
-// update and the count happen under s.mu, so a Stats call that follows any
-// read of the terminal record finds the job counted and no longer running,
-// and a failed update counts nothing.
-func (s *Scheduler) finish(id string, set func(*Record)) {
+// finish applies a terminal transition and records its metrics. A job
+// whose cancel was acknowledged (CancelRequested) ends canceled with no
+// result, whatever its run returned: the store serializes the transition
+// after Cancel's update, so a cancel Cancel answered without error is
+// final. The store update and the count happen under s.mu, so a Stats call
+// that follows any read of the terminal record finds the job counted and
+// no longer running, and a failed update counts nothing.
+func (s *Scheduler) finish(ctx context.Context, id string, state State, result []byte, errMsg string) error {
 	s.mu.Lock()
-	rec, err := s.store.Update(s.base, id, func(r *Record) error {
-		set(r)
+	rec, err := s.store.Update(ctx, id, func(r *Record) error {
+		if r.CancelRequested {
+			state, result, errMsg = StateCanceled, nil, ""
+		}
+		r.State, r.Result, r.Error = state, result, errMsg
 		r.FinishedUnixNano = time.Now().UnixNano()
 		return nil
 	})
@@ -374,9 +379,10 @@ func (s *Scheduler) finish(id string, set func(*Record)) {
 	s.mu.Unlock()
 	if err != nil {
 		s.log.Error("job finish failed", "job", id, "err", err)
-		return
+		return err
 	}
 	s.log.Info("job finished", "job", id, "state", string(rec.State), "age", rec.Age(time.Now()))
+	return nil
 }
 
 // countTransition bumps the per-state transition counter.

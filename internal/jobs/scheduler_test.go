@@ -159,6 +159,99 @@ func TestSchedulerCancelRunning(t *testing.T) {
 	}
 }
 
+// waitTerminal polls until the job reaches a terminal state.
+func waitTerminal(t *testing.T, st *Store, id string) *Record {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if rec, ok := st.Get(id); ok && rec.State.Terminal() {
+			return rec
+		}
+	}
+	rec, _ := st.Get(id)
+	t.Fatalf("job %s never finished (last: %+v)", id, rec)
+	return nil
+}
+
+// TestSchedulerCancelBeatsLateSuccess acknowledges a cancel while the run
+// is still going and lets the run succeed only after Cancel has returned:
+// the job must end canceled, with no result, and be counted so.
+func TestSchedulerCancelBeatsLateSuccess(t *testing.T) {
+	st := openStore(t, t.TempDir(), StoreConfig{})
+	started, acked := make(chan struct{}), make(chan struct{})
+	run := func(ctx context.Context, rec *Record, ckpt CheckpointFunc) ([]byte, error) {
+		close(started)
+		<-acked
+		return []byte(`{"late":true}`), nil
+	}
+	s := newSched(t, st, 1, run)
+	s.Start()
+	ctx := context.Background()
+	rec, _, err := s.Submit(ctx, Submission{Key: "late", Kind: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := s.Cancel(ctx, rec.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(acked)
+	if got := waitTerminal(t, st, rec.ID); got.State != StateCanceled || got.Result != nil {
+		t.Fatalf("acknowledged cancel ended %s with result %q", got.State, got.Result)
+	}
+	stats := s.Stats()
+	for deadline := time.Now().Add(10 * time.Second); stats.Transitions[StateCanceled] == 0 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		stats = s.Stats()
+	}
+	if stats.Transitions[StateCanceled] != 1 || stats.Transitions[StateDone] != 0 {
+		t.Fatalf("transitions %+v, want one canceled and none done", stats.Transitions)
+	}
+}
+
+// TestSchedulerRecoverFinishesAcknowledgedCancel reopens a store holding
+// jobs whose cancel was acknowledged before a crash — one running, one
+// already requeued — and requires Recover to finish both canceled instead
+// of requeueing them.
+func TestSchedulerRecoverFinishesAcknowledgedCancel(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	st := openStore(t, dir, StoreConfig{})
+	var ids []string
+	for _, state := range []State{StateRunning, StateQueued} {
+		rec, _, err := st.Submit(ctx, Submission{Key: string(state), Kind: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Update(ctx, rec.ID, func(r *Record) error {
+			r.State, r.CancelRequested = state, true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir, StoreConfig{})
+	s := newSched(t, st2, 1, func(context.Context, *Record, CheckpointFunc) ([]byte, error) {
+		t.Error("a job whose cancel was acknowledged ran again")
+		return []byte(`{}`), nil
+	})
+	n, err := s.Recover(ctx)
+	if err != nil || n != 0 {
+		t.Fatalf("Recover: n=%d err=%v, want nothing requeued", n, err)
+	}
+	for _, id := range ids {
+		if got, _ := st2.Get(id); got.State != StateCanceled || got.Result != nil {
+			t.Fatalf("recovered job %s is %s", id, got.State)
+		}
+	}
+	if stats := s.Stats(); stats.QueueDepth != 0 || stats.Recovered != 0 || stats.Transitions[StateCanceled] != 2 {
+		t.Fatalf("stats after Recover: %+v", stats)
+	}
+}
+
 func TestSchedulerShutdownRequeuesAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()

@@ -6,33 +6,30 @@ import (
 	"repro/internal/numeric"
 )
 
-// Fixed-width Dinic.
+// Dinic's algorithm, on fixed-width cells or on rationals.
 //
-// For finite capacities c_i = n_i/d_i, let L = lcm(d_i). The kernel runs
-// Dinic on the integers n_i·(L/d_i) and gives every Inf arc exactly
-// L·(1 + Σ c_i), the scaled form of finiteBound's substitute. Scaling by
-// L > 0 preserves every comparison Dinic makes — residual > 0 in the BFS,
-// min(limit, residual) in the DFS, pushed > 0 — so the integer run takes the
-// same levels, augmenting paths and pushes as the rational one: its flows
-// are L times the rational flows and its min-cut sides are the same. The
-// traversal below therefore mirrors dinic() step for step; an early exit or
-// a reordering would change the flows (not the value).
+// For finite capacities c_i = n_i/d_i, let L = lcm(d_i). The fixed-width
+// solve runs Dinic on the integers n_i·(L/d_i) and gives every Inf arc
+// exactly L·(1 + Σ c_i), the scaled form of finiteBound's substitute.
+// Scaling by L > 0 preserves every comparison Dinic makes, so one traversal
+// serves both arithmetics: the level graph and the path search test arcs
+// with hasResidual alone, and the arithmetic enters only at the augment.
+// The integer run therefore takes the same levels, augmenting paths and
+// pushes as the rational one: its flows are L times the rational flows and
+// its min-cut sides are the same.
 //
 // admit accepts a network exactly when (1+k)·L·(1 + Σ c_i) < 2^FixedBits,
 // where k counts the Inf arcs leaving the source (the networks of this
-// repository have none). Every capacity, flow, residual, DFS limit and the
-// flow value is then at most that bound, so the adds need no checks. The
-// scaled capacities are formed in int64 parts when every part and L fit
-// int64, and in math/big otherwise; zero capacities add nothing to L or to
-// the sum.
+// repository have none). Every capacity, flow, residual and the flow value
+// is then at most that bound, so the adds need no checks. The scaled
+// capacities are formed in int64 parts when every part and L fit int64, and
+// in math/big otherwise; zero capacities add nothing to L or to the sum.
 
 // fixedCells holds the integer state of the last fixed-width solve.
 type fixedCells struct {
 	scale numeric.Int128   // L, the common denominator
 	cap   []numeric.Int128 // scaled capacity per arc, 0 on reverse arcs
 	res   []numeric.Int128 // residual capacity per arc
-	// Dinic scratch, reused across solves of one network.
-	level, iter, queue []int
 }
 
 // admit fills the cells for nw's current capacities, or returns false when
@@ -68,9 +65,7 @@ func (c *fixedCells) admit(nw *Network) bool {
 		}
 		c.res[i] = c.cap[i]
 		c.cap[i+1], c.res[i+1] = numeric.Int128{}, numeric.Int128{}
-	}
-	if len(c.level) != nw.n {
-		c.level, c.iter, c.queue = make([]int, nw.n), make([]int, nw.n), make([]int, 0, nw.n)
+		nw.arcs[i].open, nw.arcs[i+1].open = c.res[i].Sign() > 0, false
 	}
 	return true
 }
@@ -137,51 +132,57 @@ func (c *fixedCells) rat(x numeric.Int128) numeric.Rat {
 // flow returns the flow on arc id in units of 1/L.
 func (c *fixedCells) flow(id int) numeric.Int128 { return c.cap[id].Sub(c.res[id]) }
 
-// dinicFixed is dinic() on the admitted cells; it returns the flow value in
-// units of 1/L.
-func (nw *Network) dinicFixed() numeric.Int128 {
-	c := &nw.cells
-	var total numeric.Int128
-	// The source's outgoing capacity bounds any augmentation.
-	var limit numeric.Int128
-	for _, id := range nw.adj[nw.s] {
-		if id%2 == 0 {
-			limit = limit.Add(c.cap[id])
-		}
+// search is Dinic's traversal state, reused across solves of one network.
+// The BFS queue and the augmenting path share one buffer: a phase's paths
+// are searched after its BFS, and the next BFS after its last path.
+type search struct {
+	level, iter []int
+	queue, path []int // the path holds its arcs, from s
+}
+
+// dinic computes a maximum flow by repeated blocking flows on the level
+// graph, in the arithmetic Solve admitted. With exact arithmetic every
+// augmentation strictly increases the flow, and the usual O(V²E) phase
+// bound applies.
+func (nw *Network) dinic() numeric.Rat {
+	sr := &nw.search
+	if len(sr.level) != nw.n {
+		sr.level, sr.iter = make([]int, nw.n), make([]int, nw.n)
+		sr.queue = make([]int, 0, nw.n)
+		sr.path = sr.queue
 	}
-	if limit.Sign() == 0 {
-		return total
-	}
-	for nw.bfsFixed() {
-		for i := range c.iter {
-			c.iter[i] = 0
-		}
-		for {
-			pushed := nw.dfsFixed(nw.s, limit)
-			if pushed.Sign() == 0 {
-				break
+	var fixed numeric.Int128
+	total := numeric.Zero
+	for nw.levelGraph() {
+		clear(sr.iter)
+		for nw.augmentingPath() {
+			if nw.fixed {
+				fixed = fixed.Add(nw.augmentFixed())
+			} else {
+				total = total.Add(nw.augmentRat())
 			}
-			total = total.Add(pushed)
 		}
+	}
+	if nw.fixed {
+		return nw.cells.rat(fixed)
 	}
 	return total
 }
 
-// bfsFixed builds the level graph over arcs with positive residual.
-func (nw *Network) bfsFixed() bool {
-	c := &nw.cells
-	level := c.level
+// levelGraph levels the nodes by BFS distance from s over arcs with
+// residual capacity and reports whether t is reached.
+func (nw *Network) levelGraph() bool {
+	level := nw.search.level
 	for i := range level {
 		level[i] = -1
 	}
 	level[nw.s] = 0
-	queue := append(c.queue[:0], nw.s)
+	queue := append(nw.search.queue[:0], nw.s)
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
 		for _, id := range nw.adj[u] {
-			v := nw.arcs[id].to
-			if level[v] == -1 && c.res[id].Sign() > 0 {
+			if v := nw.arcs[id].to; level[v] == -1 && nw.hasResidual(id) {
 				level[v] = level[u] + 1
 				queue = append(queue, v)
 			}
@@ -190,40 +191,67 @@ func (nw *Network) bfsFixed() bool {
 	return level[nw.t] != -1
 }
 
-// dfsFixed pushes up to limit units from u toward the sink along the level
-// graph and returns the amount pushed.
-func (nw *Network) dfsFixed(u int, limit numeric.Int128) numeric.Int128 {
-	if u == nw.t {
-		return limit
-	}
-	c := &nw.cells
-	for ; c.iter[u] < len(nw.adj[u]); c.iter[u]++ {
-		id := nw.adj[u][c.iter[u]]
-		v := nw.arcs[id].to
-		if c.level[v] != c.level[u]+1 {
+// augmentingPath searches the level graph depth-first from s for t, each
+// node resuming at its current arc, and leaves the path's arcs in
+// search.path. A dead end leaves the level graph and its parent moves on to
+// its next arc; the search reports false once s is a dead end.
+func (nw *Network) augmentingPath() bool {
+	sr := &nw.search
+	path, u := sr.path[:0], nw.s
+	for u != nw.t {
+		adj, it := nw.adj[u], sr.iter[u]
+		for it < len(adj) && (sr.level[nw.arcs[adj[it]].to] != sr.level[u]+1 || !nw.hasResidual(adj[it])) {
+			it++
+		}
+		if sr.iter[u] = it; it < len(adj) {
+			path = append(path, adj[it])
+			u = nw.arcs[adj[it]].to
 			continue
 		}
-		res := c.res[id]
-		if res.Sign() <= 0 {
-			continue
+		sr.level[u] = -1 // dead end; prune
+		if len(path) == 0 {
+			return false
 		}
-		next := limit
-		if res.Less(limit) {
-			next = res
-		}
-		if pushed := nw.dfsFixed(v, next); pushed.Sign() > 0 {
-			nw.pushFixed(id, pushed)
-			return pushed
-		}
+		id := path[len(path)-1]
+		path = path[:len(path)-1]
+		u = nw.arcs[id^1].to
+		sr.iter[u]++
 	}
-	c.level[u] = -1 // dead end; prune
-	return numeric.Int128{}
+	sr.path = path
+	return true
 }
 
-// pushFixed is push on the cells.
-func (nw *Network) pushFixed(id int, f numeric.Int128) {
-	nw.strike()
-	nw.cells.res[id] = nw.cells.res[id].Sub(f)
-	nw.cells.res[id^1] = nw.cells.res[id^1].Add(f)
-	nw.pushes++
+// augmentFixed pushes the bottleneck of search.path on the cells and
+// returns it. The pushes run from the sink end back, the order in which a
+// recursive search pushes as it unwinds. The path's first arc leaves s, so
+// the source's capacity never binds the bottleneck.
+func (nw *Network) augmentFixed() numeric.Int128 {
+	path, res := nw.search.path, nw.cells.res
+	f := res[path[0]]
+	for _, id := range path[1:] {
+		if res[id].Less(f) {
+			f = res[id]
+		}
+	}
+	for k := len(path) - 1; k >= 0; k-- {
+		id := path[k]
+		nw.strike()
+		res[id], res[id^1] = res[id].Sub(f), res[id^1].Add(f)
+		nw.arcs[id].open, nw.arcs[id^1].open = res[id].Sign() > 0, true
+		nw.pushes++
+	}
+	return f
+}
+
+// augmentRat is augmentFixed on rationals.
+func (nw *Network) augmentRat() numeric.Rat {
+	path := nw.search.path
+	f := nw.residual(path[0])
+	for _, id := range path[1:] {
+		f = f.Min(nw.residual(id))
+	}
+	for k := len(path) - 1; k >= 0; k-- {
+		nw.push(path[k], f)
+	}
+	return f
 }

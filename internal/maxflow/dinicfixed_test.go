@@ -81,10 +81,13 @@ func wantAdmitted(nw *Network) bool {
 	return bound.Cmp(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), numeric.FixedBits))) < 0
 }
 
-// checkFixedAgainstRat solves two copies of one network, one with Solve and
-// one with the numeric.Rat Dinic, and requires the same admission decision
-// as wantAdmitted and — arc by arc — the same answer: value, every flow,
-// push count and both min-cut sides. It returns whether Solve ran fixed.
+// checkFixedAgainstRat solves copies of one network with Solve and with
+// the numeric.Rat Dinic and requires the same admission decision as
+// wantAdmitted and — arc by arc — the same answer: value, every flow, push
+// count and both min-cut sides. Both Dinic runs share one traversal, so it
+// also solves the network with push–relabel and Edmonds–Karp, independent
+// referees whose value and min-cut sides must match too, and audits every
+// solve with CheckConservation. It returns whether Solve ran fixed.
 func checkFixedAgainstRat(t *testing.T, n int, arcs []testArc) bool {
 	t.Helper()
 	got, ids := buildTestNetwork(n, arcs)
@@ -105,16 +108,23 @@ func checkFixedAgainstRat(t *testing.T, n int, arcs []testArc) bool {
 	if got.Pushes() != ref.Pushes() {
 		t.Fatalf("fixed=%v: %d pushes != Rat %d", got.fixed, got.Pushes(), ref.Pushes())
 	}
-	for _, maximal := range []bool{false, true} {
-		g, w := got.MinCutSourceSide(maximal), ref.MinCutSourceSide(maximal)
-		for v := range w {
-			if g[v] != w[v] {
-				t.Fatalf("fixed=%v maximal=%v: cut side differs at node %d", got.fixed, maximal, v)
+	solved := map[string]*Network{"Dinic": got, "Rat Dinic": ref}
+	for _, algo := range []Algorithm{PushRelabel, EdmondsKarp} {
+		nw, _ := buildTestNetwork(n, arcs)
+		if v := nw.Solve(algo); v.String() != vGot.String() {
+			t.Fatalf("fixed=%v: value %v != %v %v (arcs %v)", got.fixed, vGot, algo, v, arcs)
+		}
+		solved[algo.String()] = nw
+	}
+	for name, nw := range solved {
+		if err := nw.CheckConservation(); err != nil {
+			t.Fatalf("fixed=%v: %s: %v", got.fixed, name, err)
+		}
+		for _, maximal := range []bool{false, true} {
+			if g, w := got.MinCutSourceSide(maximal), nw.MinCutSourceSide(maximal); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("fixed=%v maximal=%v: cut side %v != %s %v (arcs %v)", got.fixed, maximal, g, name, w, arcs)
 			}
 		}
-	}
-	if err := got.CheckConservation(); err != nil {
-		t.Fatalf("fixed=%v: %v", got.fixed, err)
 	}
 	return got.fixed
 }
@@ -254,11 +264,12 @@ func lcmEdge(past bool) []testArc {
 	return arcs
 }
 
-// FuzzFixedWidthMaxflow referees the fixed-width Dinic against the
-// numeric.Rat Dinic on networks of 3–16 nodes with Inf arcs and capacities
-// at adversarial magnitudes: whenever the kernel admits a network, the
-// value, every arc's flow, the push count and both min-cut sides must equal
-// the rational run's, and the admission decision must match math/big.
+// FuzzFixedWidthMaxflow referees Dinic on networks of 3–16 nodes with Inf
+// arcs and capacities at adversarial magnitudes: whenever the fixed-width
+// cells admit a network, the value, every arc's flow, the push count and
+// both min-cut sides must equal the numeric.Rat Dinic's, the value and both
+// min-cut sides must equal push–relabel's and Edmonds–Karp's, every solve
+// must conserve flow, and the admission decision must match math/big.
 func FuzzFixedWidthMaxflow(f *testing.F) {
 	f.Add(encodeFuzzNetwork(4, boundEdge(false)))
 	f.Add(encodeFuzzNetwork(4, boundEdge(true)))
@@ -340,7 +351,8 @@ func TestFixedWidthMaxflowAdmission(t *testing.T) {
 }
 
 // TestFixedWidthMatchesRatOnRandomNetworks referees random networks with
-// rational and Inf capacities against the numeric.Rat Dinic; every tenth
+// rational and Inf capacities against the numeric.Rat Dinic, push–relabel
+// and Edmonds–Karp (checkFixedAgainstRat); every tenth
 // one carries two dust arcs 1/(2^63−1) and 1/(2^63−2), whose L is within
 // 2^64 of 2^126, so any other nonzero capacity puts it past the bound and
 // on rationals.

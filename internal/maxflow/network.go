@@ -9,14 +9,14 @@
 // experiment harness ablates them against each other (experiment E12).
 //
 // Push–relabel and Edmonds–Karp work in numeric.Rat arithmetic. Dinic runs
-// on fixed-width integer cells whenever the network admits them
-// (dinicfixed.go): the capacities are scaled by L, the lcm of their
-// denominators, and the network is admitted exactly when
+// on fixed-width integer cells whenever the network admits them and on
+// numeric.Rat otherwise (dinicfixed.go): the capacities are scaled by L,
+// the lcm of their denominators, and the network is admitted exactly when
 // (1+k)·L·(1 + Σ capacities) < 2^126, k counting the ∞ arcs leaving the
 // source, however large the capacities' numerators and denominators are on
-// their own. The integer run takes exactly the levels, augmenting paths and
-// pushes of the numeric.Rat Dinic, which stays as the overflow path and the
-// reference. Flows are read back as canonical rationals.
+// their own. One traversal serves both arithmetics, which enter only where
+// a path is augmented, so both take the same levels, augmenting paths and
+// pushes. Flows are read back as canonical rationals.
 //
 // Infinite capacities (used for the "selector → covered" arcs of the
 // bottleneck network and the B_i × C_i arcs of the allocation network) are
@@ -78,9 +78,10 @@ func (c Cap) String() string {
 // arithmetic that solved it: the fixed-width cells, or the Network's flow
 // slice for the rational solvers.
 type arc struct {
-	to  int
-	cap numeric.Rat // solved capacity (infinities already replaced)
-	inf bool        // declared infinite by the caller
+	to   int
+	cap  numeric.Rat // solved capacity (infinities already replaced)
+	inf  bool        // declared infinite by the caller
+	open bool        // residual capacity left, in the last solve's arithmetic
 }
 
 // Network is a directed flow network with a distinguished source and sink.
@@ -96,6 +97,7 @@ type Network struct {
 	fixed  bool          // the last solve ran on the fixed-width cells
 	pushes int64         // elementary pushes performed by the last solve
 	cells  fixedCells
+	search search // Dinic's traversal state
 	// inj is the fault injector cached from SolveCtx's context so the push
 	// hot loop pays one nil check instead of a context lookup per push. A
 	// Network serves one solve at a time (pushes is not atomic), so a plain
@@ -185,17 +187,19 @@ func (nw *Network) finiteBound() numeric.Rat {
 
 // prepare substitutes infinite capacities and resets the rational flows.
 func (nw *Network) prepare() {
+	m := len(nw.arcs)
+	if cap(nw.flow) < m {
+		nw.flow = make([]numeric.Rat, m)
+	}
+	nw.flow = nw.flow[:m]
+	clear(nw.flow)
 	bound := nw.finiteBound()
-	for i := 0; i < len(nw.arcs); i += 2 {
+	for i := 0; i < m; i += 2 {
 		if nw.arcs[i].inf {
 			nw.arcs[i].cap = bound
 		}
+		nw.arcs[i].open, nw.arcs[i+1].open = nw.arcs[i].cap.Sign() > 0, false
 	}
-	if cap(nw.flow) < len(nw.arcs) {
-		nw.flow = make([]numeric.Rat, len(nw.arcs))
-	}
-	nw.flow = nw.flow[:len(nw.arcs)]
-	clear(nw.flow)
 }
 
 // residual returns the residual capacity of arc id.
@@ -204,19 +208,17 @@ func (nw *Network) residual(id int) numeric.Rat {
 }
 
 // hasResidual reports whether arc id has positive residual capacity in the
-// arithmetic the last solve ran.
-func (nw *Network) hasResidual(id int) bool {
-	if nw.fixed {
-		return nw.cells.res[id].Sign() > 0
-	}
-	return nw.residual(id).Sign() > 0
-}
+// arithmetic the last solve ran: a solve sets every arc's flag as it starts,
+// and each push updates the two it changes.
+func (nw *Network) hasResidual(id int) bool { return nw.arcs[id].open }
 
 // push sends f along arc id (and -f along its reverse).
 func (nw *Network) push(id int, f numeric.Rat) {
 	nw.strike()
 	nw.flow[id] = nw.flow[id].Add(f)
 	nw.flow[id^1] = nw.flow[id^1].Sub(f)
+	nw.arcs[id].open = nw.flow[id].Less(nw.arcs[id].cap)
+	nw.arcs[id^1].open = nw.flow[id^1].Less(nw.arcs[id^1].cap)
 	nw.pushes++
 }
 
@@ -232,8 +234,8 @@ func (nw *Network) strike() {
 
 // Pushes returns the number of elementary flow pushes performed by the most
 // recent solve — a machine-independent work measure for traces and
-// benchmark tables. Both Dinic arithmetics push along the same paths, so the
-// count does not depend on which one ran.
+// benchmark tables. Dinic pushes along the same paths in both arithmetics,
+// so the count does not depend on which one ran.
 func (nw *Network) Pushes() int64 { return nw.pushes }
 
 // Algorithm selects a max-flow solver.
@@ -269,11 +271,9 @@ func (a Algorithm) String() string {
 func (nw *Network) Solve(algo Algorithm) numeric.Rat {
 	nw.pushes = 0
 	nw.solved = true
-	nw.fixed = algo == Dinic && nw.cells.admit(nw)
-	if nw.fixed {
-		return nw.cells.rat(nw.dinicFixed())
+	if nw.fixed = algo == Dinic && nw.cells.admit(nw); !nw.fixed {
+		nw.prepare()
 	}
-	nw.prepare()
 	switch algo {
 	case Dinic:
 		return nw.dinic()

@@ -91,6 +91,14 @@ func DecomposeCtx(ctx context.Context, g *graph.Graph, engine Engine) (*Decompos
 }
 
 func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomposition, error) {
+	sc := scratchPool.Get().(*dpScratch)
+	defer putScratch(sc)
+	return decomposeIn(ctx, g, engine, sc)
+}
+
+// decomposeIn is decomposeInner in the scratch sc, which holds the DP
+// stages' working memory and the λ-network of the flow stages.
+func decomposeIn(ctx context.Context, g *graph.Graph, engine Engine, sc *dpScratch) (*Decomposition, error) {
 	if g.N() == 0 {
 		return nil, fmt.Errorf("bottleneck: empty graph")
 	}
@@ -110,9 +118,13 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomp
 	}
 	d := &Decomposition{}
 	if len(positive) > 0 {
-		sc := scratchPool.Get().(*dpScratch) // the DP stages' working memory
-		defer scratchPool.Put(sc)
-		posSub, posOrig := g.InducedSubgraph(positive)
+		// The stages run on the positive-weight subgraph, which is g
+		// itself when no weight is zero. positive is ascending, so it maps
+		// the subgraph's vertices to g's either way.
+		posSub, posOrig := g, positive
+		if len(zeros) > 0 {
+			posSub, _ = g.InducedSubgraph(positive)
+		}
 		var net *lambdaNet // posSub's λ-network, built on the first flow stage
 		remaining := make([]int, posSub.N())
 		for i := range remaining {
@@ -127,10 +139,17 @@ func decomposeInner(ctx context.Context, g *graph.Graph, engine Engine) (*Decomp
 				sspan.SetAttr("stage", strconv.Itoa(len(d.Pairs)+1))
 				sspan.AddInt("remaining", int64(len(remaining)))
 			}
-			sub, orig := posSub.InducedSubgraph(remaining)
+			// The stage graph is posSub itself while the stage keeps every
+			// vertex (always the first stage). remaining is ascending, so
+			// it maps the stage's vertices to posSub's either way; it is
+			// rewritten only after the stage's last use of orig.
+			sub, orig := posSub, remaining
+			if len(remaining) < posSub.N() {
+				sub, _ = posSub.InducedSubgraph(remaining)
+			}
 			oracle, err := oracleFor(sub, engine, sc, func() *flowOracle {
 				if net == nil {
-					net = newLambdaNet(posSub)
+					net = sc.lambdaNet(posSub)
 				}
 				return newFlowOracle(sctx, net, sub, orig)
 			})
@@ -241,7 +260,9 @@ func (d *Decomposition) attachZeros(g *graph.Graph, zeros []int) {
 			}
 			// B-join: every still-active neighbor (not consumed by an
 			// earlier pair) lies in C_i — the free absorption of the
-			// maximal minimizer.
+			// maximal minimizer. Into a self-pair z joins both sides, as
+			// the C-join would have put it once its neighbor joined:
+			// which join comes first depends only on map order.
 			for z := range unassigned {
 				ok := false
 				for _, u := range g.Neighbors(z) {
@@ -258,6 +279,10 @@ func (d *Decomposition) attachZeros(g *graph.Graph, zeros []int) {
 				if ok {
 					d.Pairs[i].B = insertSortedInt(d.Pairs[i].B, z)
 					assignedPair[z], inB[z] = i, true
+					if selfP[i] {
+						d.Pairs[i].C = insertSortedInt(d.Pairs[i].C, z)
+						inC[z] = true
+					}
 					delete(unassigned, z)
 					changed = true
 				}
@@ -287,11 +312,14 @@ func insertSortedInt(s []int, x int) []int {
 // its ratio, without running the full decomposition. The graph must have
 // positive total weight.
 func MaxBottleneck(g *graph.Graph, engine Engine) (B []int, alpha numeric.Rat, err error) {
-	oracle, err := oracleFor(g, engine, new(dpScratch), func() *flowOracle { return graphFlowOracle(context.Background(), g) })
+	ctx := context.Background()
+	sc := scratchPool.Get().(*dpScratch)
+	defer putScratch(sc)
+	oracle, err := oracleFor(g, engine, sc, func() *flowOracle { return graphFlowOracle(ctx, g, sc) })
 	if err != nil {
 		return nil, numeric.Rat{}, err
 	}
-	alpha, B, err = maxBottleneck(context.Background(), g, oracle, nil)
+	alpha, B, err = maxBottleneck(ctx, g, oracle, nil)
 	return B, alpha, err
 }
 

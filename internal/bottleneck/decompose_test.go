@@ -201,6 +201,23 @@ func TestZeroWeightVertexJoinsPair(t *testing.T) {
 	}
 }
 
+// TestZeroChainJoinsSelfPair pins a chain of zero-weight vertices hanging
+// off a self-pair: path z0(0) - z1(0) - a(1) - b(1). {a, b} is one
+// self-pair with α = 1; z1 joins it through a, and z0 through z1, both on
+// both sides, whichever of the two zeros the convention visits first (a
+// map's order, so the test decomposes 64 times per engine).
+func TestZeroChainJoinsSelfPair(t *testing.T) {
+	g := graph.Path(numeric.Ints(0, 0, 1, 1))
+	for _, e := range []Engine{EngineFlow, EnginePathDP, EngineBrute} {
+		for run := 0; run < 64; run++ {
+			d := mustDecompose(t, g, e)
+			if len(d.Pairs) != 1 || !reflect.DeepEqual(d.Pairs[0].B, []int{0, 1, 2, 3}) || !d.Pairs[0].selfPaired() || !d.Pairs[0].Alpha.Equal(numeric.One) {
+				t.Fatalf("%v run %d: %v", e, run, d)
+			}
+		}
+	}
+}
+
 func TestAllZeroWeightsConvention(t *testing.T) {
 	g := graph.Path([]numeric.Rat{numeric.Zero, numeric.Zero, numeric.Zero})
 	d, err := Decompose(g)

@@ -39,14 +39,16 @@ type dpOracle struct {
 	tally      arithTally // plans built, by arithmetic
 }
 
-// dpScratch is the working memory of the DP passes of one evaluation — a
-// decomposition, or one split-solver evaluation — reused from λ to λ and
-// from stage to stage instead of allocated per pass. Every pass writes what
-// it reads, so a scratch carries nothing from one pass to the next but its
-// capacity. A scratch serves one goroutine and one live dpOracle at a time
-// (the oracle's λ memo points into memo), and nothing that outlives the
-// evaluation may alias it: the pairs, their B and C, the Decomposition and
-// the cached interior transfers are all copied out.
+// dpScratch is the working memory of one evaluation — a decomposition, or
+// one split-solver evaluation — reused from λ to λ and from stage to stage
+// instead of allocated per pass: the DP passes' cells and plans, and the
+// decomposition's λ-network. Every pass writes what it reads and every
+// decomposition rebuilds the network, so a scratch carries nothing from one
+// use to the next but its capacity. A scratch serves one goroutine and one
+// live dpOracle at a time (the oracle's λ memo points into memo), and
+// nothing that outlives the evaluation may alias it: the pairs, their B and
+// C, the Decomposition and the cached interior transfers are all copied
+// out.
 type dpScratch struct {
 	memo    []numeric.Int128            // cells of a dpOracle's memoized plans
 	cells   []numeric.Int128            // cells of a one-off plan: a transfer, a whole-path pass
@@ -58,6 +60,7 @@ type dpScratch struct {
 	ws      []numeric.Rat               // the split solver's whole-path or endpoint-run weights
 	comps   []dpComponent               // the split solver's later-stage components
 	marks   []bool                      // vertex marks of a stage's bookkeeping
+	net     lambdaNet                   // a decomposition's λ-network
 }
 
 // dpWork is the passes' working memory in one arithmetic. The passes hand
@@ -73,6 +76,14 @@ type dpWork[C, V any] struct {
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
+
+// putScratch returns sc to the pool. It drops the λ-network's graph, so a
+// pooled scratch keeps no caller's graph alive; the rest is rebuilt or
+// rewritten by its next use, after a panic too.
+func putScratch(sc *dpScratch) {
+	sc.net.g = nil
+	scratchPool.Put(sc)
+}
 
 // vertexMarks returns n marks, all false.
 func (sc *dpScratch) vertexMarks(n int) []bool {

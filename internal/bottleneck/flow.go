@@ -32,21 +32,34 @@ import (
 // in the same arithmetic, and the maximal source side restricted to the
 // stage's L-vertices is the same set. The per-stage construction is the
 // referee (flowref_test.go).
+//
+// The network lives in the decomposition's pooled dpScratch and is rebuilt
+// there for each decomposition: maxflow.Network.Reset keeps the arcs,
+// adjacency lists, cells and search state of whatever network the scratch
+// held, and the rebuild adds the arcs in the order a fresh network would,
+// so arc ids, pushes, flows and cuts are a fresh network's.
 type lambdaNet struct {
 	g  *graph.Graph
-	nw *maxflow.Network
+	nw maxflow.Network
 	// first[v] is the edge id of source → L(v); R(v) → sink is first[v]+2
 	// and L(v) → R(Γ(v)[j]) is first[v]+4+2j, the order AddEdge built them.
 	first []int
 	gone  []bool // vertices whose arcs are zero
 }
 
-func newLambdaNet(g *graph.Graph) *lambdaNet {
+// lambdaNet rebuilds the scratch's λ-network over g and returns it; the
+// network is the scratch's, valid until its next rebuild.
+func (sc *dpScratch) lambdaNet(g *graph.Graph) *lambdaNet {
+	net := &sc.net
 	n := g.N()
 	s, t := 2*n, 2*n+1
 	zero := maxflow.Finite(numeric.Zero)
 	// n source arcs, n sink arcs and one ∞ arc per neighbor: Σ deg = 2m.
-	net := &lambdaNet{g: g, nw: maxflow.NewNetwork(2*n+2, s, t, 2*n+2*g.M()), first: make([]int, n), gone: make([]bool, n)}
+	net.g = g
+	net.nw.Reset(2*n+2, s, t, 2*n+2*g.M())
+	net.first = resize(net.first, n)
+	net.gone = resize(net.gone, n)
+	clear(net.gone)
 	for v := 0; v < n; v++ {
 		net.first[v] = net.nw.AddEdge(s, v, zero)
 		net.nw.AddEdge(n+v, t, maxflow.Finite(g.Weight(v)))
@@ -114,14 +127,14 @@ func newFlowOracle(ctx context.Context, net *lambdaNet, sub *graph.Graph, verts 
 	return &flowOracle{net: net, g: sub, verts: verts, wV: sub.TotalWeight(), ctx: ctx}
 }
 
-// graphFlowOracle is the flow oracle of the whole graph g, on a λ-network
-// of its own.
-func graphFlowOracle(ctx context.Context, g *graph.Graph) *flowOracle {
+// graphFlowOracle is the flow oracle of the whole graph g, on the λ-network
+// of g rebuilt in sc.
+func graphFlowOracle(ctx context.Context, g *graph.Graph, sc *dpScratch) *flowOracle {
 	all := make([]int, g.N())
 	for i := range all {
 		all[i] = i
 	}
-	return newFlowOracle(ctx, newLambdaNet(g), g, all)
+	return newFlowOracle(ctx, sc.lambdaNet(g), g, all)
 }
 
 func (o *flowOracle) solveCtx() context.Context {

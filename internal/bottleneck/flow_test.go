@@ -41,7 +41,7 @@ func TestFlowOracleReusesNetwork(t *testing.T) {
 	g.MustSetWeight(3, numeric.New(7, 2)) // L = 2·(2^63−1) and 2^126 at the two tiny λ below
 	past := numeric.FromBig(new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 125)))
 	tr := obs.NewTrace("test")
-	o := graphFlowOracle(tr.Context(context.Background()), g)
+	o := graphFlowOracle(tr.Context(context.Background()), g, new(dpScratch))
 	lambdas := []numeric.Rat{
 		numeric.One, numeric.New(1, 2), numeric.New(1, 2), numeric.New(3, 4),
 		numeric.New(1, 3), numeric.New(1, 3), numeric.New(1, math.MaxInt64), past,
@@ -50,7 +50,7 @@ func TestFlowOracleReusesNetwork(t *testing.T) {
 	wantSolves := 0
 	for i, lambda := range lambdas {
 		wantSolves++
-		fresh := graphFlowOracle(context.Background(), g)
+		fresh := graphFlowOracle(context.Background(), g, new(dpScratch))
 		val, wS := o.value(lambda)
 		again, wAgain := o.value(lambda)
 		wantVal, wantW := fresh.value(lambda)

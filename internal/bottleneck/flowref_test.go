@@ -158,12 +158,13 @@ func (r *lambdaReferee) maximal(lambda numeric.Rat) []int {
 }
 
 // checkLambdaNetwork runs the flow decomposition of g stage by stage on one
-// shared λ-network, refereeing every oracle call of every Dinkelbach loop
-// against the per-stage network. Each stage also probes λ values off the
-// Dinkelbach path: 1, just above α*, a k/2^48 dust λ and a λ with parts
-// past int64. The stages must reproduce DecomposeWith(g, EngineFlow). It
-// returns the solves by arithmetic.
-func checkLambdaNetwork(t *testing.T, g *graph.Graph) map[string]int {
+// shared λ-network, rebuilt in the workspace sc over whatever network sc
+// held, refereeing every oracle call of every Dinkelbach loop against the
+// per-stage network. Each stage also probes λ values off the Dinkelbach
+// path: 1, just above α*, a k/2^48 dust λ and a λ with parts past int64.
+// The stages must reproduce DecomposeWith(g, EngineFlow). It returns the
+// solves by arithmetic.
+func checkLambdaNetwork(t *testing.T, g *graph.Graph, sc *dpScratch) map[string]int {
 	t.Helper()
 	ctx := context.Background()
 	want, err := DecomposeWith(g, EngineFlow)
@@ -181,7 +182,7 @@ func checkLambdaNetwork(t *testing.T, g *graph.Graph) map[string]int {
 		return arith
 	}
 	posSub, posOrig := g.InducedSubgraph(positive)
-	net := newLambdaNet(posSub)
+	net := sc.lambdaNet(posSub)
 	remaining := make([]int, posSub.N())
 	for i := range remaining {
 		remaining[i] = i
@@ -290,14 +291,16 @@ func lambdaGraph(rng *rand.Rand, nRaw uint8, kind uint8) *graph.Graph {
 }
 
 // TestLambdaNetworkMatchesPerStage referees the shared λ-network against
-// the per-stage networks on 300 corpus graphs, and requires the corpus to
-// reach both the fixed-width and the rational Dinic.
+// the per-stage networks on 120 corpus graphs, each rebuilt in the one
+// workspace the previous graph's network was built in, and requires the
+// corpus to reach both the fixed-width and the rational Dinic.
 func TestLambdaNetworkMatchesPerStage(t *testing.T) {
 	arith := map[string]int{}
+	sc := new(dpScratch)
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := lambdaGraph(rng, uint8(rng.Intn(256)), uint8(seed))
-		for k, c := range checkLambdaNetwork(t, g) {
+		for k, c := range checkLambdaNetwork(t, g, sc) {
 			arith[k] += c
 		}
 	}
@@ -309,15 +312,25 @@ func TestLambdaNetworkMatchesPerStage(t *testing.T) {
 // FuzzLambdaNetwork referees the decomposition's one λ-network against a
 // fresh network per stage at every λ of every stage (value, w(S), maximal
 // set, pushes, arithmetic) on random general graphs and the five topology
-// families, with zero, integer, k/2^48 dust and past-int64 weights. Its 40
-// seeds run with every test pass.
+// families, with zero, integer, k/2^48 dust and past-int64 weights. The
+// network is rebuilt in a workspace that has first decomposed another
+// corpus graph on the flow engine, smaller or larger (prevRaw sizes it;
+// 0 leaves the workspace fresh), so the rebuild must leave no trace of the
+// network it reuses. Its 40 seeds run with every test pass.
 func FuzzLambdaNetwork(f *testing.F) {
 	for seed := int64(0); seed < 40; seed++ {
-		f.Add(seed, uint8(seed*5), uint8(seed))
+		f.Add(seed, uint8(seed*5), uint8(seed), uint8(seed*37%256))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, kind uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kind, prevRaw uint8) {
 		g := lambdaGraph(rand.New(rand.NewSource(seed)), nRaw, kind)
-		checkLambdaNetwork(t, g)
+		sc := new(dpScratch)
+		if prevRaw != 0 {
+			prev := lambdaGraph(rand.New(rand.NewSource(^seed)), prevRaw, prevRaw/16)
+			if _, err := decomposeIn(context.Background(), prev, EngineFlow, sc); err != nil {
+				t.Fatalf("previous graph: %v", err)
+			}
+		}
+		checkLambdaNetwork(t, g, sc)
 	})
 }
 

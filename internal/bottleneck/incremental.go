@@ -192,7 +192,7 @@ func (s *SplitSolver) EvalCtx(ctx context.Context, p *graph.Graph, w1, w2 numeri
 	}
 
 	sc := scratchPool.Get().(*dpScratch)
-	defer scratchPool.Put(sc)
+	defer putScratch(sc)
 	residual := iota0(s.n)
 	var pairs []Pair
 	var tally arithTally

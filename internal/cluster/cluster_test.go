@@ -604,10 +604,12 @@ func TestClusterChaosReplay(t *testing.T) {
 			t.Fatalf("instance %d: ratio diverged through the router:\ngot:  %+v\nwant: %+v", i, gotR, wantR)
 		}
 
-		// Every 16th ring also runs as a durable job through the router so
+		// Every 8th ring also runs as a durable job through the router so
 		// the lease path (grant through the chaos site, renewal, retirement)
-		// sees sustained traffic.
-		if i%16 != 0 {
+		// sees sustained traffic. That is five jobs, so their grants alone
+		// reach the site's every-4th error rule: renewals and retirements
+		// come from the router's timer and may not fall inside a fast run.
+		if i%8 != 0 {
 			continue
 		}
 		jobsDriven++

@@ -132,12 +132,24 @@ func (c *fixedCells) rat(x numeric.Int128) numeric.Rat {
 // flow returns the flow on arc id in units of 1/L.
 func (c *fixedCells) flow(id int) numeric.Int128 { return c.cap[id].Sub(c.res[id]) }
 
-// search is Dinic's traversal state, reused across solves of one network.
-// The BFS queue and the augmenting path share one buffer: a phase's paths
-// are searched after its BFS, and the next BFS after its last path.
+// search is Dinic's traversal state, reused across solves and rebuilds of
+// one network. The BFS queue and the augmenting path share one buffer: a
+// phase's paths are searched after its BFS, and the next BFS after its
+// last path. The min-cut walks use it as their stack after a solve.
 type search struct {
 	level, iter []int
 	queue, path []int // the path holds its arcs, from s
+}
+
+// size fits the state to n nodes, reallocating only when n exceeds its
+// capacity. A BFS enqueues each node once, a path visits each at most once
+// and a cut walk stacks each once, so the shared buffer never outgrows n.
+func (sr *search) size(n int) {
+	if cap(sr.level) < n {
+		sr.level, sr.iter, sr.queue = make([]int, n), make([]int, n), make([]int, 0, n)
+	}
+	sr.level, sr.iter = sr.level[:n], sr.iter[:n]
+	sr.path = sr.queue
 }
 
 // dinic computes a maximum flow by repeated blocking flows on the level
@@ -146,11 +158,7 @@ type search struct {
 // bound applies.
 func (nw *Network) dinic() numeric.Rat {
 	sr := &nw.search
-	if len(sr.level) != nw.n {
-		sr.level, sr.iter = make([]int, nw.n), make([]int, nw.n)
-		sr.queue = make([]int, 0, nw.n)
-		sr.path = sr.queue
-	}
+	sr.size(nw.n)
 	var fixed numeric.Int128
 	total := numeric.Zero
 	for nw.levelGraph() {

@@ -23,7 +23,7 @@ func (nw *Network) edmondsKarp() numeric.Rat {
 			queue = queue[1:]
 			for _, id := range nw.adj[u] {
 				v := nw.arcs[id].to
-				if parent[v] != -1 || nw.residual(id).Sign() <= 0 {
+				if parent[v] != -1 || !nw.hasResidual(id) {
 					continue
 				}
 				parent[v] = id

@@ -25,7 +25,9 @@
 //
 // NewNetwork takes the number of edges the caller will add and reserves
 // their arcs up front, so a network allocates its arc storage once: every
-// caller knows the count (or an upper bound) from its graph.
+// caller knows the count (or an upper bound) from its graph. Reset empties
+// a network for a rebuild and keeps that storage, so a caller that builds
+// one network after another allocates only when a network outgrows it.
 package maxflow
 
 import (
@@ -97,7 +99,8 @@ type Network struct {
 	fixed  bool          // the last solve ran on the fixed-width cells
 	pushes int64         // elementary pushes performed by the last solve
 	cells  fixedCells
-	search search // Dinic's traversal state
+	search search    // Dinic's traversal state
+	sides  [2][]bool // MinCutSourceSide's results: minimal, maximal
 	// inj is the fault injector cached from SolveCtx's context so the push
 	// hot loop pays one nil check instead of a context lookup per push. A
 	// Network serves one solve at a time (pushes is not atomic), so a plain
@@ -111,10 +114,35 @@ type Network struct {
 // edges than reserved still works, and arc ids, adjacency order, pushes and
 // flows do not depend on it.
 func NewNetwork(n, s, t, edges int) *Network {
+	nw := new(Network)
+	nw.Reset(n, s, t, edges)
+	return nw
+}
+
+// Reset empties nw into the network NewNetwork(n, s, t, edges) returns,
+// keeping the storage it has: its arcs, adjacency lists, fixed-width cells,
+// rational flows, Dinic's search state and min-cut sides are reused
+// wherever their capacity suffices. Rebuilt with the same AddEdge calls it
+// takes the same arc ids, adjacency order, pushes, flows and cuts as a
+// fresh network, whatever it held before, a solve cut short by a panic
+// included.
+func (nw *Network) Reset(n, s, t, edges int) {
 	if n < 2 || s < 0 || s >= n || t < 0 || t >= n || s == t || edges < 0 {
 		panic(fmt.Sprintf("maxflow: bad network parameters n=%d s=%d t=%d edges=%d", n, s, t, edges))
 	}
-	return &Network{n: n, s: s, t: t, arcs: make([]arc, 0, 2*edges), adj: make([][]int, n)}
+	nw.n, nw.s, nw.t = n, s, t
+	if cap(nw.arcs) < 2*edges {
+		nw.arcs = make([]arc, 0, 2*edges)
+	}
+	nw.arcs = nw.arcs[:0]
+	if c := cap(nw.adj); c < n {
+		nw.adj = append(nw.adj[:c], make([][]int, n-c)...)
+	}
+	nw.adj = nw.adj[:n]
+	for v := range nw.adj {
+		nw.adj[v] = nw.adj[v][:0]
+	}
+	nw.solved, nw.fixed, nw.pushes, nw.inj = false, false, 0, nil
 }
 
 // N returns the number of nodes.

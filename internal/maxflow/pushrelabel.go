@@ -40,13 +40,12 @@ func (nw *Network) pushRelabel() numeric.Rat {
 			minH := 2*n + 1
 			pushedAny := false
 			for _, id := range nw.adj[u] {
-				res := nw.residual(id)
-				if res.Sign() <= 0 {
+				if !nw.hasResidual(id) {
 					continue
 				}
 				v := nw.arcs[id].to
 				if height[u] == height[v]+1 {
-					amt := excess[u].Min(res)
+					amt := excess[u].Min(nw.residual(id))
 					nw.push(id, amt)
 					excess[u] = excess[u].Sub(amt)
 					excess[v] = excess[v].Add(amt)

@@ -583,3 +583,56 @@ func TestScansWithoutDecomposer(t *testing.T) {
 		t.Fatalf("coalition without Decomposer:\n%s\nBD:\n%s", got, want)
 	}
 }
+
+// weightLog allocates as m does and records the weights of every graph it
+// is handed.
+type weightLog struct {
+	m       mechanism.Mechanism
+	weights [][]numeric.Rat
+}
+
+func (l *weightLog) Name() string { return l.m.Name() }
+func (l *weightLog) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation, error) {
+	l.weights = append(l.weights, g.Weights())
+	return l.m.Allocate(ctx, g)
+}
+
+// TestScanInstanceDeviationGraphs requires scanInstance, which reuses one
+// copy of the instance for every deviation, to hand the mechanism the
+// instance and then, for each vertex v in order and each report c = 1 ..
+// grid−1, the instance with w_v·c/grid in place of w_v and every other
+// weight as given; the instance itself stays as it was.
+func TestScanInstanceDeviationGraphs(t *testing.T) {
+	opts := TopologyOptions{Families: Families(), Count: 2, N: 6, Grid: 4, Seed: 5}
+	for _, name := range []string{"bd", "eqsplit"} {
+		m, err := mechanism.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < TopologyTotal(len(opts.Families), opts.Count); i++ {
+			g, family, err := TopologyInstance(opts, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := fmt.Sprint(g.Weights(), g.Edges())
+			log := &weightLog{m: m}
+			if _, err := scanInstance(context.Background(), log, g, opts.Grid); err != nil {
+				t.Fatal(err)
+			}
+			want := [][]numeric.Rat{g.Weights()}
+			for v := 0; v < g.N(); v++ {
+				for c := 1; c < opts.Grid; c++ {
+					w := g.Weights()
+					w[v] = w[v].MulInt(int64(c)).DivInt(int64(opts.Grid))
+					want = append(want, w)
+				}
+			}
+			if got, want := fmt.Sprint(log.weights), fmt.Sprint(want); got != want {
+				t.Fatalf("%s, %s instance %d: the mechanism saw weights\n%s\nwant\n%s", name, family, i, got, want)
+			}
+			if after := fmt.Sprint(g.Weights(), g.Edges()); after != before {
+				t.Fatalf("%s, %s instance %d: the scan changed the instance from %s to %s", name, family, i, before, after)
+			}
+		}
+	}
+}

@@ -88,6 +88,15 @@ go test ./cmd/irshared -run 'TestKillAndRecover' -count=1
 go test -race -count=3 -run '^(TestResetMatchesNewNetwork|TestMinCutSidesAreNetworkOwned|TestWorkspaceReuseMatchesFresh|TestPooledWorkspaceReuseMatchesFresh|TestPutScratchDropsGraph|TestLambdaNetworkMatchesPerStage)$' \
 	./internal/maxflow ./internal/bottleneck
 
+# Proportional-response kernel: a -count=3 race pass over the protocol
+# referees. dynamics.Respond's rows are written from par.ForEach workers
+# (the recurrence, the swarm's receive phase) and read by the swarm's
+# sender goroutines; the swarm, the async swarm at delay 1 and the
+# recurrence must stay bit-identical, the worker count must not change a
+# result, and pr must keep its own zero-income rule.
+go test -race -count=3 -run '^(TestSwarmMatchesDynamicsExactly|TestSwarmParallelismIsDeterministic|TestParallelMatchesSequential|TestPRKeepsSplitOnZeroIncome)$' \
+	./internal/p2p ./internal/dynamics ./internal/mechanism
+
 # Strategic-manipulation scenarios: a dedicated -count=2 race pass over the
 # scenario engines (the odometer enumerator, the coalition fold, and the
 # topology generators are driven concurrently by the job scheduler in the
@@ -191,11 +200,13 @@ go test ./internal/core -run '^$' -fuzz '^FuzzBreakpointLocator$' -fuzztime 10s
 # on a fixed ring through the same path the /v1/tournament endpoint uses.
 # Exact rational arithmetic end to end, so the output is deterministic;
 # any registry or generic-sweep regression changes a printed ζ and the
-# grep below fails. bd must beat eqsplit on this instance (ζ > 1 vs = 1).
+# grep below fails. bd must beat eqsplit on this instance (ζ > 1 vs = 1),
+# and pr, the exact lattice iteration, must keep its pinned ratio.
 tourn_out="$(go run ./cmd/irshare tournament -ring 3,1,2,1,5 -v 0 -grid 16)"
 printf '%s\n' "$tourn_out"
 printf '%s\n' "$tourn_out" | grep -q 'bd *ζ = 3965/3689' || { echo "tournament smoke: bd ratio drifted"; exit 1; }
 printf '%s\n' "$tourn_out" | grep -q 'eqsplit *ζ = 1 ' || { echo "tournament smoke: eqsplit ratio drifted"; exit 1; }
+printf '%s\n' "$tourn_out" | grep -q 'pr *ζ = 75736183/70464635 ' || { echo "tournament smoke: pr ratio drifted"; exit 1; }
 
 # Exhaustive small-n certification smoke: every canonical ring with n ≤ 6
 # vertices and integer weights in {1..3} — 604 instances up to symmetry —

@@ -20,7 +20,8 @@
 //	irshare scenario   -kind coalition -members i,j,... [-grid N] [-mechanism m] [graph args]
 //	irshare scenario   -kind topology  [-families a,b] [-count N] [-n N] [-grid N] [-seed S] [-dist d] [-mechanism m]
 //	irshare sweep      [-n N] [-dist d] [-seed S] [-grid N]
-//	irshare dynamics   [-rounds N] [-damping θ] [-swarm] [-track v1,v2,...] [graph args]
+//	irshare dynamics   [-rounds N] [-damping θ] [graph args]
+//	irshare dynamics   -swarm [-rounds N] [-track v1,v2,...] [graph args]
 //	irshare enumerate  [-min-n 3] [-max-n 6] [-levels 3] [-grid 8] [-eps 1/2]
 //	                   [-workers N] [-frontier FILE] [-timeout D]
 //
@@ -358,12 +359,20 @@ func runDynamics(args []string, w io.Writer) error {
 	sel := addGraphFlags(fs)
 	var (
 		rounds  = fs.Int("rounds", 10000, "maximum rounds")
-		damping = fs.Float64("damping", 0, "damping θ ∈ [0,1)")
+		damping = fs.Float64("damping", 0, "damping θ ∈ [0,1) (recurrence only)")
 		swarm   = fs.Bool("swarm", false, "run the message-passing swarm instead of the recurrence")
 		track   = fs.String("track", "", "comma-separated agents to track (swarm mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *swarm && set["damping"] {
+		return fmt.Errorf("dynamics: -damping applies to the recurrence, not to -swarm")
+	}
+	if !*swarm && set["track"] {
+		return fmt.Errorf("dynamics: -track needs -swarm")
 	}
 	g, err := sel.load()
 	if err != nil {

@@ -352,10 +352,12 @@ func TestDampedDynamics(t *testing.T) {
 func TestDynamicsErrors(t *testing.T) {
 	cases := [][]string{
 		{"dynamics"}, // no graph
-		{"dynamics", "-ring", "1,2,3", "-path", "1,2"},           // two graphs
-		{"dynamics", "-ring", "a,b,c"},                           // bad weights
-		{"dynamics", "-ring", "1,2,3", "-damping", "1.5"},        // bad damping
-		{"dynamics", "-ring", "1,2,3", "-swarm", "-track", "zz"}, // bad track list
+		{"dynamics", "-ring", "1,2,3", "-path", "1,2"},                  // two graphs
+		{"dynamics", "-ring", "a,b,c"},                                  // bad weights
+		{"dynamics", "-ring", "1,2,3", "-damping", "1.5"},               // bad damping
+		{"dynamics", "-ring", "1,2,3", "-swarm", "-track", "zz"},        // bad track list
+		{"dynamics", "-ring", "1,7,2,9,3", "-swarm", "-damping", "1.5"}, // damping read by the recurrence only
+		{"dynamics", "-ring", "1,2,3", "-track", "0"},                   // track read by the swarm only
 		{"dynamics", "-in", "/nonexistent"},
 	}
 	for _, args := range cases {

@@ -194,12 +194,6 @@ func (o callOptions) mechanismOf() (mechanism.Mechanism, error) {
 	return mechanism.Get(o.mech)
 }
 
-// certifiable reports whether the call's backend can ship certificates.
-func certifiable(m mechanism.Mechanism) bool {
-	c, ok := m.(mechanism.Certifier)
-	return ok && c.Certifiable()
-}
-
 // errCertMechanism is the facade-level counterpart of the wire cert_limit:
 // a certificate was requested from a backend that cannot prove its answers.
 func errCertMechanism(m mechanism.Mechanism) error {
@@ -294,7 +288,7 @@ func IncentiveRatio(ctx context.Context, g *Graph, v int, opts ...Option) (Rat, 
 	if err != nil {
 		return Rat{}, err
 	}
-	if o.cert != nil && !certifiable(m) {
+	if o.cert != nil && !mechanism.Certifiable(m) {
 		return Rat{}, errCertMechanism(m)
 	}
 	ro, ok := m.(mechanism.RingOptimizer)
@@ -350,7 +344,7 @@ func RingSweep(ctx context.Context, g *Graph, v int, opts ...Option) (*SweepResu
 	if err != nil {
 		return nil, err
 	}
-	if o.cert != nil && !certifiable(m) {
+	if o.cert != nil && !mechanism.Certifiable(m) {
 		return nil, errCertMechanism(m)
 	}
 	res, err := mechanism.RingSweep(ctx, m, g, v, sybil.SweepOptions{Grid: o.grid, Workers: o.workers})

@@ -9,6 +9,11 @@
 // (Proposition 6); experiment E10 measures that convergence against the
 // exact allocation from package allocation.
 //
+// Respond is the one agent's step of eq. (1), and the start state is every
+// agent's Respond to silence (the equal split). Run iterates it
+// synchronously; package p2p runs the same step over its message-passing
+// transports, so the swarms compute the recurrence by construction.
+//
 // Unlike the exact mechanism, the simulator runs in float64: iterating the
 // recurrence in exact rationals would grow denominators exponentially, and
 // the object of study here is the trajectory, not the limit (the limit is
@@ -70,6 +75,28 @@ type Result struct {
 	UtilityError []float64
 }
 
+// Respond is one agent's proportional response, eq. (1): given the offers
+// received from its neighbors in adjacency order and its weight w, it writes
+// its next offers received[j]/U·w into next, which may be received itself,
+// and returns its income U, summed in adjacency order. An agent that
+// received nothing (U = 0, only in zero-weight neighborhoods or before the
+// first round) falls back to the equal split w/d, so the start state is
+// every agent's response to silence.
+func Respond(next, received []float64, w float64) float64 {
+	u := 0.0
+	for _, r := range received {
+		u += r
+	}
+	for j, r := range received {
+		if u > 0 {
+			next[j] = r / u * w
+		} else {
+			next[j] = w / float64(len(received))
+		}
+	}
+	return u
+}
+
 // Run simulates the proportional response dynamics on g.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
 	if g.N() == 0 {
@@ -94,21 +121,14 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 	for v := 0; v < n; v++ {
 		w[v] = g.Weight(v).Float64()
 	}
-	// reverse[v][j] = position of v in the adjacency list of its j-th
-	// neighbor, so incoming transfers can be read without search.
-	reverse := make([][]int, n)
-	for v := 0; v < n; v++ {
-		nb := g.Neighbors(v)
-		reverse[v] = make([]int, len(nb))
-		for j, u := range nb {
-			reverse[v][j] = indexOf(g.Neighbors(u), v)
-		}
-	}
+	rev := g.ReverseIndex()
 
 	if opts.InitialTransfers != nil && len(opts.InitialTransfers) != n {
 		return nil, fmt.Errorf("dynamics: %d initial transfer rows for %d vertices",
 			len(opts.InitialTransfers), n)
 	}
+	// x[v][j] is what v sends its j-th neighbor. next[v] first takes what v
+	// received, then Respond's answer in its place.
 	x := make([][]float64, n)
 	next := make([][]float64, n)
 	for v := 0; v < n; v++ {
@@ -123,9 +143,7 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 			copy(x[v], opts.InitialTransfers[v])
 			continue
 		}
-		for j := range x[v] {
-			x[v][j] = w[v] / float64(d)
-		}
+		Respond(x[v], x[v], w[v])
 	}
 
 	var target []float64
@@ -151,35 +169,19 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		res.UtilityError = append(res.UtilityError, maxErr)
 	}
 
-	computeUtilities := func(state [][]float64) {
-		par.ForEach(n, opts.Workers, func(v int) {
-			total := 0.0
-			for j, u := range g.Neighbors(v) {
-				total += state[u][reverse[v][j]]
-			}
-			utilities[v] = total
-		})
-	}
-
-	computeUtilities(x)
-	recordError()
-
+	// Pass t reads U(t) off Respond while it computes x(t+1). The run stops
+	// at the pass after a step that moved no transfer by Tol, or after
+	// MaxRounds steps; that last pass's response is dropped.
 	maxDelta := make([]float64, n)
-	for round := 0; round < opts.MaxRounds; round++ {
-		// x_vu(t+1) = x_uv(t)/U_v(t) · w_v, with the equal-split fallback
-		// when v received nothing this round (U_v = 0 happens only in
-		// degenerate zero-weight neighborhoods).
+	worst := math.Inf(1)
+	for {
 		par.ForEach(n, opts.Workers, func(v int) {
-			d := len(next[v])
-			delta := 0.0
 			for j, u := range g.Neighbors(v) {
-				incoming := x[u][reverse[v][j]]
-				var nv float64
-				if utilities[v] > 0 {
-					nv = incoming / utilities[v] * w[v]
-				} else {
-					nv = w[v] / float64(d)
-				}
+				next[v][j] = x[u][rev[v][j]]
+			}
+			utilities[v] = Respond(next[v], next[v], w[v])
+			delta := 0.0
+			for j, nv := range next[v] {
 				nv = (1-opts.Damping)*nv + opts.Damping*x[v][j]
 				if diff := math.Abs(nv - x[v][j]); diff > delta {
 					delta = diff
@@ -188,33 +190,26 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 			}
 			maxDelta[v] = delta
 		})
-		x, next = next, x
-		computeUtilities(x)
 		recordError()
-		res.Rounds = round + 1
-		worst := 0.0
+		if worst < opts.Tol {
+			res.Converged = true
+			break
+		}
+		if res.Rounds == opts.MaxRounds {
+			break
+		}
+		worst = 0
 		for _, d := range maxDelta {
 			if d > worst {
 				worst = d
 			}
 		}
-		if worst < opts.Tol {
-			res.Converged = true
-			break
-		}
+		x, next = next, x
+		res.Rounds++
 	}
 	res.X = x
-	res.Utilities = append([]float64(nil), utilities...)
+	res.Utilities = utilities
 	return res, nil
-}
-
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	panic("dynamics: adjacency not symmetric")
 }
 
 // FinalUtilityError returns the last recorded utility error, or NaN when no

@@ -102,6 +102,24 @@ func (g *Graph) Degree(v int) int {
 	return len(g.adj[v])
 }
 
+// ReverseIndex returns rev with rev[v][j] the position of v in the
+// adjacency list of its j-th neighbor u = Neighbors(v)[j], so what u sends
+// v is found in u's row without a search. Walking u upward meets the
+// neighbors of each v in their sorted order, so one pass fills every row.
+func (g *Graph) ReverseIndex() [][]int {
+	rev := make([][]int, len(g.adj))
+	flat := make([]int, 2*g.edges)
+	for v, nb := range g.adj {
+		rev[v], flat = flat[:0:len(nb)], flat[len(nb):]
+	}
+	for _, nb := range g.adj {
+		for k, v := range nb {
+			rev[v] = append(rev[v], k)
+		}
+	}
+	return rev
+}
+
 // SetWeight assigns w_v. Negative weights are rejected.
 func (g *Graph) SetWeight(v int, w numeric.Rat) error {
 	g.check(v)

@@ -126,6 +126,30 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
+func TestReverseIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gs := []*Graph{New(2), Ring(numeric.Ints(1, 2, 3))}
+	for k := 0; k < 20; k++ {
+		gs = append(gs, RandomConnected(rng, rng.Intn(9)+1, 0.4, DistUnit))
+	}
+	for _, g := range gs {
+		rev := g.ReverseIndex()
+		if len(rev) != g.N() {
+			t.Fatalf("%d rows for %d vertices", len(rev), g.N())
+		}
+		for v := range rev {
+			if len(rev[v]) != g.Degree(v) {
+				t.Fatalf("row %d has %d entries for degree %d", v, len(rev[v]), g.Degree(v))
+			}
+			for j, u := range g.Neighbors(v) {
+				if got := g.Neighbors(u)[rev[v][j]]; got != v {
+					t.Fatalf("rev[%d][%d] = %d points at %d in the list of %d", v, j, rev[v][j], got, u)
+				}
+			}
+		}
+	}
+}
+
 func TestComponents(t *testing.T) {
 	g := New(5)
 	g.MustAddEdge(0, 1)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/allocation"
 	"repro/internal/graph"
+	"repro/internal/numeric"
 )
 
 // EqSplit is the degenerate no-reciprocity baseline: every agent splits its
@@ -24,27 +25,45 @@ func (EqSplit) Description() string {
 	return "equal-split baseline: x_vu = w_v/deg(v), no reciprocity (round-0 proportional response)"
 }
 
-// Certifiable implements Certifier.
-func (EqSplit) Certifiable() bool { return false }
-
 // Allocate implements Mechanism.
 func (EqSplit) Allocate(_ context.Context, g *graph.Graph) (*allocation.Allocation, error) {
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return nil, fmt.Errorf("mechanism/eqsplit: empty graph")
 	}
-	a := allocation.New(n)
-	for v := 0; v < n; v++ {
+	return allocationOf(g, equalSplit(g)), nil
+}
+
+// equalSplit is the exact equal split in adjacency order: x[v][j] =
+// w_v/deg(v) is what v sends its j-th neighbor. It is EqSplit's allocation
+// and PR's round 0.
+func equalSplit(g *graph.Graph) [][]numeric.Rat {
+	x := make([][]numeric.Rat, g.N())
+	for v := range x {
 		nb := g.Neighbors(v)
+		x[v] = make([]numeric.Rat, len(nb))
 		if len(nb) == 0 || g.Weight(v).IsZero() {
 			continue
 		}
 		share := g.Weight(v).DivInt(int64(len(nb)))
-		for _, u := range nb {
-			a.Add(v, u, share)
+		for j := range nb {
+			x[v][j] = share
 		}
 	}
-	return a, nil
+	return x
+}
+
+// allocationOf is the allocation of the transfers x, given in adjacency
+// order as equalSplit returns them; zero transfers are left out.
+func allocationOf(g *graph.Graph, x [][]numeric.Rat) *allocation.Allocation {
+	a := allocation.New(g.N())
+	for v, row := range x {
+		for j, u := range g.Neighbors(v) {
+			if !row[j].IsZero() {
+				a.Add(v, u, row[j])
+			}
+		}
+	}
+	return a
 }
 
 func init() { Register(EqSplit{}) }

@@ -85,6 +85,14 @@ type Certifier interface {
 	Certifiable() bool
 }
 
+// Certifiable reports whether m's answers can ship certificates: the gate
+// behind every certificate request, which any other mechanism answers with
+// cert_limit.
+func Certifiable(m Mechanism) bool {
+	c, ok := m.(Certifier)
+	return ok && c.Certifiable()
+}
+
 // Info is the discovery record of one registered mechanism, served by
 // GET /v1/mechanisms and repro.Mechanisms. The capability flags mirror the
 // optional interfaces above.
@@ -191,9 +199,7 @@ func infoOf(m Mechanism) Info {
 	if d, ok := m.(Describer); ok {
 		info.Description = d.Description()
 	}
-	if c, ok := m.(Certifier); ok {
-		info.Certifiable = c.Certifiable()
-	}
+	info.Certifiable = Certifiable(m)
 	_, info.ExactRatio = m.(RingOptimizer)
 	return info
 }

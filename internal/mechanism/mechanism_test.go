@@ -247,6 +247,26 @@ func TestPRApproachesBDOnUniformRing(t *testing.T) {
 	assertSameAllocation(t, g, bd, pr)
 }
 
+// TestPRKeepsSplitOnZeroIncome pins PR's zero-income rule: a vertex that
+// received nothing keeps the lattice split it last reached, not the equal
+// split the float step restarts from. On the ring (64, 2^32, 2^44) vertex 0
+// ends with no income and a split far from 32/32.
+func TestPRKeepsSplitOnZeroIncome(t *testing.T) {
+	g := graph.Ring([]numeric.Rat{numeric.FromInt(64), numeric.FromInt(1 << 32), numeric.FromInt(1 << 44)})
+	a, err := PR{}.Allocate(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := a.Utility(0); !u.IsZero() {
+		t.Fatalf("U_0 = %v, want 0", u)
+	}
+	for u, want := range map[int]numeric.Rat{1: numeric.New(4095, 262144), 2: numeric.New(16773121, 262144)} {
+		if got := a.Get(0, u); !got.Equal(want) {
+			t.Errorf("x_0%d = %v, want %v", u, got, want)
+		}
+	}
+}
+
 func TestLatticeFloor(t *testing.T) {
 	wv := numeric.FromInt(3)
 	// One lattice step is wv/steps.

@@ -47,39 +47,16 @@ func (PR) Description() string {
 	return "exact-rational proportional-response iteration on a dyadic lattice, stopped at a rational tolerance (Wu-Zhang dynamics; cf. Yan-Zhu arXiv:1905.01670)"
 }
 
-// Certifiable implements Certifier: PR allocations are truncated iterates,
-// not certified equilibria — no certificate format exists for them.
-func (PR) Certifiable() bool { return false }
-
 // Allocate implements Mechanism.
 func (PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("mechanism/pr: empty graph")
 	}
-	// x[v][j] is what v sends to its j-th neighbor (adjacency order).
-	x := make([][]numeric.Rat, n)
-	for v := 0; v < n; v++ {
-		nb := g.Neighbors(v)
-		x[v] = make([]numeric.Rat, len(nb))
-		if len(nb) == 0 || g.Weight(v).IsZero() {
-			continue
-		}
-		share := g.Weight(v).DivInt(int64(len(nb)))
-		for j := range nb {
-			x[v][j] = share
-		}
-	}
-	// reverse[v][j] = position of v in the adjacency list of its j-th
-	// neighbor, so incoming transfers are read without search.
-	reverse := make([][]int, n)
-	for v := 0; v < n; v++ {
-		nb := g.Neighbors(v)
-		reverse[v] = make([]int, len(nb))
-		for j, u := range nb {
-			reverse[v][j] = indexOf(g.Neighbors(u), v)
-		}
-	}
+	// x[v][j] is what v sends to its j-th neighbor (adjacency order); round
+	// 0 is the equal split, and v's received offers are read through rev.
+	x := equalSplit(g)
+	rev := g.ReverseIndex()
 	wmax := numeric.MaxOf(g.Weights())
 	tolAbs := wmax.DivInt(prTolInv)
 	next := make([][]numeric.Rat, n)
@@ -99,11 +76,13 @@ func (PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation,
 			recv := numeric.Zero
 			nb := g.Neighbors(v)
 			for j := range nb {
-				recv = recv.Add(x[nb[j]][reverse[v][j]])
+				recv = recv.Add(x[nb[j]][rev[v][j]])
 			}
 			if recv.IsZero() {
-				// Nothing received: keep the current split (the equal split
-				// persists, matching the dynamics' convention).
+				// Nothing received: keep the current split. It is the lattice
+				// split v last reached, rarely the equal split that the float
+				// step (dynamics.Respond) falls back to, so the two rules
+				// differ and PR keeps its own.
 				copy(next[v], x[v])
 				continue
 			}
@@ -115,7 +94,7 @@ func (PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation,
 					next[v][j] = rest
 					break
 				}
-				raw := x[nb[j]][reverse[v][j]].Mul(wv).Div(recv)
+				raw := x[nb[j]][rev[v][j]].Mul(wv).Div(recv)
 				q := latticeFloor(raw, wv)
 				next[v][j] = q
 				rest = rest.Sub(q)
@@ -135,15 +114,7 @@ func (PR) Allocate(ctx context.Context, g *graph.Graph) (*allocation.Allocation,
 			break
 		}
 	}
-	a := allocation.New(n)
-	for v := 0; v < n; v++ {
-		for j, u := range g.Neighbors(v) {
-			if !x[v][j].IsZero() {
-				a.Add(v, u, x[v][j])
-			}
-		}
-	}
-	return a, nil
+	return allocationOf(g, x), nil
 }
 
 // latticeFloor rounds raw ∈ [0, wv] down to the lattice {k·wv/2^prPrec}:
@@ -156,16 +127,6 @@ func latticeFloor(raw, wv numeric.Rat) numeric.Rat {
 	t := raw.Div(wv).Mul(prScale)
 	k := new(big.Int).Quo(t.Num(), t.Denom())
 	return numeric.FromBig(new(big.Rat).SetInt(k)).Mul(wv).Div(prScale)
-}
-
-// indexOf returns the position of v in nb (nb always contains v here).
-func indexOf(nb []int, v int) int {
-	for i, u := range nb {
-		if u == v {
-			return i
-		}
-	}
-	panic("mechanism: adjacency lists out of sync")
 }
 
 func init() { Register(PR{}) }

@@ -3,8 +3,8 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
+	"repro/internal/dynamics"
 	"repro/internal/graph"
 )
 
@@ -80,24 +80,22 @@ func RunAsync(g *graph.Graph, cfg AsyncConfig) (*AsyncResult, error) {
 	for v := 0; v < n; v++ {
 		w[v] = g.Weight(v).Float64()
 	}
-	// lastKnown[v][j]: the freshest offer v has heard from its j-th
-	// neighbor; seeded with the equal split so nobody divides by silence.
+	// rev[v][j]: position of v in the adjacency of its j-th neighbor, so
+	// deliveries land in the right slot. lastKnown[v][j]: the freshest
+	// offer v has heard from its j-th neighbor, seeded with that neighbor's
+	// response to silence (the equal split) so nobody divides by silence.
+	// out holds one peer's response.
+	rev := g.ReverseIndex()
 	lastKnown := make([][]float64, n)
 	for v := 0; v < n; v++ {
-		nb := g.Neighbors(v)
-		lastKnown[v] = make([]float64, len(nb))
-		for j, u := range nb {
-			lastKnown[v][j] = w[u] / float64(g.Degree(u))
-		}
+		lastKnown[v] = make([]float64, g.Degree(v))
 	}
-	// neighborSlot[v][j]: position of v in the adjacency of its j-th
-	// neighbor, so deliveries land in the right slot.
-	neighborSlot := make([][]int, n)
+	out, silence := make([]float64, n), make([]float64, n)
 	for v := 0; v < n; v++ {
-		nb := g.Neighbors(v)
-		neighborSlot[v] = make([]int, len(nb))
-		for j, u := range nb {
-			neighborSlot[v][j] = sort.SearchInts(g.Neighbors(u), v)
+		d := g.Degree(v)
+		dynamics.Respond(out[:d], silence[:d], w[v])
+		for j, u := range g.Neighbors(v) {
+			lastKnown[u][rev[v][j]] = out[j]
 		}
 	}
 
@@ -113,13 +111,8 @@ func RunAsync(g *graph.Graph, cfg AsyncConfig) (*AsyncResult, error) {
 		Utilities: make([]float64, n),
 		History:   make([][]float64, len(cfg.TrackAgents)),
 	}
-	perceived := func(v int) float64 {
-		total := 0.0
-		for _, amt := range lastKnown[v] {
-			total += amt
-		}
-		return total
-	}
+	// perceived[v] is the sum of v's view, which Respond returns.
+	perceived := res.Utilities
 
 	for round := 0; round < cfg.Rounds; round++ {
 		// Deliver everything scheduled for this round.
@@ -138,20 +131,14 @@ func RunAsync(g *graph.Graph, cfg AsyncConfig) (*AsyncResult, error) {
 			}
 		}
 
-		// Online peers answer their current view proportionally.
+		// Every peer sums its view; online peers answer it proportionally.
 		for v := 0; v < n; v++ {
+			offers := out[:len(lastKnown[v])]
+			perceived[v] = dynamics.Respond(offers, lastKnown[v], w[v])
 			if offlineUntil[v] > round {
 				continue
 			}
-			u := perceived(v)
-			d := len(lastKnown[v])
-			for j := range lastKnown[v] {
-				var amount float64
-				if u > 0 {
-					amount = lastKnown[v][j] / u * w[v]
-				} else {
-					amount = w[v] / float64(d)
-				}
+			for j, u := range g.Neighbors(v) {
 				if cfg.DropRate > 0 && rng.Float64() < cfg.DropRate {
 					res.Dropped++
 					continue
@@ -162,18 +149,15 @@ func RunAsync(g *graph.Graph, cfg AsyncConfig) (*AsyncResult, error) {
 				}
 				at := (round + delay) % (cfg.MaxDelay + 1)
 				future[at] = append(future[at], delivery{
-					to:     g.Neighbors(v)[j],
-					slot:   neighborSlot[v][j],
-					amount: amount,
+					to:     u,
+					slot:   rev[v][j],
+					amount: offers[j],
 				})
 			}
 		}
 		for i, v := range cfg.TrackAgents {
-			res.History[i] = append(res.History[i], perceived(v))
+			res.History[i] = append(res.History[i], perceived[v])
 		}
-	}
-	for v := 0; v < n; v++ {
-		res.Utilities[v] = perceived(v)
 	}
 	return res, nil
 }

@@ -11,9 +11,10 @@
 // run — the defense-relevant quantity is how much the combined identities
 // harvest compared to the honest run (experiment E14).
 //
-// Determinism: received offers are aggregated by sender id in sorted order,
-// so results are bit-identical across runs and match package dynamics
-// exactly despite the concurrent delivery.
+// Determinism: received offers are sorted by sender id into adjacency
+// order and answered by dynamics.Respond, the recurrence's own step, so
+// results are bit-identical across runs and match package dynamics by
+// construction.
 package p2p
 
 import (
@@ -21,6 +22,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/dynamics"
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -88,19 +90,19 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	for v := 0; v < n; v++ {
 		w[v] = g.Weight(v).Float64()
 	}
-	// Mailboxes sized for one round of traffic.
+	// Mailboxes sized for one round of traffic, and got[v] for v's drained
+	// one. x[v][j] is v's current offer to its j-th neighbor; once sent, the
+	// row takes what v received and Respond answers it in place. Before the
+	// first round it answers silence: the equal split.
 	inbox := make([]chan offer, n)
-	for v := 0; v < n; v++ {
-		inbox[v] = make(chan offer, g.Degree(v))
-	}
-	// x[v][j]: current offer of v to its j-th neighbor.
 	x := make([][]float64, n)
+	got := make([][]offer, n)
 	for v := 0; v < n; v++ {
 		d := g.Degree(v)
+		inbox[v] = make(chan offer, d)
 		x[v] = make([]float64, d)
-		for j := range x[v] {
-			x[v][j] = w[v] / float64(d)
-		}
+		got[v] = make([]offer, d)
+		dynamics.Respond(x[v], x[v], w[v])
 	}
 
 	res := &Result{
@@ -127,28 +129,19 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 		// Receive phase: every peer drains its mailbox, aggregates
 		// deterministically, and prepares the proportional response.
 		par.ForEach(n, cfg.Workers, func(v int) {
-			d := g.Degree(v)
-			received := make([]offer, d)
-			for k := 0; k < d; k++ {
+			received := got[v]
+			for k := range received {
 				received[k] = <-inbox[v]
 			}
 			sort.Slice(received, func(i, j int) bool { return received[i].From < received[j].From })
-			utility := 0.0
-			for _, o := range received {
-				utility += o.Amount
-			}
-			res.Utilities[v] = utility
 			// Neighbors(v) is sorted, and so is received — align them.
-			for j := range received {
-				if received[j].From != g.Neighbors(v)[j] {
+			for j, o := range received {
+				if o.From != g.Neighbors(v)[j] {
 					panic("p2p: mailbox received an offer from a non-neighbor")
 				}
-				if utility > 0 {
-					x[v][j] = received[j].Amount / utility * w[v]
-				} else {
-					x[v][j] = w[v] / float64(d)
-				}
+				x[v][j] = o.Amount
 			}
+			res.Utilities[v] = dynamics.Respond(x[v], x[v], w[v])
 		})
 		for i, v := range cfg.TrackAgents {
 			res.History[i] = append(res.History[i], res.Utilities[v])

@@ -13,12 +13,20 @@ import (
 )
 
 func TestSwarmMatchesDynamicsExactly(t *testing.T) {
-	// The message-passing swarm and the numeric recurrence are the same
-	// algorithm with the same float operation order; results must be
-	// bit-identical.
+	// The message-passing swarm, the asynchronous swarm at delay 1 with no
+	// loss or churn, and the numeric recurrence run the same step
+	// (dynamics.Respond) on the same offers; results must be bit-identical,
+	// on rings and connected graphs, zero-weight vertices included.
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 10; trial++ {
-		g := graph.RandomRing(rng, rng.Intn(8)+3, graph.WeightDist(rng.Intn(3)))
+	for trial := 0; trial < 40; trial++ {
+		n, dist := rng.Intn(8)+3, graph.WeightDist(rng.Intn(4))
+		g := graph.RandomRing(rng, n, dist)
+		if trial%2 == 1 {
+			g = graph.RandomConnected(rng, n, 0.4, dist)
+		}
+		if trial%3 == 0 {
+			g.MustSetWeight(rng.Intn(n), numeric.Zero)
+		}
 		rounds := rng.Intn(50) + 10
 		// The swarm's round-r utilities aggregate the offers computed in
 		// round r-1 (a real network observes its income one round late), so
@@ -27,14 +35,18 @@ func TestSwarmMatchesDynamicsExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		async, err := RunAsync(g, AsyncConfig{Rounds: rounds, MaxDelay: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		dyn, err := dynamics.Run(g, dynamics.Options{MaxRounds: rounds - 1, Tol: 1e-300})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for v := range swarm.Utilities {
-			if swarm.Utilities[v] != dyn.Utilities[v] {
-				t.Fatalf("trial %d: swarm and dynamics diverge at %d: %v vs %v",
-					trial, v, swarm.Utilities[v], dyn.Utilities[v])
+			if swarm.Utilities[v] != dyn.Utilities[v] || async.Utilities[v] != dyn.Utilities[v] {
+				t.Fatalf("trial %d: swarm, async and dynamics diverge at %d: %v, %v vs %v",
+					trial, v, swarm.Utilities[v], async.Utilities[v], dyn.Utilities[v])
 			}
 		}
 	}

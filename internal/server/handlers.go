@@ -54,7 +54,7 @@ func (s *Server) certify(c cert.Checkable) error {
 // certAllowed answers 400 cert_limit unless mechanism m can certify
 // answers on a ring of n vertices.
 func certAllowed(w http.ResponseWriter, m mechanism.Mechanism, n int) bool {
-	if !mechCertifiable(m) {
+	if !mechanism.Certifiable(m) {
 		WriteError(w, http.StatusBadRequest, CodeCertLimit,
 			fmt.Sprintf("certificates are only available for certifiable mechanisms (bd), not %q", m.Name()))
 		return false

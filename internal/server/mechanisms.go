@@ -30,13 +30,6 @@ func resolveWireMechanism(w http.ResponseWriter, name string) (mechanism.Mechani
 	return m, true
 }
 
-// mechCertifiable reports whether m can build exact certificates — the gate
-// behind every ?cert=1 path: non-certifiable mechanisms answer cert_limit.
-func mechCertifiable(m mechanism.Mechanism) bool {
-	c, ok := m.(mechanism.Certifier)
-	return ok && c.Certifiable()
-}
-
 // mechKey scopes a canonical instance key by mechanism. The default backend
 // keeps the bare CanonicalKey — preserving every pre-mechanism cache entry,
 // resume token and job address bit for bit — while any other backend gets a

@@ -248,7 +248,7 @@ func (s *Server) validateScenario(w http.ResponseWriter, req *ScenarioRequest) (
 		if req.Kind != "topology" {
 			return reject(CodeCertLimit, "scenario certificates are only available for topology scans (the best ring point)")
 		}
-		if !mechCertifiable(m) {
+		if !mechanism.Certifiable(m) {
 			return reject(CodeCertLimit, fmt.Sprintf("mechanism %q cannot build certificates", m.Name()))
 		}
 		spec.Cert = true
